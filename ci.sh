@@ -28,24 +28,9 @@ elif [ "$findings" -lt "$baseline" ]; then
     echo "simlint ratchet: $findings findings below baseline $baseline — lower simlint.baseline to lock in the progress" >&2
     exit 1
 fi
-# Coupling inventory freshness: the checked-in seam map that feeds the
-# sharded world step must match a fresh render.
+# Coupling inventory freshness: the checked-in map of cross-machine
+# seams must match a fresh render.
 cargo run -q -p simlint --release -- --coupling-report | diff - simlint.coupling.json
-# Coupling ratchet: every row outside src/world/ is a syscall-handler
-# path that reaches across machines without going through the seam
-# layer — exactly what the sharded engine has to treat as coupling.
-# That set may only shrink. If you add a row, route the new effect
-# through World::cross_call instead; if you remove one, lower the pin
-# to lock in the progress.
-seam_rows=$(grep '"file"' simlint.coupling.json | grep -vc 'src/world/')
-seam_pin=13
-if [ "$seam_rows" -gt "$seam_pin" ]; then
-    echo "coupling ratchet: $seam_rows handler-side seam rows exceed the pin of $seam_pin — route the new cross-machine effect through the seam layer" >&2
-    exit 1
-elif [ "$seam_rows" -lt "$seam_pin" ]; then
-    echo "coupling ratchet: $seam_rows handler-side seam rows below the pin of $seam_pin — lower seam_pin in ci.sh to lock in the progress" >&2
-    exit 1
-fi
 # Smoke-run the measured-syscall figures: drift in the dispatch path's
 # charged costs moves these ratios, and figures_sanity.rs pins the
 # bands — this catches a figures binary that no longer even runs.
@@ -55,13 +40,7 @@ fi
 cargo run --release -p bench --bin figures -- fig1 fig2 fig3 faults
 # Cluster-scale scheduler bench, smoke tier: event vs scan at 16 and 64
 # hosts plus the at-scale fault soak (one live copy per workload
-# process, zero orphaned dumps), plus the sharded-execution matrix
-# (256 hosts at 1/2/4/8 shard threads — every row bit-identical to the
-# serial engine, so this doubles as a multi-thread smoke test). The
-# smoke tier records throughput without asserting speedup, so a
-# loaded or single-core CI host cannot flake the build; the gate
-# lives in `figures parallel` / `figures cluster` and arms itself
-# only on hosts with >= 4 cores. Writes BENCH_cluster.json; the full
+# process, zero orphaned dumps). Writes BENCH_cluster.json; the full
 # tier adds the 256-host comparison and the 1024-host event-only
 # point.
 cargo run --release -p bench --bin figures -- cluster-smoke

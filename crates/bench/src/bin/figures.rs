@@ -10,7 +10,6 @@
 //! figures faults          # fault-injection soak matrix
 //! figures cluster         # cluster-scale scheduler bench, full tier
 //! figures cluster-smoke   # same, CI-sized (writes BENCH_cluster.json)
-//! figures parallel        # smoke tier + the sharded-execution speedup gate
 //! figures migration       # live-migration protocols, full tier
 //! figures migration-smoke # same, CI-sized (writes BENCH_migration.json)
 //! figures interp          # interpreter engines (writes BENCH_interp.json)
@@ -155,7 +154,7 @@ fn run_faults(json: bool) {
     }
 }
 
-fn run_cluster(json: bool, smoke: bool, assert_speedup: bool) {
+fn run_cluster(json: bool, smoke: bool) {
     // Smoke tier keeps CI fast; the full tier adds the 256-host
     // scan/event comparison and the 1024-host event-only point.
     let (sizes, scan_max): (&[usize], usize) = if smoke {
@@ -165,34 +164,6 @@ fn run_cluster(json: bool, smoke: bool, assert_speedup: bool) {
     };
     let rows = scenarios::cluster(sizes, scan_max);
     let soak = scenarios::cluster_soak(0xC1A5);
-    // Sharded execution: the 256-host steady state at 1/2/4/8 shard
-    // threads (pure-VM workload, so every machine shards; the run is
-    // cheap enough for both tiers). The windowed engine makes every
-    // cell bit-identical to Exec::Serial — this only measures how fast
-    // the identical answer arrives. `figures parallel` and the full
-    // tier gate on the 4-thread speedup; the smoke tier records
-    // without asserting so a loaded CI host cannot flake the build.
-    let par = scenarios::cluster_parallel(256, &[1, 2, 4, 8]);
-    if assert_speedup {
-        // The speedup gate measures hardware parallelism, so it only
-        // means something on a host that has it. On fewer than four
-        // cores the shard threads time-slice one CPU and the windowed
-        // engine's coordination cost is pure overhead — report the
-        // measured rows but skip the gate rather than fail on physics.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cores >= 4 {
-            let four = par.iter().find(|r| r.threads == 4).expect("4-thread row");
-            assert!(
-                four.speedup >= 2.0,
-                "4-thread sharded run must be >= 2x the 1-thread run (got {:.2}x)",
-                four.speedup
-            );
-        } else {
-            eprintln!(
-                "figures: speedup gate skipped — host reports {cores} core(s), need >= 4"
-            );
-        }
-    }
     for r in &soak {
         assert!(r.injected > 0, "{}: fault site never fired", r.case);
         assert_eq!(
@@ -207,7 +178,6 @@ fn run_cluster(json: bool, smoke: bool, assert_speedup: bool) {
         ("tier".into(), Json::Str(if smoke { "smoke" } else { "full" }.into())),
         ("rows".into(), rows.as_slice().to_json()),
         ("fault_soak".into(), soak.as_slice().to_json()),
-        ("parallel".into(), par.as_slice().to_json()),
     ]);
     let text = to_string_pretty(&report);
     // Land at the workspace root, independent of the cwd cargo uses.
@@ -239,17 +209,6 @@ fn run_cluster(json: bool, smoke: bool, assert_speedup: bool) {
             "{:<10} {:>6} {:>6} {:>6} {:>9} {:>6} {:>9} {:>11}",
             r.case, r.hosts, r.migrations, r.failures, r.injected, r.live, r.expected,
             r.dumps_left
-        );
-    }
-    hr("Sharded execution: 256-host steady state vs shard threads");
-    println!(
-        "{:>6} {:>8} {:>10} {:>9} {:>12} {:>9}",
-        "hosts", "threads", "slices", "host (s)", "events/s", "speedup"
-    );
-    for r in &par {
-        println!(
-            "{:>6} {:>8} {:>10} {:>9.3} {:>12.0} {:>8.2}x",
-            r.hosts, r.threads, r.slices, r.host_secs, r.events_per_sec, r.speedup
         );
     }
 }
@@ -419,15 +378,11 @@ fn main() {
         run_faults(json);
     }
     // `cluster` runs the full tier (incl. the 1024-host point); bare
-    // `figures` and `cluster-smoke` run the CI-sized smoke tier;
-    // `parallel` is the smoke tier with the sharded-execution speedup
-    // gate armed.
+    // `figures` and `cluster-smoke` run the CI-sized smoke tier.
     if picks.contains(&"cluster") {
-        run_cluster(json, false, true);
-    } else if picks.contains(&"parallel") {
-        run_cluster(json, true, true);
+        run_cluster(json, false);
     } else if all || picks.contains(&"cluster-smoke") {
-        run_cluster(json, true, false);
+        run_cluster(json, true);
     }
     if picks.contains(&"migration") {
         run_migration(json, false);

@@ -23,7 +23,7 @@
 //!
 //! Commands: `boot <host> [isa2]`, `install <host> <path> <workload>`,
 //! `spawn <host> <path>`, `type <tty> <text>`, `keys <tty> <chars>`,
-//! `eof <tty>`, `screen <tty>`, `run <slices> [--threads N]`, `ps <host>`, `load`,
+//! `eof <tty>`, `screen <tty>`, `run <slices>`, `ps <host>`, `load`,
 //! `time <host>`, `ktrace <host> [n]`, `dumpproc <host> <pid>`,
 //! `restart <host> <pid> [dumphost]`, `migrate <pid> <from> <to>
 //! [cmdhost]`, `cat <host> <path>`, `help`, `quit`. Workloads: `testprog`, `editor`, `pidprog`,
@@ -71,10 +71,7 @@ commands:
   boot <host> [isa2]              add a machine (default ISA-1 / 68010)
   install <host> <path> <wl>      assemble a workload onto a machine
   spawn <host> <path>             start a program on a fresh terminal
-  run <slices> [--threads N]      advance the simulation; --threads
-                                  switches to sharded execution with N
-                                  host threads (1 = serial), and the
-                                  choice sticks for later run commands
+  run <slices>                    advance the simulation
   type <tty> <text...>            type a line at a terminal
   keys <tty> <chars>              type raw characters (no newline)
   eof <tty>                       close a terminal (EOF to readers)
@@ -156,17 +153,8 @@ fn dispatch(world: &mut World, parts: &[&str]) -> Result<(), String> {
                 .map_err(|e| e.to_string())?;
             println!("pid {pid} on {host}, terminal tty{tty}");
         }
-        ["run", n] | ["run", n, "--threads", _] => {
+        ["run", n] => {
             let n: u64 = n.parse().map_err(|_| "bad slice count".to_string())?;
-            if let Some(t) = parts.get(3) {
-                let t: usize = t.parse().map_err(|_| "bad thread count".to_string())?;
-                world.config.exec = if t <= 1 {
-                    ukernel::Exec::Serial
-                } else {
-                    ukernel::Exec::Parallel { threads: t }
-                };
-                println!("exec mode: {:?} (sticky until changed)", world.config.exec);
-            }
             let outcome = world.run_slices(n);
             println!("ran ({outcome:?})");
         }

@@ -868,10 +868,9 @@ beat:   move.l  #150, d0
 /// CPU hogs — the load imbalance the gradient policy then works off.
 /// All workloads outlive the measured window, so the process
 /// population stays constant.
-fn cluster_world(hosts: usize, sched: ukernel::Sched, exec: ukernel::Exec) -> World {
+fn cluster_world(hosts: usize, sched: ukernel::Sched) -> World {
     let mut config = KernelConfig::paper();
     config.sched = sched;
-    config.exec = exec;
     let mut w = World::new(config);
     for i in 0..hosts {
         w.add_machine(&format!("h{i}"), IsaLevel::Isa1);
@@ -928,7 +927,7 @@ fn cluster_engine() -> apps::PolicyEngine<apps::LoadGradient> {
 /// cost is not buried under the migration pipeline's native-process
 /// overhead.
 fn cluster_run(hosts: usize, sched: ukernel::Sched, rounds: u32, period_us: u64) -> ClusterRow {
-    let mut w = cluster_world(hosts, sched, ukernel::Exec::Serial);
+    let mut w = cluster_world(hosts, sched);
     let mut engine = cluster_engine();
     let sw = crate::hostclock::HostStopwatch::start();
     let migrations = engine.run(&mut w, period_us, rounds, |_| false) as u64;
@@ -977,59 +976,6 @@ pub fn cluster(sizes: &[usize], scan_max: usize) -> Vec<ClusterRow> {
     rows
 }
 
-/// One thread-count cell of the sharded-execution bench.
-#[derive(Clone, Debug)]
-pub struct ParallelRow {
-    /// Installation size.
-    pub hosts: u64,
-    /// Shard threads (`Exec::Parallel { threads }`).
-    pub threads: u64,
-    /// Scheduling slices executed in the measured window.
-    pub slices: u64,
-    /// Host wall-clock for the window, seconds.
-    pub host_secs: f64,
-    /// Simulated events per host second.
-    pub events_per_sec: f64,
-    /// `events_per_sec` relative to this matrix's 1-thread row.
-    pub speedup: f64,
-}
-
-/// The sharded-execution scaling matrix: one steady-state simulated
-/// second of the cluster workload (pure-VM — no native utilities, so
-/// the coupling partition leaves every machine shardable) at each
-/// thread count. The windowed engine guarantees every cell is
-/// bit-identical to `Exec::Serial`; this measures only how fast the
-/// identical answer arrives.
-pub fn cluster_parallel(hosts: usize, threads: &[usize]) -> Vec<ParallelRow> {
-    let mut rows: Vec<ParallelRow> = Vec::new();
-    for &t in threads {
-        let mut w = cluster_world(
-            hosts,
-            ukernel::Sched::Event,
-            ukernel::Exec::Parallel { threads: t },
-        );
-        let deadline = SimTime::BOOT + SimDuration::secs(1);
-        let sw = crate::hostclock::HostStopwatch::start();
-        w.run_until_time(deadline, 500_000_000);
-        let host_secs = sw.elapsed_secs().max(1e-9);
-        let slices = w.slices;
-        let events_per_sec = slices as f64 / host_secs;
-        let speedup = match rows.first() {
-            Some(base) => events_per_sec / base.events_per_sec,
-            None => 1.0,
-        };
-        rows.push(ParallelRow {
-            hosts: hosts as u64,
-            threads: t as u64,
-            slices,
-            host_secs,
-            events_per_sec,
-            speedup,
-        });
-    }
-    rows
-}
-
 /// One fault-site row of the at-scale soak.
 #[derive(Clone, Debug)]
 pub struct ClusterSoakRow {
@@ -1067,7 +1013,7 @@ pub fn cluster_soak(seed: u64) -> Vec<ClusterSoakRow> {
     ];
     let mut rows = Vec::new();
     for (label, site, budget) in cases {
-        let mut w = cluster_world(HOSTS, ukernel::Sched::Event, ukernel::Exec::Serial);
+        let mut w = cluster_world(HOSTS, ukernel::Sched::Event);
         w.faults = FaultPlan::seeded(seed).with(FaultSpec::always(site, budget));
         let expected = cluster_live_procs(&w);
         let mut engine = cluster_engine();
@@ -1256,4 +1202,3 @@ impl_to_json!(ClusterRow {
     us_per_event
 });
 impl_to_json!(ClusterSoakRow { case, hosts, migrations, failures, injected, live, expected, dumps_left });
-impl_to_json!(ParallelRow { hosts, threads, slices, host_secs, events_per_sec, speedup });

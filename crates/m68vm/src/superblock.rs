@@ -191,7 +191,7 @@ pub(crate) enum SbEntry {
 /// Lazily translated blocks, one cell per 4-byte icache slot.
 ///
 /// `OnceLock` keeps the read path lock-free and the cache shareable
-/// across fork and shard threads through the icache's `Arc`; a racing
+/// across fork (and `Send`/`Sync`) through the icache's `Arc`; a racing
 /// double translation is benign because `translate` is a pure function
 /// of the immutable slots.
 pub(crate) struct SbCache {

@@ -23,8 +23,8 @@
 //!   exemption, made explicit.
 //! * **Cross-machine coupling.** Syscall handlers must not index a
 //!   foreign machine's state directly; `--coupling-report` inventories
-//!   every such seam (world layer included) for the parallel-sim
-//!   refactor.
+//!   every such seam (world layer included), so growth of the
+//!   cross-machine surface shows up in review.
 //!
 //! The pass hand-rolls a small Rust lexer and item visitor (no `syn`,
 //! per the offline vendored-stub policy), runs each rule over the lexed

@@ -1,19 +1,20 @@
 //! Rule `coupling`: cross-machine reach-through, flagged and inventoried.
 //!
-//! ROADMAP item 2 (parallel deterministic simulation) will want to step
-//! machines on separate threads; every place one machine's execution
-//! context reaches into another machine's state — or into world-shared
-//! maps — is a seam that `World::run_parallel` must turn into a
-//! message. This module does two jobs with one scan:
+//! Every place one machine's execution context reaches into another
+//! machine's state — or into world-shared maps — is a seam: the
+//! paper's NFS forwarding, `rsh`, migration dumps. Seams are where a
+//! kernel model goes subtly wrong (a handler charging the wrong
+//! machine, a wake landing on the wrong clock), so they are kept few
+//! and named. This module does two jobs with one scan:
 //!
 //! * **The lint.** A *syscall handler* (a function in
 //!   `ukernel/src/sys/` whose signature takes `SysCtx`) holds exactly
 //!   one machine's context (`cx.mid`). If its body indexes a
 //!   *different* machine — `machine_mut(dst)`, `proc_mut(other, ..)`,
-//!   `machines[peer]` — it has bypassed the `World` routing layer, and
-//!   the future parallel step would race. Handlers must go through
-//!   `World` methods (the remote-exec and signal paths already do).
-//!   This is a hard rule; sanctioned exceptions go in `simlint.toml`.
+//!   `machines[peer]` — it has bypassed the `World` routing layer.
+//!   Handlers must go through `World` methods (the remote-exec and
+//!   signal paths already do). This is a hard rule; sanctioned
+//!   exceptions go in `simlint.toml`.
 //!
 //! * **The report.** `simlint --coupling-report` inventories every
 //!   kernel function that indexes a foreign machine or touches a
@@ -21,8 +22,7 @@
 //!   world layer included — there the coupling is *by design*; the
 //!   point is to enumerate it. The report is checked in at
 //!   `simlint.coupling.json` and `ci.sh` fails when it is stale, so
-//!   the parallel-sim refactor starts from a current map, and growth
-//!   of the seam list shows up in review like any other diff.
+//!   growth of the seam list shows up in review like any other diff.
 
 use crate::diag::Diagnostic;
 use crate::lexer::{Tok, TokKind};
@@ -37,8 +37,7 @@ pub const RULE: &str = "coupling";
 const INDEXERS: [&str; 5] = ["machine", "machine_mut", "proc_ref", "proc_mut", "machine_name"];
 
 /// World-owned structures shared across machines: mutating or reading
-/// these from a per-machine step is exactly what a parallel world must
-/// route through messages.
+/// these from a per-machine step couples that step to every machine.
 const SHARED: [&str; 8] = [
     "ether",
     "terminals",

@@ -8,7 +8,6 @@
 
 pub mod charging;
 pub mod coupling;
-pub mod crossshard;
 pub mod determinism;
 pub mod errno;
 pub mod magics;
@@ -29,7 +28,6 @@ pub fn run_all(files: &[SourceFile]) -> Vec<Diagnostic> {
     out.extend(wakepoke::check(files));
     out.extend(snapcov::check(files));
     out.extend(coupling::check(files));
-    out.extend(crossshard::check(files));
     out.sort();
     out
 }

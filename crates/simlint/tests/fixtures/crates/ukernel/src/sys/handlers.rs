@@ -31,17 +31,3 @@ pub fn sys_revive_poked(cx: &mut SysCtx<'_>, pid: u32) -> SyscallResult {
     cx.w.poke_proc(cx.mid, Pid(pid));
     done(Ok(SysRetval::ok(0)))
 }
-
-/// Seeded violation (cross-shard): mutates a foreign machine's
-/// filesystem directly instead of routing through World::cross_call.
-pub fn sys_smash(cx: &mut SysCtx<'_>, dst: usize) -> SyscallResult {
-    cx.w.fs_mut(dst).truncate(ino)?;
-    done(Ok(SysRetval::ok(0)))
-}
-
-/// Trap: the same mutable accessor aimed at the handler's own machine
-/// is plain local work, not a seam.
-pub fn sys_sync_local(cx: &mut SysCtx<'_>) -> SyscallResult {
-    cx.w.fs_mut(cx.mid).truncate(ino)?;
-    done(Ok(SysRetval::ok(0)))
-}

@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use simlint::rules::{coupling, crossshard, snapcov, wakepoke};
+use simlint::rules::{coupling, snapcov, wakepoke};
 use simlint::workspace::{load_workspace, SourceFile};
 use simlint::Config;
 
@@ -48,16 +48,6 @@ fn snapshot_coverage_finds_the_two_unfolded_fields() {
             "World::cache_idx".to_string(),
         ]),
         "transitive helper coverage failed or plants missed: {d:?}"
-    );
-}
-
-#[test]
-fn cross_shard_flags_only_the_foreign_mutation() {
-    let d = crossshard::check(&fixture_files());
-    assert_eq!(
-        subjects(&d),
-        BTreeSet::from(["sys_smash".to_string()]),
-        "own-mid trap or seam-layer exemption failed: {d:?}"
     );
 }
 

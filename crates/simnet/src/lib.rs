@@ -150,44 +150,6 @@ pub fn rsh_session_cost(model: &CostModel) -> Cost {
         .fold(Cost::ZERO, |acc, p| acc.plus(p.cost(model)))
 }
 
-/// The latency of one minimal message on the segment: the per-link
-/// floor below which nothing — not even a bare ack — can cross between
-/// two machines.
-pub fn link_latency_floor(model: &CostModel) -> simtime::SimDuration {
-    let mut scratch = Ethernet::new();
-    scratch.send(model, 1).real()
-}
-
-/// The conservative-lockstep lookahead: the smallest simulated latency
-/// any *blocking* cross-machine interaction can exhibit. Every remote
-/// interaction a machine can block on costs at least one full NFS RPC
-/// round trip (an `rsh` session costs far more), so a machine at clock
-/// `t` cannot observe another machine's doings before `t + lookahead`
-/// — which is exactly how far a shard may run ahead privately
-/// (`ukernel::world::shard`). Instantaneous server-side effects (a
-/// client's write landing in a server's filesystem) are not covered by
-/// this bound; they are handled by the seam layer's coupling
-/// classification instead (DESIGN.md §14).
-pub fn lookahead(model: &CostModel) -> simtime::SimDuration {
-    let mut scratch = Ethernet::new();
-    [
-        NfsOp::Lookup,
-        NfsOp::Getattr,
-        NfsOp::Read(0),
-        NfsOp::Write(0),
-        NfsOp::Create,
-        NfsOp::Remove,
-        NfsOp::Readlink,
-        NfsOp::Readdir,
-        NfsOp::Setattr,
-    ]
-    .into_iter()
-    .map(|op| op.cost(model, &mut scratch).real())
-    .min()
-    .unwrap_or_default()
-    .max(link_latency_floor(model))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,19 +203,6 @@ mod tests {
         assert!(c.real() > SimDuration::secs(8), "rsh = {}", c.real());
         assert!(c.real() < SimDuration::secs(20));
         assert!(c.cpu < c.wait, "rsh is latency, not computation");
-    }
-
-    #[test]
-    fn lookahead_is_the_cheapest_rpc() {
-        let model = CostModel::sun2();
-        let la = lookahead(&model);
-        // The floor is the zero-payload Getattr round trip: smaller than
-        // every other RPC, far smaller than an rsh session.
-        let mut e = Ethernet::new();
-        assert_eq!(la, NfsOp::Getattr.cost(&model, &mut e).real());
-        assert!(la >= link_latency_floor(&model));
-        assert!(la < rsh_session_cost(&model).real());
-        assert!(la > SimDuration::ZERO);
     }
 
     #[test]

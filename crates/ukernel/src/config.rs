@@ -20,28 +20,6 @@ pub enum Sched {
     Scan,
 }
 
-/// How the world's run loops execute machines on the host.
-///
-/// Both modes produce bit-identical trajectories for scenarios whose
-/// cross-machine traffic respects the `simnet::lookahead` floor (see
-/// DESIGN.md §14); `tests/parallel_determinism.rs` pins the equality.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Exec {
-    /// One host thread steps every machine (the reference engine).
-    #[default]
-    Serial,
-    /// Machines are partitioned into shards stepped by a pool of host
-    /// threads under conservative lockstep windows; cross-machine
-    /// syscalls gate-park at the shard boundary and are replayed
-    /// serially by the coordinator (`world::shard`).
-    Parallel {
-        /// Host worker threads (each owns one shard). `Parallel{1}` is
-        /// the windowed engine on a single worker — the 1-vs-N oracle's
-        /// baseline.
-        threads: usize,
-    },
-}
-
 /// Compile-time choices of the simulated kernel build.
 ///
 /// `Figure 1` compares a kernel with [`KernelConfig::track_names`] off
@@ -84,8 +62,6 @@ pub struct KernelConfig {
     pub cost: CostModel,
     /// Scheduler implementation (event-driven by default).
     pub sched: Sched,
-    /// Host execution mode (serial by default).
-    pub exec: Exec,
 }
 
 impl KernelConfig {
@@ -99,7 +75,6 @@ impl KernelConfig {
             use_superblocks: true,
             cost: CostModel::sun2(),
             sched: Sched::default(),
-            exec: Exec::default(),
         }
     }
 
@@ -138,6 +113,5 @@ mod tests {
         assert!(!KernelConfig::original().track_names);
         assert!(KernelConfig::with_virtualized_ids().virtualize_ids);
         assert!(KernelConfig::default().track_names);
-        assert_eq!(KernelConfig::default().exec, Exec::Serial);
     }
 }

@@ -38,28 +38,6 @@ pub(crate) struct NameiCache {
     pub ino: Ino,
 }
 
-/// A system call caught at the shard boundary (`World::shard_gate`):
-/// the slice is frozen exactly at the dispatch point and replayed by
-/// the coordinator's serial phase, so a cross-machine call never
-/// executes on a shard thread. See `crate::world::shard`.
-#[derive(Clone, Debug)]
-pub(crate) struct StagedTrap {
-    /// The process whose slice is frozen.
-    pub pid: Pid,
-    /// The decoded call (fresh traps; retries re-read `pending_syscall`).
-    pub sc: crate::sys::args::Syscall,
-    /// Interpreter units already executed this quantum, not yet charged
-    /// (the resumed quantum charges the full total once, as one slice).
-    pub spent: u64,
-    /// True when the gate caught a blocked-call retry rather than a
-    /// fresh trap: the resume re-enters at the retry dispatch.
-    pub retry: bool,
-    /// The machine clock at the start of the frozen slice — the key the
-    /// coordinator schedules the resume by, preserving the serial
-    /// engine's pick-by-slice-start order.
-    pub key: SimTime,
-}
-
 /// Index of a machine within the world.
 pub type MachineId = usize;
 
@@ -237,12 +215,6 @@ pub struct Machine {
     pub(crate) queue_waiters: BTreeMap<QueueId, BTreeSet<u32>>,
     /// This machine's key in the world's ready index, if enrolled.
     pub(crate) ready_key: Option<SimTime>,
-    /// A slice frozen at the shard boundary, awaiting serial replay by
-    /// the coordinator (`Exec::Parallel` only; always `None` at rest).
-    pub(crate) staged: Option<StagedTrap>,
-    /// The machine clock at the start of the slice currently executing
-    /// — scratch the shard gate reads to key a [`StagedTrap`].
-    pub(crate) slice_key: SimTime,
     /// Pids that may have `SIGDUMP` artifact files in `/usr/tmp`,
     /// maintained at dump create/unlink time so the reaper sweeps only
     /// machines (and names) that can actually have work — a superset of
@@ -331,8 +303,6 @@ impl Machine {
             wait_pending: BTreeSet::new(),
             queue_waiters: BTreeMap::new(),
             ready_key: None,
-            staged: None,
-            slice_key: SimTime::BOOT,
             pending_dumps: BTreeSet::new(),
             namei_cache: Cell::new(None),
             n_dir,
@@ -376,11 +346,10 @@ impl Machine {
         }
     }
 
-    /// The clock the scheduler orders this machine by: a machine with a
-    /// frozen slice is keyed at that slice's start (the clock the serial
-    /// engine would have picked it at), everyone else at `now`.
-    pub(crate) fn sched_key(&self) -> SimTime {
-        self.staged.as_ref().map(|s| s.key).unwrap_or(self.now)
+    /// Whether the scheduler has anything to do here: a runnable process
+    /// or a pending sleep/alarm deadline.
+    pub(crate) fn has_work(&mut self) -> bool {
+        !self.run_queue.is_empty() || self.next_deadline().is_some()
     }
 
     /// The cached root → `/n` resolution, if still valid for this

@@ -204,91 +204,6 @@ pub fn remote_ops_of(res: &Resolved) -> Vec<NfsOp> {
     (0..res.remote_lookups).map(|_| NfsOp::Lookup).collect()
 }
 
-/// A stop-at-the-seam mirror of [`namei`]: would resolving `path` from
-/// `client` leave the client machine?
-///
-/// Returns the first foreign machine the walk would reach — determined
-/// *before* touching that machine's state, so a shard world where the
-/// foreign machine is absent can ask safely. `None` means the walk
-/// completes (or fails) entirely on the client: Phase A may run the
-/// call locally.
-///
-/// The probe is deliberately conservative where it diverges from the
-/// caller's exact resolution mode: it always follows a final symlink
-/// (some callers use [`FollowLast::No`]), so a call that the real
-/// resolution would have kept local can still classify as crossing.
-/// That only costs a trip through the serial phase; the reverse error
-/// would corrupt a parallel run.
-pub(crate) fn foreign_target(
-    world: &World,
-    client: MachineId,
-    cred: &Credentials,
-    cwd: FileRef,
-    path: &str,
-) -> Option<MachineId> {
-    let m = world.machine(client);
-    let mut cur = if vpath::is_absolute(path) {
-        m.fs.root()
-    } else {
-        // A foreign working directory makes every relative walk start
-        // on the foreign machine.
-        if cwd.machine != client {
-            return Some(cwd.machine);
-        }
-        cwd.ino
-    };
-    let mut remaining: Vec<String> = vpath::raw_components(path).map(str::to_string).collect();
-    let mut symlink_budget = MAXSYMLINKS;
-    loop {
-        if remaining.is_empty() {
-            return None;
-        }
-        if cur == m.n_dir {
-            // The next component names a host: a known mount is the
-            // crossing; an unknown one fails locally with ENOENT.
-            let host = remaining.remove(0);
-            return m.mounts.get(&host).copied();
-        }
-        let comp = remaining.remove(0);
-        if comp == ".." {
-            match m.fs.parent_of(cur) {
-                Ok(parent) => cur = parent,
-                Err(_) => return None,
-            }
-            continue;
-        }
-        let outcome = match m.fs.walk(cur, std::slice::from_ref(&comp), Some(cred)) {
-            Ok(o) => o,
-            // Local resolution failure: the real call will fail on the
-            // client without crossing.
-            Err(_) => return None,
-        };
-        match outcome {
-            WalkOutcome::Done(ino) => cur = ino,
-            WalkOutcome::Symlink { target, .. } => {
-                if symlink_budget == 0 {
-                    return None;
-                }
-                symlink_budget -= 1;
-                let mut spliced: Vec<String> =
-                    vpath::raw_components(&target).map(str::to_string).collect();
-                if spliced.iter().any(|c| c == "..") {
-                    if vpath::is_absolute(&target) {
-                        spliced = vpath::components(&target);
-                    } else {
-                        return None;
-                    }
-                }
-                spliced.append(&mut remaining);
-                remaining = spliced;
-                if vpath::is_absolute(&target) {
-                    cur = m.fs.root();
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,34 +366,6 @@ mod tests {
         assert_eq!(
             namei(&w, classic, &cred, cwd, "/a", FollowLast::Yes).unwrap_err(),
             Errno::ELOOP
-        );
-    }
-
-    #[test]
-    fn probe_matches_resolution_locality() {
-        let (w, classic, brador) = two_machine_world();
-        let cred = Credentials::root();
-        let cwd = root_at(&w, classic);
-        // Purely local paths — including locally-failing ones — do not
-        // cross.
-        assert_eq!(foreign_target(&w, classic, &cred, cwd, "/usr/tmp"), None);
-        assert_eq!(foreign_target(&w, classic, &cred, cwd, "/no/such"), None);
-        assert_eq!(foreign_target(&w, classic, &cred, cwd, "/n/ghost/x"), None);
-        // Mount hops cross, named before the server is touched.
-        assert_eq!(
-            foreign_target(&w, classic, &cred, cwd, "/n/brador/usr/alice/foo"),
-            Some(brador)
-        );
-        // A client-side symlink into the mount crosses too.
-        assert_eq!(
-            foreign_target(&w, classic, &cred, cwd, "/usr2/foo"),
-            Some(brador)
-        );
-        // A foreign cwd makes every relative path foreign.
-        let foreign_cwd = root_at(&w, brador);
-        assert_eq!(
-            foreign_target(&w, classic, &cred, foreign_cwd, "anything"),
-            Some(brador)
         );
     }
 

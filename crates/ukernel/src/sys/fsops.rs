@@ -17,7 +17,6 @@ use crate::proc::ProcState;
 use crate::sys::args::{IoctlReq, SysRetval, SyscallResult, Whence};
 use crate::sys::ctx::SysCtx;
 use crate::user::FileRef;
-use crate::world::{CrossCall, CrossRet};
 
 fn done(r: SysResult<SysRetval>) -> SyscallResult {
     SyscallResult::Done(match r {
@@ -141,19 +140,13 @@ fn open_common(
             let (parent_arg, name) = split_parent(arg);
             let parent = namei(cx.w, mid, &cred, cwd, &parent_arg, FollowLast::Yes)?;
             charge_namei(cx, &parent, &format!("{cache_key}#parent"))?;
-            let ret = cx.w.cross_call(
-                mid,
+            let ino = cx.w.fs_create(
                 parent.fref.machine,
+                parent.fref.ino,
+                &name,
+                FileMode(mode),
                 &cred,
-                CrossCall::FsCreate {
-                    parent: parent.fref.ino,
-                    name: name.clone(),
-                    mode: FileMode(mode),
-                },
             )?;
-            let CrossRet::Ino(ino) = ret else {
-                unreachable!("FsCreate returns an inode");
-            };
             let c = cx.cost().disk_create();
             cx.charge(c);
             if parent.fref.machine != mid {
@@ -205,8 +198,7 @@ fn open_common(
 
     if flags.trunc() && !created {
         if let FileKind::Local(ino) | FileKind::Remote { ino, .. } = kind {
-            cx.w
-                .cross_call(mid, fref.machine, &cred, CrossCall::FsTruncate { ino })?;
+            cx.w.fs_mut(fref.machine).truncate(ino)?;
             if fref.machine != mid {
                 cx.charge_rpc(NfsOp::Setattr)?;
             }
@@ -485,18 +477,8 @@ pub fn sys_write(cx: &mut SysCtx<'_>, fd: usize, bytes: &[u8]) -> SyscallResult 
             } else {
                 offset
             };
-            let cred = match cx.cred() {
-                Ok(c) => c,
-                Err(e) => return done(Err(e)),
-            };
-            let mid = cx.mid;
-            let call = CrossCall::FsWrite {
-                ino,
-                off,
-                bytes: bytes.to_vec(),
-            };
-            match cx.w.cross_call(mid, host, &cred, call) {
-                Ok(CrossRet::Len(n)) => {
+            match cx.w.fs_mut(host).write(ino, off, bytes) {
+                Ok(n) => {
                     // A dropped reply after the server applied the write:
                     // the data landed but the client sees ETIMEDOUT and
                     // the offset does not advance — NFS's at-least-once
@@ -507,7 +489,6 @@ pub fn sys_write(cx: &mut SysCtx<'_>, fd: usize, bytes: &[u8]) -> SyscallResult 
                     cx.machine_mut().files.get_mut(idx).expect("live").offset = off + n as u64;
                     done(Ok(SysRetval::ok(n as u32)))
                 }
-                Ok(_) => unreachable!("FsWrite returns a length"),
                 Err(e) => done(Err(e)),
             }
         }
@@ -785,15 +766,7 @@ pub fn sys_unlink(cx: &mut SysCtx<'_>, arg: &str) -> SyscallResult {
         let parent = namei(cx.w, mid, &cred, cwd, &parent_arg, FollowLast::Yes)?;
         let cache_key = format!("{mid}:{}:{}:{arg}#unlink", cwd.machine, cwd.ino);
         charge_namei(cx, &parent, &cache_key)?;
-        cx.w.cross_call(
-            mid,
-            parent.fref.machine,
-            &cred,
-            CrossCall::FsUnlink {
-                parent: parent.fref.ino,
-                name: name.clone(),
-            },
-        )?;
+        cx.w.fs_unlink(parent.fref.machine, parent.fref.ino, &name, &cred)?;
         let c = cx.cost().disk_create(); // Directory update, same class.
         cx.charge(c);
         if parent.fref.machine != mid {
@@ -816,16 +789,8 @@ pub fn sys_link(cx: &mut SysCtx<'_>, old: &str, new: &str) -> SyscallResult {
             return Err(Errno::EXDEV);
         }
         charge_namei(cx, &target, &format!("{mid}:link:{old}"))?;
-        cx.w.cross_call(
-            mid,
-            parent.fref.machine,
-            &cred,
-            CrossCall::FsLink {
-                parent: parent.fref.ino,
-                name: name.clone(),
-                target: target.fref.ino,
-            },
-        )?;
+        cx.w.fs_mut(parent.fref.machine)
+            .link(parent.fref.ino, &name, target.fref.ino, &cred)?;
         let c = cx.cost().disk_create();
         cx.charge(c);
         Ok(SysRetval::ok(0))
@@ -841,16 +806,8 @@ pub fn sys_symlink(cx: &mut SysCtx<'_>, target: &str, link: &str) -> SyscallResu
         let (parent_arg, name) = split_parent(link);
         let parent = namei(cx.w, mid, &cred, cwd, &parent_arg, FollowLast::Yes)?;
         charge_namei(cx, &parent, &format!("{mid}:symlink:{link}"))?;
-        cx.w.cross_call(
-            mid,
-            parent.fref.machine,
-            &cred,
-            CrossCall::FsSymlink {
-                parent: parent.fref.ino,
-                name: name.clone(),
-                target: target.to_string(),
-            },
-        )?;
+        cx.w.fs_mut(parent.fref.machine)
+            .symlink(parent.fref.ino, &name, target, &cred)?;
         let c = cx.cost().disk_create();
         cx.charge(c);
         Ok(SysRetval::ok(0))
@@ -887,16 +844,8 @@ pub fn sys_mkdir(cx: &mut SysCtx<'_>, arg: &str, mode: u16) -> SyscallResult {
         let (parent_arg, name) = split_parent(arg);
         let parent = namei(cx.w, mid, &cred, cwd, &parent_arg, FollowLast::Yes)?;
         charge_namei(cx, &parent, &format!("{mid}:mkdir:{arg}"))?;
-        cx.w.cross_call(
-            mid,
-            parent.fref.machine,
-            &cred,
-            CrossCall::FsMkdir {
-                parent: parent.fref.ino,
-                name: name.clone(),
-                mode: FileMode(mode),
-            },
-        )?;
+        cx.w.fs_mut(parent.fref.machine)
+            .mkdir(parent.fref.ino, &name, FileMode(mode), &cred)?;
         let c = cx.cost().disk_create();
         cx.charge(c);
         if parent.fref.machine != mid {

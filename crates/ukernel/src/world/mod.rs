@@ -1,10 +1,5 @@
 //! The world: machines, terminals, the Ethernet, and the scheduler.
 
-pub mod seam;
-pub mod shard;
-
-pub use seam::{CrossCall, CrossEffect, CrossRet, SeamKey, SeamQueue};
-
 use m68vm::{IsaLevel, StepEvent};
 use simnet::{Ethernet, FaultPlan, FaultSite, NfsOp, RshPhase, NFS_SOFT_TIMEOUT_US};
 use simtime::cost::Cost;
@@ -13,7 +8,7 @@ use sysdefs::{Credentials, Errno, Pid, Signal, SysResult};
 use tty::{Terminal, TtyHandle};
 use vfs::{path as vpath, DeviceId, Filesystem, WalkOutcome};
 
-use crate::config::{Exec, KernelConfig, Sched};
+use crate::config::{KernelConfig, Sched};
 use crate::file::{FileKind, FileStruct};
 use crate::machine::{Machine, MachineId};
 use crate::native::{spawn_native, NativeProgram, Request, Response};
@@ -50,87 +45,13 @@ pub struct ImageGeometry {
     pub data_len: u32,
 }
 
-/// The machine table, with optional occupancy.
-///
-/// Under sharded execution ([`shard`]) machines are moved out to shard
-/// worlds for a window and merged back afterwards, so the table must
-/// represent absence. Index syntax is preserved for the many
-/// `machines[mid]` sites; indexing an absent slot panics, which is
-/// exactly the property the shard design wants — code that touches a
-/// machine outside its resident partition dies loudly and
-/// deterministically instead of racing. In a serial world every slot is
-/// always occupied and the wrapper is pure plumbing.
-#[derive(Debug, Default)]
-pub(crate) struct MachineSlots(Vec<Option<Machine>>);
-
-impl MachineSlots {
-    /// Slot count (absent slots included): machine ids stay dense.
-    pub(crate) fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn push(&mut self, m: Machine) {
-        self.0.push(Some(m));
-    }
-
-    /// Whether `mid` is resident in this world right now.
-    pub(crate) fn present(&self, mid: MachineId) -> bool {
-        self.0.get(mid).is_some_and(Option::is_some)
-    }
-
-    /// Moves a machine out (to a shard), leaving the slot empty.
-    pub(crate) fn take(&mut self, mid: MachineId) -> Machine {
-        self.0[mid].take().expect("machine slot already vacated")
-    }
-
-    /// Moves a machine back into its slot.
-    pub(crate) fn put(&mut self, mid: MachineId, m: Machine) {
-        debug_assert_eq!(m.id, mid, "machine returned to the wrong slot");
-        debug_assert!(self.0[mid].is_none(), "machine slot already occupied");
-        self.0[mid] = Some(m);
-    }
-
-    /// Grows the table to `n` empty slots (shard-world construction).
-    pub(crate) fn ensure_slots(&mut self, n: usize) {
-        while self.0.len() < n {
-            self.0.push(None);
-        }
-    }
-
-    /// Every resident machine, in id order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &Machine> {
-        self.0.iter().filter_map(Option::as_ref)
-    }
-
-    /// Every resident machine mutably, in id order.
-    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut Machine> {
-        self.0.iter_mut().filter_map(Option::as_mut)
-    }
-}
-
-impl std::ops::Index<MachineId> for MachineSlots {
-    type Output = Machine;
-    fn index(&self, mid: MachineId) -> &Machine {
-        self.0[mid]
-            .as_ref()
-            .expect("machine not resident in this world")
-    }
-}
-
-impl std::ops::IndexMut<MachineId> for MachineSlots {
-    fn index_mut(&mut self, mid: MachineId) -> &mut Machine {
-        self.0[mid]
-            .as_mut()
-            .expect("machine not resident in this world")
-    }
-}
-
 /// The whole simulated installation.
 pub struct World {
     /// Kernel build configuration (all machines run the same build, as
     /// in the paper's installation).
     pub config: KernelConfig,
-    machines: MachineSlots,
+    /// Every machine, indexed by [`MachineId`].
+    machines: Vec<Machine>,
     /// The shared 10 Mbit segment.
     pub ether: Ethernet,
     terminals: Vec<TtyHandle>,
@@ -172,25 +93,6 @@ pub struct World {
     /// observability for the cluster benchmark — never part of
     /// simulated state or the determinism snapshot.
     pub slices: u64,
-    /// Which machine owns each terminal's `/dev` node (`None` for
-    /// remote-pipe endpoints, which have no node and no owner). Pure
-    /// topology, fixed at terminal creation; the shard gate's crossing
-    /// classifier reads it to decide whether a tty operation leaves the
-    /// issuing machine.
-    tty_owners: Vec<Option<MachineId>>,
-    /// True in a shard world: system calls that would cross the machine
-    /// boundary are staged ([`crate::machine::StagedTrap`]) for the
-    /// coordinator's serial phase instead of dispatched. Always false
-    /// in the main world, where the gate must not perturb serial
-    /// semantics.
-    pub(crate) shard_gate: bool,
-    /// Cross-machine effects aimed at machines not resident here,
-    /// queued for ordered delivery by the coordinator. Empty whenever
-    /// every machine is resident (i.e. always, in a serial world).
-    pub(crate) seam: SeamQueue,
-    /// The machine currently inside `step_machine_inner`, for seam
-    /// effect attribution. Host-side scratch only.
-    stepping: MachineId,
 }
 
 impl World {
@@ -198,7 +100,7 @@ impl World {
     pub fn new(config: KernelConfig) -> World {
         World {
             config,
-            machines: MachineSlots::default(),
+            machines: Vec::new(),
             ether: Ethernet::new(),
             terminals: Vec::new(),
             finished: std::collections::BTreeMap::new(),
@@ -211,10 +113,6 @@ impl World {
             remote_waiters: std::collections::BTreeMap::new(),
             wake_scratch: Vec::new(),
             slices: 0,
-            tty_owners: Vec::new(),
-            shard_gate: false,
-            seam: SeamQueue::new(),
-            stepping: 0,
         }
     }
 
@@ -271,8 +169,7 @@ impl World {
 
     /// Finds a machine by host name.
     pub fn find_machine(&self, name: &str) -> Option<MachineId> {
-        (0..self.machines.len())
-            .find(|&mid| self.machines.present(mid) && self.machines[mid].name == name)
+        self.machines.iter().position(|m| m.name == name)
     }
 
     /// Borrows a machine.
@@ -297,13 +194,45 @@ impl World {
         &mut self.machines[mid].fs
     }
 
+    /// Creates a file in directory `parent` of `mid`'s filesystem, which
+    /// may be remote to the caller, keeping the reaper's pending-dump
+    /// index in step. The caller charges the RPC.
+    pub(crate) fn fs_create(
+        &mut self,
+        mid: MachineId,
+        parent: vfs::Ino,
+        name: &str,
+        mode: sysdefs::FileMode,
+        cred: &Credentials,
+    ) -> SysResult<vfs::Ino> {
+        let m = &mut self.machines[mid];
+        let ino = m.fs.create_file(parent, name, mode, cred)?;
+        m.note_dump_create(parent, name);
+        Ok(ino)
+    }
+
+    /// Removes `name` from directory `parent` of `mid`'s filesystem,
+    /// which may be remote to the caller, keeping the reaper's
+    /// pending-dump index in step. The caller charges the RPC.
+    pub(crate) fn fs_unlink(
+        &mut self,
+        mid: MachineId,
+        parent: vfs::Ino,
+        name: &str,
+        cred: &Credentials,
+    ) -> SysResult<()> {
+        let m = &mut self.machines[mid];
+        m.fs.unlink(parent, name, cred)?;
+        m.note_dump_unlink(parent, name);
+        Ok(())
+    }
+
     /// Creates a terminal attached to `mid` (a `/dev/ttyN` node appears
     /// there) and returns its world id and host-side handle.
     pub fn add_terminal(&mut self, mid: MachineId) -> (u32, TtyHandle) {
         let id = self.terminals.len() as u32;
         let handle = TtyHandle::new(Terminal::new());
         self.terminals.push(handle.clone());
-        self.tty_owners.push(Some(mid));
         let m = &mut self.machines[mid];
         let name = format!("tty{id}");
         m.fs.mknod(m.dev_dir, &name, DeviceId::Tty(id), &Credentials::root())
@@ -317,14 +246,7 @@ impl World {
         let id = self.terminals.len() as u32;
         let handle = TtyHandle::new(Terminal::remote_pipe());
         self.terminals.push(handle.clone());
-        self.tty_owners.push(None);
         (id, handle)
-    }
-
-    /// The machine owning terminal `tty`'s device node, `None` for
-    /// remote-pipe endpoints.
-    pub(crate) fn tty_owner(&self, tty: u32) -> Option<MachineId> {
-        self.tty_owners.get(tty as usize).copied().flatten()
     }
 
     /// A terminal handle by id.
@@ -944,12 +866,6 @@ impl World {
     /// wake pass. The per-slice pid lists live in a scratch buffer owned
     /// by the world, so the steady state allocates nothing.
     fn wake_scan(&mut self, mid: MachineId) {
-        // A staged machine is frozen mid-slice (shard gate): waking
-        // anything now would land *inside* the slice, which the serial
-        // engine never does. Wakes wait until the resume completes.
-        if self.machines[mid].staged.is_some() {
-            return;
-        }
         // The full scan supersedes any queued event pokes.
         self.machines[mid].wait_pending.clear();
         let mut scratch = std::mem::take(&mut self.wake_scratch);
@@ -1372,13 +1288,6 @@ impl World {
     /// alarm-sweep-then-blocked-sweep structure, so the two paths make
     /// identical state transitions in identical order.
     fn service_machine(&mut self, mid: MachineId) {
-        // A staged machine is frozen mid-slice: servicing wakes now
-        // would reorder its run queue relative to the serial engine,
-        // which services only between slices. The pokes stay queued
-        // (`wait_pending`) and are serviced after the resume.
-        if self.machines[mid].staged.is_some() {
-            return;
-        }
         let mut pending = std::mem::take(&mut self.machines[mid].wait_pending);
         self.machines[mid].take_due_timers(&mut pending);
         if pending.is_empty() {
@@ -1418,13 +1327,10 @@ impl World {
     /// the index minimum is a lower bound that [`World::next_ready`]
     /// tightens lazily on pop.
     fn mark_ready(&mut self, mid: MachineId) {
-        let has_work = {
-            let m = &mut self.machines[mid];
-            m.staged.is_some() || !m.run_queue.is_empty() || m.next_deadline().is_some()
-        };
+        let has_work = self.machines[mid].has_work();
         let old = self.machines[mid].ready_key;
         if has_work {
-            let now = self.machines[mid].sched_key();
+            let now = self.machines[mid].now;
             if old == Some(now) {
                 return;
             }
@@ -1447,19 +1353,12 @@ impl World {
     fn next_ready(&mut self, deadline: Option<SimTime>) -> Option<MachineId> {
         loop {
             let &(key, mid) = self.ready.first()?;
-            let has_work = {
-                let m = &mut self.machines[mid];
-                m.staged.is_some() || !m.run_queue.is_empty() || m.next_deadline().is_some()
-            };
-            if !has_work {
+            if !self.machines[mid].has_work() {
                 self.ready.remove(&(key, mid));
                 self.machines[mid].ready_key = None;
                 continue;
             }
-            // A staged machine is keyed at its frozen slice's *start*
-            // clock, which is how the serial engine ordered the slice —
-            // and is always inside the window that froze it.
-            let now = self.machines[mid].sched_key();
+            let now = self.machines[mid].now;
             if key != now {
                 self.ready.remove(&(key, mid));
                 self.ready.insert((now, mid));
@@ -1510,21 +1409,6 @@ impl World {
     /// only hazard, so every state mutation that can flip a wake
     /// condition true calls one of these hooks.
     pub(crate) fn poke_proc(&mut self, mid: MachineId, pid: Pid) {
-        if !self.machines.present(mid) {
-            // The target lives outside this world (a shard poking across
-            // its boundary): queue the effect for ordered delivery by
-            // the coordinator instead of applying it here.
-            let t = self.machines[self.stepping].now;
-            self.seam.push(
-                t,
-                self.stepping,
-                CrossEffect::Poke {
-                    mid,
-                    pid: pid.as_u32(),
-                },
-            );
-            return;
-        }
         self.machines[mid].wait_pending.insert(pid.as_u32());
         self.wake_queue.insert(mid);
     }
@@ -1551,33 +1435,18 @@ impl World {
         let Some(mut set) = self.tty_waiters.remove(&tty) else {
             return;
         };
-        // Waiters on machines not resident here are kept registered and
-        // forwarded to the coordinator as one seam effect.
-        let mut foreign = false;
         set.retain(|&(mid, pid)| {
-            if !self.machines.present(mid) {
-                foreign = true;
-                return true;
-            }
             matches!(
                 self.machines[mid].procs.get(&pid).map(|p| &p.state),
                 Some(ProcState::TtyWait { .. })
             )
         });
         for &(mid, pid) in &set {
-            if !self.machines.present(mid) {
-                continue;
-            }
             self.machines[mid].wait_pending.insert(pid);
             self.wake_queue.insert(mid);
         }
         if !set.is_empty() {
             self.tty_waiters.insert(tty, set);
-        }
-        if foreign {
-            let t = self.machines[self.stepping].now;
-            self.seam
-                .push(t, self.stepping, CrossEffect::TtyPoke { tty });
         }
     }
 
@@ -1602,15 +1471,6 @@ impl World {
             return;
         };
         for (mid, pid) in set {
-            if !self.machines.present(mid) {
-                // The registration is consumed here, so forward the
-                // wake per-waiter: a plain poke re-evaluates the
-                // waiter's RemoteWait condition on the coordinator.
-                let t = self.machines[self.stepping].now;
-                self.seam
-                    .push(t, self.stepping, CrossEffect::Poke { mid, pid });
-                continue;
-            }
             self.machines[mid].wait_pending.insert(pid);
             self.wake_queue.insert(mid);
         }
@@ -1630,18 +1490,6 @@ impl World {
     }
 
     fn step_machine_inner(&mut self, mid: MachineId) -> bool {
-        self.stepping = mid;
-        // A slice frozen by the shard gate resumes exactly where it
-        // stopped: no second wake pass, no second context switch — those
-        // already happened when the slice started on the shard.
-        if let Some(st) = self.machines[mid].staged.take() {
-            return self.resume_staged(mid, st);
-        }
-        // The slice's scheduling key: the clock the engine picked this
-        // machine at. If the gate freezes this slice, the resume is
-        // ordered by this key — reproducing the serial engine's
-        // pick-by-slice-start order.
-        self.machines[mid].slice_key = self.machines[mid].now;
         self.wake(mid);
         if self.machines[mid].run_queue.is_empty() {
             // Jump the clock to the earliest timer, if any.
@@ -1677,34 +1525,11 @@ impl World {
         if !deliver_pending(self, mid, pid) {
             return true;
         }
-        self.dispatch_and_run(mid, pid)
-    }
-
-    /// The tail of a slice: retry a parked system call, run a quantum,
-    /// requeue. Split from [`World::step_machine_inner`] so a staged
-    /// retry can re-enter here without repeating the slice's wake,
-    /// context switch and signal delivery.
-    fn dispatch_and_run(&mut self, mid: MachineId, pid: Pid) -> bool {
         // Retry a blocked system call.
         if let Some(sc) = self
             .proc_ref(mid, pid)
             .and_then(|p| p.pending_syscall.clone())
         {
-            if self.shard_gate && seam::crossing(self, mid, pid, &sc).is_some() {
-                // Freeze the slice at the retry-dispatch point; the pid
-                // goes back to the head so the resume finds the queue
-                // exactly as it is now.
-                let key = self.machines[mid].slice_key;
-                self.machines[mid].run_queue.push_front(pid);
-                self.machines[mid].staged = Some(crate::machine::StagedTrap {
-                    pid,
-                    sc,
-                    spent: 0,
-                    retry: true,
-                    key,
-                });
-                return true;
-            }
             match dispatch(self, mid, pid, &sc) {
                 SyscallResult::Done(ret) => {
                     self.complete_pending(mid, pid, ret);
@@ -1724,11 +1549,7 @@ impl World {
             1 => self.run_native_quantum(mid, pid),
             _ => {}
         }
-        self.requeue_if_runnable(mid, pid);
-        true
-    }
-
-    fn requeue_if_runnable(&mut self, mid: MachineId, pid: Pid) {
+        // Requeue if still runnable.
         let requeue = self
             .proc_ref(mid, pid)
             .map(|p| p.state.is_runnable())
@@ -1739,24 +1560,6 @@ impl World {
                 m.run_queue.push_back(pid);
             }
         }
-    }
-
-    /// Continues a slice the shard gate froze. A `retry` freeze happened
-    /// before the parked call was re-dispatched: the slice's wake,
-    /// context switch and signal delivery already ran, so re-enter at
-    /// the dispatch. A fresh-trap freeze happened mid-quantum: continue
-    /// the quantum at the trapped call with the already-spent units
-    /// carried over, so the slice charges — and traces — exactly like
-    /// an unfrozen one.
-    fn resume_staged(&mut self, mid: MachineId, st: crate::machine::StagedTrap) -> bool {
-        let pid = st.pid;
-        if st.retry {
-            let front = self.machines[mid].run_queue.pop_front();
-            debug_assert_eq!(front, Some(pid), "staged retry lost its queue head");
-            return self.dispatch_and_run(mid, pid);
-        }
-        self.run_vm_quantum_inner(mid, pid, st.spent, Some(st.sc));
-        self.requeue_if_runnable(mid, pid);
         true
     }
 
@@ -1787,28 +1590,13 @@ impl World {
     /// for the pathological case of a quantum set far larger than the
     /// default and costs one process lookup per `SIG_CHECK_UNITS`.
     fn run_vm_quantum(&mut self, mid: MachineId, pid: Pid) {
-        self.run_vm_quantum_inner(mid, pid, 0, None);
-    }
-
-    /// The quantum body. `spent`/`staged` are the resume interface for
-    /// slices frozen by the shard gate: a staged call is dispatched
-    /// first (that is exactly where the quantum stopped), and the units
-    /// already interpreted on the shard are carried so the slice is
-    /// charged once, in full, at the end — identical to a slice that
-    /// never froze.
-    fn run_vm_quantum_inner(
-        &mut self,
-        mid: MachineId,
-        pid: Pid,
-        mut spent: u64,
-        mut staged: Option<Syscall>,
-    ) {
         /// Cost units interpreted between signal-flag polls.
         const SIG_CHECK_UNITS: u64 = 4_096;
 
         let isa = self.machines[mid].isa;
         let quantum_units = self.config.cost.quantum_us / self.config.cost.instr_us.max(1);
         let use_superblocks = self.config.use_superblocks;
+        let mut spent: u64 = 0;
         // Units retired through the superblock engine this quantum
         // (host observability; folded into stats once at the end).
         let mut sb_retired: u64 = 0;
@@ -1820,25 +1608,6 @@ impl World {
         }
 
         'quantum: loop {
-            // Replay a staged dispatch before touching the body — the
-            // frozen quantum stopped exactly here, with the body already
-            // returned to the table.
-            if let Some(sc) = staged.take() {
-                match dispatch(self, mid, pid, &sc) {
-                    SyscallResult::Done(ret) => {
-                        if let Some(p) = self.proc_mut(mid, pid) {
-                            if let Body::Vm(vm) = &mut p.body {
-                                vmabi::writeback(&mut vm.cpu, &mut vm.mem, &sc, &ret);
-                            }
-                        }
-                    }
-                    SyscallResult::Blocked => break 'quantum,
-                    SyscallResult::Gone => break 'quantum,
-                }
-                if spent >= quantum_units {
-                    break 'quantum;
-                }
-            }
             // Take the body (checking liveness and pending signals
             // exactly where the per-step loop used to).
             let mut vm = {
@@ -1956,29 +1725,6 @@ impl World {
                                 }
                             }
                             Ok(sc) => {
-                                if self.shard_gate
-                                    && seam::crossing(self, mid, pid, &sc).is_some()
-                                {
-                                    // Freeze the quantum at the dispatch
-                                    // point for the coordinator's serial
-                                    // phase. `spent` is carried, *not*
-                                    // charged: the resume charges the
-                                    // whole slice once, so clocks and
-                                    // traces match the serial run.
-                                    let key = self.machines[mid].slice_key;
-                                    self.machines[mid].staged =
-                                        Some(crate::machine::StagedTrap {
-                                            pid,
-                                            sc,
-                                            spent,
-                                            retry: false,
-                                            key,
-                                        });
-                                    if sb_retired > 0 {
-                                        self.machines[mid].stats.sb_retired += sb_retired;
-                                    }
-                                    return;
-                                }
                                 match dispatch(self, mid, pid, &sc) {
                                     SyscallResult::Done(ret) => {
                                         if let Some(p) = self.proc_mut(mid, pid) {
@@ -2264,18 +2010,12 @@ impl World {
     fn pick_scan(&mut self, deadline: Option<SimTime>) -> Option<MachineId> {
         let mut best: Option<(MachineId, SimTime)> = None;
         for mid in 0..self.machines.len() {
-            if !self.machines.present(mid) {
-                continue;
-            }
             self.wake_scan(mid);
-            let now = self.machines[mid].sched_key();
+            let now = self.machines[mid].now;
             if deadline.map(|d| now >= d).unwrap_or(false) {
                 continue;
             }
-            let has_work = self.machines[mid].staged.is_some()
-                || !self.machines[mid].run_queue.is_empty()
-                || self.earliest_deadline(mid).is_some();
-            if has_work && best.map(|(_, t)| now < t).unwrap_or(true) {
+            if self.machines[mid].has_work() && best.map(|(_, t)| now < t).unwrap_or(true) {
                 best = Some((mid, now));
             }
         }
@@ -2308,9 +2048,6 @@ impl World {
 
     /// Runs until idle or until `max_slices` scheduling actions.
     pub fn run_slices(&mut self, max_slices: u64) -> RunOutcome {
-        if let Exec::Parallel { threads } = self.config.exec {
-            return shard::run_windows(self, threads, None, None, max_slices);
-        }
         self.enter_run();
         for _ in 0..max_slices {
             if !self.step_world() {
@@ -2327,9 +2064,6 @@ impl World {
         pid: Pid,
         max_slices: u64,
     ) -> Option<ExitInfo> {
-        if let Exec::Parallel { threads } = self.config.exec {
-            return shard::run_until_exit_windows(self, threads, mid, pid, max_slices);
-        }
         self.enter_run();
         let key = (mid, pid.as_u32());
         for _ in 0..max_slices {
@@ -2346,9 +2080,6 @@ impl World {
     /// Runs until every machine's clock passes `deadline` or the world
     /// goes idle; clocks of machines without work park at the deadline.
     pub fn run_until_time(&mut self, deadline: SimTime, max_slices: u64) -> RunOutcome {
-        if let Exec::Parallel { threads } = self.config.exec {
-            return shard::run_windows(self, threads, Some(deadline), None, max_slices);
-        }
         self.enter_run();
         for _ in 0..max_slices {
             match self.pick_next(Some(deadline)) {

@@ -1,14 +1,14 @@
 //! Source-level audit: driver code stays on the World API.
 //!
-//! The sharded engine (`world/shard.rs`) is only sound if every
-//! cross-machine effect flows through the seam layer, and the seam
-//! layer can only account for effects that enter through the `World`
-//! methods. A driver that grabs `machine_mut(..)` or pokes a process
-//! directly mutates shard-resident state behind the window
-//! bookkeeping's back — the 1-vs-N oracle would still catch the
-//! divergence, but hours later and far from the cause.
+//! The `World` verbs keep the kernel's derived state in step with every
+//! mutation: the event scheduler's wake pokes, the ready index, the
+//! reaper's pending-dump index. Scenario code that grabs `machine_mut(..)`
+//! or edits a process directly changes state behind that bookkeeping's
+//! back — a blocked process whose wake condition flipped without a poke
+//! stalls, and the wake-parity oracle catches it only far from the
+//! cause.
 //!
-//! simlint's `cross-shard` rule polices the kernel crate itself; this
+//! simlint's `wake-poke` rule polices the kernel crate itself; this
 //! test extends the same contract to the out-of-crate drivers (the
 //! bench scenarios, the `figures`/`simsh` binaries, and the pmig
 //! command layer), where simlint does not look. The allowed surface
@@ -63,8 +63,8 @@ fn drivers_never_take_mutable_machine_access() {
     assert!(
         violations.is_empty(),
         "driver code must reach machines through the World API, not mutate \
-         them directly (route the effect through a World method so the seam \
-         layer sees it):\n{}",
+         them directly (route the effect through a World method so the \
+         scheduler's bookkeeping sees it):\n{}",
         violations.join("\n")
     );
 }
