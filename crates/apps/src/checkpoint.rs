@@ -47,13 +47,13 @@ pub struct CheckpointRecord {
     pub dir: String,
 }
 
-fn copy_file(sys: &Sys, from: &str, to: &str) -> SysResult<u64> {
-    let src = sys.open(from, OpenFlags::RDONLY.bits(), 0)?;
-    let data = sys.read_all(src)?;
-    sys.close(src)?;
-    let dst = sys.creat(to, 0o600)?;
-    sys.write(dst, &data)?;
-    sys.close(dst)?;
+async fn copy_file(sys: &Sys, from: &str, to: &str) -> SysResult<u64> {
+    let src = sys.open(from, OpenFlags::RDONLY.bits(), 0).await?;
+    let data = sys.read_all(src).await?;
+    sys.close(src).await?;
+    let dst = sys.creat(to, 0o600).await?;
+    sys.write(dst, &data).await?;
+    sys.close(dst).await?;
     Ok(data.len() as u64)
 }
 
@@ -63,21 +63,21 @@ fn archive_dir(base: &str, n: u32) -> String {
 
 /// Takes one snapshot of `pid`: dump, archive, restart. Returns the pid
 /// of the restarted incarnation.
-pub fn snapshot_once(sys: &Sys, pid: Pid, dir: &str, n: u32) -> SysResult<Pid> {
-    dumpproc(sys, pid)?;
+pub async fn snapshot_once(sys: &Sys, pid: Pid, dir: &str, n: u32) -> SysResult<Pid> {
+    dumpproc(sys, pid).await?;
     let names = dump_file_names(pid);
     let adir = archive_dir(dir, n);
-    sys.mkdir(&adir, 0o700).ok();
+    sys.mkdir(&adir, 0o700).await.ok();
 
     // Archive the three dump files under stable names.
-    copy_file(sys, &names.a_out, &format!("{adir}/a.out"))?;
-    copy_file(sys, &names.stack, &format!("{adir}/stack"))?;
+    copy_file(sys, &names.a_out, &format!("{adir}/a.out")).await?;
+    copy_file(sys, &names.stack, &format!("{adir}/stack")).await?;
 
     // Copy every open regular file next to them and record a files file
     // whose paths point at the copies — the "consistent view".
-    let fd = sys.open(&names.files, OpenFlags::RDONLY.bits(), 0)?;
-    let bytes = sys.read_all(fd)?;
-    sys.close(fd)?;
+    let fd = sys.open(&names.files, OpenFlags::RDONLY.bits(), 0).await?;
+    let bytes = sys.read_all(fd).await?;
+    sys.close(fd).await?;
     let mut files = FilesFile::decode(&bytes).map_err(|_| Errno::EINVAL)?;
     let mut copies = 0u32;
     for record in &mut files.fds {
@@ -86,16 +86,16 @@ pub fn snapshot_once(sys: &Sys, pid: Pid, dir: &str, n: u32) -> SysResult<Pid> {
                 continue;
             }
             let copy_name = format!("{adir}/file{copies:02}");
-            if copy_file(sys, path, &copy_name).is_ok() {
+            if copy_file(sys, path, &copy_name).await.is_ok() {
                 *path = copy_name;
                 copies += 1;
             }
         }
     }
     let bytes = files.encode().map_err(|_| Errno::EINVAL)?;
-    let fd = sys.creat(&format!("{adir}/files"), 0o600)?;
-    sys.write(fd, &bytes)?;
-    sys.close(fd)?;
+    let fd = sys.creat(&format!("{adir}/files"), 0o600).await?;
+    sys.write(fd, &bytes).await?;
+    sys.close(fd).await?;
 
     // Restart the process locally so it keeps running.
     let args = RestartArgs {
@@ -103,8 +103,11 @@ pub fn snapshot_once(sys: &Sys, pid: Pid, dir: &str, n: u32) -> SysResult<Pid> {
         dump_host: None,
         demand: false,
     };
-    let (status, child) =
-        sys.run_local_pid("restart", move |s| restart(s, &args).as_u16() as u32)?;
+    let (status, child) = sys
+        .run_local_pid("restart", move |s| async move {
+            restart(&s, &args).await.as_u16() as u32
+        })
+        .await?;
     if status != 0 {
         return Err(Errno::EIO);
     }
@@ -114,16 +117,16 @@ pub fn snapshot_once(sys: &Sys, pid: Pid, dir: &str, n: u32) -> SysResult<Pid> {
 /// The checkpointer daemon body: takes [`CheckpointPlan::count`]
 /// snapshots, one per interval, and returns the records plus the final
 /// incarnation's pid.
-pub fn run_checkpointer(
+pub async fn run_checkpointer(
     sys: &Sys,
     plan: &CheckpointPlan,
 ) -> SysResult<(Vec<CheckpointRecord>, Pid)> {
-    sys.mkdir(&plan.dir, 0o700).ok();
+    sys.mkdir(&plan.dir, 0o700).await.ok();
     let mut pid = plan.pid;
     let mut records = Vec::new();
     for n in 1..=plan.count {
-        sys.sleep_us(plan.interval_us)?;
-        let new_pid = snapshot_once(sys, pid, &plan.dir, n)?;
+        sys.sleep_us(plan.interval_us).await?;
+        let new_pid = snapshot_once(sys, pid, &plan.dir, n).await?;
         records.push(CheckpointRecord {
             n,
             pid_at_dump: pid,
@@ -141,18 +144,18 @@ pub fn run_checkpointer(
 ///
 /// Never returns on success (the caller becomes the restored program);
 /// the error is returned otherwise.
-pub fn restore_checkpoint(sys: &Sys, dir: &str, n: u32, pid_at_dump: Pid) -> Errno {
+pub async fn restore_checkpoint(sys: &Sys, dir: &str, n: u32, pid_at_dump: Pid) -> Errno {
     let adir = archive_dir(dir, n);
     // Recreate the /usr/tmp dump files the restart command expects,
     // using the archived (consistent) versions.
     let names = dump_file_names(pid_at_dump);
-    if let Err(e) = copy_file(sys, &format!("{adir}/a.out"), &names.a_out) {
+    if let Err(e) = copy_file(sys, &format!("{adir}/a.out"), &names.a_out).await {
         return e;
     }
-    if let Err(e) = copy_file(sys, &format!("{adir}/stack"), &names.stack) {
+    if let Err(e) = copy_file(sys, &format!("{adir}/stack"), &names.stack).await {
         return e;
     }
-    if let Err(e) = copy_file(sys, &format!("{adir}/files"), &names.files) {
+    if let Err(e) = copy_file(sys, &format!("{adir}/files"), &names.files).await {
         return e;
     }
     restart(
@@ -163,4 +166,5 @@ pub fn restore_checkpoint(sys: &Sys, dir: &str, n: u32, pid_at_dump: Pid) -> Err
             demand: false,
         },
     )
+    .await
 }

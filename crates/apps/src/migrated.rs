@@ -17,9 +17,14 @@ use ukernel::{MachineId, Sys, World};
 /// go through one daemon message instead of an `rsh` session.
 ///
 /// Returns the restart step's exit status.
-pub fn migrate_via_daemon(sys: &Sys, pid: Pid, from_host: &str, to_host: &str) -> SysResult<u32> {
-    let out = migrate_with(sys, pid, from_host, to_host, RemoteRunner::Daemon)?;
-    report_survivor(sys, &out, from_host, to_host);
+pub async fn migrate_via_daemon(
+    sys: &Sys,
+    pid: Pid,
+    from_host: &str,
+    to_host: &str,
+) -> SysResult<u32> {
+    let out = migrate_with(sys, pid, from_host, to_host, RemoteRunner::Daemon).await?;
+    report_survivor(sys, &out, from_host, to_host).await;
     Ok(out.status)
 }
 
@@ -34,18 +39,12 @@ pub fn migrate_via_daemon_scripted(
 ) -> Result<Pid, pmig::MigrationError> {
     let from_name = world.machine(from).name.clone();
     let to_name = world.machine(to).name.clone();
-    let cmd = world.spawn_native_proc(
-        to,
-        "migrated",
-        None,
-        cred,
-        Box::new(
-            move |sys| match migrate_via_daemon(sys, victim, &from_name, &to_name) {
-                Ok(status) => status,
-                Err(e) => e.as_u16() as u32,
-            },
-        ),
-    );
+    let cmd = world.spawn_native_proc(to, "migrated", None, cred, move |sys| async move {
+        match migrate_via_daemon(&sys, victim, &from_name, &to_name).await {
+            Ok(status) => status,
+            Err(e) => e.as_u16() as u32,
+        }
+    });
     let info = world
         .run_until_exit(to, cmd, 4_000_000)
         .ok_or(pmig::MigrationError::CommandHung)?;

@@ -38,13 +38,15 @@ fn checkpointer_takes_snapshots_and_restore_resumes() {
         "checkpointd",
         Some(tty),
         alice(),
-        Box::new(move |sys| match apps::run_checkpointer(sys, &plan2) {
-            Ok((records, _final_pid)) => {
-                assert_eq!(records.len(), 2);
-                0
+        move |sys| async move {
+            match apps::run_checkpointer(&sys, &plan2).await {
+                Ok((records, _final_pid)) => {
+                    assert_eq!(records.len(), 2);
+                    0
+                }
+                Err(e) => e.as_u16() as u32,
             }
-            Err(e) => e.as_u16() as u32,
-        }),
+        },
     );
     let info = w.run_until_exit(m, daemon, 3_000_000).expect("daemon done");
     assert_eq!(info.status, 0, "checkpointer must succeed");
@@ -73,15 +75,11 @@ fn checkpointer_takes_snapshots_and_restore_resumes() {
     // its dumped prompt with the counters it had then.
     let pid_at_dump = pid; // Checkpoint 1 dumped the original incarnation.
     let (tty2, handle2) = w.add_terminal(m);
-    let restorer = w.spawn_native_proc(
-        m,
-        "restore",
-        Some(tty2),
-        alice(),
-        Box::new(move |sys| {
-            apps::restore_checkpoint(sys, "/u/ckpts", 1, pid_at_dump).as_u16() as u32
-        }),
-    );
+    let restorer = w.spawn_native_proc(m, "restore", Some(tty2), alice(), move |sys| async move {
+        apps::restore_checkpoint(&sys, "/u/ckpts", 1, pid_at_dump)
+            .await
+            .as_u16() as u32
+    });
     w.run_slices(100_000);
     handle2.type_input("after restore\n");
     w.run_slices(100_000);
@@ -120,10 +118,12 @@ fn checkpoint_preserves_consistent_file_copies() {
         "checkpointd",
         Some(tty),
         alice(),
-        Box::new(move |sys| match apps::run_checkpointer(sys, &plan) {
-            Ok(_) => 0,
-            Err(e) => e.as_u16() as u32,
-        }),
+        move |sys| async move {
+            match apps::run_checkpointer(&sys, &plan).await {
+                Ok(_) => 0,
+                Err(e) => e.as_u16() as u32,
+            }
+        },
     );
     let info = w.run_until_exit(m, daemon, 3_000_000).expect("done");
     assert_eq!(info.status, 0);

@@ -134,16 +134,12 @@ fn fig2_measure(kind: &str) -> (SimDuration, SimDuration) {
             } else {
                 Signal::SIGDUMP
             };
-            let killer = w.spawn_native_proc(
-                m,
-                "kill",
-                None,
-                alice(),
-                Box::new(move |sys| match sys.kill(victim, sig) {
+            let killer = w.spawn_native_proc(m, "kill", None, alice(), move |sys| async move {
+                match sys.kill(victim, sig).await {
                     Ok(()) => 0,
                     Err(e) => e.as_u16() as u32,
-                }),
-            );
+                }
+            });
             let vinfo = w.run_until_exit(m, victim, 1_000_000).expect("victim dies");
             let kinfo = w
                 .run_until_exit(m, killer, 1_000_000)
@@ -153,16 +149,12 @@ fn fig2_measure(kind: &str) -> (SimDuration, SimDuration) {
             (cpu, real)
         }
         "dumpproc" => {
-            let cmd = w.spawn_native_proc(
-                m,
-                "dumpproc",
-                None,
-                alice(),
-                Box::new(move |sys| match pmig::dumpproc(sys, victim) {
+            let cmd = w.spawn_native_proc(m, "dumpproc", None, alice(), move |sys| async move {
+                match pmig::dumpproc(&sys, victim).await {
                     Ok(()) => 0,
                     Err(e) => e.as_u16() as u32,
-                }),
-            );
+                }
+            });
             let dinfo = w.run_until_exit(m, cmd, 2_000_000).expect("dumpproc exits");
             assert_eq!(dinfo.status, 0, "dumpproc must succeed");
             let vinfo = w.finished[&(m, victim.as_u32())].clone();
@@ -238,16 +230,10 @@ pub fn fig3() -> Vec<Fig3Row> {
     // execve() of the dumped a.out, timed inside the kernel.
     let aout = names.a_out.clone();
     let (tty_e, _he) = w.add_terminal(m);
-    let runner = w.spawn_native_proc(
-        m,
-        "execrun",
-        Some(tty_e),
-        alice(),
-        Box::new(move |sys| {
-            let e = sys.execve(&aout);
-            e.as_u16() as u32
-        }),
-    );
+    let runner = w.spawn_native_proc(m, "execrun", Some(tty_e), alice(), move |sys| async move {
+        let e = sys.execve(&aout).await;
+        e.as_u16() as u32
+    });
     w.run_slices(200_000);
     let exec_t = w.machine(m).last_execve.expect("execve timed");
     // The exec'ed program now runs from scratch; stop it.
@@ -378,12 +364,12 @@ fn fig4_case(case: &str) -> SimDuration {
         "migrate",
         None,
         alice(),
-        Box::new(
-            move |sys| match pmig::migrate(sys, victim, &from_name, &to_name) {
+        move |sys| async move {
+            match pmig::migrate(&sys, victim, &from_name, &to_name).await {
                 Ok(status) => status,
                 Err(e) => e.as_u16() as u32,
-            },
-        ),
+            }
+        },
     );
     let info = w
         .run_until_exit(cmd_machine, cmd, 8_000_000)
@@ -434,23 +420,17 @@ pub fn ablation_daemon() -> Vec<AblationDaemonRow> {
         let from_name = w.machine(brick).name.clone();
         let to_name = w.machine(schooner).name.clone();
         let use_daemon = transport == "daemon";
-        let cmd = w.spawn_native_proc(
-            third,
-            "migrate",
-            None,
-            alice(),
-            Box::new(move |sys| {
-                let r = if use_daemon {
-                    apps::migrate_via_daemon(sys, victim, &from_name, &to_name)
-                } else {
-                    pmig::migrate(sys, victim, &from_name, &to_name)
-                };
-                match r {
-                    Ok(status) => status,
-                    Err(e) => e.as_u16() as u32,
-                }
-            }),
-        );
+        let cmd = w.spawn_native_proc(third, "migrate", None, alice(), move |sys| async move {
+            let r = if use_daemon {
+                apps::migrate_via_daemon(&sys, victim, &from_name, &to_name).await
+            } else {
+                pmig::migrate(&sys, victim, &from_name, &to_name).await
+            };
+            match r {
+                Ok(status) => status,
+                Err(e) => e.as_u16() as u32,
+            }
+        });
         let info = w
             .run_until_exit(third, cmd, 8_000_000)
             .expect("migrate exits");
@@ -545,16 +525,16 @@ pub fn ablation_names() -> Vec<AblationNamesRow> {
                 "holder",
                 None,
                 Credentials::root(),
-                Box::new(move |sys| {
-                    sys.mkdir(&format!("/u/dir{i}"), 0o777).ok();
+                move |sys| async move {
+                    sys.mkdir(&format!("/u/dir{i}"), 0o777).await.ok();
                     for j in 0..5 {
                         let path = format!("/u/dir{i}/data-file-{j}");
-                        let _ = sys.creat(&path, 0o644);
+                        let _ = sys.creat(&path, 0o644).await;
                     }
                     // Hold them open while the measurement happens.
-                    let _ = sys.sleep_us(5_000_000);
+                    let _ = sys.sleep_us(5_000_000).await;
                     0
-                }),
+                },
             );
             let _ = holder;
         }
@@ -610,10 +590,12 @@ pub fn ablation_checkpoint() -> Vec<AblationCheckpointRow> {
             "checkpointd",
             None,
             Credentials::root(),
-            Box::new(move |sys| match apps::run_checkpointer(sys, &plan) {
-                Ok(_) => 0,
-                Err(e) => e.as_u16() as u32,
-            }),
+            move |sys| async move {
+                match apps::run_checkpointer(&sys, &plan).await {
+                    Ok(_) => 0,
+                    Err(e) => e.as_u16() as u32,
+                }
+            },
         );
         let dinfo = w.run_until_exit(m, daemon, 50_000_000).expect("daemon");
         assert_eq!(dinfo.status, 0, "checkpointer must succeed");
@@ -764,18 +746,12 @@ pub fn fault_soak(seed: u64) -> Vec<FaultSoakRow> {
         w.faults = FaultPlan::seeded(seed).with(FaultSpec::always(site, max_hits));
         let from_name = w.machine(brick).name.clone();
         let to_name = w.machine(schooner).name.clone();
-        let cmd = w.spawn_native_proc(
-            third,
-            "migrate",
-            None,
-            alice(),
-            Box::new(
-                move |sys| match pmig::migrate(sys, victim, &from_name, &to_name) {
-                    Ok(status) => status,
-                    Err(e) => e.as_u16() as u32,
-                },
-            ),
-        );
+        let cmd = w.spawn_native_proc(third, "migrate", None, alice(), move |sys| async move {
+            match pmig::migrate(&sys, victim, &from_name, &to_name).await {
+                Ok(status) => status,
+                Err(e) => e.as_u16() as u32,
+            }
+        });
         // Generous budget: injected NFS timeouts (2.1 s each) and the
         // engine's backoffs stretch the faulty runs well past Fig. 4.
         let info = w

@@ -54,16 +54,12 @@ pub fn run_dumpproc(
     victim: Pid,
     cred: Credentials,
 ) -> Result<u32, MigrationError> {
-    let cmd = world.spawn_native_proc(
-        mid,
-        "dumpproc",
-        None,
-        cred,
-        Box::new(move |sys| match dumpproc(sys, victim) {
+    let cmd = world.spawn_native_proc(mid, "dumpproc", None, cred, move |sys| async move {
+        match dumpproc(&sys, victim).await {
             Ok(()) => 0,
             Err(e) => e.as_u16() as u32,
-        }),
-    );
+        }
+    });
     let info = world
         .run_until_exit(mid, cmd, 2_000_000)
         .ok_or(MigrationError::CommandHung)?;
@@ -81,13 +77,9 @@ pub fn run_restart(
     cred: Credentials,
 ) -> Result<Pid, MigrationError> {
     let orig = args.pid;
-    let cmd = world.spawn_native_proc(
-        mid,
-        "restart",
-        tty,
-        cred,
-        Box::new(move |sys| restart(sys, &args).as_u16() as u32),
-    );
+    let cmd = world.spawn_native_proc(mid, "restart", tty, cred, move |sys| async move {
+        restart(&sys, &args).await.as_u16() as u32
+    });
     // Run until the command either exits (failure) or its process has
     // become the restored image (success).
     for _ in 0..2_000_000u32 {
@@ -123,18 +115,12 @@ pub fn migrate_process(
 ) -> Result<Pid, MigrationError> {
     let from_name = world.machine(from).name.clone();
     let to_name = world.machine(to).name.clone();
-    let cmd = world.spawn_native_proc(
-        cmd_machine,
-        "migrate",
-        tty,
-        cred,
-        Box::new(
-            move |sys| match crate::commands::migrate(sys, victim, &from_name, &to_name) {
-                Ok(status) => status,
-                Err(e) => e.as_u16() as u32,
-            },
-        ),
-    );
+    let cmd = world.spawn_native_proc(cmd_machine, "migrate", tty, cred, move |sys| async move {
+        match crate::commands::migrate(&sys, victim, &from_name, &to_name).await {
+            Ok(status) => status,
+            Err(e) => e.as_u16() as u32,
+        }
+    });
     let info = world
         .run_until_exit(cmd_machine, cmd, 4_000_000)
         .ok_or(MigrationError::CommandHung)?;

@@ -169,16 +169,10 @@ fn alive(world: &World, mid: MachineId, pid: Pid) -> bool {
 /// Runs the existing `cleanup` of the four dump names as a native
 /// process on `mid` — best-effort, charged like any user command.
 fn run_cleanup(world: &mut World, mid: MachineId, pid: Pid, cred: Credentials) {
-    let cmd = world.spawn_native_proc(
-        mid,
-        "cleanup",
-        None,
-        cred,
-        Box::new(move |sys| {
-            cleanup_dumps(sys, "", pid);
-            0
-        }),
-    );
+    let cmd = world.spawn_native_proc(mid, "cleanup", None, cred, move |sys| async move {
+        cleanup_dumps(&sys, "", pid).await;
+        0
+    });
     let _ = world.run_until_exit(mid, cmd, 500_000);
 }
 

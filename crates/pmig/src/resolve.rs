@@ -22,7 +22,7 @@ const MAX_EXPANSIONS: usize = 32;
 /// Relative link targets are spliced in place; absolute targets restart
 /// the prefix. Components that do not exist (yet) are kept verbatim —
 /// `dumpproc` may resolve paths whose final component it has not created.
-pub fn resolve_links(sys: &Sys, path: &str) -> SysResult<String> {
+pub async fn resolve_links(sys: &Sys, path: &str) -> SysResult<String> {
     if !path.starts_with('/') {
         return Err(Errno::EINVAL);
     }
@@ -45,7 +45,7 @@ pub fn resolve_links(sys: &Sys, path: &str) -> SysResult<String> {
             v.push(comp.clone());
             v.join("/")
         });
-        match sys.readlink(&prefix) {
+        match sys.readlink(&prefix).await {
             Ok(target) => {
                 if budget == 0 {
                     return Err(Errno::ELOOP);
@@ -86,14 +86,14 @@ pub fn resolve_links(sys: &Sys, path: &str) -> SysResult<String> {
 
 /// `dumpproc`'s per-path rewrite rule (§4.4): resolve links, then map
 /// terminals to `/dev/tty` and prepend `/n/<machine>` to local names.
-pub fn rewrite_for_migration(sys: &Sys, path: &str, local_host: &str) -> SysResult<String> {
+pub async fn rewrite_for_migration(sys: &Sys, path: &str, local_host: &str) -> SysResult<String> {
     // "If a file name points to a terminal, it is changed to /dev/tty,
     // to point to the current terminal of the process that will open
     // it."
     if path == "/dev/tty" || path.starts_with("/dev/tty") || path == "/dev/console" {
         return Ok("/dev/tty".to_string());
     }
-    let resolved = resolve_links(sys, path)?;
+    let resolved = resolve_links(sys, path).await?;
     // "Otherwise, if after resolving the symbolic links, a file is found
     // to be local to the machine ... (i.e., its name does not begin with
     // /n), the string /n/<machinename> is prepended to its name."
@@ -114,8 +114,12 @@ mod tests {
     use ukernel::{KernelConfig, World};
 
     /// Runs a closure as a native process and returns its exit status.
-    fn run_native(w: &mut World, mid: usize, f: impl FnOnce(&Sys) -> u32 + Send + 'static) -> u32 {
-        let pid = w.spawn_native_proc(mid, "test", None, Credentials::root(), Box::new(f));
+    fn run_native<F: std::future::Future<Output = u32> + 'static>(
+        w: &mut World,
+        mid: usize,
+        f: impl FnOnce(Sys) -> F + 'static,
+    ) -> u32 {
+        let pid = w.spawn_native_proc(mid, "test", None, Credentials::root(), f);
         w.run_until_exit(mid, pid, 200_000)
             .expect("native exits")
             .status
@@ -125,13 +129,13 @@ mod tests {
     fn resolves_chained_and_relative_links() {
         let mut w = World::new(KernelConfig::paper());
         let m = w.add_machine("classic", IsaLevel::Isa1);
-        let status = run_native(&mut w, m, |sys| {
-            sys.mkdir("/real", 0o755).unwrap();
-            sys.mkdir("/real/dir", 0o755).unwrap();
-            sys.creat("/real/dir/file", 0o644).unwrap();
-            sys.symlink("/real", "/alias").unwrap();
-            sys.symlink("dir", "/real/sub").unwrap(); // Relative target.
-            let r = resolve_links(sys, "/alias/sub/file").unwrap();
+        let status = run_native(&mut w, m, |sys| async move {
+            sys.mkdir("/real", 0o755).await.unwrap();
+            sys.mkdir("/real/dir", 0o755).await.unwrap();
+            sys.creat("/real/dir/file", 0o644).await.unwrap();
+            sys.symlink("/real", "/alias").await.unwrap();
+            sys.symlink("dir", "/real/sub").await.unwrap(); // Relative target.
+            let r = resolve_links(&sys, "/alias/sub/file").await.unwrap();
             assert_eq!(r, "/real/dir/file");
             0
         });
@@ -142,10 +146,10 @@ mod tests {
     fn missing_tail_kept_verbatim() {
         let mut w = World::new(KernelConfig::paper());
         let m = w.add_machine("classic", IsaLevel::Isa1);
-        let status = run_native(&mut w, m, |sys| {
-            sys.mkdir("/real", 0o755).unwrap();
-            sys.symlink("/real", "/alias").unwrap();
-            let r = resolve_links(sys, "/alias/not/yet/there").unwrap();
+        let status = run_native(&mut w, m, |sys| async move {
+            sys.mkdir("/real", 0o755).await.unwrap();
+            sys.symlink("/real", "/alias").await.unwrap();
+            let r = resolve_links(&sys, "/alias/not/yet/there").await.unwrap();
             assert_eq!(r, "/real/not/yet/there");
             0
         });
@@ -156,10 +160,10 @@ mod tests {
     fn loop_detected() {
         let mut w = World::new(KernelConfig::paper());
         let m = w.add_machine("classic", IsaLevel::Isa1);
-        let status = run_native(&mut w, m, |sys| {
-            sys.symlink("/b", "/a").unwrap();
-            sys.symlink("/a", "/b").unwrap();
-            match resolve_links(sys, "/a/x") {
+        let status = run_native(&mut w, m, |sys| async move {
+            sys.symlink("/b", "/a").await.unwrap();
+            sys.symlink("/a", "/b").await.unwrap();
+            match resolve_links(&sys, "/a/x").await {
                 Err(Errno::ELOOP) => 0,
                 other => {
                     let _ = other;
@@ -175,20 +179,26 @@ mod tests {
         let mut w = World::new(KernelConfig::paper());
         let m = w.add_machine("brick", IsaLevel::Isa1);
         let _n = w.add_machine("brador", IsaLevel::Isa1);
-        let status = run_native(&mut w, m, |sys| {
-            sys.mkdir("/work", 0o777).unwrap();
-            sys.creat("/work/out", 0o644).unwrap();
+        let status = run_native(&mut w, m, |sys| async move {
+            sys.mkdir("/work", 0o777).await.unwrap();
+            sys.creat("/work/out", 0o644).await.unwrap();
             assert_eq!(
-                rewrite_for_migration(sys, "/dev/tty3", "brick").unwrap(),
+                rewrite_for_migration(&sys, "/dev/tty3", "brick")
+                    .await
+                    .unwrap(),
                 "/dev/tty"
             );
             assert_eq!(
-                rewrite_for_migration(sys, "/work/out", "brick").unwrap(),
+                rewrite_for_migration(&sys, "/work/out", "brick")
+                    .await
+                    .unwrap(),
                 "/n/brick/work/out"
             );
             // Already-remote names are left alone.
             assert_eq!(
-                rewrite_for_migration(sys, "/n/brador/tmp/x", "brick").unwrap(),
+                rewrite_for_migration(&sys, "/n/brador/tmp/x", "brick")
+                    .await
+                    .unwrap(),
                 "/n/brador/tmp/x"
             );
             0
@@ -206,9 +216,11 @@ mod tests {
         let brador = w.add_machine("brador", IsaLevel::Isa1);
         w.host_mkdir_p(brador, "/usr2/alice").unwrap();
         w.host_write_file(brador, "/usr2/alice/foo", b"x").unwrap();
-        let status = run_native(&mut w, classic, |sys| {
-            sys.symlink("/n/brador/usr2", "/usr2").unwrap();
-            let r = rewrite_for_migration(sys, "/usr2/alice/foo", "classic").unwrap();
+        let status = run_native(&mut w, classic, |sys| async move {
+            sys.symlink("/n/brador/usr2", "/usr2").await.unwrap();
+            let r = rewrite_for_migration(&sys, "/usr2/alice/foo", "classic")
+                .await
+                .unwrap();
             assert_eq!(r, "/n/brador/usr2/alice/foo");
             0
         });

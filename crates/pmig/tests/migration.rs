@@ -590,12 +590,14 @@ fn undump_command_produces_runnable_executable() {
         "undump",
         None,
         Credentials::root(),
-        Box::new(move |sys| {
-            match pmig::commands::undump_cmd(sys, "/bin/testprog", &core_path, "/bin/testprog2") {
+        move |sys| async move {
+            match pmig::commands::undump_cmd(&sys, "/bin/testprog", &core_path, "/bin/testprog2")
+                .await
+            {
                 Ok(()) => 0,
                 Err(e) => e.as_u16() as u32,
             }
-        }),
+        },
     );
     let info = w.run_until_exit(brick, cmd, 200_000).expect("undump runs");
     assert_eq!(info.status, 0);
@@ -676,13 +678,15 @@ fn dump_files_are_private_to_the_owner() {
         "snoop",
         None,
         Credentials::user(Uid(666), Gid(66)),
-        Box::new(move |sys| match sys.open(&stack_path, 0, 0) {
-            Err(sysdefs::Errno::EACCES) => 0,
-            other => {
-                let _ = other;
-                1
+        move |sys| async move {
+            match sys.open(&stack_path, 0, 0).await {
+                Err(sysdefs::Errno::EACCES) => 0,
+                other => {
+                    let _ = other;
+                    1
+                }
             }
-        }),
+        },
     );
     let info = w.run_until_exit(brick, snoop, 100_000).expect("snoop");
     assert_eq!(info.status, 0, "dump files are mode 0600");

@@ -1,7 +1,7 @@
 //! Rule `determinism`: no iteration-order or wall-clock nondeterminism
 //! in the simulation.
 //!
-//! Two sub-checks share the rule id:
+//! Three sub-checks share the rule id:
 //!
 //! * **Unordered containers.** `HashMap`/`HashSet` iterate in a
 //!   per-process-random order (`RandomState`), so any simulation state
@@ -17,6 +17,12 @@
 //!   for host-side wall-clock measurement (it times the simulator;
 //!   nothing it produces feeds back into simulated state), so
 //!   `Instant` is legal there and only there.
+//! * **Host threads.** A path through std's `thread` module runs code
+//!   outside the world's one deterministic schedule: native programs
+//!   are futures the kernel polls on the world's own thread, so nothing
+//!   in the simulator needs another. Forbidden in every crate except
+//!   `bench` (whose drivers may time worlds side by side); a future
+//!   host thread must earn a reasoned `simlint.toml` entry.
 
 use crate::diag::Diagnostic;
 use crate::lexer::TokKind;
@@ -53,9 +59,21 @@ const AMBIENT_SOURCES: [(&str, &str); 6] = [
 pub fn check(files: &[SourceFile]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for f in files {
-        for t in &f.toks {
+        for (i, t) in f.toks.iter().enumerate() {
             if t.kind != TokKind::Ident {
                 continue;
+            }
+            if is_sim_crate(&f.crate_name) && is_std_thread(&f.toks[i..]) {
+                out.push(Diagnostic {
+                    file: f.rel_path.clone(),
+                    line: t.line,
+                    rule: RULE,
+                    subject: "thread".to_string(),
+                    message: "a host thread runs code outside the world's single deterministic \
+                              schedule; native programs are futures polled on the world's \
+                              thread"
+                        .to_string(),
+                });
             }
             if is_sim_crate(&f.crate_name) && UNORDERED_CONTAINERS.contains(&t.text.as_str()) {
                 out.push(Diagnostic {
@@ -90,6 +108,12 @@ pub fn check(files: &[SourceFile]) -> Vec<Diagnostic> {
         }
     }
     out
+}
+
+/// Does the token run start with a path into std's `thread` module?
+fn is_std_thread(toks: &[crate::lexer::Tok]) -> bool {
+    matches!(toks, [std, sep, thread, ..]
+        if std.is_ident("std") && sep.is_punct("::") && thread.is_ident("thread"))
 }
 
 #[cfg(test)]

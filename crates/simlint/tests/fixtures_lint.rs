@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use simlint::rules::{coupling, snapcov, wakepoke};
+use simlint::rules::{coupling, determinism, snapcov, wakepoke};
 use simlint::workspace::{load_workspace, SourceFile};
 use simlint::Config;
 
@@ -77,6 +77,26 @@ fn coupling_report_inventories_the_world_layer_too() {
             ("wake_one", "shared-state", "finished"),
         ],
         "{rows:?}"
+    );
+}
+
+/// Host threads: both paths into std's thread module in the fixture
+/// `native.rs` are found; the `thread` field, the string and the bench
+/// crate's use are not.
+#[test]
+fn determinism_flags_host_threads_outside_bench() {
+    let d = determinism::check(&fixture_files());
+    let got: Vec<(&str, u32, &str)> = d
+        .iter()
+        .map(|d| (d.file.as_str(), d.line, d.subject.as_str()))
+        .collect();
+    assert_eq!(
+        got,
+        vec![
+            ("crates/ukernel/src/native.rs", 4, "thread"),
+            ("crates/ukernel/src/native.rs", 15, "thread"),
+        ],
+        "field/string trap or bench exemption failed: {d:?}"
     );
 }
 

@@ -25,9 +25,9 @@
 //! filesystem, process table, open-file table and virtual clock. Guest
 //! workloads are `m68vm` programs executed instruction by instruction;
 //! utility programs (`dumpproc`, `restart`, daemons) are *native
-//! processes*: Rust closures on dedicated OS threads that rendezvous with
-//! the kernel for every system call, with every call charged simulated
-//! time from the [`simtime::CostModel`].
+//! processes*: Rust `async` bodies the kernel polls on the world's own
+//! thread, one system call per `.await`, with every call charged
+//! simulated time from the [`simtime::CostModel`].
 
 pub mod config;
 pub mod file;

@@ -4,7 +4,7 @@ use m68vm::{Cpu, IsaLevel, Memory};
 use simtime::{SimDuration, SimTime};
 use sysdefs::{Pid, Uid};
 
-use crate::native::NativeChan;
+use crate::native::NativeBody;
 use crate::sys::args::Syscall;
 use crate::user::UserArea;
 
@@ -73,9 +73,9 @@ impl ProcState {
 pub enum Body {
     /// A guest program interpreted by the VM.
     Vm(VmBody),
-    /// A native utility on its own OS thread, speaking syscalls over
-    /// rendezvous channels.
-    Native(NativeChan),
+    /// A native utility: an `async` program the kernel polls on the
+    /// world's thread, one system call per `.await`.
+    Native(NativeBody),
     /// `init` and other placeholder processes that never run.
     Idle,
 }

@@ -241,8 +241,8 @@ fn overlay_demand(cx: &mut SysCtx<'_>, path: &str, comm: &str) -> SysResult<()> 
 /// `execve(2)`.
 ///
 /// On success the calling image is destroyed, so the dispatcher sees
-/// [`SyscallResult::Gone`]; a native caller's thread is unwound by the
-/// `overlaid` reply.
+/// [`SyscallResult::Gone`]; a native caller's program is dropped with
+/// the body it replaced.
 pub fn sys_execve(cx: &mut SysCtx<'_>, path: &str) -> SyscallResult {
     let (t0, c0) = call_entry(cx);
     let image = match slurp(cx, path, true) {

@@ -11,7 +11,7 @@ use vfs::{path as vpath, DeviceId, Filesystem, WalkOutcome};
 use crate::config::{KernelConfig, Sched};
 use crate::file::{FileKind, FileStruct};
 use crate::machine::{Machine, MachineId};
-use crate::native::{spawn_native, NativeProgram, Request, Response};
+use crate::native::{boxed, NativeBody, NativeProgram, Request, Sys};
 use crate::proc::{Body, ExitInfo, Proc, ProcState};
 use crate::signal::deliver_pending;
 use crate::sys::args::{SysRetval, Syscall, SyscallResult};
@@ -717,8 +717,20 @@ impl World {
         pid
     }
 
-    /// Spawns a native (Rust) program as a process on `mid`.
-    pub fn spawn_native_proc(
+    /// Spawns a native (Rust) program, `move |sys| async move { … }`,
+    /// as a process on `mid`.
+    pub fn spawn_native_proc<F: std::future::Future<Output = u32> + 'static>(
+        &mut self,
+        mid: MachineId,
+        comm: &str,
+        tty: Option<u32>,
+        cred: Credentials,
+        prog: impl FnOnce(Sys) -> F + 'static,
+    ) -> Pid {
+        self.spawn_program(mid, comm, tty, cred, boxed(prog))
+    }
+
+    fn spawn_program(
         &mut self,
         mid: MachineId,
         comm: &str,
@@ -728,8 +740,8 @@ impl World {
     ) -> Pid {
         let mut user = self.fresh_user(mid, cred, tty);
         self.attach_stdio(mid, &mut user, tty);
-        let chan = spawn_native(prog);
-        self.insert_proc(mid, Body::Native(chan), user, Pid::INIT, comm)
+        let body = Body::Native(NativeBody::new(prog));
+        self.insert_proc(mid, body, user, Pid::INIT, comm)
     }
 
     /// Spawns a VM program from an executable file on `mid`'s namespace.
@@ -790,8 +802,8 @@ impl World {
             let now = m.now;
             let p = m.proc_mut(pid).expect("exiting process exists");
             p.state = ProcState::Zombie { status };
-            // Dropping the body releases VM memory or unblocks the
-            // native thread.
+            // Dropping the body releases VM memory or drops the native
+            // program where it is parked, so none of its code runs again.
             p.body = Body::Idle;
             p.pending_syscall = None;
             (
@@ -1227,8 +1239,8 @@ impl World {
         }
     }
 
-    /// Delivers a completed blocked call: write VM registers or send the
-    /// native response, then clear the pending record.
+    /// Delivers a completed blocked call: write VM registers or store the
+    /// native reply, then clear the pending record.
     pub(crate) fn complete_pending(&mut self, mid: MachineId, pid: Pid, ret: SysRetval) {
         let Some(p) = self.proc_mut(mid, pid) else {
             return;
@@ -1246,13 +1258,7 @@ impl World {
                     vmabi::writeback(&mut vm.cpu, &mut vm.mem, &sc, &ret);
                 }
             }
-            Body::Native(chan) => {
-                let _ = chan.resp_tx.send(Response {
-                    val: ret.val,
-                    data: ret.data,
-                    overlaid: false,
-                });
-            }
+            Body::Native(native) => native.reply(ret),
             Body::Idle => {}
         }
         // The parked call finished outside dispatch (sleep expiry,
@@ -1807,81 +1813,39 @@ impl World {
         }
     }
 
-    /// Services native requests for one scheduling slice.
+    /// Services native requests for one scheduling slice: polls the
+    /// program on this thread up to 64 times, each poll running it to its
+    /// next request.
     fn run_native_quantum(&mut self, mid: MachineId, pid: Pid) {
-        let mut budget = 64u32;
-        while budget > 0 {
-            budget -= 1;
-            // Receive the next request (host-blocking rendezvous) and
-            // keep a response sender that survives a body swap.
-            let (req, resp_tx) = {
-                let Some(p) = self.proc_mut(mid, pid) else {
-                    return;
-                };
-                let Body::Native(chan) = &p.body else { return };
-                let resp_tx = chan.resp_tx.clone();
-                match chan.req_rx.recv() {
-                    Ok(r) => (r, resp_tx),
-                    Err(_) => {
-                        // Thread gone without an exit request.
-                        self.do_exit(mid, pid, 255);
-                        return;
-                    }
-                }
+        for _ in 0..64 {
+            let Some(Body::Native(native)) = self.proc_mut(mid, pid).map(|p| &mut p.body) else {
+                return;
             };
+            let req = native.next_request();
             // A little user-level CPU per call (libc and argument
             // marshalling).
             self.machines[mid].charge_user(pid, SimDuration::micros(50));
-            match req {
-                Request::Syscall(sc) => {
-                    let was_overlay_call =
-                        matches!(sc, Syscall::Execve { .. } | Syscall::RestProc { .. });
-                    match dispatch(self, mid, pid, &sc) {
-                        SyscallResult::Done(ret) => {
-                            if resp_tx
-                                .send(Response {
-                                    val: ret.val,
-                                    data: ret.data,
-                                    overlaid: false,
-                                })
-                                .is_err()
-                            {
-                                self.do_exit(mid, pid, 255);
-                                return;
-                            }
-                        }
-                        // dispatch() saved the pending call; the response
-                        // is sent by complete_pending when it finishes.
-                        SyscallResult::Blocked => return,
-                        SyscallResult::Gone => {
-                            if was_overlay_call {
-                                // execve/rest_proc succeeded: the body is
-                                // now a VM image; unwind the old thread.
-                                let _ = resp_tx.send(Response {
-                                    val: Ok(0),
-                                    data: Vec::new(),
-                                    overlaid: true,
-                                });
-                            }
-                            return;
-                        }
-                    }
-                }
+            let ret = match req {
+                Request::Syscall(sc) => match dispatch(self, mid, pid, &sc) {
+                    SyscallResult::Done(ret) => ret,
+                    // dispatch() saved the pending call; complete_pending
+                    // stores the reply when it finishes.
+                    SyscallResult::Blocked => return,
+                    // exit, or an execve/rest_proc overlay: the body was
+                    // replaced, and the program dropped with it.
+                    SyscallResult::Gone => return,
+                },
                 Request::Compute { units } => {
                     let cpu = SimDuration::micros(units * self.config.cost.instr_us);
                     self.machines[mid].charge_user(pid, cpu);
-                    let _ = resp_tx.send(Response {
-                        val: Ok(0),
-                        data: Vec::new(),
-                        overlaid: false,
-                    });
+                    SysRetval::ok(0)
                 }
                 Request::RunLocal { prog, comm } => {
                     let cred = self
                         .cred_of(mid, pid)
                         .unwrap_or_else(|_| Credentials::root());
                     let tty = self.proc_ref(mid, pid).and_then(|p| p.user.tty);
-                    let child = self.spawn_native_proc(mid, &comm, tty, cred, prog);
+                    let child = self.spawn_program(mid, &comm, tty, cred, prog);
                     if let Some(p) = self.proc_mut(mid, pid) {
                         p.state = ProcState::RemoteWait {
                             server: mid,
@@ -1893,11 +1857,7 @@ impl World {
                 }
                 Request::Daemon { host, prog, comm } => {
                     let Some(server) = self.find_machine(&host) else {
-                        let _ = resp_tx.send(Response {
-                            val: Err(Errno::EHOSTUNREACH),
-                            data: Vec::new(),
-                            overlaid: false,
-                        });
+                        self.native_reply(mid, pid, SysRetval::err(Errno::EHOSTUNREACH));
                         continue;
                     };
                     // One message to the daemon's well-known port, plus
@@ -1911,11 +1871,7 @@ impl World {
                         .fault_fire(FaultSite::Rsh, mid, pid, Errno::EHOSTDOWN)
                         .is_some()
                     {
-                        let _ = resp_tx.send(Response {
-                            val: Err(Errno::EHOSTDOWN),
-                            data: Vec::new(),
-                            overlaid: false,
-                        });
+                        self.native_reply(mid, pid, SysRetval::err(Errno::EHOSTDOWN));
                         continue;
                     }
                     let dispatch = Cost::cpu_us(20_000).plus(Cost::wait_us(100_000));
@@ -1927,7 +1883,7 @@ impl World {
                     let cred = self
                         .cred_of(mid, pid)
                         .unwrap_or_else(|_| Credentials::root());
-                    let child = self.spawn_native_proc(server, &comm, Some(pipe_id), cred, prog);
+                    let child = self.spawn_program(server, &comm, Some(pipe_id), cred, prog);
                     self.daemon_waiters.insert((mid, pid.as_u32()));
                     if let Some(p) = self.proc_mut(mid, pid) {
                         p.state = ProcState::RemoteWait { server, pid: child };
@@ -1937,11 +1893,7 @@ impl World {
                 }
                 Request::Rsh { host, prog, comm } => {
                     let Some(server) = self.find_machine(&host) else {
-                        let _ = resp_tx.send(Response {
-                            val: Err(Errno::EHOSTUNREACH),
-                            data: Vec::new(),
-                            overlaid: false,
-                        });
+                        self.native_reply(mid, pid, SysRetval::err(Errno::EHOSTUNREACH));
                         continue;
                     };
                     // Connection establishment, all charged to the
@@ -1967,11 +1919,7 @@ impl World {
                         }
                     }
                     if !session_up {
-                        let _ = resp_tx.send(Response {
-                            val: Err(Errno::EHOSTDOWN),
-                            data: Vec::new(),
-                            overlaid: false,
-                        });
+                        self.native_reply(mid, pid, SysRetval::err(Errno::EHOSTDOWN));
                         continue;
                     }
                     // The remote side starts no earlier than the client's
@@ -1986,14 +1934,22 @@ impl World {
                     let cred = self
                         .cred_of(mid, pid)
                         .unwrap_or_else(|_| Credentials::root());
-                    let child = self.spawn_native_proc(server, &comm, Some(pipe_id), cred, prog);
+                    let child = self.spawn_program(server, &comm, Some(pipe_id), cred, prog);
                     if let Some(p) = self.proc_mut(mid, pid) {
                         p.state = ProcState::RemoteWait { server, pid: child };
                     }
                     self.remote_wait_register(server, child.as_u32(), mid, pid);
                     return;
                 }
-            }
+            };
+            self.native_reply(mid, pid, ret);
+        }
+    }
+
+    /// Stores a reply in a native process's mailbox.
+    fn native_reply(&mut self, mid: MachineId, pid: Pid, ret: SysRetval) {
+        if let Some(Body::Native(native)) = self.proc_mut(mid, pid).map(|p| &mut p.body) {
+            native.reply(ret);
         }
     }
 

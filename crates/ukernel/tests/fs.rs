@@ -3,6 +3,8 @@
 //! terminal plumbing.
 
 use m68vm::{assemble, IsaLevel};
+use std::future::Future;
+
 use sysdefs::limits::NOFILE;
 use sysdefs::{Credentials, Errno, Gid, Uid};
 use ukernel::{KernelConfig, Sys, World};
@@ -19,8 +21,12 @@ fn world() -> (World, usize) {
 
 /// Runs a native program and returns its exit status; asserts inside the
 /// closure do the real checking.
-fn run(w: &mut World, m: usize, f: impl FnOnce(&Sys) -> u32 + Send + 'static) -> u32 {
-    let pid = w.spawn_native_proc(m, "t", None, Credentials::root(), Box::new(f));
+fn run<F: Future<Output = u32> + 'static>(
+    w: &mut World,
+    m: usize,
+    f: impl FnOnce(Sys) -> F + 'static,
+) -> u32 {
+    let pid = w.spawn_native_proc(m, "t", None, Credentials::root(), f);
     w.run_until_exit(m, pid, 2_000_000)
         .expect("native exits")
         .status
@@ -29,22 +35,22 @@ fn run(w: &mut World, m: usize, f: impl FnOnce(&Sys) -> u32 + Send + 'static) ->
 #[test]
 fn dup_shares_the_file_offset() {
     let (mut w, m) = world();
-    let status = run(&mut w, m, |sys| {
-        let fd = sys.creat("/tmp/x", 0o644).unwrap();
-        sys.write(fd, b"abcdef").unwrap();
-        sys.close(fd).unwrap();
-        let fd = sys.open("/tmp/x", 0, 0).unwrap();
-        let dup = sys.dup(fd).unwrap();
-        assert_eq!(sys.read(fd, 2).unwrap(), b"ab");
+    let status = run(&mut w, m, |sys| async move {
+        let fd = sys.creat("/tmp/x", 0o644).await.unwrap();
+        sys.write(fd, b"abcdef").await.unwrap();
+        sys.close(fd).await.unwrap();
+        let fd = sys.open("/tmp/x", 0, 0).await.unwrap();
+        let dup = sys.dup(fd).await.unwrap();
+        assert_eq!(sys.read(fd, 2).await.unwrap(), b"ab");
         // The duplicate continues where the original stopped: one file
         // table entry, one offset — 4.2BSD semantics.
-        assert_eq!(sys.read(dup, 2).unwrap(), b"cd");
-        assert_eq!(sys.read(fd, 2).unwrap(), b"ef");
-        sys.close(fd).unwrap();
+        assert_eq!(sys.read(dup, 2).await.unwrap(), b"cd");
+        assert_eq!(sys.read(fd, 2).await.unwrap(), b"ef");
+        sys.close(fd).await.unwrap();
         // Still readable through the survivor.
-        sys.lseek(dup, 0, ukernel::Whence::Set).unwrap();
-        assert_eq!(sys.read(dup, 1).unwrap(), b"a");
-        sys.close(dup).unwrap();
+        sys.lseek(dup, 0, ukernel::Whence::Set).await.unwrap();
+        assert_eq!(sys.read(dup, 1).await.unwrap(), b"a");
+        sys.close(dup).await.unwrap();
         0
     });
     assert_eq!(status, 0);
@@ -53,10 +59,10 @@ fn dup_shares_the_file_offset() {
 #[test]
 fn append_mode_always_writes_at_the_end() {
     let (mut w, m) = world();
-    let status = run(&mut w, m, |sys| {
-        let fd = sys.creat("/tmp/log", 0o644).unwrap();
-        sys.write(fd, b"one\n").unwrap();
-        sys.close(fd).unwrap();
+    let status = run(&mut w, m, |sys| async move {
+        let fd = sys.creat("/tmp/log", 0o644).await.unwrap();
+        sys.write(fd, b"one\n").await.unwrap();
+        sys.close(fd).await.unwrap();
         let fd = sys
             .open(
                 "/tmp/log",
@@ -65,14 +71,15 @@ fn append_mode_always_writes_at_the_end() {
                     .bits(),
                 0,
             )
+            .await
             .unwrap();
         // Seeking somewhere else does not defeat append.
-        sys.lseek(fd, 0, ukernel::Whence::Set).unwrap();
-        sys.write(fd, b"two\n").unwrap();
-        sys.close(fd).unwrap();
-        let fd = sys.open("/tmp/log", 0, 0).unwrap();
-        assert_eq!(sys.read_all(fd).unwrap(), b"one\ntwo\n");
-        sys.close(fd).unwrap();
+        sys.lseek(fd, 0, ukernel::Whence::Set).await.unwrap();
+        sys.write(fd, b"two\n").await.unwrap();
+        sys.close(fd).await.unwrap();
+        let fd = sys.open("/tmp/log", 0, 0).await.unwrap();
+        assert_eq!(sys.read_all(fd).await.unwrap(), b"one\ntwo\n");
+        sys.close(fd).await.unwrap();
         0
     });
     assert_eq!(status, 0);
@@ -81,10 +88,10 @@ fn append_mode_always_writes_at_the_end() {
 #[test]
 fn descriptor_table_is_fixed_size() {
     let (mut w, m) = world();
-    let status = run(&mut w, m, |sys| {
+    let status = run(&mut w, m, |sys| async move {
         let mut opened = Vec::new();
         loop {
-            match sys.open("/dev/null", 2, 0) {
+            match sys.open("/dev/null", 2, 0).await {
                 Ok(fd) => opened.push(fd),
                 Err(Errno::EMFILE) => break,
                 Err(e) => panic!("unexpected {e}"),
@@ -93,8 +100,8 @@ fn descriptor_table_is_fixed_size() {
         // No stdio attached, so the whole table was ours.
         assert_eq!(opened.len(), NOFILE);
         // Closing one slot frees exactly one descriptor, reused lowest-first.
-        sys.close(opened[3]).unwrap();
-        assert_eq!(sys.open("/dev/null", 2, 0).unwrap(), opened[3]);
+        sys.close(opened[3]).await.unwrap();
+        assert_eq!(sys.open("/dev/null", 2, 0).await.unwrap(), opened[3]);
         0
     });
     assert_eq!(status, 0);
@@ -150,13 +157,11 @@ fn pipe_eof_after_writer_closes() {
 #[test]
 fn write_to_readonly_fd_rejected() {
     let (mut w, m) = world();
-    let status = run(&mut w, m, |sys| {
-        sys.creat("/tmp/ro", 0o644)
-            .map(|fd| sys.close(fd))
-            .unwrap()
-            .unwrap();
-        let fd = sys.open("/tmp/ro", 0, 0).unwrap();
-        match sys.write(fd, b"nope") {
+    let status = run(&mut w, m, |sys| async move {
+        let fd = sys.creat("/tmp/ro", 0o644).await.unwrap();
+        sys.close(fd).await.unwrap();
+        let fd = sys.open("/tmp/ro", 0, 0).await.unwrap();
+        match sys.write(fd, b"nope").await {
             Err(Errno::EBADF) => 0,
             other => {
                 let _ = other;
@@ -170,23 +175,23 @@ fn write_to_readonly_fd_rejected() {
 #[test]
 fn lseek_whence_and_sparse_files() {
     let (mut w, m) = world();
-    let status = run(&mut w, m, |sys| {
-        let fd = sys.creat("/tmp/sparse", 0o644).unwrap();
-        sys.write(fd, b"head").unwrap();
+    let status = run(&mut w, m, |sys| async move {
+        let fd = sys.creat("/tmp/sparse", 0o644).await.unwrap();
+        sys.write(fd, b"head").await.unwrap();
         // Seek past EOF and write: the gap reads back as zeros.
-        assert_eq!(sys.lseek(fd, 4, ukernel::Whence::Cur).unwrap(), 8);
-        sys.write(fd, b"tail").unwrap();
-        assert_eq!(sys.lseek(fd, 0, ukernel::Whence::End).unwrap(), 12);
-        sys.close(fd).unwrap();
-        let fd = sys.open("/tmp/sparse", 0, 0).unwrap();
-        let all = sys.read_all(fd).unwrap();
+        assert_eq!(sys.lseek(fd, 4, ukernel::Whence::Cur).await.unwrap(), 8);
+        sys.write(fd, b"tail").await.unwrap();
+        assert_eq!(sys.lseek(fd, 0, ukernel::Whence::End).await.unwrap(), 12);
+        sys.close(fd).await.unwrap();
+        let fd = sys.open("/tmp/sparse", 0, 0).await.unwrap();
+        let all = sys.read_all(fd).await.unwrap();
         assert_eq!(all, b"head\0\0\0\0tail");
         // Negative result is rejected.
         assert_eq!(
-            sys.lseek(fd, -100, ukernel::Whence::Set),
+            sys.lseek(fd, -100, ukernel::Whence::Set).await,
             Err(Errno::EINVAL)
         );
-        sys.close(fd).unwrap();
+        sys.close(fd).await.unwrap();
         0
     });
     assert_eq!(status, 0);
@@ -261,14 +266,14 @@ fn ps_listing_names_processes() {
 #[test]
 fn getwd_tracks_chdir_on_modified_kernel_only() {
     let (mut w, m) = world();
-    let status = run(&mut w, m, |sys| {
-        sys.mkdir("/u/deep", 0o755).unwrap();
-        sys.chdir("/u/deep").unwrap();
-        assert_eq!(sys.getwd().unwrap(), "/u/deep");
-        sys.chdir("..").unwrap();
-        assert_eq!(sys.getwd().unwrap(), "/u");
-        sys.chdir(".").unwrap();
-        assert_eq!(sys.getwd().unwrap(), "/u");
+    let status = run(&mut w, m, |sys| async move {
+        sys.mkdir("/u/deep", 0o755).await.unwrap();
+        sys.chdir("/u/deep").await.unwrap();
+        assert_eq!(sys.getwd().await.unwrap(), "/u/deep");
+        sys.chdir("..").await.unwrap();
+        assert_eq!(sys.getwd().await.unwrap(), "/u");
+        sys.chdir(".").await.unwrap();
+        assert_eq!(sys.getwd().await.unwrap(), "/u");
         0
     });
     assert_eq!(status, 0);
@@ -276,11 +281,13 @@ fn getwd_tracks_chdir_on_modified_kernel_only() {
     // The unmodified kernel has no cwd string to report.
     let mut w2 = World::new(KernelConfig::original());
     let m2 = w2.add_machine("plain", IsaLevel::Isa1);
-    let status = run(&mut w2, m2, |sys| match sys.getwd() {
-        Err(Errno::EINVAL) => 0,
-        other => {
-            let _ = other;
-            1
+    let status = run(&mut w2, m2, |sys| async move {
+        match sys.getwd().await {
+            Err(Errno::EINVAL) => 0,
+            other => {
+                let _ = other;
+                1
+            }
         }
     });
     assert_eq!(status, 0);

@@ -202,10 +202,10 @@ fn sigdump_writes_three_files_and_rest_proc_resumes() {
         "mini-restart",
         Some(tty2),
         Credentials::user(Uid(100), Gid(10)),
-        Box::new(move |sys| {
-            let e = sys.rest_proc(&aout_path, &stack_path, None, None);
+        move |sys| async move {
+            let e = sys.rest_proc(&aout_path, &stack_path, None, None).await;
             panic!("rest_proc failed: {e}");
-        }),
+        },
     );
     w.run_slices(50_000);
     // The restored process re-issues its blocked read on the new tty.
@@ -276,28 +276,33 @@ fn native_process_full_syscall_tour() {
         "tour",
         None,
         Credentials::root(),
-        Box::new(|sys| {
-            sys.mkdir("/u/alice", 0o755).unwrap();
-            sys.chdir("/u/alice").unwrap();
-            assert_eq!(sys.getwd().unwrap(), "/u/alice");
-            let fd = sys.creat("notes.txt", 0o644).unwrap();
-            sys.write(fd, b"line one\n").unwrap();
-            sys.write(fd, b"line two\n").unwrap();
-            sys.close(fd).unwrap();
-            let fd = sys.open("notes.txt", 0, 0).unwrap();
-            assert_eq!(sys.read_all(fd).unwrap(), b"line one\nline two\n");
-            sys.lseek(fd, 5, ukernel::Whence::Set).unwrap();
-            assert_eq!(sys.read(fd, 3).unwrap(), b"one");
-            sys.close(fd).unwrap();
-            sys.symlink("/u/alice/notes.txt", "/u/alice/ln").unwrap();
-            assert_eq!(sys.readlink("/u/alice/ln").unwrap(), "/u/alice/notes.txt");
-            assert_eq!(sys.stat_size("/u/alice/ln").unwrap(), 18);
-            sys.unlink("ln").unwrap();
-            assert!(sys.open("/u/alice/ln", 0, 0).is_err());
-            assert_eq!(sys.gethostname().unwrap(), "brick");
-            assert!(sys.getpid().unwrap() > Pid(1));
+        move |sys| async move {
+            sys.mkdir("/u/alice", 0o755).await.unwrap();
+            sys.chdir("/u/alice").await.unwrap();
+            assert_eq!(sys.getwd().await.unwrap(), "/u/alice");
+            let fd = sys.creat("notes.txt", 0o644).await.unwrap();
+            sys.write(fd, b"line one\n").await.unwrap();
+            sys.write(fd, b"line two\n").await.unwrap();
+            sys.close(fd).await.unwrap();
+            let fd = sys.open("notes.txt", 0, 0).await.unwrap();
+            assert_eq!(sys.read_all(fd).await.unwrap(), b"line one\nline two\n");
+            sys.lseek(fd, 5, ukernel::Whence::Set).await.unwrap();
+            assert_eq!(sys.read(fd, 3).await.unwrap(), b"one");
+            sys.close(fd).await.unwrap();
+            sys.symlink("/u/alice/notes.txt", "/u/alice/ln")
+                .await
+                .unwrap();
+            assert_eq!(
+                sys.readlink("/u/alice/ln").await.unwrap(),
+                "/u/alice/notes.txt"
+            );
+            assert_eq!(sys.stat_size("/u/alice/ln").await.unwrap(), 18);
+            sys.unlink("ln").await.unwrap();
+            assert!(sys.open("/u/alice/ln", 0, 0).await.is_err());
+            assert_eq!(sys.gethostname().await.unwrap(), "brick");
+            assert!(sys.getpid().await.unwrap() > Pid(1));
             0
-        }),
+        },
     );
     let info = w.run_until_exit(m, pid, 100_000).expect("tour exits");
     assert_eq!(info.status, 0, "native tour must pass all asserts");
@@ -313,16 +318,16 @@ fn nfs_read_write_across_machines() {
         "nfswriter",
         None,
         Credentials::root(),
-        Box::new(|sys| {
-            let fd = sys.creat("/n/schooner/tmp/shared", 0o644).unwrap();
-            sys.write(fd, b"over the wire").unwrap();
-            sys.close(fd).unwrap();
-            let fd = sys.open("/n/schooner/tmp/shared", 0, 0).unwrap();
-            let back = sys.read_all(fd).unwrap();
+        move |sys| async move {
+            let fd = sys.creat("/n/schooner/tmp/shared", 0o644).await.unwrap();
+            sys.write(fd, b"over the wire").await.unwrap();
+            sys.close(fd).await.unwrap();
+            let fd = sys.open("/n/schooner/tmp/shared", 0, 0).await.unwrap();
+            let back = sys.read_all(fd).await.unwrap();
             assert_eq!(back, b"over the wire");
-            sys.close(fd).unwrap();
+            sys.close(fd).await.unwrap();
             0
-        }),
+        },
     );
     let info = w.run_until_exit(a, pid, 100_000).expect("exits");
     assert_eq!(info.status, 0);
@@ -430,26 +435,24 @@ fn kill_permissions_follow_the_paper() {
         "mallory",
         None,
         Credentials::user(Uid(666), Gid(6)),
-        Box::new(move |sys| match sys.kill(victim, Signal::SIGDUMP) {
-            Err(sysdefs::Errno::EPERM) => 0,
-            other => {
-                let _ = other;
-                1
+        move |sys| async move {
+            match sys.kill(victim, Signal::SIGDUMP).await {
+                Err(sysdefs::Errno::EPERM) => 0,
+                other => {
+                    let _ = other;
+                    1
+                }
             }
-        }),
+        },
     );
     let info = w.run_until_exit(m, mallory, 50_000).expect("mallory done");
     assert_eq!(info.status, 0, "non-owner must get EPERM");
-    let owner = w.spawn_native_proc(
-        m,
-        "owner",
-        None,
-        alice(),
-        Box::new(move |sys| match sys.kill(victim, Signal::SIGDUMP) {
+    let owner = w.spawn_native_proc(m, "owner", None, alice(), move |sys| async move {
+        match sys.kill(victim, Signal::SIGDUMP).await {
             Ok(()) => 0,
             Err(_) => 1,
-        }),
-    );
+        }
+    });
     let info = w.run_until_exit(m, owner, 50_000).expect("owner done");
     assert_eq!(info.status, 0, "owner may dump");
     let vinfo = w.run_until_exit(m, victim, 50_000).expect("victim dumped");
@@ -494,10 +497,12 @@ fn unmodified_kernel_rejects_sigdump() {
         "killer",
         None,
         Credentials::root(),
-        Box::new(move |sys| match sys.kill(victim, Signal::SIGDUMP) {
-            Err(sysdefs::Errno::EINVAL) => 0,
-            _ => 1,
-        }),
+        move |sys| async move {
+            match sys.kill(victim, Signal::SIGDUMP).await {
+                Err(sysdefs::Errno::EINVAL) => 0,
+                _ => 1,
+            }
+        },
     );
     let info = w.run_until_exit(m, killer, 50_000).expect("killer done");
     assert_eq!(info.status, 0, "SIGDUMP must not exist on the old kernel");
@@ -514,20 +519,21 @@ fn rsh_runs_remote_command_with_degraded_tty() {
         "rsh-test",
         None,
         Credentials::root(),
-        Box::new(|sys| {
-            sys.rsh("schooner", "remote-touch", |rsys| {
+        move |sys| async move {
+            sys.rsh("schooner", "remote-touch", |rsys| async move {
                 // Runs on schooner: create a file there, locally.
-                let fd = rsys.creat("/tmp/made-by-rsh", 0o644).unwrap();
-                rsys.write(fd, b"hi").unwrap();
-                rsys.close(fd).unwrap();
-                assert_eq!(rsys.gethostname().unwrap(), "schooner");
+                let fd = rsys.creat("/tmp/made-by-rsh", 0o644).await.unwrap();
+                rsys.write(fd, b"hi").await.unwrap();
+                rsys.close(fd).await.unwrap();
+                assert_eq!(rsys.gethostname().await.unwrap(), "schooner");
                 // Terminal modes cannot be changed through the pipe.
-                let _ = rsys.stty(0, sysdefs::TtyFlags::raw_noecho());
-                assert!(!rsys.gtty(0).unwrap().is_raw());
+                let _ = rsys.stty(0, sysdefs::TtyFlags::raw_noecho()).await;
+                assert!(!rsys.gtty(0).await.unwrap().is_raw());
                 0
             })
+            .await
             .unwrap()
-        }),
+        },
     );
     let info = w.run_until_exit(a, pid, 100_000).expect("rsh completes");
     assert_eq!(info.status, 0);

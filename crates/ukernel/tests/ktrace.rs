@@ -250,10 +250,12 @@ fn signal_while_parked_surfaces_eintr() {
         "killer",
         None,
         Credentials::root(),
-        Box::new(move |sys| match sys.kill(victim, Signal::SIGINT) {
-            Ok(()) => 0,
-            Err(e) => e.as_u16() as u32,
-        }),
+        move |sys| async move {
+            match sys.kill(victim, Signal::SIGINT).await {
+                Ok(()) => 0,
+                Err(e) => e.as_u16() as u32,
+            }
+        },
     );
     assert_eq!(exit_traced(&mut w, m, killer, 100_000), 0, "kill succeeds");
 

@@ -46,16 +46,18 @@ fn main() {
         "checkpointd",
         Some(tty),
         alice.clone(),
-        Box::new(move |sys| match apps::run_checkpointer(sys, &plan2) {
-            Ok((records, final_pid)) => {
-                for r in &records {
-                    eprintln!("  checkpoint {} archived in {}", r.n, r.dir);
+        move |sys| async move {
+            match apps::run_checkpointer(&sys, &plan2).await {
+                Ok((records, final_pid)) => {
+                    for r in &records {
+                        eprintln!("  checkpoint {} archived in {}", r.n, r.dir);
+                    }
+                    eprintln!("  job continues as pid {final_pid}");
+                    0
                 }
-                eprintln!("  job continues as pid {final_pid}");
-                0
+                Err(e) => e.as_u16() as u32,
             }
-            Err(e) => e.as_u16() as u32,
-        }),
+        },
     );
     let dinfo = w
         .run_until_exit(brick, daemon, 5_000_000)
@@ -82,15 +84,12 @@ fn main() {
     println!("restoring checkpoint 1 ...");
     let (tty2, console2) = w.add_terminal(brick);
     let pid_at_dump = pid;
-    let _restorer = w.spawn_native_proc(
-        brick,
-        "restore",
-        Some(tty2),
-        alice,
-        Box::new(move |sys| {
-            apps::restore_checkpoint(sys, "/u/checkpoints", 1, pid_at_dump).as_u16() as u32
-        }),
-    );
+    let _restorer =
+        w.spawn_native_proc(brick, "restore", Some(tty2), alice, move |sys| async move {
+            apps::restore_checkpoint(&sys, "/u/checkpoints", 1, pid_at_dump)
+                .await
+                .as_u16() as u32
+        });
     w.run_slices(200_000);
     console2.type_input("result batch 3 (after restore)\n");
     w.run_slices(200_000);

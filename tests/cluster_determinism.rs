@@ -181,20 +181,24 @@ fn run_cluster(faults: simnet::FaultPlan, require_success: bool) -> String {
         "migrate",
         None,
         alice(),
-        Box::new(move |sys| match pmig::migrate(sys, victim, "h6", "h7") {
-            Ok(status) => status,
-            Err(e) => e.as_u16() as u32,
-        }),
+        move |sys| async move {
+            match pmig::migrate(&sys, victim, "h6", "h7").await {
+                Ok(status) => status,
+                Err(e) => e.as_u16() as u32,
+            }
+        },
     );
     let dumper = w.spawn_native_proc(
         4,
         "dumpproc",
         None,
         alice(),
-        Box::new(move |sys| match pmig::commands::dumpproc(sys, hog_pid) {
-            Ok(()) => 0,
-            Err(e) => e.as_u16() as u32,
-        }),
+        move |sys| async move {
+            match pmig::commands::dumpproc(&sys, hog_pid).await {
+                Ok(()) => 0,
+                Err(e) => e.as_u16() as u32,
+            }
+        },
     );
     assert_eq!(
         w.run_until_time(SimTime::BOOT + SimDuration::millis(500), budget),
@@ -208,14 +212,14 @@ fn run_cluster(faults: simnet::FaultPlan, require_success: bool) -> String {
         "restart",
         None,
         alice(),
-        Box::new(move |sys| {
+        move |sys| async move {
             let args = pmig::commands::RestartArgs {
                 pid: hog_pid,
                 dump_host: Some("h4".to_string()),
                 demand: true,
             };
-            pmig::commands::restart(sys, &args).as_u16() as u32
-        }),
+            pmig::commands::restart(&sys, &args).await.as_u16() as u32
+        },
     );
     // The rsh-driven migrate takes ~11.6s of simulated time (daemon
     // connect phases and dump/restart backoffs), so the final deadline

@@ -68,10 +68,12 @@ fn run_scenario_cfg(
         "migrate",
         None,
         alice(),
-        Box::new(move |sys| match pmig::migrate(sys, victim, "brick", "schooner") {
-            Ok(status) => status,
-            Err(e) => e.as_u16() as u32,
-        }),
+        move |sys| async move {
+            match pmig::migrate(&sys, victim, "brick", "schooner").await {
+                Ok(status) => status,
+                Err(e) => e.as_u16() as u32,
+            }
+        },
     );
     let info = w
         .run_until_exit(schooner, cmd, 30_000_000)

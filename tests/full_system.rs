@@ -86,22 +86,23 @@ fn nfs_namespace_and_the_symlink_trap() {
         "setup",
         None,
         Credentials::root(),
-        Box::new(|sys| {
-            sys.symlink("/n/brador/export/u2", "/u2").unwrap();
+        move |sys| async move {
+            sys.symlink("/n/brador/export/u2", "/u2").await.unwrap();
             // A program on classic opens the file by its convenient name.
-            let fd = sys.open("/u2/alice/thesis.tex", 0, 0).unwrap();
-            let contents = sys.read_all(fd).unwrap();
+            let fd = sys.open("/u2/alice/thesis.tex", 0, 0).await.unwrap();
+            let contents = sys.read_all(fd).await.unwrap();
             assert_eq!(contents, b"\\title{Migration}");
-            sys.close(fd).unwrap();
+            sys.close(fd).await.unwrap();
             // The naive rewrite /n/classic/u2/... would die with EREMOTE
             // on another machine; the readlink-based rewrite gives the
             // correct brador name.
             let fixed =
-                pmig::resolve::rewrite_for_migration(sys, "/u2/alice/thesis.tex", "classic")
+                pmig::resolve::rewrite_for_migration(&sys, "/u2/alice/thesis.tex", "classic")
+                    .await
                     .unwrap();
             assert_eq!(fixed, "/n/brador/export/u2/alice/thesis.tex");
             0
-        }),
+        },
     );
     let info = w.run_until_exit(classic, setup, 500_000).expect("setup");
     assert_eq!(info.status, 0);
@@ -111,13 +112,15 @@ fn nfs_namespace_and_the_symlink_trap() {
         "probe",
         None,
         Credentials::root(),
-        Box::new(|sys| match sys.open("/n/classic/u2/alice/thesis.tex", 0, 0) {
-            Err(sysdefs::Errno::EREMOTE) => 0,
-            other => {
-                let _ = other;
-                1
+        move |sys| async move {
+            match sys.open("/n/classic/u2/alice/thesis.tex", 0, 0).await {
+                Err(sysdefs::Errno::EREMOTE) => 0,
+                other => {
+                    let _ = other;
+                    1
+                }
             }
-        }),
+        },
     );
     let info = w.run_until_exit(brador, prober, 500_000).expect("probe");
     assert_eq!(info.status, 0, "NFS must refuse the double-hop name");

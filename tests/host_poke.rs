@@ -311,10 +311,12 @@ fn pending_dumps_index_matches_a_fresh_scan() {
         "dumpproc",
         None,
         alice(),
-        Box::new(move |sys| match pmig::commands::dumpproc(sys, victim) {
-            Ok(()) => 0,
-            Err(e) => e.as_u16() as u32,
-        }),
+        move |sys| async move {
+            match pmig::commands::dumpproc(&sys, victim).await {
+                Ok(()) => 0,
+                Err(e) => e.as_u16() as u32,
+            }
+        },
     );
     let info = w
         .run_until_exit(mid, dumper, 10_000_000)

@@ -166,24 +166,21 @@ fn run_scenario(sched: Sched, faults: simnet::FaultPlan, require_success: bool) 
                 // Native worker: a local child, a sleep, then a remote
                 // command on the next host — RemoteWait both ways.
                 let peer = format!("h{:03}", i + 1);
-                w.spawn_native_proc(
-                    mid,
-                    "worker",
-                    None,
-                    alice(),
-                    Box::new(move |sys| {
-                        let _ = sys.sleep_us(1_500);
-                        let _ = sys.run_local("localchild", |s| {
-                            let _ = s.compute(500);
+                w.spawn_native_proc(mid, "worker", None, alice(), move |sys| async move {
+                    let _ = sys.sleep_us(1_500).await;
+                    let _ = sys
+                        .run_local("localchild", |s| async move {
+                            let _ = s.compute(500).await;
                             0
-                        });
-                        sys.rsh(&peer, "remotechild", |s| {
-                            let _ = s.sleep_us(700);
-                            7
                         })
-                        .unwrap_or(111)
-                    }),
-                );
+                        .await;
+                    sys.rsh(&peer, "remotechild", |s| async move {
+                        let _ = s.sleep_us(700).await;
+                        7
+                    })
+                    .await
+                    .unwrap_or(111)
+                });
             }
             _ => {} // Idle host: exercises ready-index eviction.
         }
@@ -216,16 +213,12 @@ fn run_scenario(sched: Sched, faults: simnet::FaultPlan, require_success: bool) 
 
     // The remote-command migrate with the most moving parts, pulled
     // across the cluster while the background workload drains.
-    let cmd = w.spawn_native_proc(
-        schooner,
-        "migrate",
-        None,
-        alice(),
-        Box::new(move |sys| match pmig::migrate(sys, victim, "brick", "schooner") {
+    let cmd = w.spawn_native_proc(schooner, "migrate", None, alice(), move |sys| async move {
+        match pmig::migrate(&sys, victim, "brick", "schooner").await {
             Ok(status) => status,
             Err(e) => e.as_u16() as u32,
-        }),
-    );
+        }
+    });
     let info = w
         .run_until_exit(schooner, cmd, 30_000_000)
         .expect("migrate command exits");
