@@ -55,7 +55,10 @@ pub enum Fault {
     },
     /// Access to a resident-elsewhere page of a demand-restored image.
     /// Not a signal: the kernel parks the process and fetches the page
-    /// from the source dump, then replays the instruction.
+    /// from the source dump, then replays the instruction. The fault is
+    /// *precise* — every interpreter tier leaves the CPU exactly as it
+    /// was before the instruction and charges nothing for it — so the
+    /// replay needs no saved registers.
     PageAbsent {
         /// The first absent byte the access touched.
         addr: u32,
@@ -318,7 +321,7 @@ impl Cpu {
     pub fn step(&mut self, mem: &mut Memory, level: IsaLevel) -> StepEvent {
         // Fetch up to 12 bytes (the maximum instruction length); an
         // instruction can end exactly at the end of its segment.
-        let window = match mem.read_window(self.pc, 12) {
+        let (window, hole) = match mem.read_window(self.pc, 12) {
             Ok(w) => w,
             Err(f) => return StepEvent::Faulted(f),
         };
@@ -327,8 +330,14 @@ impl Cpu {
             Err(CodecError::BadOpcode(_)) | Err(CodecError::BadMode(_)) => {
                 return StepEvent::Faulted(Fault::IllegalInstruction { pc: self.pc })
             }
+            // An instruction that runs into a page still at the source
+            // faults that page in; one that runs off its segment is an
+            // overrun.
             Err(CodecError::Truncated) => {
-                return StepEvent::Faulted(Fault::Unmapped { addr: self.pc })
+                return StepEvent::Faulted(match hole {
+                    Some(addr) => Fault::PageAbsent { addr },
+                    None => Fault::Unmapped { addr: self.pc },
+                })
             }
         };
         if !level.supports(instr.op.required_level()) {
@@ -399,8 +408,66 @@ impl Cpu {
     /// superblock generic path: `self.pc` must point at the instruction
     /// (faults report it; `jsr` pushes `next_pc`), and the caller
     /// advances `pc` from the returned [`Flow`].
-    #[inline]
+    ///
+    /// [`Fault::PageAbsent`] is precise: memory is never written before
+    /// the access that faults, and on that path alone the instruction's
+    /// address-register side effects are undone (and `muls`/`divs` put
+    /// the flags back), leaving the CPU as it was before the
+    /// instruction.
+    #[inline(always)]
     pub(crate) fn execute(&mut self, mem: &mut Memory, i: &Instr, next_pc: u32) -> Result<Flow, Fault> {
+        let out = self.execute_ops(mem, i, next_pc);
+        if let Err(Fault::PageAbsent { .. }) = out {
+            self.undo_ea(i);
+        }
+        out
+    }
+
+    /// Reverses the post-increment/pre-decrement `effective_addr`
+    /// applied to either operand of `i`.
+    #[cold]
+    fn undo_ea(&mut self, i: &Instr) {
+        for op in [i.src, i.dst] {
+            match op {
+                Operand::PostInc(r) => {
+                    self.a[r as usize] = self.a[r as usize].wrapping_sub(i.size.bytes());
+                }
+                Operand::PreDec(r) => {
+                    self.a[r as usize] = self.a[r as usize].wrapping_add(i.size.bytes());
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Sets the flags from a `muls`/`divs` result and stores it as a long
+    /// word. A byte or word destination was read at its own size, so
+    /// this wider store is the one access that can reach a page the read
+    /// did not: if that page is absent the flags go back, keeping the
+    /// fault precise. Only these two ops need the old flags, so no other
+    /// instruction pays for holding them.
+    #[inline(always)]
+    fn store_product(
+        &mut self,
+        mem: &mut Memory,
+        dst: Operand,
+        ea: Option<u32>,
+        r: u32,
+    ) -> Result<(), Fault> {
+        let sr = self.sr;
+        self.set_ccr(false, false, r, Size::Long);
+        let out = self.write_operand(mem, dst, Size::Long, ea, r);
+        if let Err(Fault::PageAbsent { .. }) = out {
+            self.sr = sr;
+        }
+        out
+    }
+
+    /// The instruction semantics behind [`Cpu::execute`]. Only the thin
+    /// wrapper is forced inline: inlining this body into all three tiers
+    /// as well measurably slowed the hog-heavy `storm` benchmark.
+    #[inline]
+    fn execute_ops(&mut self, mem: &mut Memory, i: &Instr, next_pc: u32) -> Result<Flow, Fault> {
         let size = i.size;
         let src_ea = self.effective_addr(i.src, size);
         let dst_ea = self.effective_addr(i.dst, size);
@@ -451,9 +518,7 @@ impl Cpu {
             Op::Muls => {
                 let s = self.read_operand(mem, i.src, size, src_ea)? as i32;
                 let d = self.read_operand(mem, i.dst, size, dst_ea)? as i32;
-                let r = d.wrapping_mul(s) as u32;
-                self.set_ccr(false, false, r, Size::Long);
-                self.write_operand(mem, i.dst, Size::Long, dst_ea, r)?;
+                self.store_product(mem, i.dst, dst_ea, d.wrapping_mul(s) as u32)?;
                 Ok(Flow::Next)
             }
             Op::Divs => {
@@ -462,9 +527,7 @@ impl Cpu {
                     return Err(Fault::DivZero { pc: self.pc });
                 }
                 let d = self.read_operand(mem, i.dst, size, dst_ea)? as i32;
-                let r = d.wrapping_div(s) as u32;
-                self.set_ccr(false, false, r, Size::Long);
-                self.write_operand(mem, i.dst, Size::Long, dst_ea, r)?;
+                self.store_product(mem, i.dst, dst_ea, d.wrapping_div(s) as u32)?;
                 Ok(Flow::Next)
             }
             Op::And | Op::Or | Op::Eor => {

@@ -298,19 +298,16 @@ impl Memory {
         self.absent.iter().copied().collect()
     }
 
-    /// The first absent byte an access `[addr, addr+len)` would touch.
-    fn absent_hit(&self, addr: u32, len: u32) -> Option<u32> {
+    /// The first absent byte an access `[addr, addr+len)` would touch
+    /// (the span is clipped at the top of the address space).
+    pub fn first_absent(&self, addr: u32, len: u32) -> Option<u32> {
         if self.absent.is_empty() || len == 0 {
             return None;
         }
         let first = MemoryLayout::page_of(addr);
-        let last = MemoryLayout::page_of(addr + len - 1);
-        for p in first..=last {
-            if self.absent.contains(&p) {
-                return Some(addr.max(MemoryLayout::page_addr(p)));
-            }
-        }
-        None
+        let last = MemoryLayout::page_of(addr.saturating_add(len - 1));
+        let page = *self.absent.range(first..=last).next()?;
+        Some(addr.max(MemoryLayout::page_addr(page)))
     }
 
     fn locate(&self, addr: u32, len: u32) -> Result<Region, Fault> {
@@ -322,7 +319,7 @@ impl Memory {
         }
         let data_end = self.data_base + self.data.len() as u32;
         if addr >= self.data_base && end <= data_end {
-            if let Some(at) = self.absent_hit(addr, len) {
+            if let Some(at) = self.first_absent(addr, len) {
                 return Err(Fault::PageAbsent { addr: at });
             }
             return Ok(Region::Data((addr - self.data_base) as usize));
@@ -336,15 +333,23 @@ impl Memory {
 
     /// Returns the longest readable slice starting at `addr`, up to
     /// `max` bytes, without copying (used by the instruction fetch).
-    pub fn read_window(&self, addr: u32, max: u32) -> Result<&[u8], Fault> {
+    ///
+    /// The slice stops at the end of the segment holding `addr` or at
+    /// the first byte of an absent page, whichever comes first; in the
+    /// second case that byte is returned too, so a fetch the hole cut
+    /// short can fault the page in instead of decoding the placeholder
+    /// bytes a demand restore leaves there.
+    pub fn read_window(&self, addr: u32, max: u32) -> Result<(&[u8], Option<u32>), Fault> {
         // Find how many bytes remain in the segment containing `addr`.
         let (seg, off): (&[u8], usize) = match self.locate(addr, 1)? {
             Region::Text(o) => (&self.text, o),
             Region::Data(o) => (&self.data, o),
             Region::Stack(o) => (&self.stack, o),
         };
-        let end = (off + max as usize).min(seg.len());
-        Ok(&seg[off..end])
+        let len = (off + max as usize).min(seg.len()) - off;
+        let hole = self.first_absent(addr, len as u32);
+        let len = hole.map_or(len, |at| (at - addr) as usize);
+        Ok((&seg[off..off + len], hole))
     }
 
     /// Reads `len` bytes starting at `addr`.

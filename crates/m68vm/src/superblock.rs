@@ -690,60 +690,77 @@ mod tests {
         buf:    .space  8
     ";
 
-    fn lockstep(src: &str, level: IsaLevel) {
+    /// Runs the slot path and superblocks side by side over an image
+    /// whose `absent` pages are missing, comparing every terminal event.
+    /// A page fault lands the page in both images (as the kernel's
+    /// fetch would) and the run resumes, so the comparison covers each
+    /// fault and the replay after it. Returns the page faults taken.
+    fn lockstep(src: &str, level: IsaLevel, absent: &[u32]) -> usize {
         let obj = assemble(src).unwrap();
         let ic = ICache::build(&obj.text, level);
+        let whole = obj.to_memory();
 
         // Reference: the slot path, one instruction at a time.
-        let mut mem_a = obj.to_memory();
+        let mut mem_a = whole.clone();
+        mem_a.set_absent(absent.iter().copied());
         let mut cpu_a = Cpu::at_entry(obj.entry);
         // Superblocks, driven with a 1-unit budget so every return is
         // comparable to a handful of slot steps.
-        let mut mem_b = obj.to_memory();
+        let mut mem_b = mem_a.clone();
         let mut cpu_b = Cpu::at_entry(obj.entry);
 
         let mut units_a: u64 = 0;
         let mut units_b: u64 = 0;
-        let mut end_a = None;
-        let mut end_b = None;
-        for _ in 0..100_000 {
-            if end_a.is_none() {
-                match cpu_a.step_cached(&mut mem_a, &ic) {
-                    StepEvent::Executed { units } => units_a += units as u64,
-                    StepEvent::Trap { vector, units } => {
-                        units_a += units as u64;
-                        end_a = Some(SbExit::Trap { vector });
+        let mut faults = 0;
+        loop {
+            let mut end_a = None;
+            let mut end_b = None;
+            for _ in 0..100_000 {
+                if end_a.is_none() {
+                    match cpu_a.step_cached(&mut mem_a, &ic) {
+                        StepEvent::Executed { units } => units_a += units as u64,
+                        StepEvent::Trap { vector, units } => {
+                            units_a += units as u64;
+                            end_a = Some(SbExit::Trap { vector });
+                        }
+                        StepEvent::Faulted(f) => end_a = Some(SbExit::Faulted(f)),
                     }
-                    StepEvent::Faulted(f) => end_a = Some(SbExit::Faulted(f)),
+                }
+                if end_b.is_none() && units_b <= units_a {
+                    let budget = (units_a - units_b).max(1);
+                    let (u, exit) = cpu_b.step_superblock(&mut mem_b, &ic, budget);
+                    units_b += u;
+                    match exit {
+                        SbExit::Paused => {}
+                        other => end_b = Some(other),
+                    }
+                }
+                if end_a.is_some() && end_b.is_some() {
+                    break;
                 }
             }
-            if end_b.is_none() && units_b <= units_a {
-                let budget = (units_a - units_b).max(1);
-                let (u, exit) = cpu_b.step_superblock(&mut mem_b, &ic, budget);
-                units_b += u;
-                match exit {
-                    SbExit::Paused => {}
-                    other => end_b = Some(other),
-                }
-            }
-            if end_a.is_some() && end_b.is_some() {
-                break;
-            }
+            assert_eq!(end_a, end_b, "terminal events must match");
+            assert_eq!(units_a, units_b, "simtime charging must be identical");
+            assert_eq!(cpu_a, cpu_b, "register file (incl. SR) must match");
+            assert_eq!(mem_a, mem_b, "memory must match");
+            let Some(SbExit::Faulted(Fault::PageAbsent { addr })) = end_a else {
+                return faults;
+            };
+            faults += 1;
+            let page = MemoryLayout::page_of(addr);
+            let bytes = whole.page_slice(page).unwrap();
+            assert!(mem_a.install_page(page, bytes) && mem_b.install_page(page, bytes));
         }
-        assert_eq!(end_a, end_b, "terminal events must match");
-        assert_eq!(units_a, units_b, "simtime charging must be identical");
-        assert_eq!(cpu_a, cpu_b, "register file (incl. SR) must match");
-        assert_eq!(mem_a, mem_b, "memory must match");
     }
 
     #[test]
     fn fused_run_matches_slot_path_bit_for_bit() {
-        lockstep(LOOP_SRC, IsaLevel::Isa1);
+        lockstep(LOOP_SRC, IsaLevel::Isa1, &[]);
     }
 
     #[test]
     fn mixed_generic_run_matches_slot_path_bit_for_bit() {
-        lockstep(MIXED_SRC, IsaLevel::Isa2);
+        lockstep(MIXED_SRC, IsaLevel::Isa2, &[]);
     }
 
     #[test]
@@ -809,6 +826,92 @@ mod tests {
         assert_eq!(exit, SbExit::Faulted(fault_a));
         assert_eq!(used, spent_a);
         assert_eq!(cpu_a, cpu_b, "pc at the divide, SR from the add");
+    }
+
+    /// Fused arithmetic, then a post-increment load that walks one long
+    /// word into each data page: every first touch of a page faults
+    /// from the middle of a block.
+    const TOUCH_SRC: &str = r"
+        start:  move.l  #buf, a0
+                move.l  #4, d6
+        loop:   move.l  #5, d1
+                add.l   #2, d1
+                add.l   (a0)+, d1
+                add.l   d1, d3
+                add.l   #0x1ffc, a0
+                sub.l   #1, d6
+                bgt     loop
+                trap    #0
+                .data
+        buf:    .long   11
+                .space  0x5ffc
+                .long   13
+    ";
+
+    /// Every data page of `src`'s image.
+    fn data_pages(src: &str) -> Vec<u32> {
+        let mem = assemble(src).unwrap().to_memory();
+        let first = MemoryLayout::page_of(mem.data_base());
+        let n = (mem.data().len() as u32).div_ceil(MemoryLayout::PAGE);
+        (first..first + n).collect()
+    }
+
+    #[test]
+    fn absent_pages_fault_and_replay_in_lockstep() {
+        let faults = lockstep(TOUCH_SRC, IsaLevel::Isa1, &data_pages(TOUCH_SRC));
+        assert_eq!(faults, 4, "one fault per data page the loop touches");
+    }
+
+    #[test]
+    fn mid_block_page_fault_is_precise() {
+        // Whole blocks this time (unbounded budget): the load faults as
+        // a Generic op after two fused ones, and the superblock engine
+        // must stop exactly where the slot loop does — same fault, the
+        // fused prefix charged and its flags materialized, the faulting
+        // load undone — then replay identically once the page lands.
+        let obj = assemble(TOUCH_SRC).unwrap();
+        let ic = ICache::build(&obj.text, IsaLevel::Isa1);
+        let whole = obj.to_memory();
+        let mut mem_a = whole.clone();
+        mem_a.set_absent(data_pages(TOUCH_SRC));
+        let mut mem_b = mem_a.clone();
+        let mut cpu_a = Cpu::at_entry(obj.entry);
+        let mut cpu_b = Cpu::at_entry(obj.entry);
+        let mut faults = 0;
+        loop {
+            let mut spent_a = 0u64;
+            let end_a = loop {
+                match cpu_a.step_cached(&mut mem_a, &ic) {
+                    StepEvent::Executed { units } => spent_a += units as u64,
+                    StepEvent::Trap { vector, units } => {
+                        spent_a += units as u64;
+                        break SbExit::Trap { vector };
+                    }
+                    StepEvent::Faulted(f) => break SbExit::Faulted(f),
+                }
+            };
+            let (spent_b, end_b) = cpu_b.step_superblock(&mut mem_b, &ic, u64::MAX);
+            assert_eq!(end_a, end_b);
+            assert_eq!(spent_a, spent_b, "charge up to the event");
+            assert_eq!(cpu_a, cpu_b);
+            assert_eq!(mem_a, mem_b);
+            let SbExit::Faulted(Fault::PageAbsent { addr }) = end_a else {
+                assert_eq!(end_a, SbExit::Trap { vector: 0 });
+                break;
+            };
+            // The faulting load sits after two fused ops of its block.
+            assert_eq!(cpu_a.pc, obj.symbols["loop"] + 16);
+            faults += 1;
+            let page = MemoryLayout::page_of(addr);
+            let bytes = whole.page_slice(page).unwrap();
+            assert!(mem_a.install_page(page, bytes) && mem_b.install_page(page, bytes));
+        }
+        assert_eq!(faults, 4);
+        assert_eq!(
+            cpu_b.d[3],
+            4 * 7 + 11 + 13,
+            "the replayed loads saw the real bytes"
+        );
     }
 
     #[test]

@@ -696,16 +696,15 @@ fn demand(
         recover_at_source(world, victim, from, Errno::EIO.as_u16() as u32, cred.clone(), report)?;
         return Ok(());
     }
-    // The target image is whole (or the process already ran to
-    // completion there). The kernel kills a demand image it cannot
-    // complete (three page-fetch strikes), so "gone with a nonzero
-    // status" means the dump is still the only good copy.
-    let killed = world
-        .finished
-        .get(&(to, new_pid.as_u32()))
-        .is_some_and(|info| info.status != 0)
-        && world.proc_ref(to, new_pid).is_none();
-    if killed {
+    // The target image is whole, or the copy there has ended. Only the
+    // kernel's residual kill (three page-fetch strikes, or a vanished
+    // dump) leaves the dump as the one good copy; an exit with any
+    // status, or a kill from anyone else, is the process's own history
+    // and completes the migration.
+    if world.machine(to).residual_kills.contains(&new_pid.as_u32()) {
+        // The kill may still be pending delivery: let it land before a
+        // second copy starts.
+        let _ = world.run_until_exit(to, new_pid, 10_000);
         recover_at_source(world, victim, from, Errno::EIO.as_u16() as u32, cred.clone(), report)?;
         return Ok(());
     }

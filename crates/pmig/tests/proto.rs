@@ -4,7 +4,7 @@
 
 use m68vm::assemble;
 use m68vm::IsaLevel;
-use pmig::proto::{migrate_proto, Protocol};
+use pmig::proto::{migrate_proto, MigrationReport, Protocol};
 use pmig::{api, workloads, Survivor};
 use sysdefs::{Credentials, Gid, Pid, Uid};
 use ukernel::{KernelConfig, World};
@@ -239,4 +239,138 @@ fn protocol_flag_parses() {
     for p in Protocol::ALL {
         assert_eq!(Protocol::parse(p.name()), Some(p));
     }
+}
+
+/// Sim-time the residual-dependency programs below spin before their
+/// system call: long enough that the dump lands mid-spin, short enough
+/// that the call runs while the drain is still far from their data.
+const SPIN: u32 = 2_000_000;
+
+/// Thirty-two pages of padding ahead of the data the programs use, so
+/// the engine's in-order drain has not reached it when the call runs.
+const PAD: u32 = 32 * 0x2000;
+
+/// Runs `src` on `brick`, migrates it to `schooner` under `proto` once
+/// warmed up, and runs it to its exit there. Returns the report and the
+/// world.
+fn migrate_program(src: &str, proto: Protocol) -> (MigrationReport, World, Pid) {
+    let mut w = World::new(KernelConfig::paper());
+    let brick = w.add_machine("brick", IsaLevel::Isa1);
+    let schooner = w.add_machine("schooner", IsaLevel::Isa1);
+    let obj = assemble(src).unwrap();
+    w.install_program(brick, "/bin/prog", &obj).unwrap();
+    let pid = w.spawn_vm_proc(brick, "/bin/prog", None, alice()).unwrap();
+    w.run_slices(10);
+    let report = migrate_proto(&mut w, pid, brick, schooner, proto, alice())
+        .unwrap_or_else(|e| panic!("{}: {e}", proto.name()));
+    (report, w, pid)
+}
+
+/// The target copy's exit status after migrating `src` under `proto`.
+fn target_exit_status(src: &str, proto: Protocol) -> u32 {
+    let (report, mut w, pid) = migrate_program(src, proto);
+    assert_eq!(report.status, 0, "{}: {report:?}", proto.name());
+    assert_eq!(
+        report.survivor,
+        Survivor::Target,
+        "{}: {report:?}",
+        proto.name()
+    );
+    let new_pid = report.new_pid.expect("target pid");
+    let info = w
+        .run_until_exit(1, new_pid, 1_000_000)
+        .unwrap_or_else(|| panic!("{}: the program never exits", proto.name()));
+    assert_eq!(live_copies(&w, pid), 0, "{}", proto.name());
+    assert_no_dumps(&w, pid);
+    info.status
+}
+
+#[test]
+fn demand_restore_faults_in_a_path_argument() {
+    // chdir("/tmp") with the path in a page the program never touched:
+    // on a demand-restored image that page is still at the source when
+    // the call copies the path in.
+    let src = format!(
+        r#"
+start:  move.l  #{SPIN}, d7
+spin:   sub.l   #1, d7
+        bgt     spin
+        move.l  #12, d0
+        move.l  #path, d1
+        trap    #0
+        bcs     fail
+        move.l  #0, d0
+fail:   move.l  d0, d1
+        move.l  #1, d0
+        trap    #0
+        .data
+pad:    .space  {PAD}
+path:   .asciz  "/tmp"
+"#
+    );
+    let eager = target_exit_status(&src, Protocol::Eager);
+    assert_eq!(eager, 0, "chdir succeeds after an eager migration");
+    assert_eq!(target_exit_status(&src, Protocol::Demand), eager);
+}
+
+#[test]
+fn demand_restore_faults_in_a_copy_out_buffer() {
+    // gethostname into a buffer in an untouched page, then exit with
+    // the buffer's first byte: the copy-out must land in the buffer,
+    // not vanish into the absent page.
+    let src = format!(
+        r#"
+start:  move.l  #{SPIN}, d7
+spin:   sub.l   #1, d7
+        bgt     spin
+        move.l  #87, d0
+        move.l  #buf, d1
+        move.l  #32, d2
+        trap    #0
+        move.l  #0, d1
+        move.b  buf, d1
+        move.l  #1, d0
+        trap    #0
+        .data
+pad:    .space  {PAD}
+buf:    .space  32
+"#
+    );
+    let eager = target_exit_status(&src, Protocol::Eager);
+    assert_ne!(eager, 0, "the buffer holds a host name");
+    assert_eq!(target_exit_status(&src, Protocol::Demand), eager);
+}
+
+#[test]
+fn demand_target_exit_during_the_drain_completes_the_migration() {
+    // The program exits 3 on the target while the engine is still
+    // draining its pages. That is its own history, not a residual
+    // failure: the migration is complete, and nothing may run it again
+    // at the source.
+    let src = format!(
+        r#"
+start:  move.l  #{SPIN}, d7
+spin:   sub.l   #1, d7
+        bgt     spin
+        move.l  #1, d0
+        move.l  #3, d1
+        trap    #0
+        .data
+pad:    .space  {PAD}
+"#
+    );
+    let (report, w, pid) = migrate_program(&src, Protocol::Demand);
+    assert_eq!(report.status, 0, "{report:?}");
+    assert_eq!(report.survivor, Survivor::Target, "{report:?}");
+    let new_pid = report.new_pid.expect("target pid");
+    let exits: Vec<_> = w
+        .finished
+        .iter()
+        .filter(|(_, info)| info.status == 3)
+        .map(|(&key, _)| key)
+        .collect();
+    assert_eq!(exits, vec![(1, new_pid.as_u32())], "exactly one exit(3)");
+    assert!(w.machine(1).residual_kills.is_empty());
+    assert_eq!(live_copies(&w, pid), 0);
+    assert_no_dumps(&w, pid);
 }

@@ -220,6 +220,12 @@ pub struct Machine {
     /// machines (and names) that can actually have work — a superset of
     /// the truth, self-cleaning, derived entirely from `fs` contents.
     pub(crate) pending_dumps: BTreeSet<u32>,
+    /// Pids the kernel killed because their demand-restored image could
+    /// not be completed (three page-fetch strikes, or a vanished or torn
+    /// source dump). Only these send the migration engine back to the
+    /// source dump; any other end of a target copy completes the
+    /// migration.
+    pub residual_kills: BTreeSet<u32>,
     /// Single-entry root-walk cache for `namei` (host cost only).
     pub(crate) namei_cache: Cell<Option<NameiCache>>,
     /// The inode of `/n`, where remote mounts attach.
@@ -304,6 +310,7 @@ impl Machine {
             queue_waiters: BTreeMap::new(),
             ready_key: None,
             pending_dumps: BTreeSet::new(),
+            residual_kills: BTreeSet::new(),
             namei_cache: Cell::new(None),
             n_dir,
             dev_dir,

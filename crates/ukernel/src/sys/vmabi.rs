@@ -7,7 +7,7 @@
 //! * on return, `d0` holds the result and the carry flag is clear; on
 //!   failure `d0` holds the errno and carry is set.
 
-use m68vm::{Cpu, Memory};
+use m68vm::{Cpu, Fault, Memory};
 use sysdefs::{Disposition, Errno, Sysno};
 
 use crate::sys::args::{IoctlReq, SysRetval, Syscall, Whence};
@@ -25,6 +25,41 @@ fn cstr(mem: &Memory, addr: u32) -> Result<String, Errno> {
     }
     mem.read_cstr(addr, sysdefs::MAXPATHLEN)
         .map_err(|_| Errno::EFAULT)
+}
+
+/// The first absent byte of a demand-restored image that the trapped
+/// call's guest-memory arguments span: path strings up to their NUL,
+/// the buffers `write` copies in and `read`, `readlink`,
+/// `gethostname` and `getwd` copy out, and the result pointers of
+/// `wait` and `gettimeofday`. The kernel faults that page in and runs
+/// the trap again before decoding, so copy-in never sees a hole as
+/// `EFAULT` and copy-out never drops bytes into one.
+pub fn absent_arg(cpu: &Cpu, mem: &Memory) -> Option<u32> {
+    if !mem.has_absent() {
+        return None;
+    }
+    let path = |addr: u32| match mem.read_cstr(addr, sysdefs::MAXPATHLEN) {
+        Err(Fault::PageAbsent { addr }) => Some(addr),
+        _ => None,
+    };
+    let (a1, a2, a3) = (cpu.d[1], cpu.d[2], cpu.d[3]);
+    match Sysno::from_number(cpu.d[0]).ok()? {
+        Sysno::Open
+        | Sysno::Creat
+        | Sysno::Unlink
+        | Sysno::Chdir
+        | Sysno::Stat
+        | Sysno::Execve
+        | Sysno::Mkdir => path(a1),
+        Sysno::Link | Sysno::Symlink | Sysno::RestProc => path(a1).or_else(|| path(a2)),
+        Sysno::Readlink => path(a1).or_else(|| mem.first_absent(a2, a3)),
+        Sysno::Read | Sysno::Write => mem.first_absent(a2, a3),
+        Sysno::Gethostname | Sysno::GethostnameReal | Sysno::Getwd => mem.first_absent(a1, a2),
+        // The wait status is one long word; the time is two.
+        Sysno::Wait if a1 != 0 => mem.first_absent(a1, 4),
+        Sysno::Gettimeofday if a1 != 0 => mem.first_absent(a1, 8),
+        _ => None,
+    }
 }
 
 /// Decodes the system call a VM process just trapped with.

@@ -1043,8 +1043,9 @@ impl World {
     /// Parks a VM process that faulted on an absent page of its
     /// demand-restored image: the residual-page fetch is in flight, and
     /// the process sleeps out the RPC's latency on the timer heap (the
-    /// same lazy-deletion discipline as `sleep`). The faulting
-    /// instruction's pc is preserved, so the wake replays it.
+    /// same lazy-deletion discipline as `sleep`). The pc sits on the
+    /// faulting instruction — or on the trap whose argument spans the
+    /// page — so the wake replays it.
     pub(crate) fn park_page_fetch(&mut self, mid: MachineId, pid: Pid, addr: u32) {
         let page = m68vm::MemoryLayout::page_of(addr);
         let len = self
@@ -1162,10 +1163,13 @@ impl World {
     /// Kills a demand-restored process whose residual dependency
     /// failed: without its source dump the copy on this machine cannot
     /// make progress, and the dump remains the one recoverable copy.
+    /// The kill is recorded in `Machine::residual_kills`, which is how
+    /// the migration engine tells it from any other end of the copy.
     fn kill_residual(&mut self, mid: MachineId, pid: Pid) {
         if let Some(p) = self.proc_mut(mid, pid) {
             p.post_signal(Signal::SIGKILL);
         }
+        self.machines[mid].residual_kills.insert(pid.as_u32());
         self.machines[mid].make_runnable(pid);
         self.poke_proc(mid, pid);
     }
@@ -1631,21 +1635,11 @@ impl World {
                     }
                 }
             };
-            // A demand-restored image can fault on an absent page, and
-            // the interpreter applies post-increment/pre-decrement
-            // side effects *before* an operand fault surfaces — so while
-            // any page is absent, save the register file each step and
-            // roll it back on a PageAbsent fault, making the parked
-            // instruction cleanly replayable. Pages only appear while
-            // the process is parked, so the flag is stable per take-out;
-            // ordinary processes pay one boolean test per step.
-            let demand_active = vm.mem.has_absent();
-            let mut saved_cpu: Option<m68vm::Cpu> = None;
-            // Borrow-free inner loop.
-            // Superblocks need the icache and bypass demand-restored
-            // images entirely: the fused path never snapshots registers
-            // per step, so the saved_cpu rollback below would not work.
-            let use_sb = use_superblocks && !demand_active && vm.icache.is_some();
+            // Borrow-free inner loop. Superblocks need the icache; a
+            // demand-restored image runs on them like any other, because
+            // every tier faults on an absent page precisely (the CPU is
+            // left as it was before the instruction).
+            let use_sb = use_superblocks && vm.icache.is_some();
             loop {
                 let checkpoint = spent.saturating_add(SIG_CHECK_UNITS);
                 let pause = if use_sb {
@@ -1678,9 +1672,6 @@ impl World {
                     }
                 } else {
                     loop {
-                        if demand_active {
-                            saved_cpu = Some(vm.cpu.clone());
-                        }
                         let ev = match &vm.icache {
                             Some(ic) => vm.cpu.step_cached(&mut vm.mem, ic),
                             None => vm.cpu.step(&mut vm.mem, isa),
@@ -1717,6 +1708,16 @@ impl World {
                     }
                     Pause::Event(StepEvent::Trap { vector: 0, units }) => {
                         spent += units as u64;
+                        if let Some(addr) = vmabi::absent_arg(&vm.cpu, &vm.mem) {
+                            // An argument lies in a page still at the
+                            // source: back up over the trap and fault
+                            // the page in, so the call re-runs (and is
+                            // charged again) once the page is resident.
+                            vm.cpu.pc = vm.cpu.pc.wrapping_sub(vmabi::TRAP_LEN);
+                            self.return_vm_body(mid, pid, vm);
+                            self.park_page_fetch(mid, pid, addr);
+                            break 'quantum;
+                        }
                         // Decode against the taken body, then put it
                         // back: the syscall handlers (and their
                         // writeback) expect `Body::Vm` in the table.
@@ -1769,12 +1770,9 @@ impl World {
                         break 'quantum;
                     }
                     Pause::Event(StepEvent::Faulted(m68vm::Fault::PageAbsent { addr })) => {
-                        // Not an error: park for the residual-page fetch
-                        // with the pre-step registers restored, so the
-                        // wake replays the faulting instruction.
-                        if let Some(saved) = saved_cpu.take() {
-                            vm.cpu = saved;
-                        }
+                        // Not an error: park for the residual-page fetch.
+                        // The fault left the CPU at the faulting
+                        // instruction, unexecuted, so the wake replays it.
                         self.return_vm_body(mid, pid, vm);
                         self.park_page_fetch(mid, pid, addr);
                         break 'quantum;

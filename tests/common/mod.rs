@@ -150,6 +150,7 @@ pub fn snapshot_world(w: &World) -> String {
         })
         .unwrap();
         writeln!(out, "  fs_hash={:#018x}", fs_tree_hash(&m.fs)).unwrap();
+        writeln!(out, "  residual_kills={:?}", m.residual_kills).unwrap();
         // The whole trace ring is part of the contract: identical runs
         // must cut identical records in identical order.
         writeln!(

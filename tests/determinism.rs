@@ -193,3 +193,117 @@ fn faulty_precopy_with_same_fault_seed_is_bit_identical() {
         "two pre-copy runs with the same fault seed diverged"
     );
 }
+
+/// A demand-restore victim that sweeps its data pages through `(a0)+`:
+/// each page's first touch is a load (then a store) sitting in the
+/// middle of a superblock, after fused ops, so on the target every page
+/// fault surfaces from inside a block.
+const DEMAND_TOUCH_PROGRAM: &str = r"
+start:  move.l  #400, d7
+outer:  move.l  #buf, a0
+        move.l  #8, d6
+touch:  move.l  #5, d1
+        add.l   d7, d1
+        add.l   (a0)+, d1
+        move.l  d1, (a0)+
+        add.l   d1, d3
+        add.l   #0x1ff8, a0
+        sub.l   #1, d6
+        bgt     touch
+        move.l  #3000, d5
+spin:   sub.l   #1, d5
+        bgt     spin
+        sub.l   #1, d7
+        bgt     outer
+        and.l   #0x7f, d3
+        move.l  #1, d0
+        move.l  d3, d1
+        trap    #0
+        .data
+buf:    .long   1
+        .space  0xe004
+";
+
+/// The sweeper's exit status when it never migrates.
+fn sweeper_status_unmigrated() -> u32 {
+    let mut w = World::new(KernelConfig::paper());
+    let brick = w.add_machine("brick", IsaLevel::Isa1);
+    let obj = assemble(DEMAND_TOUCH_PROGRAM).unwrap();
+    w.install_program(brick, "/bin/sweep", &obj).unwrap();
+    let pid = w.spawn_vm_proc(brick, "/bin/sweep", None, alice()).unwrap();
+    w.run_until_exit(brick, pid, 200_000)
+        .expect("sweeper exits")
+        .status
+}
+
+/// Demand-migrates the page sweeper under `faults` and runs it to its
+/// exit, returning the report and the full world snapshot, how many
+/// pages the victim faulted in itself (the target's fetches minus the
+/// engine's prefetches), and the target copy's exit status.
+fn run_demand_scenario(use_superblocks: bool, faults: simnet::FaultPlan) -> (String, u64, u32) {
+    use pmig::proto::{migrate_proto, Protocol};
+    let mut cfg = KernelConfig::paper();
+    cfg.use_superblocks = use_superblocks;
+    let mut w = World::new(cfg);
+    w.faults = faults;
+    let brick = w.add_machine("brick", IsaLevel::Isa1);
+    let schooner = w.add_machine("schooner", IsaLevel::Isa1);
+    let obj = assemble(DEMAND_TOUCH_PROGRAM).unwrap();
+    w.install_program(brick, "/bin/sweep", &obj).unwrap();
+    let victim = w.spawn_vm_proc(brick, "/bin/sweep", None, alice()).unwrap();
+    w.run_slices(10);
+    let report = migrate_proto(&mut w, victim, brick, schooner, Protocol::Demand, alice())
+        .expect("engine completes");
+    let new_pid = report.new_pid.expect("the sweeper survives");
+    let status = w
+        .run_until_exit(schooner, new_pid, 200_000)
+        .expect("the sweeper exits on the target")
+        .status;
+    let faulted_in = w.machine(schooner).stats.pages_fetched - report.pages_fetched;
+    let snapshot = format!("{:?}\n{}", report, common::snapshot_world(&w));
+    (snapshot, faulted_in, status)
+}
+
+/// The precise page-fault contract end to end: a demand-restored image
+/// runs on superblocks, and every page fault — taken mid-block, under
+/// dropped page fetches and NFS RPCs — must land on exactly the state
+/// the slot loop produces, so the whole world ends bit-identical with
+/// translation on and off.
+#[test]
+fn demand_migrate_is_bit_identical_with_superblocks_toggled() {
+    use simnet::{FaultPlan, FaultSite, FaultSpec};
+    let plan = || {
+        FaultPlan::seeded(0xC0DE)
+            .with(FaultSpec {
+                per_mille: 400,
+                ..FaultSpec::always(FaultSite::PageFetch, 3)
+            })
+            .with(FaultSpec {
+                per_mille: 300,
+                ..FaultSpec::always(FaultSite::NfsOp, 2)
+            })
+    };
+    let (fused, fused_faults, fused_status) = run_demand_scenario(true, plan());
+    let (slots, slot_faults, slot_status) = run_demand_scenario(false, plan());
+    assert!(
+        fused.contains(" fault nfs ") && fused.contains(" fault page-fetch "),
+        "both injected sites must appear in the ktrace snapshot:\n{fused}"
+    );
+    assert!(
+        fused_faults > 0,
+        "the victim must fault pages in itself:\n{fused}"
+    );
+    assert_eq!(fused_faults, slot_faults);
+    // Every replayed access saw the real bytes: the sweep's checksum is
+    // the one a run that never migrated computes.
+    let want = sweeper_status_unmigrated();
+    assert_eq!(
+        fused_status, want,
+        "superblocks: wrong checksum after replay"
+    );
+    assert_eq!(slot_status, want, "slot loop: wrong checksum after replay");
+    assert_eq!(
+        fused, slots,
+        "superblock toggle changed a demand-restore trajectory"
+    );
+}

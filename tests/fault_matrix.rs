@@ -323,18 +323,23 @@ fn loadbal_survives_target_down() {
 
 /// The protocol-engine half of the soak: every live-migration protocol
 /// against every injection site it can meet — NFS drops, a mid-dump
-/// crash, dump ENOSPC, and dropped demand page fetches — is 3 × 4 = 12
-/// cases. However a case lands (migrated, aborted, recovered), the
-/// invariant is the same: exactly one live copy, zero stranded dumps.
+/// crash, dump ENOSPC, and dropped demand page fetches, once below and
+/// once at the kernel's three-strike limit — is 3 × 5 = 15 cases.
+/// However a case lands (migrated, aborted, recovered), the invariant
+/// is the same: exactly one live copy, zero stranded dumps.
 #[test]
 fn protocol_matrix_preserves_failure_atomicity() {
     use pmig::proto::{migrate_proto, Protocol};
 
-    let sites: [(&str, FaultSite, u32); 4] = [
+    let sites: [(&str, FaultSite, u32); 5] = [
         ("nfs", FaultSite::NfsOp, 3),
         ("middump", FaultSite::MidDumpCrash, 1),
         ("enospc", FaultSite::DumpEnospc, 1),
         ("page-fetch", FaultSite::PageFetch, 2),
+        // Three consecutive drops: the kernel kills the demand-restored
+        // copy, and the engine must bring the process back from the
+        // source dump.
+        ("page-fetch-kill", FaultSite::PageFetch, 3),
     ];
     for proto in Protocol::ALL {
         for (label, site, budget) in sites {
@@ -364,6 +369,26 @@ fn protocol_matrix_preserves_failure_atomicity() {
                 .sum();
             if site != FaultSite::PageFetch || proto == Protocol::Demand {
                 assert!(injected >= 1, "{case}: the fault never fired");
+            }
+            if proto == Protocol::Demand && budget >= 3 && site == FaultSite::PageFetch {
+                let killed = &w.machine(schooner).residual_kills;
+                assert_eq!(
+                    killed.len(),
+                    1,
+                    "{case}: the kernel's third strike never came"
+                );
+                let copy = *killed.iter().next().unwrap();
+                let status = w.finished.get(&(schooner, copy)).map(|i| i.status);
+                assert_eq!(
+                    status,
+                    Some(137),
+                    "{case}: the target copy must die by SIGKILL"
+                );
+                assert_eq!(
+                    report.survivor,
+                    pmig::Survivor::Source,
+                    "{case}: {report:?}"
+                );
             }
 
             // `find_restarted` matches `a.outXXXXX` comms only, which
