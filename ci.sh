@@ -38,11 +38,10 @@ cargo run -q -p simlint --release -- --coupling-report | diff - simlint.coupling
 # injected-fault site with a nonzero seed and asserts failure
 # atomicity — exactly one live copy, zero orphaned dump files.
 cargo run --release -p bench --bin figures -- fig1 fig2 fig3 faults
-# Cluster-scale scheduler bench, smoke tier: event vs scan at 16 and 64
-# hosts plus the at-scale fault soak (one live copy per workload
+# Cluster-scale scheduler bench, smoke tier: scheduler throughput at 16
+# and 64 hosts plus the at-scale fault soak (one live copy per workload
 # process, zero orphaned dumps). Writes BENCH_cluster.json; the full
-# tier adds the 256-host comparison and the 1024-host event-only
-# point.
+# tier adds 256 and 1024 hosts.
 cargo run --release -p bench --bin figures -- cluster-smoke
 # Live-migration protocol comparison, smoke tier: eager vs pre-copy vs
 # demand-restore moving the dirty-page hog off the loaded node, with

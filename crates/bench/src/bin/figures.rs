@@ -155,14 +155,13 @@ fn run_faults(json: bool) {
 }
 
 fn run_cluster(json: bool, smoke: bool) {
-    // Smoke tier keeps CI fast; the full tier adds the 256-host
-    // scan/event comparison and the 1024-host event-only point.
-    let (sizes, scan_max): (&[usize], usize) = if smoke {
-        (&[16, 64], 64)
+    // Smoke tier keeps CI fast; the full tier adds 256 and 1024 hosts.
+    let sizes: &[usize] = if smoke {
+        &[16, 64]
     } else {
-        (&[16, 64, 256, 1024], 256)
+        &[16, 64, 256, 1024]
     };
-    let rows = scenarios::cluster(sizes, scan_max);
+    let rows = scenarios::cluster(sizes);
     let soak = scenarios::cluster_soak(0xC1A5);
     for r in &soak {
         assert!(r.injected > 0, "{}: fault site never fired", r.case);
@@ -189,13 +188,13 @@ fn run_cluster(json: bool, smoke: bool) {
     }
     hr("Cluster: scheduler cost vs installation size (BENCH_cluster.json)");
     println!(
-        "{:>6} {:<6} {:>10} {:>9} {:>12} {:>12} {:>10}",
-        "hosts", "sched", "slices", "host (s)", "events/s", "us/event", "migr/s"
+        "{:>6} {:>10} {:>9} {:>12} {:>12} {:>10}",
+        "hosts", "slices", "host (s)", "events/s", "us/event", "migr/s"
     );
     for r in &rows {
         println!(
-            "{:>6} {:<6} {:>10} {:>9.3} {:>12.0} {:>12.3} {:>10.2}",
-            r.hosts, r.sched, r.slices, r.host_secs, r.events_per_sec, r.us_per_event,
+            "{:>6} {:>10} {:>9.3} {:>12.0} {:>12.3} {:>10.2}",
+            r.hosts, r.slices, r.host_secs, r.events_per_sec, r.us_per_event,
             r.migrations_per_sec
         );
     }

@@ -788,16 +788,14 @@ pub fn fault_soak(seed: u64) -> Vec<FaultSoakRow> {
 
 // ---------------------------------------------------------------------
 // Cluster-scale scheduler bench: events/sec and migrations/sec as the
-// installation grows, event-driven scheduler vs the reference scan.
+// installation grows.
 // ---------------------------------------------------------------------
 
-/// One (host count, scheduler) cell of the cluster bench.
+/// One host-count cell of the cluster bench.
 #[derive(Clone, Debug)]
 pub struct ClusterRow {
     /// Number of simulated hosts in the installation.
     pub hosts: u64,
-    /// `event` (ready index + wait indexes) or `scan` (reference path).
-    pub sched: String,
     /// Migrations the load-gradient policy completed.
     pub migrations: u64,
     /// Migration attempts the engine evicted after a pipeline failure.
@@ -813,15 +811,15 @@ pub struct ClusterRow {
     /// Simulated events per host second.
     pub events_per_sec: f64,
     /// Host microseconds per simulated event — the per-slice scheduler
-    /// cost; near-flat across host counts for the event scheduler,
-    /// linear in machines × procs for the scan.
+    /// cost, near-flat across host counts.
     pub us_per_event: f64,
 }
 
 /// A periodic "interactive" process: `beats` short sleeps in a loop.
 /// Each expiry is one small scheduling event — exactly the traffic an
 /// installation of mostly-idle workstations generates, and the case
-/// where a per-slice all-machines scan is pure overhead.
+/// where any per-slice work proportional to the installation would be
+/// pure overhead.
 fn cluster_tick_program(beats: u32) -> String {
     format!(
         r#"
@@ -839,15 +837,13 @@ beat:   move.l  #150, d0
 }
 
 /// Builds an N-host installation: every host runs one ticker and four
-/// tty readers blocked at their terminals (dead weight the scan path
-/// re-evaluates every slice), and every sixteenth host carries three
-/// CPU hogs — the load imbalance the gradient policy then works off.
-/// All workloads outlive the measured window, so the process
+/// tty readers blocked at their terminals (dead weight the scheduler
+/// must not touch until input arrives), and every sixteenth host
+/// carries three CPU hogs — the load imbalance the gradient policy then
+/// works off. All workloads outlive the measured window, so the process
 /// population stays constant.
-fn cluster_world(hosts: usize, sched: ukernel::Sched) -> World {
-    let mut config = KernelConfig::paper();
-    config.sched = sched;
-    let mut w = World::new(config);
+fn cluster_world(hosts: usize) -> World {
+    let mut w = World::new(KernelConfig::paper());
     for i in 0..hosts {
         w.add_machine(&format!("h{i}"), IsaLevel::Isa1);
     }
@@ -902,8 +898,8 @@ fn cluster_engine() -> apps::PolicyEngine<apps::LoadGradient> {
 /// timed on its own (scheduling throughput) so the per-slice scheduler
 /// cost is not buried under the migration pipeline's native-process
 /// overhead.
-fn cluster_run(hosts: usize, sched: ukernel::Sched, rounds: u32, period_us: u64) -> ClusterRow {
-    let mut w = cluster_world(hosts, sched);
+fn cluster_run(hosts: usize, rounds: u32, period_us: u64) -> ClusterRow {
+    let mut w = cluster_world(hosts);
     let mut engine = cluster_engine();
     let sw = crate::hostclock::HostStopwatch::start();
     let migrations = engine.run(&mut w, period_us, rounds, |_| false) as u64;
@@ -921,11 +917,6 @@ fn cluster_run(hosts: usize, sched: ukernel::Sched, rounds: u32, period_us: u64)
     let slices = w.slices - slices_before;
     ClusterRow {
         hosts: hosts as u64,
-        sched: match sched {
-            ukernel::Sched::Event => "event",
-            ukernel::Sched::Scan => "scan",
-        }
-        .into(),
         migrations,
         failures: engine.failures,
         mig_host_secs,
@@ -937,19 +928,9 @@ fn cluster_run(hosts: usize, sched: ukernel::Sched, rounds: u32, period_us: u64)
     }
 }
 
-/// The cluster bench matrix: the event scheduler at every size in
-/// `sizes`, and the reference scan alongside it up to `scan_max` hosts
-/// (the scan's O(machines × procs) slices make 1024 hosts pointless to
-/// wait for — that cliff is the point of the comparison).
-pub fn cluster(sizes: &[usize], scan_max: usize) -> Vec<ClusterRow> {
-    let mut rows = Vec::new();
-    for &n in sizes {
-        rows.push(cluster_run(n, ukernel::Sched::Event, 6, 500_000));
-        if n <= scan_max {
-            rows.push(cluster_run(n, ukernel::Sched::Scan, 6, 500_000));
-        }
-    }
-    rows
+/// The cluster bench: one row per installation size in `sizes`.
+pub fn cluster(sizes: &[usize]) -> Vec<ClusterRow> {
+    sizes.iter().map(|&n| cluster_run(n, 6, 500_000)).collect()
 }
 
 /// One fault-site row of the at-scale soak.
@@ -989,7 +970,7 @@ pub fn cluster_soak(seed: u64) -> Vec<ClusterSoakRow> {
     ];
     let mut rows = Vec::new();
     for (label, site, budget) in cases {
-        let mut w = cluster_world(HOSTS, ukernel::Sched::Event);
+        let mut w = cluster_world(HOSTS);
         w.faults = FaultPlan::seeded(seed).with(FaultSpec::always(site, budget));
         let expected = cluster_live_procs(&w);
         let mut engine = cluster_engine();
@@ -1167,7 +1148,6 @@ impl_to_json!(MigrationRow {
 });
 impl_to_json!(ClusterRow {
     hosts,
-    sched,
     migrations,
     failures,
     mig_host_secs,

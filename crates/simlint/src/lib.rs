@@ -13,10 +13,9 @@
 //! * **Magic literals.** The dump magics (0444/0445), `NOFILE` and the
 //!   signal numbering live in `sysdefs`/`dumpfmt` only, so the dump
 //!   writer and the command-side readers cannot drift apart.
-//! * **Wake-poke discipline.** Under the event scheduler, every
-//!   wake-condition mutation must reach a `poke_*`/`wake_queue`
-//!   insert, or a blocked process stalls that the reference scan would
-//!   have woken (DESIGN.md §12).
+//! * **Wake-poke discipline.** Every wake-condition mutation must
+//!   reach a `poke_*`/`wake_queue` insert, or a blocked process whose
+//!   condition holds stalls (DESIGN.md §12).
 //! * **Snapshot coverage.** Every `World`/`Machine`/`MachineStats`
 //!   field is folded into the determinism snapshot or declared
 //!   pure-cache in `simlint.toml` with a reason — the Milanés

@@ -1,14 +1,13 @@
 //! Rule `wake-poke`: every wake-condition mutation reaches a poke.
 //!
-//! The event scheduler (PR 5) replaced the reference scan's per-slice
-//! sweep of every blocked process with wait indexes and a poke
-//! discipline. Its correctness rests on one invariant the compiler
+//! The event scheduler replaced a per-slice sweep of every blocked
+//! process with wait indexes and a poke discipline. Its correctness rests on one invariant the compiler
 //! cannot see: **any state change that can flip a blocked process's
-//! wake condition true must be followed by a poke**, or the wakeup the
-//! scan would have delivered stalls forever. Over-poking is harmless (a
-//! false condition evaluates to no action); a *missed* poke is the only
-//! hazard — exactly the bug class `tests/wake_parity.rs` exists to
-//! catch dynamically, checked statically here.
+//! wake condition true must be followed by a poke**, or the wakeup
+//! stalls forever. Over-poking is harmless (a false condition evaluates
+//! to no action); a *missed* poke is the only hazard — exactly the bug
+//! class the debug-build wake audit catches dynamically at every pick,
+//! checked statically here.
 //!
 //! The rule computes, per kernel function, the set of wake-condition
 //! *writer markers* in its body:
@@ -69,15 +68,14 @@ const SINK_FIELDS: [&str; 2] = ["wake_queue", "wait_pending"];
 /// setters is their job) and the `Machine`/`Proc` leaf setters
 /// themselves, which cannot reach the `World` to poke. Structural, not
 /// allowlisted — see the module docs.
-const MECHANISM: [(&str, &str); 9] = [
+const MECHANISM: [(&str, &str); 8] = [
     ("crates/ukernel/src/machine.rs", "make_runnable"),
     ("crates/ukernel/src/machine.rs", "nudge"),
     ("crates/ukernel/src/machine.rs", "push_timer"),
     ("crates/ukernel/src/proc.rs", "post_signal"),
     ("crates/ukernel/src/proc.rs", "take_signal"),
-    ("crates/ukernel/src/world/mod.rs", "wake_one"),
+    ("crates/ukernel/src/world/mod.rs", "apply_wake"),
     ("crates/ukernel/src/world/mod.rs", "fire_alarm"),
-    ("crates/ukernel/src/world/mod.rs", "wake_scan"),
     ("crates/ukernel/src/world/mod.rs", "service_machine"),
 ];
 
@@ -314,7 +312,7 @@ mod tests {
     fn mechanism_and_test_modules_are_exempt() {
         let world = file_at(
             "crates/ukernel/src/world/mod.rs",
-            "impl World { fn wake_one(&mut self, mid: usize, pid: Pid) {
+            "impl World { fn apply_wake(&mut self, mid: usize, pid: Pid) {
                  self.machines[mid].make_runnable(pid);
              } }",
         );

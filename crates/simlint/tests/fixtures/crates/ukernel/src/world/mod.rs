@@ -17,7 +17,7 @@ impl World {
 
     /// Wake machinery (structurally exempt): consumes pokes and calls
     /// the leaf setters — its markers are its job, not a violation.
-    pub fn wake_one(&mut self, server: usize, pid: Pid) {
+    pub fn apply_wake(&mut self, server: usize, pid: Pid) {
         self.machines[server].make_runnable(pid);
         self.finished.remove(&(server, pid.0));
     }

@@ -73,8 +73,8 @@ fn coupling_report_inventories_the_world_layer_too() {
         vec![
             ("sys_peek", "foreign-index", "machine(dst)"),
             ("poke_proc", "shared-state", "wake_queue"),
-            ("wake_one", "foreign-index", "machines(server)"),
-            ("wake_one", "shared-state", "finished"),
+            ("apply_wake", "foreign-index", "machines(server)"),
+            ("apply_wake", "shared-state", "finished"),
         ],
         "{rows:?}"
     );

@@ -21,10 +21,10 @@
 //! or cbreak mode, every byte is delivered immediately — the paper's
 //! "process input characters as soon as they are typed".
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use sysdefs::TtyFlags;
 
 /// The erase (backspace) character in cooked mode.
@@ -237,19 +237,20 @@ impl Default for Terminal {
 }
 
 /// A shareable terminal handle: the kernel holds one per `/dev/ttyN`,
-/// tests and examples hold clones to type and inspect.
+/// tests and examples hold clones to type and inspect. The simulated
+/// world runs on one thread, so sharing needs no lock.
 #[derive(Clone, Debug)]
-pub struct TtyHandle(Arc<Mutex<Terminal>>);
+pub struct TtyHandle(Rc<RefCell<Terminal>>);
 
 impl TtyHandle {
     /// Wraps a terminal for sharing.
     pub fn new(t: Terminal) -> TtyHandle {
-        TtyHandle(Arc::new(Mutex::new(t)))
+        TtyHandle(Rc::new(RefCell::new(t)))
     }
 
-    /// Runs `f` with the locked terminal.
+    /// Runs `f` with the terminal borrowed mutably.
     pub fn with<R>(&self, f: impl FnOnce(&mut Terminal) -> R) -> R {
-        f(&mut self.0.lock())
+        f(&mut self.0.borrow_mut())
     }
 
     /// Host convenience: types text.

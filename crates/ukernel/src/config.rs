@@ -3,23 +3,6 @@
 
 use simtime::CostModel;
 
-/// Which scheduler drives [`crate::World`]'s run loops.
-///
-/// Both produce bit-identical trajectories (the wake-parity test holds
-/// them to the same ktrace and determinism snapshot); they differ only
-/// in host cost per scheduling slice.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Sched {
-    /// Event-driven: a global `(now, MachineId)` ready index plus
-    /// per-machine wait indexes. Per-slice cost is O(log machines).
-    #[default]
-    Event,
-    /// The original reference path: every slice scans all machines and
-    /// every blocked process. Kept for the cluster benchmark's
-    /// before/after comparison and as the parity oracle.
-    Scan,
-}
-
 /// Compile-time choices of the simulated kernel build.
 ///
 /// `Figure 1` compares a kernel with [`KernelConfig::track_names`] off
@@ -60,8 +43,6 @@ pub struct KernelConfig {
     pub use_superblocks: bool,
     /// The hardware/kernel cost calibration.
     pub cost: CostModel,
-    /// Scheduler implementation (event-driven by default).
-    pub sched: Sched,
 }
 
 impl KernelConfig {
@@ -74,7 +55,6 @@ impl KernelConfig {
             use_icache: true,
             use_superblocks: true,
             cost: CostModel::sun2(),
-            sched: Sched::default(),
         }
     }
 

@@ -41,7 +41,7 @@ pub mod sys;
 pub mod user;
 pub mod world;
 
-pub use config::{KernelConfig, Sched};
+pub use config::KernelConfig;
 pub use file::{Fd, FileKind, FileStruct};
 pub use ktrace::{Ktrace, KtraceEvent, KtraceRecord, KtraceResult};
 pub use machine::{Machine, MachineId};

@@ -64,6 +64,26 @@ pub struct PipeBuf {
     pub writers: u32,
 }
 
+impl PipeBuf {
+    /// Buffer capacity, as in 4.2BSD.
+    const CAPACITY: usize = 4096;
+
+    /// How many bytes of a `len`-byte write the buffer takes now, or
+    /// `None` while the writer must wait. A write of up to
+    /// [`PipeBuf::CAPACITY`] bytes goes in whole or not at all; a larger
+    /// one takes what fits and waits only while the buffer is full.
+    pub(crate) fn write_room(&self, len: usize) -> Option<usize> {
+        let free = Self::CAPACITY.saturating_sub(self.data.len());
+        if len <= free {
+            Some(len)
+        } else if len > Self::CAPACITY && free > 0 {
+            Some(free)
+        } else {
+            None
+        }
+    }
+}
+
 /// A connected socket pair: two one-directional byte queues.
 #[derive(Clone, Debug, Default)]
 pub struct SocketPair {
@@ -205,9 +225,8 @@ pub struct Machine {
     /// idle-clock jump.
     timers: BinaryHeap<Reverse<(SimTime, u32)>>,
     /// Blocked pids whose wait condition may have changed since the
-    /// machine was last serviced (event scheduler). Pid-ordered so the
-    /// wake pass evaluates candidates in the same order the reference
-    /// scan visits the process table.
+    /// machine was last serviced. Pid-ordered so the wake pass evaluates
+    /// candidates in a fixed order, the process table's.
     pub(crate) wait_pending: BTreeSet<u32>,
     /// Pipe/socket wait index: which blocked pids are parked on which
     /// byte queue. Entries are registered when a process blocks and
@@ -433,17 +452,40 @@ impl Machine {
     /// entries off the heap as they surface.
     pub fn next_deadline(&mut self) -> Option<SimTime> {
         while let Some(&Reverse((t, pid))) = self.timers.peek() {
-            let live = self.procs.get(&pid).is_some_and(|p| {
-                matches!(p.state, crate::proc::ProcState::Sleeping { until } if until == t)
-                    || matches!(p.state, crate::proc::ProcState::PageWait { until, .. } if until == t)
-                    || p.alarm_at == Some(t)
-            });
-            if live {
+            if self.timer_live(t, pid) {
                 return Some(t);
             }
             self.timers.pop();
         }
         None
+    }
+
+    /// Whether heap entry `(t, pid)` is still a deadline its process
+    /// waits on: a sleep, a page fetch or an alarm due at `t`.
+    fn timer_live(&self, t: SimTime, pid: u32) -> bool {
+        self.procs.get(&pid).is_some_and(|p| {
+            matches!(p.state, crate::proc::ProcState::Sleeping { until } if until == t)
+                || matches!(p.state, crate::proc::ProcState::PageWait { until, .. } if until == t)
+                || p.alarm_at == Some(t)
+        })
+    }
+
+    /// Whether the timer heap holds an entry for `pid` at `when` (the
+    /// debug-build wake audit's deadline check).
+    #[cfg(debug_assertions)]
+    pub(crate) fn has_timer(&self, pid: Pid, when: SimTime) -> bool {
+        self.timers
+            .iter()
+            .any(|&Reverse(e)| e == (when, pid.as_u32()))
+    }
+
+    /// [`Machine::next_deadline`]'s existence test without its lazy
+    /// pruning, so the debug-build wake audit can take `&self`.
+    #[cfg(debug_assertions)]
+    pub(crate) fn has_live_timer(&self) -> bool {
+        self.timers
+            .iter()
+            .any(|&Reverse((t, pid))| self.timer_live(t, pid))
     }
 
     /// Pops every timer entry due at the machine's current clock into

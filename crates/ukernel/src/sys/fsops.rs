@@ -423,9 +423,6 @@ fn read_queue(cx: &mut SysCtx<'_>, len: usize, q: QueueRef) -> SyscallResult {
     done(Ok(SysRetval::with_data(n as u32, bytes)))
 }
 
-/// Pipe/socket capacity, as in 4.2BSD.
-const PIPE_MAX: usize = 4096;
-
 /// `write(2)`.
 pub fn sys_write(cx: &mut SysCtx<'_>, fd: usize, bytes: &[u8]) -> SyscallResult {
     let idx = match cx.file_idx(fd) {
@@ -522,20 +519,20 @@ fn write_queue(cx: &mut SysCtx<'_>, bytes: &[u8], q: QueueRef) -> SyscallResult 
         }
         return done(Err(Errno::EPIPE));
     }
-    if buf.data.len() + bytes.len() > PIPE_MAX {
+    let Some(n) = buf.write_room(bytes.len()) else {
         if let Some(p) = cx.proc_mut() {
             p.state = ProcState::PipeWait;
         }
         let pid = cx.pid;
         cx.machine_mut().wait_on_queue(q.id(), pid);
         return SyscallResult::Blocked;
-    }
-    buf.data.extend(bytes.iter().copied());
-    let c = cx.cost().copy_bytes(bytes.len());
+    };
+    buf.data.extend(bytes[..n].iter().copied());
+    let c = cx.cost().copy_bytes(n);
     cx.charge(c);
     // New data: readers blocked on an empty buffer can complete.
     cx.w.poke_queue(cx.mid, q.id());
-    done(Ok(SysRetval::ok(bytes.len() as u32)))
+    done(Ok(SysRetval::ok(n as u32)))
 }
 
 /// `lseek(2)`.

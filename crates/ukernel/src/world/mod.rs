@@ -8,7 +8,7 @@ use sysdefs::{Credentials, Errno, Pid, Signal, SysResult};
 use tty::{Terminal, TtyHandle};
 use vfs::{path as vpath, DeviceId, Filesystem, WalkOutcome};
 
-use crate::config::{KernelConfig, Sched};
+use crate::config::KernelConfig;
 use crate::file::{FileKind, FileStruct};
 use crate::machine::{Machine, MachineId};
 use crate::native::{boxed, NativeBody, NativeProgram, Request, Sys};
@@ -26,6 +26,32 @@ pub enum RunOutcome {
     Idle,
     /// The slice budget ran out first.
     BudgetExhausted,
+}
+
+/// What the wake pass does for one blocked process: the verdict of
+/// [`World::wake_action`], carried out by [`World::apply_wake`].
+#[derive(Debug)]
+enum WakeAction {
+    /// The wait condition does not hold.
+    Nothing,
+    /// A signal, terminal, pipe or child condition holds: requeue the
+    /// process so it retries its blocked call.
+    Wake,
+    /// The sleep's deadline has passed.
+    CompleteSleep,
+    /// The remote command finished: its status, server and pid there.
+    CompleteRemote(u32, MachineId, Pid),
+    /// The page fetch's deadline has passed: the faulting address.
+    CompletePageFetch(u32),
+}
+
+/// Where `page` of a VM image's data segment starts, as an offset into
+/// the segment, and how many of its bytes the segment holds (the last
+/// page may be short).
+fn residual_page_span(vm: &crate::proc::VmBody, page: u32) -> (usize, usize) {
+    let page_off = (m68vm::MemoryLayout::page_addr(page) - vm.mem.data_base()) as usize;
+    let len = (m68vm::MemoryLayout::PAGE as usize).min(vm.mem.data().len() - page_off);
+    (page_off, len)
 }
 
 /// The fixed part of a VM image a pre-copy target stages before any
@@ -69,11 +95,11 @@ pub struct World {
     daemon_waiters: std::collections::BTreeSet<(MachineId, u32)>,
     /// The armed fault-injection plan (empty by default: nothing fires).
     pub faults: FaultPlan,
-    /// Event-scheduler work list: machines with pending wake candidates
-    /// to service before the next pick. Mid-ordered so the drain visits
-    /// machines in the same order the reference scan does.
+    /// Scheduler work list: machines with pending wake candidates to
+    /// service before the next pick. Mid-ordered so the drain visits
+    /// machines in a fixed order.
     wake_queue: std::collections::BTreeSet<MachineId>,
-    /// Event-scheduler ready index: `(local clock at enrolment,
+    /// Scheduler ready index: `(local clock at enrolment,
     /// machine)` for every machine believed to have work. Keys go stale
     /// when a clock advances after enrolment (clocks only move forward,
     /// so a stale key is always an underestimate); [`World::next_ready`]
@@ -598,39 +624,43 @@ impl World {
         mid: MachineId,
         pid: Pid,
     ) -> Option<SysResult<u32>> {
-        let (page, residual, data_base, data_len) =
-            self.proc_ref(mid, pid).and_then(|p| match &p.body {
-                Body::Vm(vm) => Some((
-                    *vm.mem.absent_pages().first()?,
-                    vm.residual.clone()?,
-                    vm.mem.data_base(),
-                    vm.mem.data().len(),
-                )),
+        let (page, len) = self.proc_ref(mid, pid).and_then(|p| match &p.body {
+            Body::Vm(vm) if vm.residual.is_some() => {
+                let page = *vm.mem.absent_pages().first()?;
+                Some((page, residual_page_span(vm, page).1))
+            }
+            _ => None,
+        })?;
+        let (_, rpc) = self.charge_kernel_rpc(mid, pid, NfsOp::Read(len));
+        let fetched = rpc.and_then(|()| self.fetch_residual_page(mid, pid, page));
+        Some(fetched.map(|()| page))
+    }
+
+    /// Copies absent `page` of demand-restored `pid` from its source
+    /// dump into the image: locates the page in the dump's data segment,
+    /// reads and bounds-checks it, installs it, and drops the residual
+    /// dependency once no page is absent. Charges nothing; callers pay
+    /// for the RPC their own way.
+    fn fetch_residual_page(&mut self, mid: MachineId, pid: Pid, page: u32) -> SysResult<()> {
+        let (residual, (page_off, len)) = self
+            .proc_ref(mid, pid)
+            .and_then(|p| match &p.body {
+                Body::Vm(vm) => Some((vm.residual.clone()?, residual_page_span(vm, page))),
                 _ => None,
-            })?;
-        let page_off = (m68vm::MemoryLayout::page_addr(page) - data_base) as usize;
-        let len = (m68vm::MemoryLayout::PAGE as usize).min(data_len - page_off);
-        let (_, r) = self.charge_kernel_rpc(mid, pid, NfsOp::Read(len));
-        if let Err(e) = r {
-            return Some(Err(e));
-        }
+            })
+            .ok_or(Errno::ESRCH)?;
         let off = residual.data_off + page_off;
-        let bytes = match self.host_read_file(residual.server, &residual.aout_path) {
-            Ok(b) if b.len() >= off + len => b[off..off + len].to_vec(),
-            Ok(_) => return Some(Err(Errno::EIO)),
-            Err(e) => return Some(Err(e)),
-        };
+        let dump = self.host_read_file(residual.server, &residual.aout_path)?;
+        let bytes = dump.get(off..off + len).ok_or(Errno::EIO)?;
         let m = &mut self.machines[mid];
         m.stats.pages_fetched += 1;
-        if let Some(p) = m.proc_mut(pid) {
-            if let Body::Vm(vm) = &mut p.body {
-                vm.mem.install_page(page, &bytes);
-                if !vm.mem.has_absent() {
-                    vm.residual = None;
-                }
+        if let Some(Body::Vm(vm)) = m.proc_mut(pid).map(|p| &mut p.body) {
+            vm.mem.install_page(page, bytes);
+            if !vm.mem.has_absent() {
+                vm.residual = None;
             }
         }
-        Some(Ok(page))
+        Ok(())
     }
 
     /// True while `pid` on `mid` is a demand-restored image still
@@ -873,44 +903,6 @@ impl World {
     // Scheduling.
     // ------------------------------------------------------------------
 
-    /// Checks every blocked process on `mid` and wakes those whose
-    /// condition holds — the reference [`crate::config::Sched::Scan`]
-    /// wake pass. The per-slice pid lists live in a scratch buffer owned
-    /// by the world, so the steady state allocates nothing.
-    fn wake_scan(&mut self, mid: MachineId) {
-        // The full scan supersedes any queued event pokes.
-        self.machines[mid].wait_pending.clear();
-        let mut scratch = std::mem::take(&mut self.wake_scratch);
-        // Fire due alarms first: they may turn blocked processes
-        // signal-wakeable.
-        scratch.clear();
-        {
-            let m = &self.machines[mid];
-            let now = m.now;
-            scratch.extend(
-                m.procs
-                    .values()
-                    .filter(|p| p.alarm_at.map(|t| now >= t).unwrap_or(false))
-                    .map(|p| p.pid.as_u32()),
-            );
-        }
-        for &pid in &scratch {
-            self.fire_alarm(mid, Pid(pid));
-        }
-        scratch.clear();
-        scratch.extend(
-            self.machines[mid]
-                .procs
-                .values()
-                .filter(|p| p.state.is_blocked())
-                .map(|p| p.pid.as_u32()),
-        );
-        for &pid in &scratch {
-            self.wake_one(mid, Pid(pid));
-        }
-        self.wake_scratch = scratch;
-    }
-
     /// Clears a due alarm and posts `SIGALRM` (nudging the target so a
     /// runnable process takes it promptly).
     fn fire_alarm(&mut self, mid: MachineId, pid: Pid) {
@@ -922,120 +914,93 @@ impl World {
         m.nudge(pid);
     }
 
-    /// Evaluates one blocked process's wake condition and applies the
-    /// resulting action. Shared verbatim by the reference scan and the
-    /// event scheduler's wake service: identical evaluation in identical
-    /// pid order is what keeps the two paths bit-identical.
-    fn wake_one(&mut self, mid: MachineId, pid: Pid) {
-        {
-            enum Action {
-                Nothing,
-                Wake,
-                CompleteSleep,
-                CompleteRemote(u32, MachineId, Pid),
-                CompletePageFetch(u32),
+    /// Judges one process's wake condition without touching anything:
+    /// the wake pass applies the verdict with [`World::apply_wake`], and
+    /// the debug-build pick audit asks the same question of every
+    /// blocked process, so the two cannot disagree about what "should
+    /// wake" means.
+    fn wake_action(&self, mid: MachineId, pid: Pid) -> WakeAction {
+        let Some(p) = self.proc_ref(mid, pid) else {
+            return WakeAction::Nothing;
+        };
+        let signal_wake = p.signal_pending()
+            && !matches!(p.state, ProcState::Stopped)
+            && self.signal_would_act(mid, pid);
+        let wake_if = |cond: bool| {
+            if cond {
+                WakeAction::Wake
+            } else {
+                WakeAction::Nothing
             }
-            let action = {
-                let p = match self.proc_ref(mid, pid) {
-                    Some(p) => p,
-                    None => return,
-                };
-                let signal_wake = p.signal_pending()
-                    && !matches!(p.state, ProcState::Stopped)
-                    && self.signal_would_act(mid, pid);
-                match &p.state {
-                    ProcState::Sleeping { until } => {
-                        if self.machines[mid].now >= *until {
-                            Action::CompleteSleep
-                        } else if signal_wake {
-                            Action::Wake
-                        } else {
-                            Action::Nothing
-                        }
+        };
+        match &p.state {
+            ProcState::Sleeping { until } if self.machines[mid].now >= *until => {
+                WakeAction::CompleteSleep
+            }
+            ProcState::Sleeping { .. } => wake_if(signal_wake),
+            ProcState::TtyWait { tty } => {
+                wake_if(self.terminals[*tty as usize].with(|t| t.read_ready()) || signal_wake)
+            }
+            ProcState::PipeWait => wake_if(signal_wake || self.pipe_ready(mid, pid)),
+            ProcState::ChildWait => {
+                let m = &self.machines[mid];
+                let has_zombie = m
+                    .procs
+                    .values()
+                    .any(|c| c.ppid == pid && matches!(c.state, ProcState::Zombie { .. }));
+                let has_children = m.procs.values().any(|c| c.ppid == pid);
+                wake_if(has_zombie || !has_children || signal_wake)
+            }
+            ProcState::RemoteWait { server, pid: rp } => {
+                match self.finished.get(&(*server, rp.as_u32())) {
+                    Some(info) => WakeAction::CompleteRemote(info.status, *server, *rp),
+                    None if self.overlaid.contains_key(&(*server, rp.as_u32())) => {
+                        WakeAction::CompleteRemote(0, *server, *rp)
                     }
-                    ProcState::TtyWait { tty } => {
-                        if self.terminals[*tty as usize].with(|t| t.read_ready()) || signal_wake {
-                            Action::Wake
-                        } else {
-                            Action::Nothing
-                        }
-                    }
-                    ProcState::PipeWait => {
-                        if signal_wake || self.pipe_ready(mid, pid) {
-                            Action::Wake
-                        } else {
-                            Action::Nothing
-                        }
-                    }
-                    ProcState::ChildWait => {
-                        let m = &self.machines[mid];
-                        let has_zombie = m
-                            .procs
-                            .values()
-                            .any(|c| c.ppid == pid && matches!(c.state, ProcState::Zombie { .. }));
-                        let has_children = m.procs.values().any(|c| c.ppid == pid);
-                        if has_zombie || !has_children || signal_wake {
-                            Action::Wake
-                        } else {
-                            Action::Nothing
-                        }
-                    }
-                    ProcState::RemoteWait { server, pid: rp } => {
-                        match self.finished.get(&(*server, rp.as_u32())) {
-                            Some(info) => Action::CompleteRemote(info.status, *server, *rp),
-                            None if self.overlaid.contains_key(&(*server, rp.as_u32())) => {
-                                Action::CompleteRemote(0, *server, *rp)
-                            }
-                            None => Action::Nothing,
-                        }
-                    }
-                    ProcState::PageWait { until, addr } => {
-                        if self.machines[mid].now >= *until {
-                            Action::CompletePageFetch(*addr)
-                        } else if signal_wake {
-                            // The signal interrupts the wait; if the
-                            // process survives delivery it replays the
-                            // faulting instruction and re-parks.
-                            Action::Wake
-                        } else {
-                            Action::Nothing
-                        }
-                    }
-                    ProcState::Stopped => {
-                        // SIGCONT/SIGKILL handling happens at kill time.
-                        Action::Nothing
-                    }
-                    ProcState::Runnable | ProcState::Zombie { .. } => Action::Nothing,
+                    None => WakeAction::Nothing,
                 }
-            };
-            match action {
-                Action::Nothing => {}
-                Action::Wake => self.machines[mid].make_runnable(pid),
-                Action::CompleteSleep => {
-                    self.complete_pending(mid, pid, SysRetval::ok(0));
-                    self.machines[mid].make_runnable(pid);
+            }
+            ProcState::PageWait { until, addr } if self.machines[mid].now >= *until => {
+                WakeAction::CompletePageFetch(*addr)
+            }
+            // The signal interrupts the wait; if the process survives
+            // delivery it replays the faulting instruction and re-parks.
+            ProcState::PageWait { .. } => wake_if(signal_wake),
+            // SIGCONT/SIGKILL handling happens at kill time.
+            ProcState::Stopped | ProcState::Runnable | ProcState::Zombie { .. } => {
+                WakeAction::Nothing
+            }
+        }
+    }
+
+    /// Carries out a [`World::wake_action`] verdict.
+    fn apply_wake(&mut self, mid: MachineId, pid: Pid, action: WakeAction) {
+        match action {
+            WakeAction::Nothing => {}
+            WakeAction::Wake => self.machines[mid].make_runnable(pid),
+            WakeAction::CompleteSleep => {
+                self.complete_pending(mid, pid, SysRetval::ok(0));
+                self.machines[mid].make_runnable(pid);
+            }
+            WakeAction::CompletePageFetch(addr) => self.complete_page_fetch(mid, pid, addr),
+            WakeAction::CompleteRemote(status, server, rp) => {
+                // rsh teardown: sync clocks and charge the teardown
+                // phase; local and daemon completions skip it (the
+                // daemon marker is remembered per waiter).
+                let server_now = self.machines[server].now;
+                let teardown = server != mid && !self.daemon_waiters.remove(&(mid, pid.as_u32()));
+                let m = &mut self.machines[mid];
+                m.now = m.now.max(server_now);
+                if teardown {
+                    let c = RshPhase::Teardown.cost(&self.config.cost);
+                    m.charge_sys(Some(pid), c);
                 }
-                Action::CompletePageFetch(addr) => self.complete_page_fetch(mid, pid, addr),
-                Action::CompleteRemote(status, server, rp) => {
-                    // rsh teardown: sync clocks and charge the teardown
-                    // phase; local and daemon completions skip it (the
-                    // daemon marker is remembered per waiter).
-                    let server_now = self.machines[server].now;
-                    let teardown =
-                        server != mid && !self.daemon_waiters.remove(&(mid, pid.as_u32()));
-                    let m = &mut self.machines[mid];
-                    m.now = m.now.max(server_now);
-                    if teardown {
-                        let c = RshPhase::Teardown.cost(&self.config.cost);
-                        m.charge_sys(Some(pid), c);
-                    }
-                    self.complete_pending(
-                        mid,
-                        pid,
-                        SysRetval::with_data(status, rp.as_u32().to_be_bytes().to_vec()),
-                    );
-                    self.machines[mid].make_runnable(pid);
-                }
+                self.complete_pending(
+                    mid,
+                    pid,
+                    SysRetval::with_data(status, rp.as_u32().to_be_bytes().to_vec()),
+                );
+                self.machines[mid].make_runnable(pid);
             }
         }
     }
@@ -1051,15 +1016,11 @@ impl World {
         let len = self
             .proc_ref(mid, pid)
             .and_then(|p| match &p.body {
-                Body::Vm(vm) => {
-                    let base = m68vm::MemoryLayout::page_addr(page);
-                    let data_end = vm.mem.data_base() + vm.mem.data().len() as u32;
-                    Some((data_end - base).min(m68vm::MemoryLayout::PAGE))
-                }
+                Body::Vm(vm) => Some(residual_page_span(vm, page).1),
                 _ => None,
             })
-            .unwrap_or(m68vm::MemoryLayout::PAGE);
-        let cost = NfsOp::Read(len as usize).cost(&self.config.cost, &mut self.ether);
+            .unwrap_or(m68vm::MemoryLayout::PAGE as usize);
+        let cost = NfsOp::Read(len).cost(&self.config.cost, &mut self.ether);
         let m = &mut self.machines[mid];
         let until = m.now + cost.cpu + cost.wait;
         if let Some(p) = m.proc_mut(pid) {
@@ -1097,14 +1058,11 @@ impl World {
             self.machines[mid].make_runnable(pid);
             return;
         }
-        let info = self.proc_ref(mid, pid).and_then(|p| match &p.body {
-            Body::Vm(vm) => vm
-                .residual
-                .clone()
-                .map(|r| (r, vm.mem.data_base(), vm.mem.data().len())),
+        let tries = self.proc_ref(mid, pid).and_then(|p| match &p.body {
+            Body::Vm(vm) => vm.residual.as_ref().map(|r| r.tries),
             _ => None,
         });
-        let Some((residual, data_base, data_len)) = info else {
+        let Some(tries) = tries else {
             self.kill_residual(mid, pid);
             return;
         };
@@ -1114,7 +1072,7 @@ impl World {
         {
             let until =
                 self.machines[mid].now + SimDuration::micros(simnet::NFS_SOFT_TIMEOUT_US);
-            let give_up = residual.tries + 1 >= PAGE_FETCH_TRIES;
+            let give_up = tries + 1 >= PAGE_FETCH_TRIES;
             if let Some(p) = self.proc_mut(mid, pid) {
                 if let Body::Vm(vm) = &mut p.body {
                     if let Some(r) = &mut vm.residual {
@@ -1133,28 +1091,15 @@ impl World {
             }
             return;
         }
-        let page_off = (m68vm::MemoryLayout::page_addr(page) - data_base) as usize;
-        let off = residual.data_off + page_off;
-        let len = (m68vm::MemoryLayout::PAGE as usize).min(data_len - page_off);
-        let bytes = match self.host_read_file(residual.server, &residual.aout_path) {
-            Ok(b) if b.len() >= off + len => b[off..off + len].to_vec(),
-            _ => {
-                self.kill_residual(mid, pid);
-                return;
-            }
-        };
+        if self.fetch_residual_page(mid, pid, page).is_err() {
+            self.kill_residual(mid, pid);
+            return;
+        }
         let m = &mut self.machines[mid];
         m.stats.nfs_rpcs += 1;
-        m.stats.pages_fetched += 1;
-        if let Some(p) = m.proc_mut(pid) {
-            if let Body::Vm(vm) = &mut p.body {
-                vm.mem.install_page(page, &bytes);
-                if let Some(r) = &mut vm.residual {
-                    r.tries = 0;
-                }
-                if !vm.mem.has_absent() {
-                    vm.residual = None;
-                }
+        if let Some(Body::Vm(vm)) = m.proc_mut(pid).map(|p| &mut p.body) {
+            if let Some(r) = &mut vm.residual {
+                r.tries = 0;
             }
         }
         m.make_runnable(pid);
@@ -1239,7 +1184,7 @@ impl World {
         if is_read {
             !buf.data.is_empty() || buf.writers == 0
         } else {
-            buf.readers == 0 || buf.data.len() + len <= 4096
+            buf.readers == 0 || buf.write_room(len).is_some()
         }
     }
 
@@ -1282,21 +1227,11 @@ impl World {
         self.machines[mid].next_deadline()
     }
 
-    /// One wake pass over a machine, dispatched by the configured
-    /// scheduler: the reference path sweeps every blocked process, the
-    /// event path services only poked processes and due timers.
-    fn wake(&mut self, mid: MachineId) {
-        match self.config.sched {
-            Sched::Scan => self.wake_scan(mid),
-            Sched::Event => self.service_machine(mid),
-        }
-    }
-
-    /// The event scheduler's wake pass: drain the machine's poke set and
-    /// due-timer heap, fire due alarms, then evaluate exactly those
-    /// processes — in pid order, mirroring the reference scan's
-    /// alarm-sweep-then-blocked-sweep structure, so the two paths make
-    /// identical state transitions in identical order.
+    /// One machine's wake pass: drain its poke set and due-timer heap,
+    /// fire due alarms, then judge and apply exactly those processes'
+    /// wake conditions, in pid order. Only poked or timed-out processes
+    /// are looked at; the debug-build pick audit checks that nothing
+    /// else could have woken.
     fn service_machine(&mut self, mid: MachineId) {
         let mut pending = std::mem::take(&mut self.machines[mid].wait_pending);
         self.machines[mid].take_due_timers(&mut pending);
@@ -1310,9 +1245,9 @@ impl World {
         pending.clear();
         self.machines[mid].wait_pending = pending;
         // Alarms first: a fired SIGALRM may turn a blocked process
-        // signal-wakeable for the second phase. The due-ness filter is
-        // the same `alarm_at` check the scan applies, so stale timer
-        // heap entries (lazy deletion) fire nothing.
+        // signal-wakeable for the second phase. Due-ness is judged on
+        // `alarm_at` itself, so stale timer heap entries (lazy deletion)
+        // fire nothing.
         let now = self.machines[mid].now;
         for &raw in &scratch {
             let pid = Pid(raw);
@@ -1325,8 +1260,9 @@ impl World {
                 self.fire_alarm(mid, pid);
             }
         }
-        for &pid in &scratch {
-            self.wake_one(mid, Pid(pid));
+        for &raw in &scratch {
+            let action = self.wake_action(mid, Pid(raw));
+            self.apply_wake(mid, Pid(raw), action);
         }
         self.wake_scratch = scratch;
     }
@@ -1355,11 +1291,11 @@ impl World {
         }
     }
 
-    /// Pops the ready machine with the smallest clock (MachineId breaks
-    /// ties, matching the scan's first-lowest-index pick). Entries with
-    /// stale keys are re-keyed and retried; entries without work are
-    /// dropped. With a `deadline`, returns `None` once the earliest
-    /// candidate's true clock has reached it.
+    /// Pops the ready machine with the smallest clock (the lowest
+    /// MachineId breaks ties, which keeps dual runs bit-identical).
+    /// Entries with stale keys are re-keyed and retried; entries without
+    /// work are dropped. With a `deadline`, returns `None` once the
+    /// earliest candidate's true clock has reached it.
     fn next_ready(&mut self, deadline: Option<SimTime>) -> Option<MachineId> {
         loop {
             let &(key, mid) = self.ready.first()?;
@@ -1384,8 +1320,8 @@ impl World {
         }
     }
 
-    /// Services every poked machine (in MachineId order, like the scan)
-    /// and refreshes its ready-index entry.
+    /// Services every poked machine, in MachineId order, and refreshes
+    /// its ready-index entry.
     fn drain_wake_queue(&mut self) {
         while let Some(mid) = self.wake_queue.pop_first() {
             self.service_machine(mid);
@@ -1393,20 +1329,17 @@ impl World {
         }
     }
 
-    /// Event-mode entry into a run loop. Terminals are the one piece of
-    /// sim state the host mutates without a `World` hook (`TtyHandle`
-    /// hands out the `Arc<Mutex<Terminal>>` directly, so typed input
-    /// and closes are invisible to us), so poke every registered tty
-    /// waiter once per run call; `poke_tty` re-checks the wait
-    /// condition and evicts stale registrations. Every other host entry
-    /// point (`host_post_signal`, `host_reap`, …) pokes at the mutation
-    /// site — enforced statically by simlint's `wake-poke` rule — which
-    /// is what lets this pass be O(tty waiters) instead of the
-    /// conservative every-blocked-process sweep it replaced.
+    /// Entry into a run loop. Terminals are the one piece of sim state
+    /// the host mutates without a `World` hook (`TtyHandle` shares the
+    /// `Rc<RefCell<Terminal>>` directly, so typed input and closes are
+    /// invisible to us), so poke every registered tty waiter once per
+    /// run call; `poke_tty` re-checks the wait condition and evicts
+    /// stale registrations. Every other host entry point
+    /// (`host_post_signal`, `host_reap`, …) pokes at the mutation site —
+    /// enforced statically by simlint's `wake-poke` rule — which is what
+    /// lets this pass be O(tty waiters) instead of the conservative
+    /// every-blocked-process sweep it replaced.
     fn enter_run(&mut self) {
-        if self.config.sched != Sched::Event {
-            return;
-        }
         let ttys: Vec<u32> = self.tty_waiters.keys().copied().collect();
         for tty in ttys {
             self.poke_tty(tty);
@@ -1415,9 +1348,9 @@ impl World {
 
     /// Marks one process for wake evaluation at the machine's next
     /// service. Over-poking is always safe (a false condition evaluates
-    /// to no action, exactly as under the scan); *missing* a poke is the
-    /// only hazard, so every state mutation that can flip a wake
-    /// condition true calls one of these hooks.
+    /// to no action); *missing* a poke is the only hazard, so every
+    /// state mutation that can flip a wake condition true calls one of
+    /// these hooks, and the debug-build pick audit panics on a miss.
     pub(crate) fn poke_proc(&mut self, mid: MachineId, pid: Pid) {
         self.machines[mid].wait_pending.insert(pid.as_u32());
         self.wake_queue.insert(mid);
@@ -1488,26 +1421,24 @@ impl World {
 
     /// Runs one scheduling action on a machine. Returns false if the
     /// machine is idle (nothing runnable, wakeable or sleeping).
-    pub fn step_machine(&mut self, mid: MachineId) -> bool {
+    fn step_machine(&mut self, mid: MachineId) -> bool {
         let progressed = self.step_machine_inner(mid);
-        if self.config.sched == Sched::Event {
-            // The slice may have advanced the clock, armed timers or
-            // changed the run queue; queue a re-key (and a service pass
-            // for any pokes the slice emitted).
-            self.wake_queue.insert(mid);
-        }
+        // The slice may have advanced the clock, armed timers or changed
+        // the run queue; queue a re-key (and a service pass for any
+        // pokes the slice emitted).
+        self.wake_queue.insert(mid);
         progressed
     }
 
     fn step_machine_inner(&mut self, mid: MachineId) -> bool {
-        self.wake(mid);
+        self.service_machine(mid);
         if self.machines[mid].run_queue.is_empty() {
             // Jump the clock to the earliest timer, if any.
             let Some(t) = self.earliest_deadline(mid) else {
                 return false;
             };
             self.machines[mid].now = self.machines[mid].now.max(t);
-            self.wake(mid);
+            self.service_machine(mid);
             if self.machines[mid].run_queue.is_empty() {
                 return false;
             }
@@ -1820,6 +1751,7 @@ impl World {
                 return;
             };
             let req = native.next_request();
+            let via_daemon = matches!(req, Request::Daemon { .. });
             // A little user-level CPU per call (libc and argument
             // marshalling).
             self.machines[mid].charge_user(pid, SimDuration::micros(50));
@@ -1839,109 +1771,97 @@ impl World {
                     SysRetval::ok(0)
                 }
                 Request::RunLocal { prog, comm } => {
-                    let cred = self
-                        .cred_of(mid, pid)
-                        .unwrap_or_else(|_| Credentials::root());
-                    let tty = self.proc_ref(mid, pid).and_then(|p| p.user.tty);
-                    let child = self.spawn_program(mid, &comm, tty, cred, prog);
-                    if let Some(p) = self.proc_mut(mid, pid) {
-                        p.state = ProcState::RemoteWait {
-                            server: mid,
-                            pid: child,
-                        };
-                    }
-                    self.remote_wait_register(mid, child.as_u32(), mid, pid);
+                    self.spawn_and_wait(mid, pid, None, &comm, prog);
                     return;
                 }
-                Request::Daemon { host, prog, comm } => {
-                    let Some(server) = self.find_machine(&host) else {
-                        self.native_reply(mid, pid, SysRetval::err(Errno::EHOSTUNREACH));
-                        continue;
-                    };
-                    // One message to the daemon's well-known port, plus
-                    // the daemon's fork/exec of the command.
-                    let msg = self.ether.send(&self.config.cost, 256);
-                    self.machines[mid].charge_sys(Some(pid), msg);
-                    // The daemon's port may be dead (machine down, no
-                    // migrated running) — the message is paid for, the
-                    // connection fails.
-                    if self
-                        .fault_fire(FaultSite::Rsh, mid, pid, Errno::EHOSTDOWN)
-                        .is_some()
-                    {
-                        self.native_reply(mid, pid, SysRetval::err(Errno::EHOSTDOWN));
-                        continue;
-                    }
-                    let dispatch = Cost::cpu_us(20_000).plus(Cost::wait_us(100_000));
-                    self.machines[mid].charge_sys(Some(pid), dispatch);
-                    let client_now = self.machines[mid].now;
-                    let s = &mut self.machines[server];
-                    s.now = s.now.max(client_now);
-                    let (pipe_id, _handle) = self.add_remote_pipe();
-                    let cred = self
-                        .cred_of(mid, pid)
-                        .unwrap_or_else(|_| Credentials::root());
-                    let child = self.spawn_program(server, &comm, Some(pipe_id), cred, prog);
-                    self.daemon_waiters.insert((mid, pid.as_u32()));
-                    if let Some(p) = self.proc_mut(mid, pid) {
-                        p.state = ProcState::RemoteWait { server, pid: child };
-                    }
-                    self.remote_wait_register(server, child.as_u32(), mid, pid);
-                    return;
-                }
-                Request::Rsh { host, prog, comm } => {
-                    let Some(server) = self.find_machine(&host) else {
-                        self.native_reply(mid, pid, SysRetval::err(Errno::EHOSTUNREACH));
-                        continue;
-                    };
-                    // Connection establishment, all charged to the
-                    // caller's clock before the remote command starts.
-                    // Any phase can fail (rshd unreachable, `.rhosts`
-                    // refusal, remote fork failure); the caller pays for
-                    // every phase up to and including the one that died.
-                    let mut session_up = true;
-                    for phase in [
-                        RshPhase::NameLookup,
-                        RshPhase::Connect,
-                        RshPhase::Auth,
-                        RshPhase::Spawn,
-                    ] {
-                        let c = phase.cost(&self.config.cost);
-                        self.machines[mid].charge_sys(Some(pid), c);
-                        if self
-                            .fault_fire(FaultSite::Rsh, mid, pid, Errno::EHOSTDOWN)
-                            .is_some()
-                        {
-                            session_up = false;
-                            break;
+                Request::Rsh { host, prog, comm } | Request::Daemon { host, prog, comm } => {
+                    match self.connect_remote(mid, pid, &host, via_daemon) {
+                        Ok(server) => {
+                            self.spawn_and_wait(mid, pid, Some((server, via_daemon)), &comm, prog);
+                            return;
                         }
+                        Err(e) => SysRetval::err(e),
                     }
-                    if !session_up {
-                        self.native_reply(mid, pid, SysRetval::err(Errno::EHOSTDOWN));
-                        continue;
-                    }
-                    // The remote side starts no earlier than the client's
-                    // current time.
-                    let client_now = self.machines[mid].now;
-                    let s = &mut self.machines[server];
-                    s.now = s.now.max(client_now);
-                    // rshd gives the command a degraded pipe terminal —
-                    // the reason migrate cannot preserve terminal modes
-                    // remotely.
-                    let (pipe_id, _handle) = self.add_remote_pipe();
-                    let cred = self
-                        .cred_of(mid, pid)
-                        .unwrap_or_else(|_| Credentials::root());
-                    let child = self.spawn_program(server, &comm, Some(pipe_id), cred, prog);
-                    if let Some(p) = self.proc_mut(mid, pid) {
-                        p.state = ProcState::RemoteWait { server, pid: child };
-                    }
-                    self.remote_wait_register(server, child.as_u32(), mid, pid);
-                    return;
                 }
             };
             self.native_reply(mid, pid, ret);
         }
+    }
+
+    /// Sets up a remote start for native caller `pid` on `mid`, charged
+    /// to the caller: one message to the migration daemon's well-known
+    /// port plus its fork/exec of the command, or the four phases of an
+    /// `rsh` session. Any step can fail under the fault plan (daemon
+    /// port dead, rshd unreachable, `.rhosts` refusal, remote fork
+    /// failure); the caller pays for every step up to the one that died.
+    fn connect_remote(
+        &mut self,
+        mid: MachineId,
+        pid: Pid,
+        host: &str,
+        via_daemon: bool,
+    ) -> SysResult<MachineId> {
+        let server = self.find_machine(host).ok_or(Errno::EHOSTUNREACH)?;
+        let step = |w: &mut World, cost: Cost| {
+            w.machines[mid].charge_sys(Some(pid), cost);
+            match w.fault_fire(FaultSite::Rsh, mid, pid, Errno::EHOSTDOWN) {
+                Some(_) => Err(Errno::EHOSTDOWN),
+                None => Ok(()),
+            }
+        };
+        if via_daemon {
+            let msg = self.ether.send(&self.config.cost, 256);
+            step(self, msg)?;
+            let fork_exec = Cost::cpu_us(20_000).plus(Cost::wait_us(100_000));
+            self.machines[mid].charge_sys(Some(pid), fork_exec);
+        } else {
+            for phase in [
+                RshPhase::NameLookup,
+                RshPhase::Connect,
+                RshPhase::Auth,
+                RshPhase::Spawn,
+            ] {
+                step(self, phase.cost(&self.config.cost))?;
+            }
+        }
+        Ok(server)
+    }
+
+    /// Starts native command `prog` for caller `pid` on `mid` and parks
+    /// the caller in `RemoteWait` until it exits or is overlaid. A local
+    /// start (`remote` is `None`) shares the caller's terminal. A remote
+    /// start on `(server, via_daemon)` begins no earlier than the
+    /// caller's clock, and the command gets a degraded pipe terminal, as
+    /// rshd gives it: the reason `migrate` cannot preserve terminal
+    /// modes remotely.
+    fn spawn_and_wait(
+        &mut self,
+        mid: MachineId,
+        pid: Pid,
+        remote: Option<(MachineId, bool)>,
+        comm: &str,
+        prog: NativeProgram,
+    ) {
+        let (server, tty) = match remote {
+            None => (mid, self.proc_ref(mid, pid).and_then(|p| p.user.tty)),
+            Some((server, _)) => {
+                let client_now = self.machines[mid].now;
+                let s = &mut self.machines[server];
+                s.now = s.now.max(client_now);
+                (server, Some(self.add_remote_pipe().0))
+            }
+        };
+        let cred = self
+            .cred_of(mid, pid)
+            .unwrap_or_else(|_| Credentials::root());
+        let child = self.spawn_program(server, comm, tty, cred, prog);
+        if let Some((_, true)) = remote {
+            self.daemon_waiters.insert((mid, pid.as_u32()));
+        }
+        if let Some(p) = self.proc_mut(mid, pid) {
+            p.state = ProcState::RemoteWait { server, pid: child };
+        }
+        self.remote_wait_register(server, child.as_u32(), mid, pid);
     }
 
     /// Stores a reply in a native process's mailbox.
@@ -1955,37 +1875,98 @@ impl World {
     // Run loops.
     // ------------------------------------------------------------------
 
-    /// Picks the machine to step next under the reference scan: wake
-    /// every machine, then take the smallest clock among machines with
-    /// work (strict `<`, so the first/lowest MachineId wins ties —
-    /// the tie-break the event index reproduces with its `(now, mid)`
-    /// key order). O(machines × procs) per slice; kept as the parity
-    /// oracle and the benchmark baseline.
-    fn pick_scan(&mut self, deadline: Option<SimTime>) -> Option<MachineId> {
-        let mut best: Option<(MachineId, SimTime)> = None;
-        for mid in 0..self.machines.len() {
-            self.wake_scan(mid);
-            let now = self.machines[mid].now;
-            if deadline.map(|d| now >= d).unwrap_or(false) {
-                continue;
-            }
-            if self.machines[mid].has_work() && best.map(|(_, t)| now < t).unwrap_or(true) {
-                best = Some((mid, now));
-            }
-        }
-        best.map(|(mid, _)| mid)
+    /// Picks the machine to step next: service every poked machine,
+    /// then pop the ready index. Debug builds audit every pick.
+    fn pick_next(&mut self, deadline: Option<SimTime>) -> Option<MachineId> {
+        self.drain_wake_queue();
+        let picked = self.next_ready(deadline);
+        #[cfg(debug_assertions)]
+        self.audit_pick(deadline, picked);
+        picked
     }
 
-    /// Picks the machine to step next: drain pending pokes, then pop
-    /// the ready index (event mode) or run the full scan (scan mode).
-    fn pick_next(&mut self, deadline: Option<SimTime>) -> Option<MachineId> {
-        match self.config.sched {
-            Sched::Scan => self.pick_scan(deadline),
-            Sched::Event => {
-                self.drain_wake_queue();
-                self.next_ready(deadline)
+    /// The debug-build wake audit: checks the scheduler's acceleration
+    /// state (ready index, timer heaps, pokes) against the process table
+    /// once the wake queue has drained. It panics, naming machine, pid,
+    /// wait state and condition, when
+    ///
+    /// * (a) a blocked process has a poke-delivered wake condition that
+    ///   holds (signal, terminal, pipe or socket, child, remote
+    ///   completion), as judged by [`World::wake_action`] itself: some
+    ///   mutation skipped its poke;
+    /// * (b) a sleep, page-wait or alarm deadline has no timer-heap
+    ///   entry;
+    /// * (c) a machine with a runnable process or a live deadline is
+    ///   missing from the ready index;
+    /// * (d) `picked` is not the (clock, id) minimum among machines with
+    ///   work before `deadline`.
+    ///
+    /// A due deadline with its timer entry is legal: a wake pass can
+    /// move the clock past deadlines after taking its due timers (a
+    /// remote completion syncs to the server's clock and charges the rsh
+    /// teardown), and the machine's next slice delivers them.
+    #[cfg(debug_assertions)]
+    fn audit_pick(&self, deadline: Option<SimTime>, picked: Option<MachineId>) {
+        let mut best: Option<(SimTime, MachineId)> = None;
+        for (mid, m) in self.machines.iter().enumerate() {
+            for p in m.procs.values() {
+                let (pid, state) = (p.pid.as_u32(), &p.state);
+                let wait_until = match *state {
+                    ProcState::Sleeping { until } | ProcState::PageWait { until, .. } => {
+                        Some(until)
+                    }
+                    _ => None,
+                };
+                for t in [wait_until, p.alarm_at].into_iter().flatten() {
+                    assert!(
+                        m.has_timer(p.pid, t),
+                        "wake audit: machine {mid} ({}) pid {pid} in {state:?}: deadline {t} has no timer entry",
+                        m.name
+                    );
+                }
+                // A due deadline is legal once its timer entry is
+                // checked above; any other verdict needed a poke.
+                let action = self.wake_action(mid, p.pid);
+                let condition = match (&action, state) {
+                    (
+                        WakeAction::Nothing
+                        | WakeAction::CompleteSleep
+                        | WakeAction::CompletePageFetch(_),
+                        _,
+                    ) => None,
+                    (WakeAction::CompleteRemote(..), _) => Some("remote completion"),
+                    _ if p.signal_pending() && self.signal_would_act(mid, p.pid) => {
+                        Some("a deliverable signal")
+                    }
+                    (_, ProcState::TtyWait { .. }) => Some("terminal input"),
+                    (_, ProcState::PipeWait) => Some("pipe or socket readiness"),
+                    _ => Some("a child exit or reap"),
+                };
+                if let Some(condition) = condition {
+                    panic!(
+                        "wake audit: machine {mid} ({}) pid {pid} in {state:?}: {condition} holds ({action:?}) but no poke delivered it",
+                        m.name
+                    );
+                }
+            }
+            if m.run_queue.is_empty() && !m.has_live_timer() {
+                continue;
+            }
+            assert!(
+                m.ready_key.is_some_and(|k| k <= m.now && self.ready.contains(&(k, mid))),
+                "wake audit: machine {mid} ({}) has work (run queue {:?}) but is missing from the ready index",
+                m.name,
+                m.run_queue
+            );
+            if deadline.is_none_or(|d| m.now < d) && best.is_none_or(|b| (m.now, mid) < b) {
+                best = Some((m.now, mid));
             }
         }
+        let expected = best.map(|(_, mid)| mid);
+        assert_eq!(
+            picked, expected,
+            "wake audit: the ready index picked {picked:?}, but the (clock, id) minimum among machines with work is {expected:?}"
+        );
     }
 
     /// Picks the machine with work and the smallest local clock; returns

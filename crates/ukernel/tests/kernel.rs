@@ -399,6 +399,103 @@ fn sockets_pipe_data_and_limitation_tag() {
 }
 
 #[test]
+fn pipe_write_larger_than_the_buffer_completes_in_parts() {
+    let (mut w, m) = world_one_machine();
+    // The parent writes 5000 bytes, more than the 4096-byte pipe buffer
+    // holds, looping on the returned count; the child drains the pipe in
+    // 8192-byte reads until EOF and copies what arrives to /tmp/got.
+    let obj = assemble(
+        r#"
+        start:  move.l  #42, d0     | pipe()
+                trap    #0
+                move.l  d0, d5
+                and.l   #0xffff, d5 | read end
+                move.l  d0, d6
+                lsr.l   #16, d6     | write end
+                move.l  #2, d0      | fork
+                trap    #0
+                tst.l   d0
+                beq     child
+                move.l  #6, d0      | parent: close the read end
+                move.l  d5, d1
+                trap    #0
+                move.l  #msg, a0    | msg[i] = i & 0xff
+                move.l  #0, d4
+        fill:   move.b  d4, (a0)+
+                add.l   #1, d4
+                cmp.l   #5000, d4
+                blt     fill
+                move.l  #msg, d2
+                move.l  #5000, d3
+        more:   move.l  #4, d0      | write what is left
+                move.l  d6, d1
+                trap    #0
+                bcs     fail
+                add.l   d0, d2
+                sub.l   d0, d3
+                bgt     more
+                move.l  #6, d0      | close the write end: EOF for the child
+                move.l  d6, d1
+                trap    #0
+                move.l  #7, d0      | wait for the child
+                move.l  #0, d1
+                trap    #0
+                move.l  #1, d0
+                move.l  #0, d1
+                trap    #0
+        fail:   move.l  #1, d0
+                move.l  #1, d1
+                trap    #0
+        child:  move.l  #6, d0      | child: close the write end
+                move.l  d6, d1
+                trap    #0
+                move.l  #8, d0      | creat /tmp/got
+                move.l  #outname, d1
+                move.l  #420, d2
+                trap    #0
+                move.l  d0, d7
+        drain:  move.l  #3, d0      | read up to 8192 bytes
+                move.l  d5, d1
+                move.l  #buf, d2
+                move.l  #8192, d3
+                trap    #0
+                bcs     fail
+                tst.l   d0
+                beq     eof
+                move.l  d0, d3      | append them to /tmp/got
+                move.l  #4, d0
+                move.l  d7, d1
+                move.l  #buf, d2
+                trap    #0
+                bra     drain
+        eof:    move.l  #1, d0
+                move.l  #0, d1
+                trap    #0
+                .data
+        outname:.asciz  "/tmp/got"
+                .bss
+        msg:    .space  5000
+        buf:    .space  8192
+        "#,
+    )
+    .unwrap();
+    w.install_program(m, "/bin/bigwrite", &obj).unwrap();
+    let pid = w.spawn_vm_proc(m, "/bin/bigwrite", None, alice()).unwrap();
+    let info = w
+        .run_until_exit(m, pid, 100_000)
+        .expect("a write larger than the pipe buffer must not block forever");
+    assert_eq!(info.status, 0);
+    let got = w.host_read_file(m, "/tmp/got").unwrap();
+    let sent: Vec<u8> = (0..5000u32).map(|i| i as u8).collect();
+    assert_eq!(
+        got.len(),
+        5000,
+        "the reader must receive exactly 5000 bytes"
+    );
+    assert_eq!(got, sent);
+}
+
+#[test]
 fn sigquit_core_dump_and_undump() {
     let (mut w, m) = world_one_machine();
     let obj = assemble(TEST_PROGRAM).unwrap();

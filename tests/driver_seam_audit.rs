@@ -1,19 +1,21 @@
 //! Source-level audit: driver code stays on the World API.
 //!
 //! The `World` verbs keep the kernel's derived state in step with every
-//! mutation: the event scheduler's wake pokes, the ready index, the
-//! reaper's pending-dump index. Scenario code that grabs `machine_mut(..)`
-//! or edits a process directly changes state behind that bookkeeping's
+//! mutation: the scheduler's wake pokes, the ready index, the reaper's
+//! pending-dump index. Scenario code that grabs `machine_mut(..)` or
+//! edits a process directly changes state behind that bookkeeping's
 //! back — a blocked process whose wake condition flipped without a poke
-//! stalls, and the wake-parity oracle catches it only far from the
-//! cause.
+//! stalls. The debug-build wake audit panics at the next pick, but only
+//! for runs that reach the bad state, and release builds carry no
+//! audit at all; this test rejects the spelling before anything runs.
 //!
 //! simlint's `wake-poke` rule polices the kernel crate itself; this
 //! test extends the same contract to the out-of-crate drivers (the
-//! bench scenarios, the `figures`/`simsh` binaries, and the pmig
-//! command layer), where simlint does not look. The allowed surface
-//! there is the read-only `machine(..)` accessor plus the World verbs
-//! (`run_*`, `host_*`, `spawn_*`, terminals, faults).
+//! bench scenarios, the `figures`/`simsh` binaries, the pmig command
+//! layer, the apps policy engine and the examples), where simlint does
+//! not look. The allowed surface there is the read-only `machine(..)`
+//! accessor plus the World verbs (`run_*`, `host_*`, `spawn_*`,
+//! terminals, faults).
 
 use std::path::Path;
 
@@ -22,7 +24,12 @@ use std::path::Path;
 const FORBIDDEN: [&str; 4] = ["machine_mut(", ".machines[", "proc_mut(", "fs_mut("];
 
 /// The driver trees: everything here must treat the world as opaque.
-const DRIVER_ROOTS: [&str; 2] = ["crates/bench/src", "crates/pmig/src"];
+const DRIVER_ROOTS: [&str; 4] = [
+    "crates/bench/src",
+    "crates/pmig/src",
+    "crates/apps/src",
+    "examples",
+];
 
 fn scan_file(path: &Path, violations: &mut Vec<String>) {
     let text = std::fs::read_to_string(path).unwrap();

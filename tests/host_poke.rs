@@ -7,10 +7,9 @@
 //! (terminal handles), and the sites it was hiding — fork, execve
 //! overlay, `alarm`, `sleep` — poke explicitly, enforced statically by
 //! simlint's `wake-poke` rule. These tests pin the dynamic behavior:
-//! each wait class must wake under the event scheduler and match the
-//! reference scan bit-for-bit on the *full* superset snapshot, which
-//! would have diverged (stalled clocks, stuck procs) were any of those
-//! pokes missing.
+//! each wait class must wake on an otherwise idle machine, where a
+//! missing poke stalls the run, while the debug-build wake audit
+//! checks every pick on the way.
 //!
 //! The last test is the snapshot-coverage oracle check: perturbing any
 //! of the newly folded fields must change `common::snapshot_world`,
@@ -21,16 +20,14 @@ mod common;
 
 use m68vm::{assemble, IsaLevel};
 use sysdefs::{Credentials, Gid, Uid};
-use ukernel::{KernelConfig, Sched, World};
+use ukernel::{KernelConfig, World};
 
 fn alice() -> Credentials {
     Credentials::user(Uid(100), Gid(10))
 }
 
-fn world(sched: Sched) -> World {
-    let mut cfg = KernelConfig::paper();
-    cfg.sched = sched;
-    World::new(cfg)
+fn world() -> World {
+    World::new(KernelConfig::paper())
 }
 
 /// Two sleeps then exit — wakes ride purely on the timer heap and the
@@ -106,12 +103,12 @@ msg:    .byte   'p'
 buf:    .space  8
 "#;
 
-/// Runs `prog` to completion on a single machine under `sched` and
-/// returns the superset snapshot. The machine is otherwise idle, so
-/// every wake must come from the poke under test — there is no
-/// background slice traffic to mask a stall.
-fn run_program(sched: Sched, prog: &str) -> String {
-    let mut w = world(sched);
+/// Runs `prog` to completion on a single machine and returns the
+/// superset snapshot. The machine is otherwise idle, so every wake must
+/// come from the poke under test — there is no background slice traffic
+/// to mask a stall.
+fn run_program(prog: &str) -> String {
+    let mut w = world();
     let mid = w.add_machine("host", IsaLevel::Isa1);
     let obj = assemble(prog).unwrap();
     w.install_program(mid, "/bin/prog", &obj).unwrap();
@@ -125,14 +122,12 @@ fn run_program(sched: Sched, prog: &str) -> String {
 
 #[test]
 fn sleep_wakes_without_the_conservative_sweep() {
-    let event = run_program(Sched::Event, SLEEPER_PROGRAM);
-    let scan = run_program(Sched::Scan, SLEEPER_PROGRAM);
-    assert_eq!(scan, event, "sleep wake diverged between schedulers");
+    run_program(SLEEPER_PROGRAM);
 }
 
 #[test]
 fn alarm_fires_without_the_conservative_sweep() {
-    let mut w = world(Sched::Event);
+    let mut w = world();
     let mid = w.add_machine("host", IsaLevel::Isa1);
     let obj = assemble(ALARM_PROGRAM).unwrap();
     w.install_program(mid, "/bin/prog", &obj).unwrap();
@@ -141,98 +136,77 @@ fn alarm_fires_without_the_conservative_sweep() {
     // is therefore nonzero, but the process must *finish*.
     w.run_until_exit(mid, pid, 30_000_000)
         .expect("alarm must fire on an otherwise-idle machine");
-    let event = common::snapshot_world(&w);
-
-    let mut w2 = world(Sched::Scan);
-    let mid2 = w2.add_machine("host", IsaLevel::Isa1);
-    w2.install_program(mid2, "/bin/prog", &obj).unwrap();
-    let pid2 = w2.spawn_vm_proc(mid2, "/bin/prog", None, alice()).unwrap();
-    w2.run_until_exit(mid2, pid2, 30_000_000).expect("scan run");
-    assert_eq!(common::snapshot_world(&w2), event);
 }
 
 #[test]
 fn fork_and_pipe_wake_without_the_conservative_sweep() {
-    let event = run_program(Sched::Event, PIPE_PING_PROGRAM);
-    let scan = run_program(Sched::Scan, PIPE_PING_PROGRAM);
-    assert_eq!(scan, event, "fork/pipe wake diverged between schedulers");
-    assert!(event.contains("fork=1"), "scenario must actually fork");
+    let snapshot = run_program(PIPE_PING_PROGRAM);
+    assert!(snapshot.contains("fork=1"), "scenario must actually fork");
 }
 
 /// Typed terminal input arrives through the `TtyHandle`'s shared
-/// `Arc<Mutex<Terminal>>` — the one host mutation the `World` cannot
+/// `Rc<RefCell<Terminal>>` — the one host mutation the `World` cannot
 /// hook. The narrowed `enter_run` covers it by poking registered tty
 /// waiters at run entry; this pins that a reader parked across a run
-/// boundary still wakes, identically under both schedulers.
+/// boundary still wakes.
 #[test]
 fn tty_input_between_runs_wakes_the_reader() {
-    let run = |sched: Sched| {
-        let mut w = world(sched);
-        let mid = w.add_machine("host", IsaLevel::Isa1);
-        let obj = assemble(pmig::workloads::TEST_PROGRAM).unwrap();
-        w.install_program(mid, "/bin/testprog", &obj).unwrap();
-        let (tty, console) = w.add_terminal(mid);
-        let pid = w
-            .spawn_vm_proc(mid, "/bin/testprog", Some(tty), alice())
-            .unwrap();
-        // Park the program at its prompt, then type from the host side
-        // between run calls, then close for EOF.
-        w.run_slices(50_000);
-        console.type_input("ping\n");
-        w.run_slices(50_000);
-        console.with(|t| t.close());
-        let info = w
-            .run_until_exit(mid, pid, 30_000_000)
-            .expect("tty reader must wake on host-typed input");
-        (info.status, common::snapshot_world(&w))
-    };
-    let (status_e, event) = run(Sched::Event);
-    let (status_s, scan) = run(Sched::Scan);
-    assert_eq!(status_e, status_s);
-    assert_eq!(scan, event, "tty wake diverged between schedulers");
+    let mut w = world();
+    let mid = w.add_machine("host", IsaLevel::Isa1);
+    let obj = assemble(pmig::workloads::TEST_PROGRAM).unwrap();
+    w.install_program(mid, "/bin/testprog", &obj).unwrap();
+    let (tty, console) = w.add_terminal(mid);
+    let pid = w
+        .spawn_vm_proc(mid, "/bin/testprog", Some(tty), alice())
+        .unwrap();
+    // Park the program at its prompt, then type from the host side
+    // between run calls, then close for EOF.
+    w.run_slices(50_000);
+    console.type_input("ping\n");
+    w.run_slices(50_000);
+    console.with(|t| t.close());
+    let info = w
+        .run_until_exit(mid, pid, 30_000_000)
+        .expect("tty reader must wake on host-typed input");
+    assert_eq!(info.status, 0);
 }
 
 /// Demand-restore parking: a demand-restarted process whose data pages
 /// are absent faults on first touch, parks in the `PageWait` class, and
 /// is woken by the kernel's page-fetch completion poke. An otherwise
 /// idle pair of machines means every wake rides that poke alone — a
-/// missing one stalls the event scheduler, and any charging difference
-/// diverges from the reference scan on the full superset snapshot.
+/// missing one stalls the run.
 #[test]
 fn demand_page_fault_parks_and_wakes_without_the_sweep() {
-    let run = |sched: Sched| {
-        let mut w = world(sched);
-        let brick = w.add_machine("brick", IsaLevel::Isa1);
-        let schooner = w.add_machine("schooner", IsaLevel::Isa1);
-        let obj = assemble(&pmig::workloads::dirty_hog_program(50, 4 * 0x2000)).unwrap();
-        w.install_program(brick, "/bin/hog", &obj).unwrap();
-        let pid = w.spawn_vm_proc(brick, "/bin/hog", None, alice()).unwrap();
-        w.run_slices(3);
-        let status = pmig::api::run_dumpproc(&mut w, brick, pid, alice()).unwrap();
-        assert_eq!(status, 0);
-        let new_pid = pmig::api::run_restart(
-            &mut w,
-            schooner,
-            pmig::RestartArgs {
-                pid,
-                dump_host: Some("brick".into()),
-                demand: true,
-            },
-            None,
-            alice(),
-        )
-        .expect("demand restart");
-        let info = w
-            .run_until_exit(schooner, new_pid, 60_000_000)
-            .expect("the faulting hog must wake from PageWait and finish");
-        assert_eq!(info.status, 0);
-        (w.machine(schooner).stats.pages_fetched, common::snapshot_world(&w))
-    };
-    let (fetched_event, event) = run(Sched::Event);
-    let (fetched_scan, scan) = run(Sched::Scan);
-    assert!(fetched_event > 0, "the hog must actually page-fault");
-    assert_eq!(fetched_event, fetched_scan);
-    assert_eq!(scan, event, "page-fetch wake diverged between schedulers");
+    let mut w = world();
+    let brick = w.add_machine("brick", IsaLevel::Isa1);
+    let schooner = w.add_machine("schooner", IsaLevel::Isa1);
+    let obj = assemble(&pmig::workloads::dirty_hog_program(50, 4 * 0x2000)).unwrap();
+    w.install_program(brick, "/bin/hog", &obj).unwrap();
+    let pid = w.spawn_vm_proc(brick, "/bin/hog", None, alice()).unwrap();
+    w.run_slices(3);
+    let status = pmig::api::run_dumpproc(&mut w, brick, pid, alice()).unwrap();
+    assert_eq!(status, 0);
+    let new_pid = pmig::api::run_restart(
+        &mut w,
+        schooner,
+        pmig::RestartArgs {
+            pid,
+            dump_host: Some("brick".into()),
+            demand: true,
+        },
+        None,
+        alice(),
+    )
+    .expect("demand restart");
+    let info = w
+        .run_until_exit(schooner, new_pid, 60_000_000)
+        .expect("the faulting hog must wake from PageWait and finish");
+    assert_eq!(info.status, 0);
+    assert!(
+        w.machine(schooner).stats.pages_fetched > 0,
+        "the hog must actually page-fault"
+    );
 }
 
 /// The snapshot-coverage half of the contract, checked dynamically:
@@ -240,11 +214,11 @@ fn demand_page_fault_parks_and_wakes_without_the_sweep() {
 /// this PR every one of these edits left the oracle string untouched.
 #[test]
 fn snapshot_sees_the_newly_folded_fields() {
-    let mut w = world(Sched::Event);
+    let mut w = world();
     let mid = w.add_machine("host", IsaLevel::Isa1);
     let base = common::snapshot_world(&w);
 
-    let mut w2 = world(Sched::Event);
+    let mut w2 = world();
     let mid2 = w2.add_machine("host", IsaLevel::Isa1);
     assert_eq!(base, common::snapshot_world(&w2), "identical worlds match");
 
@@ -298,7 +272,7 @@ fn scan_dump_pids(w: &World, mid: usize) -> Vec<u32> {
 /// syscall funnel maintains the same index.
 #[test]
 fn pending_dumps_index_matches_a_fresh_scan() {
-    let mut w = world(Sched::Event);
+    let mut w = world();
     let mid = w.add_machine("host", IsaLevel::Isa1);
     let obj = assemble(SLEEPER_PROGRAM).unwrap();
     w.install_program(mid, "/bin/prog", &obj).unwrap();
@@ -365,7 +339,7 @@ start:  move.l  #10, d0
         .data
 fname:  .asciz  "/usr/tmp/stack00042"
 "#;
-    let mut w = world(Sched::Event);
+    let mut w = world();
     let mid = w.add_machine("host", IsaLevel::Isa1);
     let c = assemble(CREAT_PROGRAM).unwrap();
     w.install_program(mid, "/bin/c", &c).unwrap();

@@ -1,24 +1,26 @@
-//! Wake-semantics parity between the two schedulers.
+//! Wake semantics at cluster scale.
 //!
-//! The event scheduler (`Sched::Event`, the default) must reproduce the
-//! reference scan's trajectory **bit-identically**: same wake order,
-//! same clock charges, same ktrace records, same terminal transcripts.
-//! Its design invariant is that over-poking is harmless (a false wake
-//! condition evaluates to no action, exactly as under the scan) while a
-//! *missed* poke would stall a wakeup the scan would have seen — so any
-//! divergence here points at a mutation site without a poke hook.
+//! The scheduler wakes only poked processes and due timers. Its design
+//! invariant is that over-poking is harmless (a false wake condition
+//! evaluates to no action) while a *missed* poke stalls a wakeup. In
+//! debug builds the wake audit checks that invariant at every pick:
+//! it panics the moment a blocked process's wake condition holds
+//! without a poke, or the ready index disagrees with the machines that
+//! have work. These scenarios give it the most to check, and two runs
+//! of each must also produce **bit-identical** snapshots: same wake
+//! order, clock charges, ktrace records and terminal transcripts.
 //!
 //! The scenario is a cluster of 100+ hosts exercising every wait class
 //! at once: sleep expiry, alarm expiry mid-sleep, tty reads woken by
 //! typed input / close / SIGINT, pipe readers woken by writes, parents
 //! in `wait()`, rsh/run_local remote completions, and a full
 //! daemon-scripted migration — plus a faulty variant, since injected
-//! faults are simulation events the parity must cover too.
+//! faults are simulation events the audit must cover too.
 
 use m68vm::{assemble, IsaLevel};
 use sysdefs::{Credentials, Gid, Uid, Signal};
 use tty::TtyHandle;
-use ukernel::{KernelConfig, Sched, World};
+use ukernel::{KernelConfig, World};
 use vfs::InodeKind;
 
 fn alice() -> Credentials {
@@ -101,12 +103,10 @@ start:  move.l  #27, d0     | alarm(1)
         trap    #0
 "#;
 
-/// Runs the cluster scenario under `sched` and renders the final world
-/// into one canonical string (same shape as tests/determinism.rs).
-fn run_scenario(sched: Sched, faults: simnet::FaultPlan, require_success: bool) -> String {
-    let mut cfg = KernelConfig::paper();
-    cfg.sched = sched;
-    let mut w = World::new(cfg);
+/// Runs the cluster scenario and renders the final world into one
+/// canonical string (same shape as tests/determinism.rs).
+fn run_scenario(faults: simnet::FaultPlan, require_success: bool) -> String {
+    let mut w = World::new(KernelConfig::paper());
     w.faults = faults;
 
     let hog = assemble(&pmig::workloads::cpu_hog_program(20)).unwrap();
@@ -339,43 +339,30 @@ fn hash_dir(fs: &vfs::Filesystem, dir: vfs::Ino, path: &str, h: &mut u64) {
 }
 
 #[test]
-fn event_scheduler_matches_scan_bit_for_bit() {
-    let event = run_scenario(Sched::Event, simnet::FaultPlan::none(), true);
+fn cluster_wake_scenario_is_bit_identical_across_runs() {
+    let first = run_scenario(simnet::FaultPlan::none(), true);
     assert!(
-        event.contains("machine 104 brick") && event.contains("dump"),
+        first.contains("machine 104 brick") && first.contains("dump"),
         "snapshot looks degenerate:\n{}",
-        &event[..event.len().min(4000)]
+        &first[..first.len().min(4000)]
     );
-    let event2 = run_scenario(Sched::Event, simnet::FaultPlan::none(), true);
-    assert_eq!(
-        event, event2,
-        "two event-scheduler runs diverged at cluster scale"
-    );
-    let scan = run_scenario(Sched::Scan, simnet::FaultPlan::none(), true);
-    assert_eq!(
-        scan, event,
-        "event scheduler diverged from the reference scan"
-    );
+    let second = run_scenario(simnet::FaultPlan::none(), true);
+    assert_eq!(first, second, "two runs diverged at cluster scale");
 }
 
 #[test]
-fn faulty_runs_match_across_schedulers() {
+fn faulty_cluster_wake_scenario_is_bit_identical_across_runs() {
     use simnet::{FaultPlan, FaultSite, FaultSpec};
     let plan = || {
         FaultPlan::seeded(0xFEED)
             .with(FaultSpec::always(FaultSite::MidDumpCrash, 1))
             .with(FaultSpec::always(FaultSite::NfsOp, 2))
     };
-    let event = run_scenario(Sched::Event, plan(), false);
+    let first = run_scenario(plan(), false);
     assert!(
-        event.contains(" fault "),
+        first.contains(" fault "),
         "injected faults must appear in the snapshot"
     );
-    let event2 = run_scenario(Sched::Event, plan(), false);
-    assert_eq!(event, event2, "faulty event runs diverged");
-    let scan = run_scenario(Sched::Scan, plan(), false);
-    assert_eq!(
-        scan, event,
-        "faulty event run diverged from the reference scan"
-    );
+    let second = run_scenario(plan(), false);
+    assert_eq!(first, second, "two faulty runs diverged");
 }
