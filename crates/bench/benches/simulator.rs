@@ -16,7 +16,7 @@ fn bench_vm_interpreter(c: &mut Criterion) {
     let obj = interp::interp_loop();
     let icache = ICache::build(&obj.text, IsaLevel::Isa1);
     let mut g = c.benchmark_group("vm");
-    g.throughput(Throughput::Elements(interp::INSTRUCTIONS_PER_RUN));
+    g.throughput(Throughput::Elements(interp::instructions_per_run(&obj)));
     g.bench_function("interpret_500k_instructions", |b| {
         b.iter(|| black_box(interp::run_once(&obj, Engine::Superblock(&icache))))
     });

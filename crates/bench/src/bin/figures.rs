@@ -287,6 +287,18 @@ fn run_interp(json: bool) {
             v / report.uncached_insn_per_sec
         );
     }
+    println!("\n{:<16} {:>16} {:>10}", "hog loop", "insn/sec", "vs cached");
+    for (name, v) in [
+        ("hog cached", report.hog_cached_insn_per_sec),
+        ("hog superblock", report.hog_superblock_insn_per_sec),
+    ] {
+        println!(
+            "{:<16} {:>16.0} {:>9.2}x",
+            name,
+            v,
+            v / report.hog_cached_insn_per_sec
+        );
+    }
 }
 
 fn run_ablations(json: bool) {

@@ -815,27 +815,6 @@ pub struct ClusterRow {
     pub us_per_event: f64,
 }
 
-/// A periodic "interactive" process: `beats` short sleeps in a loop.
-/// Each expiry is one small scheduling event — exactly the traffic an
-/// installation of mostly-idle workstations generates, and the case
-/// where any per-slice work proportional to the installation would be
-/// pure overhead.
-fn cluster_tick_program(beats: u32) -> String {
-    format!(
-        r#"
-start:  move.l  #{beats}, d7
-beat:   move.l  #150, d0
-        move.l  #2000, d1
-        trap    #0
-        sub.l   #1, d7
-        bgt     beat
-        move.l  #1, d0
-        move.l  #0, d1
-        trap    #0
-"#
-    )
-}
-
 /// Builds an N-host installation: every host runs one ticker and four
 /// tty readers blocked at their terminals (dead weight the scheduler
 /// must not touch until input arrives), and every sixteenth host
@@ -848,7 +827,7 @@ fn cluster_world(hosts: usize) -> World {
         w.add_machine(&format!("h{i}"), IsaLevel::Isa1);
     }
     let hog = assemble(&workloads::cpu_hog_program(1_000_000)).expect("assemble hog");
-    let tick = assemble(&cluster_tick_program(100_000)).expect("assemble tick");
+    let tick = assemble(&workloads::cluster_tick_program(100_000)).expect("assemble tick");
     let reader = assemble(workloads::TEST_PROGRAM).expect("assemble reader");
     for i in 0..hosts {
         if i % 16 == 0 {

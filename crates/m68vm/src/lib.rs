@@ -35,7 +35,7 @@ pub mod superblock;
 
 pub use asm::{assemble, AsmError};
 pub use cpu::{Cpu, Fault, StepEvent};
-pub use icache::ICache;
+pub use icache::{ICache, ICachePool};
 pub use superblock::SbExit;
 pub use disasm::disassemble_one;
 pub use isa::{Instr, IsaLevel, Op, Operand, Size};

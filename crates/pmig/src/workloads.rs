@@ -174,6 +174,27 @@ progress:
     )
 }
 
+/// A periodic "interactive" process for the cluster benchmarks:
+/// `beats` short sleeps in a loop. Each expiry is one small scheduling
+/// event — exactly the traffic an installation of mostly-idle
+/// workstations generates, and the case where any per-slice work
+/// proportional to the installation would be pure overhead.
+pub fn cluster_tick_program(beats: u32) -> String {
+    format!(
+        r#"
+start:  move.l  #{beats}, d7
+beat:   move.l  #150, d0
+        move.l  #2000, d1
+        trap    #0
+        sub.l   #1, d7
+        bgt     beat
+        move.l  #1, d0
+        move.l  #0, d1
+        trap    #0
+"#
+    )
+}
+
 /// The dirty-page workload for the live-migration benchmarks: a CPU
 /// hog with `ballast` bytes of bss behind it, re-dirtying a four-page
 /// working set every round — the shape that separates the protocols.

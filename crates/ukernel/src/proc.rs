@@ -87,12 +87,14 @@ pub struct VmBody {
     pub cpu: Cpu,
     /// The memory image.
     pub mem: Memory,
-    /// Predecoded text segment, built at overlay time (execve or
-    /// rest_proc) for the hosting machine's ISA level; `None` when the
-    /// kernel is configured without the cache. Shared with forked
-    /// children — text is write-protected, so the cache never goes
-    /// stale. Purely a host-side accelerator: simulated charging is
-    /// identical with or without it.
+    /// Predecoded text segment, taken at overlay time (execve or
+    /// rest_proc) from the world's pool for the hosting machine's ISA
+    /// level; `None` when the kernel is configured without the cache.
+    /// Every body running the same text at that level — forked
+    /// children, neighbours, restored copies — shares this `Arc`; text
+    /// is write-protected, so the cache never goes stale. Purely a
+    /// host-side accelerator: simulated charging is identical with or
+    /// without it.
     pub icache: Option<std::sync::Arc<m68vm::ICache>>,
     /// The ISA level the loaded executable requires (from its a.out
     /// machine id) — checked against the machine at `execve` time and

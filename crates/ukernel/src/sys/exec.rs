@@ -16,6 +16,7 @@ use simnet::NfsOp;
 use sysdefs::{Access, Errno, Pid, SysResult};
 use vfs::InodeKind;
 
+use crate::machine::MachineId;
 use crate::namei::{namei, FollowLast};
 use crate::proc::{Body, ProcState, VmBody};
 use crate::sys::args::{SysRetval, SyscallResult};
@@ -28,9 +29,14 @@ fn done(r: SysResult<SysRetval>) -> SyscallResult {
     })
 }
 
-/// Reads a whole file through the namespace, charging namei plus the
-/// image transfer (disk locally, NFS reads remotely).
-pub(crate) fn slurp(cx: &mut SysCtx<'_>, path: &str, want_exec: bool) -> SysResult<Vec<u8>> {
+/// Resolves `path` through the namespace and copies out the regular
+/// file it names, charging only the lookup: returns the machine the
+/// file lives on, for the caller to charge the transfer from.
+fn read_file(
+    cx: &mut SysCtx<'_>,
+    path: &str,
+    want_exec: bool,
+) -> SysResult<(MachineId, Vec<u8>)> {
     let mid = cx.mid;
     let cred = cx.cred()?;
     let cwd = cx.cwd()?;
@@ -40,31 +46,41 @@ pub(crate) fn slurp(cx: &mut SysCtx<'_>, path: &str, want_exec: bool) -> SysResu
     cx.charge(c);
     let fref = res.fref;
     let node = cx.w.machine(fref.machine).fs.inode(fref.ino)?;
-    let data = match &node.kind {
+    match &node.kind {
         InodeKind::Regular(bytes) => {
-            if want_exec && !node.mode.allows(&cred, node.uid, node.gid, Access::Exec) {
+            let access = if want_exec { Access::Exec } else { Access::Read };
+            if !node.mode.allows(&cred, node.uid, node.gid, access) {
                 return Err(Errno::EACCES);
             }
-            if !want_exec && !node.mode.allows(&cred, node.uid, node.gid, Access::Read) {
-                return Err(Errno::EACCES);
-            }
-            bytes.clone()
+            Ok((fref.machine, bytes.clone()))
         }
-        InodeKind::Directory(_) => return Err(Errno::EISDIR),
-        _ => return Err(Errno::EACCES),
-    };
-    if fref.machine == mid {
-        let c = cx.cost().disk_read(data.len());
+        InodeKind::Directory(_) => Err(Errno::EISDIR),
+        _ => Err(Errno::EACCES),
+    }
+}
+
+/// Charges reading `len` bytes of a file on machine `home`: a disk
+/// read locally, 8 KB NFS reads remotely.
+fn charge_read(cx: &mut SysCtx<'_>, home: MachineId, len: usize) -> SysResult<()> {
+    if home == cx.mid {
+        let c = cx.cost().disk_read(len);
         cx.charge(c);
     } else {
-        // NFS moves the image in 8 KB reads.
-        let mut left = data.len();
+        let mut left = len;
         while left > 0 {
             let chunk = left.min(8192);
             cx.charge_rpc(NfsOp::Read(chunk))?;
             left -= chunk;
         }
     }
+    Ok(())
+}
+
+/// Reads a whole file through the namespace, charging namei plus the
+/// image transfer (disk locally, NFS reads remotely).
+pub(crate) fn slurp(cx: &mut SysCtx<'_>, path: &str, want_exec: bool) -> SysResult<Vec<u8>> {
+    let (home, data) = read_file(cx, path, want_exec)?;
+    charge_read(cx, home, data.len())?;
     Ok(data)
 }
 
@@ -92,16 +108,8 @@ fn overlay(cx: &mut SysCtx<'_>, image: &[u8], comm: &str) -> SysResult<()> {
     }
     let c = cx.cost().exec_base();
     cx.charge(c);
-    // Text is write-protected, so decode it once here — at the only
-    // place a VM body is born — rather than on every interpreted step.
-    // The cache is keyed to the hosting machine's ISA level (the level
-    // the live decoder would enforce), not the executable's requirement.
-    let icache = if cx.w.config.use_icache {
-        let level = cx.machine().isa;
-        Some(std::sync::Arc::new(m68vm::ICache::build(mem.text(), level)))
-    } else {
-        None
-    };
+    // The overlays are the only places a VM body is born.
+    let icache = cx.w.icache(cx.mid, mem.text());
     let pid = cx.pid;
     let p = cx.proc_mut().ok_or(Errno::ESRCH)?;
     p.body = Body::Vm(VmBody {
@@ -134,42 +142,14 @@ fn overlay(cx: &mut SysCtx<'_>, image: &[u8], comm: &str) -> SysResult<()> {
 /// fetched from the dump the first time an instruction touches it.
 fn overlay_demand(cx: &mut SysCtx<'_>, path: &str, comm: &str) -> SysResult<()> {
     let mid = cx.mid;
-    let cred = cx.cred()?;
-    let cwd = cx.cwd()?;
-    let res = namei(cx.w, mid, &cred, cwd, path, FollowLast::Yes)?;
-    let cold = cx.machine_mut().touch_path(&format!("slurp:{mid}:{path}"));
-    let c = cx.cost().namei(res.components, cold);
-    cx.charge(c);
-    let fref = res.fref;
-    let node = cx.w.machine(fref.machine).fs.inode(fref.ino)?;
-    let bytes = match &node.kind {
-        InodeKind::Regular(bytes) => {
-            if !node.mode.allows(&cred, node.uid, node.gid, Access::Exec) {
-                return Err(Errno::EACCES);
-            }
-            bytes.clone()
-        }
-        InodeKind::Directory(_) => return Err(Errno::EISDIR),
-        _ => return Err(Errno::EACCES),
-    };
+    let (home, bytes) = read_file(cx, path, true)?;
     let exe = parse_executable(&bytes).map_err(|_| Errno::ENOEXEC)?;
     let isa_required = exe.isa();
     if !cx.machine().isa.supports(isa_required) {
         return Err(Errno::ENOEXEC);
     }
     // Charge only the header + text prefix; the data stays behind.
-    let prefix = aout::AOUT_HEADER_LEN + exe.text.len();
-    if fref.machine == mid {
-        let c = cx.cost().disk_read(prefix);
-        cx.charge(c);
-    } else {
-        let mut left = prefix;
-        while left > 0 {
-            let chunk = left.min(8192);
-            cx.charge_rpc(NfsOp::Read(chunk))?;
-            left -= chunk;
-        }
-    }
+    charge_read(cx, home, aout::AOUT_HEADER_LEN + exe.text.len())?;
     // The image: real text, a zeroed data segment with every page
     // absent, and the exact migration stack.
     let data_len = exe.header.a_data + exe.header.a_bss;
@@ -196,15 +176,10 @@ fn overlay_demand(cx: &mut SysCtx<'_>, path: &str, comm: &str) -> SysResult<()> 
     }
     let c = cx.cost().exec_base();
     cx.charge(c);
-    let icache = if cx.w.config.use_icache {
-        let level = cx.machine().isa;
-        Some(std::sync::Arc::new(m68vm::ICache::build(mem.text(), level)))
-    } else {
-        None
-    };
+    let icache = cx.w.icache(mid, mem.text());
     // The residual source is addressed server-locally, so the page
     // fetches keep working even if this machine's mounts change.
-    let local_path = if fref.machine == mid {
+    let local_path = if home == mid {
         path.to_string()
     } else {
         path.strip_prefix("/n/")
@@ -221,7 +196,7 @@ fn overlay_demand(cx: &mut SysCtx<'_>, path: &str, comm: &str) -> SysResult<()> 
         entry: exe.header.a_entry,
         icache,
         residual: Some(crate::proc::ResidualSource {
-            server: fref.machine,
+            server: home,
             aout_path: local_path,
             data_off: aout::AOUT_HEADER_LEN + exe.text.len(),
             tries: 0,

@@ -119,6 +119,10 @@ pub struct World {
     /// observability for the cluster benchmark — never part of
     /// simulated state or the determinism snapshot.
     pub slices: u64,
+    /// Predecoded texts shared by every process, keyed by ISA level and
+    /// text bytes: the loader takes each new body's icache from here.
+    /// Pure cache — a translation is a function of its key alone.
+    icaches: m68vm::ICachePool,
 }
 
 impl World {
@@ -139,6 +143,7 @@ impl World {
             remote_waiters: std::collections::BTreeMap::new(),
             wake_scratch: Vec::new(),
             slices: 0,
+            icaches: m68vm::ICachePool::default(),
         }
     }
 
@@ -296,6 +301,21 @@ impl World {
     /// snapshot.
     pub fn daemon_waiters(&self) -> &std::collections::BTreeSet<(MachineId, u32)> {
         &self.daemon_waiters
+    }
+
+    /// The predecoded `text` for a new body on `mid`, or `None` when
+    /// the kernel runs without the cache. Text is write-protected, so
+    /// it is decoded once per text and machine model rather than on
+    /// every interpreted step, and every body running it there shares
+    /// the translation. The key is `mid`'s ISA level — the level the
+    /// live decoder would enforce — not the executable's requirement.
+    pub(crate) fn icache(
+        &mut self,
+        mid: MachineId,
+        text: &[u8],
+    ) -> Option<std::sync::Arc<m68vm::ICache>> {
+        let level = self.machines[mid].isa;
+        self.config.use_icache.then(|| self.icaches.get(text, level))
     }
 
     // ------------------------------------------------------------------
