@@ -31,13 +31,19 @@ fi
 # Coupling inventory freshness: the checked-in map of cross-machine
 # seams must match a fresh render.
 cargo run -q -p simlint --release -- --coupling-report | diff - simlint.coupling.json
-# Smoke-run the measured-syscall figures: drift in the dispatch path's
-# charged costs moves these ratios, and figures_sanity.rs pins the
-# bands — this catches a figures binary that no longer even runs.
-# `faults` is the fault-injection soak: it migrates under every
-# injected-fault site with a nonzero seed and asserts failure
-# atomicity — exactly one live copy, zero orphaned dump files.
-cargo run --release -p bench --bin figures -- fig1 fig2 fig3 faults
+# The deterministic figures: Figures 1-4, the kernel's per-syscall
+# aggregates, the fault soak and the ablations print simulated time
+# only, so their stdout must match the checked-in FIGURES.txt bit for
+# bit — a diff means a change moved a simulated result, and the
+# committed record (and EXPERIMENTS.md) must move with it.
+# figures_sanity.rs still pins the paper's bands. `faults` is the
+# fault-injection soak: it migrates under every injected-fault site
+# with a nonzero seed and asserts failure atomicity — exactly one live
+# copy, zero orphaned dump files.
+figs_fresh=$(mktemp)
+cargo run --release -p bench --bin figures -- fig1 fig2 fig3 fig4 kernel faults ablation > "$figs_fresh"
+diff FIGURES.txt "$figs_fresh"
+rm -f "$figs_fresh"
 # Cluster-scale scheduler bench, smoke tier: scheduler throughput at 16
 # and 64 hosts plus the at-scale fault soak (one live copy per workload
 # process, zero orphaned dumps). Writes BENCH_cluster.json; the full

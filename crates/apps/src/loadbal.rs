@@ -118,11 +118,7 @@ impl LoadBalancer {
             if all_done(world) {
                 break;
             }
-            let deadline = (0..world.machine_count())
-                .map(|m| world.machine(m).now)
-                .max()
-                .unwrap_or_default()
-                + SimDuration::micros(period_us);
+            let deadline = world.clock() + SimDuration::micros(period_us);
             world.run_until_time(deadline, 5_000_000);
             if let Some(r) = self.balance_once(world) {
                 records.push(r);

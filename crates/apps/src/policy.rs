@@ -291,11 +291,7 @@ impl<P: MigrationPolicy> PolicyEngine<P> {
             if all_done(world) {
                 break;
             }
-            let deadline = (0..world.machine_count())
-                .map(|m| world.machine(m).now)
-                .max()
-                .unwrap_or_default()
-                + SimDuration::micros(period_us);
+            let deadline = world.clock() + SimDuration::micros(period_us);
             world.run_until_time(deadline, 5_000_000);
             self.step(world);
         }

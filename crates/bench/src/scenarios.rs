@@ -674,7 +674,7 @@ pub fn ablation_loadbal() -> Vec<AblationLoadbalRow> {
             break;
         }
     }
-    let unbalanced = (0..3).map(|m| w1.machine(m).now).max().unwrap();
+    let unbalanced = w1.clock();
 
     let mut w2 = build();
     let lb = apps::LoadBalancer {
@@ -683,7 +683,7 @@ pub fn ablation_loadbal() -> Vec<AblationLoadbalRow> {
         cred: Credentials::root(),
     };
     let recs = lb.run_balanced(&mut w2, 1_500_000, 300, all_done);
-    let balanced = (0..3).map(|m| w2.machine(m).now).max().unwrap();
+    let balanced = w2.clock();
 
     vec![
         AblationLoadbalRow {
@@ -885,11 +885,7 @@ fn cluster_run(hosts: usize, rounds: u32, period_us: u64) -> ClusterRow {
     let mig_host_secs = sw.elapsed_secs().max(1e-9);
 
     let slices_before = w.slices;
-    let deadline = (0..w.machine_count())
-        .map(|m| w.machine(m).now)
-        .max()
-        .unwrap_or_default()
-        + SimDuration::secs(1);
+    let deadline = w.clock() + SimDuration::secs(1);
     let sw = crate::hostclock::HostStopwatch::start();
     w.run_until_time(deadline, 50_000_000);
     let host_secs = sw.elapsed_secs().max(1e-9);

@@ -140,25 +140,13 @@ impl MigrationReport {
     }
 }
 
-/// The world clock: the furthest-ahead machine. The event scheduler
-/// always steps the laggard with work, so this is the coherent "wall
-/// time" to difference across machines.
-fn now_world(world: &World) -> u64 {
-    (0..world.machine_count())
-        .map(|m| world.machine(m).now.as_micros())
-        .max()
-        .unwrap_or(0)
-}
-
 /// Parks every idle machine's clock at the world clock and returns it.
 /// Phase boundaries must sync: the cost a phase adds on a machine whose
 /// clock lags the leader would otherwise vanish inside the skew — a
 /// restart on an idle target looked *free* until the target caught up.
 fn sync_clocks(world: &mut World) -> u64 {
-    if let Some(deadline) = (0..world.machine_count()).map(|m| world.machine(m).now).max() {
-        world.run_until_time(deadline, 2_000_000);
-    }
-    now_world(world)
+    world.run_until_time(world.clock(), 2_000_000);
+    world.clock().as_micros()
 }
 
 /// True while `pid` exists on `mid` and has not exited.
@@ -308,7 +296,7 @@ pub fn migrate_proto(
         Protocol::PreCopy => precopy(world, victim, from, to, cred, t_start, &mut report)?,
         Protocol::Demand => demand(world, victim, from, to, cred, t_start, &mut report)?,
     }
-    report.total_us = now_world(world).saturating_sub(t_start);
+    report.total_us = world.clock().as_micros().saturating_sub(t_start);
     Ok(report)
 }
 
@@ -336,7 +324,7 @@ fn eager(
     sync_clocks(world);
     match restart_with_retry(world, to, args, cred.clone()) {
         Ok(new_pid) => {
-            report.downtime_us = now_world(world).saturating_sub(t_freeze);
+            report.downtime_us = world.clock().as_micros().saturating_sub(t_freeze);
             report.survivor = Survivor::Target;
             report.new_pid = Some(new_pid);
             run_cleanup(world, from, victim, cred.clone());
@@ -508,7 +496,7 @@ fn precopy(
     };
     match restart_with_retry(world, to, args, cred.clone()) {
         Ok(new_pid) => {
-            report.downtime_us = now_world(world).saturating_sub(t_freeze);
+            report.downtime_us = world.clock().as_micros().saturating_sub(t_freeze);
             report.survivor = Survivor::Target;
             report.new_pid = Some(new_pid);
             run_cleanup(world, to, victim, cred.clone());
@@ -647,7 +635,7 @@ fn demand(
         }
     };
     // Downtime ends here: the process is runnable with pages absent.
-    report.downtime_us = now_world(world).saturating_sub(t_freeze);
+    report.downtime_us = world.clock().as_micros().saturating_sub(t_freeze);
 
     // Residual drain: the dumps must outlive the last absent page, so
     // nothing is cleaned until the image is whole. The kernel fetches

@@ -6,6 +6,7 @@ use m68vm::assemble;
 use m68vm::IsaLevel;
 use pmig::proto::{migrate_proto, MigrationReport, Protocol};
 use pmig::{api, workloads, Survivor};
+use simtime::SimDuration;
 use sysdefs::{Credentials, Gid, Pid, Uid};
 use ukernel::{KernelConfig, World};
 
@@ -121,6 +122,30 @@ fn demand_restart_fetches_residual_pages() {
     assert!(
         report.pages_fetched + kernel_fetched > 0,
         "{report:?} kernel={kernel_fetched}"
+    );
+}
+
+#[test]
+fn a_victim_spawned_on_the_idle_source_after_demand_runs_its_asked_span() {
+    let (mut w, brick, schooner, pid) = hog_world();
+    let report =
+        migrate_proto(&mut w, pid, brick, schooner, Protocol::Demand, alice()).unwrap();
+    assert_eq!(report.survivor, Survivor::Target);
+    // The drain ran on schooner, so brick idled behind the world clock.
+    let lag = w.clock().since(w.machine(brick).now);
+    assert!(lag > SimDuration::secs(1), "brick lags by only {lag}");
+
+    let victim = w.spawn_vm_proc(brick, "/bin/hog", None, alice()).unwrap();
+    assert_eq!(w.proc_ref(brick, victim).unwrap().start_time, w.host_clock());
+    // Running 50 ms past the world clock gives the newcomer that span,
+    // plus at most the quantum a deadline may be overshot by, and not
+    // a replay of the seconds brick had fallen behind.
+    w.run_until_time(w.clock() + SimDuration::millis(50), 2_000_000);
+    let quantum = SimDuration::micros(w.config.cost.quantum_us);
+    let cpu = w.proc_ref(brick, victim).unwrap().utime;
+    assert!(
+        cpu >= SimDuration::millis(50) && cpu <= SimDuration::millis(50) + quantum,
+        "the victim ran {cpu} for a 50 ms span (brick lagged {lag})"
     );
 }
 

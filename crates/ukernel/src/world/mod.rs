@@ -54,6 +54,15 @@ fn residual_page_span(vm: &crate::proc::VmBody, page: u32) -> (usize, usize) {
     (page_off, len)
 }
 
+/// Walks an absolute path on `fs` to its inode, following no symlink:
+/// the host verbs' lookup.
+fn host_walk(fs: &Filesystem, path: &str) -> SysResult<vfs::Ino> {
+    match fs.walk(fs.root(), &vpath::components(path), None)? {
+        WalkOutcome::Done(ino) => Ok(ino),
+        _ => Err(Errno::ENOENT),
+    }
+}
+
 /// The fixed part of a VM image a pre-copy target stages before any
 /// data page arrives: everything the reassembled `a.outXXXXX` needs
 /// besides the page contents themselves.
@@ -95,6 +104,12 @@ pub struct World {
     daemon_waiters: std::collections::BTreeSet<(MachineId, u32)>,
     /// The armed fault-injection plan (empty by default: nothing fires).
     pub faults: FaultPlan,
+    /// The host clock: the world clock as of the last return from a run
+    /// call, or `SimTime::BOOT` before the first. A host spawn is an
+    /// event at this time, so [`World::spawn_vm_proc`] starts an idle
+    /// machine here rather than at its own stale clock. Simulated
+    /// state: it steers the trajectory.
+    host_clock: SimTime,
     /// Scheduler work list: machines with pending wake candidates to
     /// service before the next pick. Mid-ordered so the drain visits
     /// machines in a fixed order.
@@ -137,6 +152,7 @@ impl World {
             overlaid: std::collections::BTreeMap::new(),
             daemon_waiters: std::collections::BTreeSet::new(),
             faults: FaultPlan::none(),
+            host_clock: SimTime::BOOT,
             wake_queue: std::collections::BTreeSet::new(),
             ready: std::collections::BTreeSet::new(),
             tty_waiters: std::collections::BTreeMap::new(),
@@ -216,6 +232,25 @@ impl World {
     /// Number of machines.
     pub fn machine_count(&self) -> usize {
         self.machines.len()
+    }
+
+    /// The world clock: the furthest-ahead machine's clock
+    /// (`SimTime::BOOT` with no machines). The scheduler always steps
+    /// the laggard with work, so this is the coherent "wall time" to
+    /// difference across machines.
+    pub fn clock(&self) -> SimTime {
+        self.machines
+            .iter()
+            .map(|m| m.now)
+            .max()
+            .unwrap_or(SimTime::BOOT)
+    }
+
+    /// The host clock: the world clock as of the last return from
+    /// [`World::run_slices`], [`World::run_until_exit`] or
+    /// [`World::run_until_time`], or `SimTime::BOOT` before the first.
+    pub fn host_clock(&self) -> SimTime {
+        self.host_clock
     }
 
     /// Mutably borrows a machine's filesystem (possibly a *remote* one
@@ -496,11 +531,7 @@ impl World {
         self.host_mkdir_p(mid, &dir_path)?;
         let cred = Credentials::root();
         let m = &mut self.machines[mid];
-        let comps = vpath::components(&dir_path);
-        let dir = match m.fs.walk(m.fs.root(), &comps, None)? {
-            WalkOutcome::Done(ino) => ino,
-            _ => return Err(Errno::ENOENT),
-        };
+        let dir = host_walk(&m.fs, &dir_path)?;
         let name = vpath::basename(path);
         let ino = match m.fs.lookup(dir, name) {
             Ok(ino) => {
@@ -519,14 +550,25 @@ impl World {
     /// Reads a file at an absolute local path on `mid` (no symlink
     /// following).
     pub fn host_read_file(&self, mid: MachineId, path: &str) -> SysResult<Vec<u8>> {
-        let m = &self.machines[mid];
-        let comps = vpath::components(path);
-        match m.fs.walk(m.fs.root(), &comps, None)? {
-            WalkOutcome::Done(ino) => {
-                let len = m.fs.file_len(ino)?;
-                m.fs.read(ino, 0, len as usize)
-            }
-            _ => Err(Errno::ENOENT),
+        let fs = &self.machines[mid].fs;
+        fs.read(host_walk(fs, path)?, 0, usize::MAX)
+    }
+
+    /// Reads exactly `len` bytes at `off` of a file at an absolute local
+    /// path on `mid`; `EIO` when the file ends first.
+    fn host_read_exact(
+        &self,
+        mid: MachineId,
+        path: &str,
+        off: usize,
+        len: usize,
+    ) -> SysResult<Vec<u8>> {
+        let fs = &self.machines[mid].fs;
+        let bytes = fs.read(host_walk(fs, path)?, off as u64, len)?;
+        if bytes.len() == len {
+            Ok(bytes)
+        } else {
+            Err(Errno::EIO)
         }
     }
 
@@ -670,12 +712,11 @@ impl World {
             })
             .ok_or(Errno::ESRCH)?;
         let off = residual.data_off + page_off;
-        let dump = self.host_read_file(residual.server, &residual.aout_path)?;
-        let bytes = dump.get(off..off + len).ok_or(Errno::EIO)?;
+        let bytes = self.host_read_exact(residual.server, &residual.aout_path, off, len)?;
         let m = &mut self.machines[mid];
         m.stats.pages_fetched += 1;
         if let Some(Body::Vm(vm)) = m.proc_mut(pid).map(|p| &mut p.body) {
-            vm.mem.install_page(page, bytes);
+            vm.mem.install_page(page, &bytes);
             if !vm.mem.has_absent() {
                 vm.residual = None;
             }
@@ -795,6 +836,7 @@ impl World {
     }
 
     /// Spawns a VM program from an executable file on `mid`'s namespace.
+    /// An idle `mid` first raises its clock to [`World::host_clock()`].
     pub fn spawn_vm_proc(
         &mut self,
         mid: MachineId,
@@ -802,6 +844,14 @@ impl World {
         tty: Option<u32>,
         cred: Credentials,
     ) -> SysResult<Pid> {
+        // The spawn happens at the host clock. An idle machine has no
+        // event tying it to its own older clock, so it catches up first
+        // and the process is born when the host last looked; a busy
+        // machine keeps its clock, since its work still has to run.
+        let m = &mut self.machines[mid];
+        if !m.has_work() {
+            m.now = m.now.max(self.host_clock);
+        }
         let mut user = self.fresh_user(mid, cred, tty);
         self.attach_stdio(mid, &mut user, tty);
         let comm = exe_path.rsplit('/').next().unwrap_or(exe_path).to_string();
@@ -1364,6 +1414,12 @@ impl World {
         for tty in ttys {
             self.poke_tty(tty);
         }
+    }
+
+    /// The other run-call boundary: the host reads the world clock as
+    /// the run call returns, and that is when its next spawn happens.
+    fn leave_run(&mut self) {
+        self.host_clock = self.clock();
     }
 
     /// Marks one process for wake evaluation at the machine's next
@@ -2004,12 +2060,15 @@ impl World {
     /// Runs until idle or until `max_slices` scheduling actions.
     pub fn run_slices(&mut self, max_slices: u64) -> RunOutcome {
         self.enter_run();
+        let mut outcome = RunOutcome::BudgetExhausted;
         for _ in 0..max_slices {
             if !self.step_world() {
-                return RunOutcome::Idle;
+                outcome = RunOutcome::Idle;
+                break;
             }
         }
-        RunOutcome::BudgetExhausted
+        self.leave_run();
+        outcome
     }
 
     /// Runs until the given process has exited, returning its record.
@@ -2029,6 +2088,7 @@ impl World {
                 break;
             }
         }
+        self.leave_run();
         self.finished.get(&key).cloned()
     }
 
@@ -2036,6 +2096,7 @@ impl World {
     /// goes idle; clocks of machines without work park at the deadline.
     pub fn run_until_time(&mut self, deadline: SimTime, max_slices: u64) -> RunOutcome {
         self.enter_run();
+        let mut outcome = RunOutcome::BudgetExhausted;
         for _ in 0..max_slices {
             match self.pick_next(Some(deadline)) {
                 Some(mid) => {
@@ -2048,11 +2109,13 @@ impl World {
                     for m in self.machines.iter_mut() {
                         m.now = m.now.max(deadline);
                     }
-                    return RunOutcome::Idle;
+                    outcome = RunOutcome::Idle;
+                    break;
                 }
             }
         }
-        RunOutcome::BudgetExhausted
+        self.leave_run();
+        outcome
     }
 
     /// Reaps a zombie from outside (tests and the figure harness).

@@ -44,10 +44,7 @@ fn all_done(w: &World) -> bool {
 }
 
 fn makespan(w: &World) -> SimDuration {
-    (0..w.machine_count())
-        .map(|m| w.machine(m).now.since(simtime::SimTime::BOOT))
-        .max()
-        .unwrap()
+    w.clock().since(simtime::SimTime::BOOT)
 }
 
 fn main() {

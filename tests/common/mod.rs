@@ -170,6 +170,9 @@ pub fn snapshot_world(w: &World) -> String {
     )
     .unwrap();
     writeln!(out, "faults injected={}", w.faults.injected).unwrap();
+    // The next host spawn starts an idle machine here, so the host
+    // clock steers the trajectory like any machine clock.
+    writeln!(out, "host_clock={}us", w.host_clock().as_micros()).unwrap();
     for (&(mid, pid), info) in &w.finished {
         writeln!(
             out,
