@@ -1,7 +1,9 @@
 #!/bin/sh
-# CI smoke check: build, full test suite, lints, and a run-once pass
-# over every criterion benchmark (CRITERION's --test mode executes each
-# bench body a single time, so it catches bench bit-rot cheaply).
+# CI smoke check: build, full test suite, lints, the bit-diffs of the
+# deterministic records, and the host-time records' gates and schemas.
+# The host-time bodies `figures interp` measures also run once inside
+# `cargo test` (crates/bench/src/interp.rs), which catches their
+# bit-rot cheaply.
 #
 # The root package carries only integration tests; build and test with
 # --workspace so every crate compiles and runs.
@@ -60,14 +62,15 @@ cp BENCH_migration.json "$mig_stale"
 cargo run --release -p bench --bin figures -- migration-smoke
 diff "$mig_stale" BENCH_migration.json
 rm -f "$mig_stale"
-# Interpreter-engine throughput: regenerates BENCH_interp.json and
-# gates the superblock engine at >= 2.5x over the uncached decoder
-# (asserted inside `figures interp`; the superblock-vs-cached ratio is
-# recorded but not gated — it collapses on 1-core CI boxes). The
-# numbers are host-dependent so a bit-diff would always fail; instead
-# the committed file must exist beforehand (the trajectory is the
-# point) and its key schema must match the fresh render — a key diff
-# means the committed record predates a schema change and is stale.
+# Host time: regenerates BENCH_interp.json — the interpreter engines'
+# throughput, one dump+restart cycle and the dump codecs — and gates
+# the superblock engine at >= 2.5x over the uncached decoder (asserted
+# inside `figures interp`; the superblock-vs-cached ratio is recorded
+# but not gated — it collapses on 1-core CI boxes). The numbers are
+# host-dependent so a bit-diff would always fail; instead the
+# committed file must exist beforehand (the trajectory is the point)
+# and its key schema must match the fresh render — a key diff means
+# the committed record predates a schema change and is stale.
 test -f BENCH_interp.json || {
     echo "BENCH_interp.json missing — run 'figures interp' and commit the record" >&2
     exit 1
@@ -80,4 +83,3 @@ grep -o '"[a-z_]*":' BENCH_interp.json | sort | diff "$interp_stale" - || {
     exit 1
 }
 rm -f "$interp_stale"
-cargo bench -p bench --bench simulator -- --test

@@ -3,8 +3,9 @@
 //! * [`checkpoint`] — periodic snapshots of a long-running process, with
 //!   copies of its open files for a consistent restore at the n-th
 //!   checkpoint;
-//! * [`loadbal`] — a load balancer that moves long-running CPU-bound
-//!   jobs from busy machines to idle ones;
+//! * [`policy`] — load balancing: an engine that moves long-running
+//!   CPU-bound jobs from busy machines to idle ones, under pluggable
+//!   placement policies;
 //! * [`nightbatch`] — the "CPU hogs" day/night scheduler: jobs are kept
 //!   stopped (or on one machine) during the day and spread across the
 //!   network at night;
@@ -14,17 +15,17 @@
 //! The paper lists these as applications one *could* build ("another
 //! interesting subject for future work is to implement one of the
 //! applications described in Section 8"); implementing them is part of
-//! this reproduction's extension scope, and the ablation benches measure
-//! them.
+//! this reproduction's extension scope, and the `figures` ablations
+//! measure them.
 
 pub mod checkpoint;
-pub mod loadbal;
 pub mod migrated;
 pub mod nightbatch;
 pub mod policy;
 
 pub use checkpoint::{restore_checkpoint, run_checkpointer, CheckpointPlan, CheckpointRecord};
-pub use loadbal::{LoadBalancer, MigrationRecord};
 pub use migrated::migrate_via_daemon;
 pub use nightbatch::NightBatch;
-pub use policy::{Decision, FirstTouch, LoadGradient, MigrationPolicy, PolicyEngine, Random};
+pub use policy::{
+    Decision, FirstTouch, LoadGradient, MigrationPolicy, MigrationRecord, PolicyEngine, Random,
+};

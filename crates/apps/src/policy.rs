@@ -1,20 +1,33 @@
-//! Pluggable migration policies.
+//! Load balancing (§8) behind pluggable migration policies.
 //!
-//! §8's load balancer hard-wires one placement strategy (move the
-//! oldest job from the busiest machine to the idlest). Real clusters
-//! mix strategies — Migration-Profiler-style tooling swaps them per
-//! workload — so the decision logic is factored behind
-//! [`MigrationPolicy`]: a policy looks at the world and proposes at
-//! most one migration per round; the [`PolicyEngine`] executes the
-//! proposal with the real daemon-scripted `dumpproc`/`restart` pipeline
-//! and handles per-candidate failure by *evicting* the candidate (the
-//! moral equivalent of dropping a profiled pid on `ESRCH`: a process
-//! that vanished or refused to move once is not retried every round).
+//! "CPU bound jobs can be moved from busy nodes of the network to others
+//! that are idle, or have a much smaller load. Candidates for migration
+//! can be best selected from the processes that have been running for
+//! more than a certain amount of time. This will ensure that there is a
+//! high probability that the candidate program will keep running for
+//! some time, and that it is worth paying the overhead of moving it to
+//! another machine."
+//!
+//! The balancer is a world-level orchestrator (a "systemwide
+//! application"): it inspects per-machine run-queue lengths, picks aged
+//! VM processes, and moves them with the real `dumpproc`/`restart`
+//! commands — via the migration daemon, because "in the case of load
+//! balancing, the migrate application may be too slow in terms of real
+//! time response".
+//!
+//! §8 hard-wires one placement strategy (move the oldest job from the
+//! busiest machine to the idlest). Real clusters mix strategies —
+//! Migration-Profiler-style tooling swaps them per workload — so the
+//! decision logic is factored behind [`MigrationPolicy`]: a policy
+//! looks at the world and proposes at most one migration per round;
+//! the [`PolicyEngine`] executes the proposal and handles
+//! per-candidate failure by *evicting* the candidate (the moral
+//! equivalent of dropping a profiled pid on `ESRCH`: a process that
+//! vanished or refused to move once is not retried every round).
 //!
 //! Three built-in policies:
 //!
-//! * [`LoadGradient`] — the paper's strategy, bit-compatible with
-//!   [`crate::loadbal::LoadBalancer`]'s selection;
+//! * [`LoadGradient`] — the paper's strategy;
 //! * [`FirstTouch`] — locality-flavored: the destination is the first
 //!   less-loaded machine scanning outward from the source, so jobs move
 //!   as little as possible;
@@ -26,8 +39,30 @@ use std::collections::BTreeSet;
 use sysdefs::{Credentials, Pid};
 use ukernel::{Body, MachineId, ProcState, World};
 
-use crate::loadbal::{LoadBalancer, MigrationRecord};
 use crate::migrated::migrate_via_daemon_scripted;
+
+/// One completed migration.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MigrationRecord {
+    /// Source machine.
+    pub from: MachineId,
+    /// Destination machine.
+    pub to: MachineId,
+    /// Pid on the source.
+    pub old_pid: Pid,
+    /// Pid on the destination.
+    pub new_pid: Pid,
+}
+
+/// Counts the runnable VM jobs on a machine (the load metric).
+pub fn load_of(world: &World, mid: MachineId) -> usize {
+    world
+        .machine(mid)
+        .procs
+        .values()
+        .filter(|p| matches!(p.body, Body::Vm(_)) && matches!(p.state, ProcState::Runnable))
+        .count()
+}
 
 /// One proposed migration: move `victim` from `from` to `to`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,8 +87,7 @@ pub trait MigrationPolicy {
 }
 
 /// The oldest process on `mid` that is runnable, VM-bodied, at least
-/// `min_age` old and not evicted — [`LoadBalancer::pick_candidate`]
-/// plus the eviction filter.
+/// `min_age` old and not evicted.
 fn aged_candidate(
     world: &World,
     mid: MachineId,
@@ -75,11 +109,9 @@ fn aged_candidate(
 }
 
 /// The paper's strategy: busiest machine to idlest machine, oldest
-/// aged job, only when the load gap clears a threshold. Selection is
-/// deliberately identical to [`LoadBalancer::balance_once`] — including
-/// `max_by_key` keeping the *last* maximum and `min_by_key` the *first*
-/// minimum — so the engine running this policy reproduces the original
-/// balancer's trajectory.
+/// aged job, only when the load gap clears a threshold. Ties go to the
+/// *last* busiest machine (`max_by_key`) and the *first* idlest one
+/// (`min_by_key`).
 #[derive(Clone, Debug)]
 pub struct LoadGradient {
     /// Minimum age before a process is a migration candidate.
@@ -90,10 +122,9 @@ pub struct LoadGradient {
 
 impl Default for LoadGradient {
     fn default() -> Self {
-        let lb = LoadBalancer::default();
         LoadGradient {
-            min_age: lb.min_age,
-            imbalance_threshold: lb.imbalance_threshold,
+            min_age: SimDuration::secs(2),
+            imbalance_threshold: 2,
         }
     }
 }
@@ -105,7 +136,7 @@ impl MigrationPolicy for LoadGradient {
 
     fn decide(&mut self, world: &World, evicted: &BTreeSet<(MachineId, u32)>) -> Option<Decision> {
         let n = world.machine_count();
-        let loads: Vec<usize> = (0..n).map(|m| LoadBalancer::load_of(world, m)).collect();
+        let loads: Vec<usize> = (0..n).map(|m| load_of(world, m)).collect();
         let (busiest, &max) = loads.iter().enumerate().max_by_key(|&(_, l)| l)?;
         let (idlest, &min) = loads.iter().enumerate().min_by_key(|&(_, l)| l)?;
         if max.saturating_sub(min) < self.imbalance_threshold {
@@ -150,7 +181,7 @@ impl MigrationPolicy for FirstTouch {
 
     fn decide(&mut self, world: &World, evicted: &BTreeSet<(MachineId, u32)>) -> Option<Decision> {
         let n = world.machine_count();
-        let loads: Vec<usize> = (0..n).map(|m| LoadBalancer::load_of(world, m)).collect();
+        let loads: Vec<usize> = (0..n).map(|m| load_of(world, m)).collect();
         let (busiest, &max) = loads.iter().enumerate().max_by_key(|&(_, l)| l)?;
         let to = (1..n)
             .map(|d| (busiest + d) % n)
@@ -326,20 +357,51 @@ mod tests {
     }
 
     #[test]
-    fn load_gradient_matches_loadbalancer_selection() {
+    fn load_of_counts_runnable_vm_jobs() {
+        let w = cluster_with_hogs(2, 4);
+        assert_eq!(load_of(&w, 0), 4);
+        assert_eq!(load_of(&w, 1), 0);
+    }
+
+    #[test]
+    fn candidates_respect_min_age() {
+        let mut w = cluster_with_hogs(2, 2);
+        let none = BTreeSet::new();
+        // Immediately after spawn nothing is old enough.
+        assert!(aged_candidate(&w, 0, SimDuration::secs(1), &none).is_none());
+        // After a second of running, the oldest job qualifies: the
+        // first spawned pid.
+        let t = w.machine(0).now + SimDuration::millis(1_200);
+        w.run_until_time(t, 1_000_000);
+        assert_eq!(
+            aged_candidate(&w, 0, SimDuration::secs(1), &none),
+            Some(Pid(2))
+        );
+    }
+
+    #[test]
+    fn load_gradient_moves_the_oldest_job_to_the_first_idlest_machine() {
         let mut w = cluster_with_hogs(3, 4);
         aged(&mut w);
-        let lb = LoadBalancer::default();
-        let mut pol = LoadGradient::default();
-        let d = pol
+        let d = LoadGradient::default()
             .decide(&w, &BTreeSet::new())
             .expect("imbalance above threshold");
-        assert_eq!(d.from, 0);
-        assert_eq!(
-            Some(d.victim),
-            lb.pick_candidate(&w, 0),
-            "policy and balancer must pick the same victim"
+        assert_eq!((d.victim, d.from, d.to), (Pid(2), 0, 1));
+    }
+
+    #[test]
+    fn load_gradient_sits_out_below_the_threshold() {
+        let mut w = cluster_with_hogs(2, 1);
+        aged(&mut w);
+        let mut engine = PolicyEngine::new(LoadGradient {
+            min_age: SimDuration::millis(1),
+            imbalance_threshold: 2,
+        });
+        assert!(
+            engine.step(&mut w).is_none(),
+            "one job on one machine is not an imbalance worth a migration"
         );
+        assert_eq!(engine.failures, 0);
     }
 
     #[test]

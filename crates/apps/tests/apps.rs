@@ -177,12 +177,11 @@ fn load_balancer_improves_makespan_on_unbalanced_cluster() {
 
     // Balanced run.
     let (mut w2, _) = build(6);
-    let lb = apps::LoadBalancer {
+    let mut engine = apps::PolicyEngine::new(apps::LoadGradient {
         min_age: SimDuration::millis(500),
         imbalance_threshold: 2,
-        cred: Credentials::root(),
-    };
-    lb.run_balanced(&mut w2, 2_000_000, 200, all_hogs_done);
+    });
+    engine.run(&mut w2, 2_000_000, 200, all_hogs_done);
     assert!(all_hogs_done(&w2), "balanced jobs finish");
     let balanced = w2.clock();
 

@@ -12,7 +12,8 @@
 //! figures cluster-smoke   # same, CI-sized (writes BENCH_cluster.json)
 //! figures migration       # live-migration protocols, full tier
 //! figures migration-smoke # same, CI-sized (writes BENCH_migration.json)
-//! figures interp          # interpreter engines (writes BENCH_interp.json)
+//! figures interp          # host time: interpreter engines, dump+restart
+//!                         # cycle, dump codecs (writes BENCH_interp.json)
 //! figures --json          # machine-readable output (EXPERIMENTS.md)
 //! ```
 
@@ -270,7 +271,7 @@ fn run_interp(json: bool) {
         println!("{text}");
         return;
     }
-    hr("Interpreter throughput: host insn/sec per engine (BENCH_interp.json)");
+    hr("Host time: interpreter engines, dump+restart, codecs (BENCH_interp.json)");
     println!(
         "{:<12} {:>16} {:>10}",
         "engine", "insn/sec", "vs uncached"
@@ -298,6 +299,14 @@ fn run_interp(json: bool) {
             v,
             v / report.hog_cached_insn_per_sec
         );
+    }
+    println!("\ndump+restart cycle {:>10.3} ms", report.dump_restart_cycle_ms);
+    println!("{:<8} {:>12} {:>12}", "codec", "encode us", "decode us");
+    for (name, enc, dec) in [
+        ("files", report.files_encode_us, report.files_decode_us),
+        ("stack", report.stack_encode_us, report.stack_decode_us),
+    ] {
+        println!("{name:<8} {enc:>12.3} {dec:>12.3}");
     }
 }
 

@@ -8,7 +8,7 @@
 //! `BENCH_interp.json`), a number that never feeds back into simulated
 //! state.
 //!
-//! Keeping the type here, instead of letting benches call
+//! Keeping the type here, instead of letting measurement code call
 //! `Instant::now()` directly, means a new host-time use site shows up
 //! as a simlint diagnostic in review instead of as a determinism bug in
 //! a migration test.

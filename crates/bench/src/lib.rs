@@ -4,8 +4,9 @@
 //! Each `figN()` function builds a fresh world, runs the paper's §6
 //! measurement procedure, and returns the series the paper plots —
 //! simulated milliseconds and the normalised ratios. The `figures`
-//! binary prints them (and JSON for EXPERIMENTS.md); the criterion
-//! benches re-run them under the host-time profiler.
+//! binary prints them (and JSON for EXPERIMENTS.md). Host time — how
+//! fast the simulator itself runs — is [`interp`]'s business, recorded
+//! by `figures interp`.
 
 pub mod hostclock;
 pub mod interp;

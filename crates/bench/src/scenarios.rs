@@ -677,12 +677,11 @@ pub fn ablation_loadbal() -> Vec<AblationLoadbalRow> {
     let unbalanced = w1.clock();
 
     let mut w2 = build();
-    let lb = apps::LoadBalancer {
+    let mut engine = apps::PolicyEngine::new(apps::LoadGradient {
         min_age: SimDuration::millis(500),
         imbalance_threshold: 2,
-        cred: Credentials::root(),
-    };
-    let recs = lb.run_balanced(&mut w2, 1_500_000, 300, all_done);
+    });
+    let migrations = engine.run(&mut w2, 1_500_000, 300, all_done);
     let balanced = w2.clock();
 
     vec![
@@ -694,7 +693,7 @@ pub fn ablation_loadbal() -> Vec<AblationLoadbalRow> {
         AblationLoadbalRow {
             policy: "balanced".into(),
             makespan_ms: ms(balanced.since(SimTime::BOOT)),
-            migrations: recs.len(),
+            migrations,
         },
     ]
 }

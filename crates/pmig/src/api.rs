@@ -30,18 +30,18 @@ impl core::fmt::Display for MigrationError {
 impl std::error::Error for MigrationError {}
 
 /// Finds the restarted incarnation of `orig_pid` on machine `mid`: the
-/// process whose command is the dumped image name `a.outXXXXX`.
+/// newest process `rest_proc()` overlaid there with the dumped image
+/// name `a.outXXXXX`. Victims from different sources can share that
+/// name on one target; pids only grow on a machine, so the newest
+/// record is the latest restart. The record outlives the process, so a
+/// restored copy that already ran to completion is still found.
 pub fn find_restarted(world: &World, mid: MachineId, orig_pid: Pid) -> Option<Pid> {
     let wanted = format!("a.out{:05}", orig_pid.as_u32());
-    if let Some(p) = world.machine(mid).procs.values().find(|p| p.comm == wanted) {
-        return Some(p.pid);
-    }
-    // The restored process may already have run to completion; the
-    // overlay record still names it.
     world
         .overlaid
-        .iter()
-        .find(|(&(m, _), comm)| m == mid && **comm == wanted)
+        .range((mid, 0)..=(mid, u32::MAX))
+        .rev()
+        .find(|(_, comm)| **comm == wanted)
         .map(|(&(_, pid), _)| Pid(pid))
 }
 
@@ -76,26 +76,28 @@ pub fn run_restart(
     tty: Option<u32>,
     cred: Credentials,
 ) -> Result<Pid, MigrationError> {
-    let orig = args.pid;
     let cmd = world.spawn_native_proc(mid, "restart", tty, cred, move |sys| async move {
         restart(&sys, &args).await.as_u16() as u32
     });
-    // Run until the command either exits (failure) or its process has
-    // become the restored image (success).
+    // Run until the command's own process has become the restored image
+    // (success) or has exited without that (failure). The overlay comes
+    // first: a restored image may run to completion within the slice.
+    let key = (mid, cmd.as_u32());
     for _ in 0..2_000_000u32 {
-        if let Some(info) = world.finished.get(&(mid, cmd.as_u32())) {
-            return Err(MigrationError::Failed(info.status));
-        }
-        if find_restarted(world, mid, orig) == Some(cmd) {
+        if world.overlaid.contains_key(&key) {
             return Ok(cmd);
+        }
+        if let Some(info) = world.finished.get(&key) {
+            return Err(MigrationError::Failed(info.status));
         }
         if world.run_slices(1) == ukernel::RunOutcome::Idle {
             break;
         }
     }
-    match find_restarted(world, mid, orig) {
-        Some(pid) => Ok(pid),
-        None => Err(MigrationError::NotRestarted),
+    if world.overlaid.contains_key(&key) {
+        Ok(cmd)
+    } else {
+        Err(MigrationError::NotRestarted)
     }
 }
 

@@ -149,14 +149,24 @@ fn sync_clocks(world: &mut World) -> u64 {
     world.clock().as_micros()
 }
 
+/// What one engine run moves: the victim, its source and target, and
+/// the credentials every command the engine spawns runs with.
+struct Move {
+    victim: Pid,
+    from: MachineId,
+    to: MachineId,
+    cred: Credentials,
+}
+
 /// True while `pid` exists on `mid` and has not exited.
 fn alive(world: &World, mid: MachineId, pid: Pid) -> bool {
     world.proc_ref(mid, pid).is_some() && !world.finished.contains_key(&(mid, pid.as_u32()))
 }
 
-/// Runs the existing `cleanup` of the four dump names as a native
-/// process on `mid` — best-effort, charged like any user command.
-fn run_cleanup(world: &mut World, mid: MachineId, pid: Pid, cred: Credentials) {
+/// Runs the existing `cleanup` of the victim's four dump names as a
+/// native process on `mid` — best-effort, charged like any user command.
+fn run_cleanup(world: &mut World, mid: MachineId, mv: &Move) {
+    let (pid, cred) = (mv.victim, mv.cred.clone());
     let cmd = world.spawn_native_proc(mid, "cleanup", None, cred, move |sys| async move {
         cleanup_dumps(&sys, "", pid).await;
         0
@@ -196,29 +206,23 @@ fn dumps_decode(world: &World, mid: MachineId, pid: Pid, kind: DumpKind) -> bool
 /// Dump phase with the `migrate_with` retry discipline: a failed dump
 /// (or a torn one with the victim still alive) is swept and redone with
 /// a fresh `SIGDUMP`; a dead victim's dumps are never swept. Returns 0
-/// with verified dumps on `from`, or the last status.
-fn dump_with_retry(
-    world: &mut World,
-    from: MachineId,
-    victim: Pid,
-    kind: DumpKind,
-    cred: Credentials,
-) -> Result<u32, MigrationError> {
+/// with verified dumps on the source, or the last status.
+fn dump_with_retry(world: &mut World, mv: &Move, kind: DumpKind) -> Result<u32, MigrationError> {
     let mut status = 0u32;
     for _ in 0..MIGRATE_TRIES {
-        status = run_dumpproc(world, from, victim, cred.clone())?;
+        status = run_dumpproc(world, mv.from, mv.victim, mv.cred.clone())?;
         if status == 0 {
-            if dumps_decode(world, from, victim, kind) {
+            if dumps_decode(world, mv.from, mv.victim, kind) {
                 return Ok(0);
             }
             status = Errno::EINVAL.as_u16() as u32;
         }
-        if !alive(world, from, victim) {
+        if !alive(world, mv.from, mv.victim) {
             // The victim is dead: whatever the dump wrote is its last
             // copy. The caller recovers from it instead of retrying.
             break;
         }
-        run_cleanup(world, from, victim, cred.clone());
+        run_cleanup(world, mv.from, mv);
         if !transient(status as u16) {
             break;
         }
@@ -232,7 +236,7 @@ fn restart_with_retry(
     world: &mut World,
     mid: MachineId,
     args: RestartArgs,
-    cred: Credentials,
+    cred: &Credentials,
 ) -> Result<Pid, u32> {
     let mut status = 0u32;
     for _ in 0..MIGRATE_TRIES {
@@ -290,69 +294,147 @@ pub fn migrate_proto(
         pages_fetched: 0,
         bytes_sent: 0,
     };
+    let mv = Move {
+        victim,
+        from,
+        to,
+        cred,
+    };
     let t_start = sync_clocks(world);
     match proto {
-        Protocol::Eager => eager(world, victim, from, to, cred, t_start, &mut report)?,
-        Protocol::PreCopy => precopy(world, victim, from, to, cred, t_start, &mut report)?,
-        Protocol::Demand => demand(world, victim, from, to, cred, t_start, &mut report)?,
+        Protocol::Eager => freeze_and_restart(world, &mv, false, t_start, &mut report)?,
+        Protocol::PreCopy => precopy(world, &mv, t_start, &mut report)?,
+        Protocol::Demand => freeze_and_restart(world, &mv, true, t_start, &mut report)?,
     }
     report.total_us = world.clock().as_micros().saturating_sub(t_start);
     Ok(report)
 }
 
-/// The eager protocol: the paper's freeze–dump–restart, host-driven.
-fn eager(
+/// Eager and demand-restore: freeze with a full dump, then restart on
+/// the target straight from the source's dump. Eager is the paper's
+/// freeze–dump–restart, host-driven; `demand` restarts with only header
+/// + text resident and drains the absent pages while the process runs.
+fn freeze_and_restart(
     world: &mut World,
-    victim: Pid,
-    from: MachineId,
-    to: MachineId,
-    cred: Credentials,
+    mv: &Move,
+    demand: bool,
     t_freeze: u64,
     report: &mut MigrationReport,
 ) -> Result<(), MigrationError> {
-    let from_name = world.machine(from).name.clone();
-    let status = dump_with_retry(world, from, victim, DumpKind::Full, cred.clone())?;
+    let status = dump_with_retry(world, mv, DumpKind::Full)?;
     if status != 0 {
-        finish_no_dump(world, victim, from, status, cred.clone(), report)?;
+        finish_no_dump(world, mv, status, report);
         return Ok(());
     }
     let args = RestartArgs {
-        pid: victim,
-        dump_host: Some(from_name),
-        demand: false,
+        pid: mv.victim,
+        dump_host: Some(world.machine(mv.from).name.clone()),
+        demand,
     };
     sync_clocks(world);
-    match restart_with_retry(world, to, args, cred.clone()) {
-        Ok(new_pid) => {
-            report.downtime_us = world.clock().as_micros().saturating_sub(t_freeze);
-            report.survivor = Survivor::Target;
-            report.new_pid = Some(new_pid);
-            run_cleanup(world, from, victim, cred.clone());
+    let new_pid = match restart_with_retry(world, mv.to, args, &mv.cred) {
+        Ok(pid) => pid,
+        Err(status) => {
+            recover_at_source(world, mv, status, report);
+            return Ok(());
         }
-        Err(status) => recover_at_source(world, victim, from, status, cred.clone(), report)?,
+    };
+    // Downtime ends here: the process is runnable on the target, with
+    // its data pages still absent under demand.
+    report.downtime_us = world.clock().as_micros().saturating_sub(t_freeze);
+    if demand && !drain(world, mv, new_pid, report) {
+        return Ok(());
     }
+    report.survivor = Survivor::Target;
+    report.new_pid = Some(new_pid);
+    run_cleanup(world, mv.from, mv);
     Ok(())
+}
+
+/// Demand-restore's residual drain. The dumps must outlive the last
+/// absent page, so nothing is cleaned until the image is whole. The
+/// kernel fetches pages the process touches (the page-fetch fault
+/// path); the engine pulls the untouched rest so the dump can be
+/// released. Returns false when the target copy could not be completed
+/// and the process was recovered at the source instead.
+fn drain(world: &mut World, mv: &Move, new_pid: Pid, report: &mut MigrationReport) -> bool {
+    let to = mv.to;
+    let mut strikes = 0u32;
+    for _ in 0..DRAIN_MAX_STEPS {
+        if !world.host_has_absent_pages(to, new_pid) {
+            break;
+        }
+        match world.host_prefetch_absent_page(to, new_pid) {
+            Some(Ok(_)) => {
+                strikes = 0;
+                report.pages_fetched += 1;
+                report.bytes_sent += MemoryLayout::PAGE as u64;
+            }
+            Some(Err(_)) => {
+                strikes += 1;
+                if strikes >= MIGRATE_TRIES {
+                    // The residual source is unreachable: the target
+                    // copy can never be completed.
+                    kill_and_recover(world, mv, new_pid, Errno::ETIMEDOUT, report);
+                    return false;
+                }
+            }
+            None => {}
+        }
+        world.run_slices(DRAIN_INTERLEAVE_SLICES);
+    }
+    if world.host_has_absent_pages(to, new_pid) {
+        // Drain never converged (wedged target): same recovery as an
+        // unreachable residual source.
+        kill_and_recover(world, mv, new_pid, Errno::EIO, report);
+        return false;
+    }
+    // The target image is whole, or the copy there has ended. Only the
+    // kernel's residual kill (three page-fetch strikes, or a vanished
+    // dump) leaves the dump as the one good copy; an exit with any
+    // status, or a kill from anyone else, is the process's own history
+    // and completes the migration.
+    if world.machine(to).residual_kills.contains(&new_pid.as_u32()) {
+        // The kill may still be pending delivery: let it land before a
+        // second copy starts.
+        let _ = world.run_until_exit(to, new_pid, 10_000);
+        recover_at_source(world, mv, Errno::EIO.as_u16() as u32, report);
+        return false;
+    }
+    true
+}
+
+/// Kills a target copy that can never be completed while the dump still
+/// holds a full image, and brings the process back at the source.
+fn kill_and_recover(
+    world: &mut World,
+    mv: &Move,
+    new_pid: Pid,
+    err: Errno,
+    report: &mut MigrationReport,
+) {
+    world.host_post_signal(mv.to, new_pid, Signal::SIGKILL);
+    world.run_slices(10_000);
+    recover_at_source(world, mv, err.as_u16() as u32, report);
 }
 
 /// The pre-copy protocol: stream live, freeze for the delta, reassemble
 /// an ordinary `a.outXXXXX` on the target, restart locally there.
 fn precopy(
     world: &mut World,
-    victim: Pid,
-    from: MachineId,
-    to: MachineId,
-    cred: Credentials,
+    mv: &Move,
     t_start: u64,
     report: &mut MigrationReport,
 ) -> Result<(), MigrationError> {
+    let (from, victim) = (mv.from, mv.victim);
     if !world.host_set_dirty_tracking(from, victim, true) {
         // Not a VM process (or already gone): nothing to track, so the
         // protocol degenerates to eager semantics.
-        return eager(world, victim, from, to, cred.clone(), t_start, report);
+        return freeze_and_restart(world, mv, false, t_start, report);
     }
     let Some(geom) = world.host_image_geometry(from, victim) else {
         world.host_set_dirty_tracking(from, victim, false);
-        return eager(world, victim, from, to, cred.clone(), t_start, report);
+        return freeze_and_restart(world, mv, false, t_start, report);
     };
 
     // Live rounds: round 1 streams the whole image (arming marks every
@@ -364,7 +446,7 @@ fn precopy(
             if !charge_transfer(world, from, victim, NfsOp::Write(bytes.len())) {
                 // The stream is down and the victim never stopped
                 // running: call the migration off, leave it untouched.
-                abort_precopy(world, from, victim, Errno::ETIMEDOUT, report);
+                abort_precopy(world, mv, Errno::ETIMEDOUT, report);
                 return Ok(());
             }
             report.pages_precopied += 1;
@@ -374,7 +456,7 @@ fn precopy(
         if !alive(world, from, victim) {
             // The workload finished by itself mid-stream; there is
             // nothing left to migrate.
-            abort_precopy(world, from, victim, Errno::ESRCH, report);
+            abort_precopy(world, mv, Errno::ESRCH, report);
             return Ok(());
         }
         if report.rounds >= PRECOPY_MAX_ROUNDS {
@@ -386,7 +468,7 @@ fn precopy(
         let gap = world.machine(from).now + SimDuration::micros(PRECOPY_ROUND_GAP_US);
         world.run_until_time(gap, 2_000_000);
         if !alive(world, from, victim) {
-            abort_precopy(world, from, victim, Errno::ESRCH, report);
+            abort_precopy(world, mv, Errno::ESRCH, report);
             return Ok(());
         }
         if world.host_dirty_count(from, victim) <= PRECOPY_DIRTY_THRESHOLD {
@@ -399,57 +481,62 @@ fn precopy(
     // so a torn freeze stays retryable.
     let t_freeze = sync_clocks(world);
     world.host_set_dump_delta(from, victim, true);
-    let status = dump_with_retry(world, from, victim, DumpKind::Delta, cred.clone())?;
+    let status = dump_with_retry(world, mv, DumpKind::Delta)?;
     if status != 0 {
         if alive(world, from, victim) {
-            abort_precopy(world, from, victim, Errno::EIO, report);
+            abort_precopy(world, mv, Errno::EIO, report);
             report.status = status;
             return Ok(());
         }
         // Dead victim, unreadable freeze: the staged pages cannot be
         // completed, so nothing can vouch for a restart. Report the
         // loss loudly rather than reanimate a torn image.
-        run_cleanup(world, from, victim, cred.clone());
+        run_cleanup(world, from, mv);
         report.status = status;
         report.survivor = Survivor::Lost;
         return Ok(());
     }
+    match pull_and_restart(world, mv, &geom, &staged, report) {
+        Ok(new_pid) => {
+            report.downtime_us = world.clock().as_micros().saturating_sub(t_freeze);
+            report.survivor = Survivor::Target;
+            report.new_pid = Some(new_pid);
+            run_cleanup(world, mv.to, mv);
+            run_cleanup(world, from, mv);
+        }
+        Err(status) => reassemble_and_recover(world, mv, &geom, &staged, status, report),
+    }
+    Ok(())
+}
 
+/// Pre-copy after a verified freeze: pull the freeze triple to the
+/// target, reassemble the ordinary `a.outXXXXX` there and restart it
+/// locally. Returns the target pid, or the status that sends the
+/// process back to the source.
+fn pull_and_restart(
+    world: &mut World,
+    mv: &Move,
+    geom: &ImageGeometry,
+    staged: &BTreeMap<u32, Vec<u8>>,
+    report: &mut MigrationReport,
+) -> Result<Pid, u32> {
+    let (victim, from, to) = (mv.victim, mv.from, mv.to);
+    let errno = |e: Errno| e.as_u16() as u32;
     // Pull the freeze triple. The charge lands on the target's clock —
     // it is the puller — against the (dead) victim pid.
     sync_clocks(world);
     let names = dump_file_names(victim);
-    let delta_bytes = world.host_read_file(from, &names.delta);
-    let files_bytes = world.host_read_file(from, &names.files);
-    let stack_bytes = world.host_read_file(from, &names.stack);
-    let (Ok(delta_bytes), Ok(files_bytes), Ok(stack_bytes)) =
-        (delta_bytes, files_bytes, stack_bytes)
-    else {
-        // Local files that verified a moment ago cannot be read — treat
-        // as a torn freeze and recover at the source via reassembly.
-        return reassemble_and_recover(
-            world,
-            victim,
-            from,
-            &geom,
-            &staged,
-            Errno::EIO.as_u16() as u32,
-            cred.clone(),
-            report,
-        );
+    // Local files that verified a moment ago cannot be read: treat it
+    // as a torn freeze.
+    let read = |world: &World, name: &str| {
+        world
+            .host_read_file(from, name)
+            .map_err(|_| errno(Errno::EIO))
     };
-    let Ok(delta) = DeltaFile::decode(&delta_bytes) else {
-        return reassemble_and_recover(
-            world,
-            victim,
-            from,
-            &geom,
-            &staged,
-            Errno::EINVAL.as_u16() as u32,
-            cred.clone(),
-            report,
-        );
-    };
+    let delta_bytes = read(world, &names.delta)?;
+    let files_bytes = read(world, &names.files)?;
+    let stack_bytes = read(world, &names.stack)?;
+    let delta = DeltaFile::decode(&delta_bytes).map_err(|_| errno(Errno::EINVAL))?;
     for p in &delta.pages {
         report.bytes_sent += p.bytes.len() as u64;
     }
@@ -457,122 +544,68 @@ fn precopy(
     if !charge_transfer(world, to, victim, NfsOp::Read(pulled)) {
         // The target cannot pull; the source still holds everything
         // needed to bring the process back locally.
-        return reassemble_and_recover(
-            world,
-            victim,
-            from,
-            &geom,
-            &staged,
-            Errno::ETIMEDOUT.as_u16() as u32,
-            cred.clone(),
-            report,
-        );
+        return Err(errno(Errno::ETIMEDOUT));
     }
 
     // Reassemble the ordinary a.outXXXXX the restart path expects and
     // plant the triple in the *target's* /usr/tmp: restart then runs
     // against local files, which is exactly where pre-copy's downtime
     // win over eager's cross-mount restart comes from.
-    let image = reassemble(&geom, &staged, &delta);
+    let image = reassemble(geom, staged, &delta);
     let planted = world.host_write_file(to, &names.a_out, &image).is_ok()
         && world.host_write_file(to, &names.files, &files_bytes).is_ok()
         && world.host_write_file(to, &names.stack, &stack_bytes).is_ok();
     if !planted {
-        return reassemble_and_recover(
-            world,
-            victim,
-            from,
-            &geom,
-            &staged,
-            Errno::ENOSPC.as_u16() as u32,
-            cred.clone(),
-            report,
-        );
+        return Err(errno(Errno::ENOSPC));
     }
     let args = RestartArgs {
         pid: victim,
         dump_host: None,
         demand: false,
     };
-    match restart_with_retry(world, to, args, cred.clone()) {
-        Ok(new_pid) => {
-            report.downtime_us = world.clock().as_micros().saturating_sub(t_freeze);
-            report.survivor = Survivor::Target;
-            report.new_pid = Some(new_pid);
-            run_cleanup(world, to, victim, cred.clone());
-            run_cleanup(world, from, victim, cred.clone());
-            Ok(())
-        }
-        Err(status) => {
-            run_cleanup(world, to, victim, cred.clone());
-            reassemble_and_recover(world, victim, from, &geom, &staged, status, cred.clone(), report)
-        }
-    }
+    restart_with_retry(world, to, args, &mv.cred).inspect_err(|_| run_cleanup(world, to, mv))
 }
 
 /// Calls a pre-copy off before anything irreversible happened: disarm
 /// tracking and the delta flag, sweep any torn dump, leave the victim
 /// running at the source.
-fn abort_precopy(
-    world: &mut World,
-    from: MachineId,
-    victim: Pid,
-    err: Errno,
-    report: &mut MigrationReport,
-) {
-    world.host_set_dirty_tracking(from, victim, false);
-    world.host_set_dump_delta(from, victim, false);
+fn abort_precopy(world: &mut World, mv: &Move, err: Errno, report: &mut MigrationReport) {
+    world.host_set_dirty_tracking(mv.from, mv.victim, false);
+    world.host_set_dump_delta(mv.from, mv.victim, false);
     report.status = err.as_u16() as u32;
     report.survivor = Survivor::Source;
 }
 
 /// Pre-copy's recovery path: the victim is dead and the target did not
 /// take the process. Rebuild the full image from the staged pages and
-/// the freeze delta *at the source*, restart it there, and sweep every
-/// dump on both sides.
-#[allow(clippy::too_many_arguments)]
+/// the freeze delta *at the source*, then recover there.
 fn reassemble_and_recover(
     world: &mut World,
-    victim: Pid,
-    from: MachineId,
+    mv: &Move,
     geom: &ImageGeometry,
     staged: &BTreeMap<u32, Vec<u8>>,
     status: u32,
-    cred: Credentials,
     report: &mut MigrationReport,
-) -> Result<(), MigrationError> {
-    report.status = status;
-    let names = dump_file_names(victim);
+) {
+    let names = dump_file_names(mv.victim);
     let recovered = match world
-        .host_read_file(from, &names.delta)
+        .host_read_file(mv.from, &names.delta)
         .ok()
         .and_then(|b| DeltaFile::decode(&b).ok())
     {
         Some(delta) => {
             let image = reassemble(geom, staged, &delta);
-            world.host_write_file(from, &names.a_out, &image).is_ok()
+            world.host_write_file(mv.from, &names.a_out, &image).is_ok()
         }
         None => false,
     };
-    if !recovered {
-        run_cleanup(world, from, victim, cred.clone());
+    if recovered {
+        recover_at_source(world, mv, status, report);
+    } else {
+        report.status = status;
+        run_cleanup(world, mv.from, mv);
         report.survivor = Survivor::Lost;
-        return Ok(());
     }
-    let args = RestartArgs {
-        pid: victim,
-        dump_host: None,
-        demand: false,
-    };
-    match restart_with_retry(world, from, args, cred.clone()) {
-        Ok(pid) => {
-            report.survivor = Survivor::Source;
-            report.new_pid = Some(pid);
-        }
-        Err(_) => report.survivor = Survivor::Lost,
-    }
-    run_cleanup(world, from, victim, cred.clone());
-    Ok(())
 }
 
 /// Rebuilds the complete data segment from the staged pre-copy pages
@@ -604,148 +637,35 @@ fn reassemble(geom: &ImageGeometry, staged: &BTreeMap<u32, Vec<u8>>, delta: &Del
     encode_executable(&geom.text, &data, 0, delta.entry, isa)
 }
 
-/// The demand-restore protocol: eager dump, immediate prefix-only
-/// restart, then drain the absent pages while the process runs.
-fn demand(
-    world: &mut World,
-    victim: Pid,
-    from: MachineId,
-    to: MachineId,
-    cred: Credentials,
-    t_freeze: u64,
-    report: &mut MigrationReport,
-) -> Result<(), MigrationError> {
-    let from_name = world.machine(from).name.clone();
-    let status = dump_with_retry(world, from, victim, DumpKind::Full, cred.clone())?;
-    if status != 0 {
-        finish_no_dump(world, victim, from, status, cred.clone(), report)?;
-        return Ok(());
-    }
-    let args = RestartArgs {
-        pid: victim,
-        dump_host: Some(from_name),
-        demand: true,
-    };
-    sync_clocks(world);
-    let new_pid = match restart_with_retry(world, to, args, cred.clone()) {
-        Ok(pid) => pid,
-        Err(status) => {
-            recover_at_source(world, victim, from, status, cred.clone(), report)?;
-            return Ok(());
-        }
-    };
-    // Downtime ends here: the process is runnable with pages absent.
-    report.downtime_us = world.clock().as_micros().saturating_sub(t_freeze);
-
-    // Residual drain: the dumps must outlive the last absent page, so
-    // nothing is cleaned until the image is whole. The kernel fetches
-    // pages the process touches (the page-fetch fault path); the engine
-    // pulls the untouched rest so the dump can be released.
-    let mut strikes = 0u32;
-    for _ in 0..DRAIN_MAX_STEPS {
-        if !world.host_has_absent_pages(to, new_pid) {
-            break;
-        }
-        match world.host_prefetch_absent_page(to, new_pid) {
-            Some(Ok(_)) => {
-                strikes = 0;
-                report.pages_fetched += 1;
-                report.bytes_sent += MemoryLayout::PAGE as u64;
-            }
-            Some(Err(_)) => {
-                strikes += 1;
-                if strikes >= MIGRATE_TRIES {
-                    // The residual source is unreachable: the target
-                    // copy can never be completed. Kill it while the
-                    // dump still holds a full image, and bring the
-                    // process back at the source.
-                    world.host_post_signal(to, new_pid, Signal::SIGKILL);
-                    world.run_slices(10_000);
-                    recover_at_source(
-                        world,
-                        victim,
-                        from,
-                        Errno::ETIMEDOUT.as_u16() as u32,
-                        cred.clone(),
-                        report,
-                    )?;
-                    return Ok(());
-                }
-            }
-            None => {}
-        }
-        world.run_slices(DRAIN_INTERLEAVE_SLICES);
-    }
-    if world.host_has_absent_pages(to, new_pid) {
-        // Drain never converged (wedged target): same recovery as an
-        // unreachable residual source.
-        world.host_post_signal(to, new_pid, Signal::SIGKILL);
-        world.run_slices(10_000);
-        recover_at_source(world, victim, from, Errno::EIO.as_u16() as u32, cred.clone(), report)?;
-        return Ok(());
-    }
-    // The target image is whole, or the copy there has ended. Only the
-    // kernel's residual kill (three page-fetch strikes, or a vanished
-    // dump) leaves the dump as the one good copy; an exit with any
-    // status, or a kill from anyone else, is the process's own history
-    // and completes the migration.
-    if world.machine(to).residual_kills.contains(&new_pid.as_u32()) {
-        // The kill may still be pending delivery: let it land before a
-        // second copy starts.
-        let _ = world.run_until_exit(to, new_pid, 10_000);
-        recover_at_source(world, victim, from, Errno::EIO.as_u16() as u32, cred.clone(), report)?;
-        return Ok(());
-    }
-    report.survivor = Survivor::Target;
-    report.new_pid = Some(new_pid);
-    run_cleanup(world, from, victim, cred.clone());
-    Ok(())
-}
-
 /// The shared "dump never happened" exit: a live victim keeps running
 /// at the source behind a swept `/usr/tmp`; a dead victim is recovered
 /// from whatever the dump left.
-fn finish_no_dump(
-    world: &mut World,
-    victim: Pid,
-    from: MachineId,
-    status: u32,
-    cred: Credentials,
-    report: &mut MigrationReport,
-) -> Result<(), MigrationError> {
-    report.status = status;
-    if alive(world, from, victim) {
-        run_cleanup(world, from, victim, cred.clone());
+fn finish_no_dump(world: &mut World, mv: &Move, status: u32, report: &mut MigrationReport) {
+    if alive(world, mv.from, mv.victim) {
+        report.status = status;
+        run_cleanup(world, mv.from, mv);
         report.survivor = Survivor::Source;
-        return Ok(());
+        return;
     }
-    recover_at_source(world, victim, from, status, cred.clone(), report)
+    recover_at_source(world, mv, status, report);
 }
 
 /// Restart the dumped process back at the source (restart re-verifies
 /// everything itself), then sweep the dumps. `Lost` only when even the
 /// local restart fails.
-fn recover_at_source(
-    world: &mut World,
-    victim: Pid,
-    from: MachineId,
-    status: u32,
-    cred: Credentials,
-    report: &mut MigrationReport,
-) -> Result<(), MigrationError> {
+fn recover_at_source(world: &mut World, mv: &Move, status: u32, report: &mut MigrationReport) {
     report.status = status;
     let args = RestartArgs {
-        pid: victim,
+        pid: mv.victim,
         dump_host: None,
         demand: false,
     };
-    match restart_with_retry(world, from, args, cred.clone()) {
+    match restart_with_retry(world, mv.from, args, &mv.cred) {
         Ok(pid) => {
             report.survivor = Survivor::Source;
             report.new_pid = Some(pid);
         }
         Err(_) => report.survivor = Survivor::Lost,
     }
-    run_cleanup(world, from, victim, cred.clone());
-    Ok(())
+    run_cleanup(world, mv.from, mv);
 }

@@ -399,3 +399,56 @@ pad:    .space  {PAD}
     assert_eq!(live_copies(&w, pid), 0);
     assert_no_dumps(&w, pid);
 }
+
+/// True while `pid` runs on `mid`: present and not yet exited.
+fn running(w: &World, mid: usize, pid: Pid) -> bool {
+    w.proc_ref(mid, pid).is_some() && !w.finished.contains_key(&(mid, pid.as_u32()))
+}
+
+#[test]
+fn a_restart_is_identified_by_its_own_command_not_its_name() {
+    // Pid numbers start at 2 on every machine, so victims moved from
+    // two sources onto one target both restore as `a.out00002`. The
+    // second move must find its own restart, not the first namesake:
+    // it lands on the target at once and leaves the first copy alone.
+    for proto in Protocol::ALL {
+        let mut w = World::new(KernelConfig::paper());
+        let a = w.add_machine("a", IsaLevel::Isa1);
+        let b = w.add_machine("b", IsaLevel::Isa1);
+        let c = w.add_machine("c", IsaLevel::Isa1);
+        let obj = assemble(&workloads::dirty_hog_program(100_000, BALLAST)).unwrap();
+        w.install_program(a, "/bin/hog", &obj).unwrap();
+        w.install_program(c, "/bin/hog", &obj).unwrap();
+        let pid = w.spawn_vm_proc(a, "/bin/hog", None, alice()).unwrap();
+        assert_eq!(w.spawn_vm_proc(c, "/bin/hog", None, alice()).unwrap(), pid);
+        w.run_slices(10);
+        let first = migrate_proto(&mut w, pid, a, b, Protocol::Eager, alice()).unwrap();
+        assert_eq!(first.survivor, Survivor::Target, "{first:?}");
+        let namesake = first.new_pid.expect("first copy on b");
+
+        let slices = w.slices;
+        let second = migrate_proto(&mut w, pid, c, b, proto, alice()).unwrap();
+        let stepped = w.slices - slices;
+        let name = proto.name();
+        assert_eq!(second.survivor, Survivor::Target, "{name}: {second:?}");
+        let new_pid = second.new_pid.expect("second copy on b");
+        assert_ne!(new_pid, namesake, "{name}: the report names the first copy");
+        assert!(
+            running(&w, b, new_pid),
+            "{name}: the new copy is not running"
+        );
+        assert!(
+            running(&w, b, namesake),
+            "{name}: the first copy was disturbed"
+        );
+        for p in [namesake, new_pid] {
+            assert_eq!(w.proc_ref(b, p).unwrap().comm, "a.out00002", "{name}");
+        }
+        assert!(
+            stepped < 1_000,
+            "{name}: the second move stepped {stepped} slices"
+        );
+        assert!(!running(&w, c, pid), "{name}: the original still runs on c");
+        assert_eq!(api::find_restarted(&w, c, pid), None, "{name}: a copy on c");
+    }
+}

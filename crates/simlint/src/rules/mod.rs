@@ -47,8 +47,6 @@ pub(crate) mod fixtures {
                 let name = rest.split('/').next().unwrap_or("").to_string();
                 let role = if rest.contains("/tests/") {
                     Role::Test
-                } else if rest.contains("/benches/") {
-                    Role::Bench
                 } else {
                     Role::Src
                 };

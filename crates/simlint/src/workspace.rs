@@ -2,9 +2,9 @@
 //! them.
 //!
 //! Linted roots are `crates/`, `tests/` and `examples/`. `stubs/` is
-//! excluded wholesale: those crates are API stand-ins for *external*
-//! dependencies (criterion legitimately reads the host clock), so the
-//! repo's simulation contracts do not apply to them. `target/` is build
+//! excluded wholesale: its crates are API stand-ins for *external*
+//! dependencies, so the repo's simulation contracts do not apply to
+//! them. `target/` is build
 //! output. `fixtures/` directories hold simlint's own seeded-violation
 //! test trees (`crates/simlint/tests/fixtures/`), which exist to be
 //! dirty — linting them would fail the real workspace on purpose-built
@@ -22,8 +22,6 @@ pub enum Role {
     Src,
     /// `tests/`: integration tests.
     Test,
-    /// `benches/`: benchmarks.
-    Bench,
     /// `examples/`: examples.
     Example,
 }
@@ -106,7 +104,6 @@ fn classify(rel_path: &str) -> (String, Role) {
     };
     let role = match rest.first().copied() {
         Some("tests") => Role::Test,
-        Some("benches") => Role::Bench,
         Some("examples") => Role::Example,
         _ => Role::Src,
     };
@@ -122,10 +119,6 @@ mod tests {
         assert_eq!(
             classify("crates/ukernel/src/machine.rs"),
             ("ukernel".to_string(), Role::Src)
-        );
-        assert_eq!(
-            classify("crates/bench/benches/simulator.rs"),
-            ("bench".to_string(), Role::Bench)
         );
         assert_eq!(
             classify("crates/pmig/tests/migration.rs"),

@@ -62,18 +62,14 @@ fn main() {
 
     // With the balancer migrating aged jobs off the busy node.
     let mut w2 = build_cluster(6);
-    let lb = apps::LoadBalancer {
+    let mut engine = apps::PolicyEngine::new(apps::LoadGradient {
         min_age: SimDuration::millis(500),
         imbalance_threshold: 2,
-        cred: Credentials::root(),
-    };
-    let migrations = lb.run_balanced(&mut w2, 1_500_000, 300, all_done);
+    });
+    let migrations = engine.run(&mut w2, 1_500_000, 300, all_done);
     let balanced = makespan(&w2);
-    println!(
-        "  with balancing: all jobs done at {balanced} ({} migrations)",
-        migrations.len()
-    );
-    for r in &migrations {
+    println!("  with balancing: all jobs done at {balanced} ({migrations} migrations)");
+    for r in &engine.records {
         println!(
             "    moved pid {} node{} -> node{} (now pid {})",
             r.old_pid, r.from, r.to, r.new_pid

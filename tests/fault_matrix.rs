@@ -291,11 +291,10 @@ fn loadbal_survives_target_down() {
         pids.push(w.spawn_vm_proc(a, "/bin/hog", None, alice()).unwrap());
     }
     w.faults = FaultPlan::seeded(3).with(FaultSpec::always(FaultSite::Rsh, u32::MAX));
-    let lb = apps::LoadBalancer {
+    let mut engine = apps::PolicyEngine::new(apps::LoadGradient {
         min_age: SimDuration::millis(100),
         imbalance_threshold: 2,
-        cred: Credentials::root(),
-    };
+    });
     let all_done = |w: &World| {
         (0..w.machine_count()).all(|m| {
             !w.machine(m)
@@ -304,11 +303,12 @@ fn loadbal_survives_target_down() {
                 .any(|p| p.comm.contains("hog") || p.comm.starts_with("a.out"))
         })
     };
-    let recs = lb.run_balanced(&mut w, 300_000, 200, all_done);
+    engine.run(&mut w, 300_000, 200, all_done);
     assert!(
-        recs.is_empty(),
+        engine.records.is_empty(),
         "no migration can succeed with the transport down"
     );
+    assert!(engine.failures >= 1, "the failed-transport path never ran");
     for pid in pids {
         let info = w
             .finished
@@ -391,10 +391,11 @@ fn protocol_matrix_preserves_failure_atomicity() {
                 );
             }
 
-            // `find_restarted` matches `a.outXXXXX` comms only, which
-            // the original (running as `hog`) never carries — so the
-            // original and a restored incarnation can't double-count,
-            // even when pid numbers collide across machines.
+            // `find_restarted` matches only what `rest_proc()` overlaid
+            // as `a.outXXXXX`, which the original (running as `hog`)
+            // never is — so the original and a restored incarnation
+            // can't double-count, even when pid numbers collide across
+            // machines.
             let src_alive = w
                 .proc_ref(brick, victim)
                 .is_some_and(|p| !p.comm.starts_with("a.out"))

@@ -17,11 +17,12 @@
 //! daemon-scripted migration — plus a faulty variant, since injected
 //! faults are simulation events the audit must cover too.
 
+mod common;
+
 use m68vm::{assemble, IsaLevel};
 use sysdefs::{Credentials, Gid, Uid, Signal};
 use tty::TtyHandle;
 use ukernel::{KernelConfig, World};
-use vfs::InodeKind;
 
 fn alice() -> Credentials {
     Credentials::user(Uid(100), Gid(10))
@@ -104,7 +105,7 @@ start:  move.l  #27, d0     | alarm(1)
 "#;
 
 /// Runs the cluster scenario and renders the final world into one
-/// canonical string (same shape as tests/determinism.rs).
+/// canonical string, the snapshot every dual-run test compares.
 fn run_scenario(faults: simnet::FaultPlan, require_success: bool) -> String {
     let mut w = World::new(KernelConfig::paper());
     w.faults = faults;
@@ -116,7 +117,7 @@ fn run_scenario(faults: simnet::FaultPlan, require_success: bool) -> String {
     let testprog = assemble(pmig::workloads::TEST_PROGRAM).unwrap();
     let waiting_parent = assemble(pmig::workloads::WAITING_PARENT_PROGRAM).unwrap();
 
-    let mut consoles: Vec<(String, TtyHandle)> = Vec::new();
+    let mut consoles: Vec<TtyHandle> = Vec::new();
     // Tty-blocked readers to feed, close, or interrupt later.
     let mut tty_readers = Vec::new();
     let mut interrupt_targets = Vec::new();
@@ -147,7 +148,7 @@ fn run_scenario(faults: simnet::FaultPlan, require_success: bool) -> String {
                 let pid = w
                     .spawn_vm_proc(mid, "/bin/testprog", Some(tty), alice())
                     .unwrap();
-                consoles.push((name, console));
+                consoles.push(console);
                 if i % 16 == 4 {
                     interrupt_targets.push((mid, pid));
                 } else {
@@ -159,7 +160,7 @@ fn run_scenario(faults: simnet::FaultPlan, require_success: bool) -> String {
                 let (tty, console) = w.add_terminal(mid);
                 w.spawn_vm_proc(mid, "/bin/waiter", Some(tty), alice())
                     .unwrap();
-                consoles.push((name, console));
+                consoles.push(console);
                 tty_readers.push(consoles.len() - 1);
             }
             6 => {
@@ -190,24 +191,23 @@ fn run_scenario(faults: simnet::FaultPlan, require_success: bool) -> String {
     let brick = w.add_machine("brick", IsaLevel::Isa1);
     let schooner = w.add_machine("schooner", IsaLevel::Isa1);
     w.install_program(brick, "/bin/testprog", &testprog).unwrap();
-    let (vtty, victim_console) = w.add_terminal(brick);
+    let (vtty, _victim_console) = w.add_terminal(brick);
     let victim = w
         .spawn_vm_proc(brick, "/bin/testprog", Some(vtty), alice())
         .unwrap();
-    consoles.push(("victim".into(), victim_console));
 
     w.run_slices(60_000);
 
     // Host-side pokes between runs: typed input, SIGINT, then EOF.
     for &ci in &tty_readers {
-        consoles[ci].1.type_input("ping\n");
+        consoles[ci].type_input("ping\n");
     }
     for &(mid, pid) in &interrupt_targets {
         w.host_post_signal(mid, pid, Signal::SIGINT);
     }
     w.run_slices(60_000);
     for &ci in &tty_readers {
-        consoles[ci].1.with(|t| t.close());
+        consoles[ci].with(|t| t.close());
     }
     w.run_slices(60_000);
 
@@ -227,115 +227,7 @@ fn run_scenario(faults: simnet::FaultPlan, require_success: bool) -> String {
     }
     w.run_slices(400_000);
 
-    snapshot(&w, &consoles)
-}
-
-/// A canonical textual dump of the whole cluster (the shape of
-/// tests/determinism.rs, over every machine and console).
-fn snapshot(w: &World, consoles: &[(String, TtyHandle)]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for mid in 0..w.machine_count() {
-        let m = w.machine(mid);
-        writeln!(
-            out,
-            "machine {mid} {} now={}us busy={}us",
-            m.name,
-            m.now.as_micros(),
-            m.busy.as_micros()
-        )
-        .unwrap();
-        let s = &m.stats;
-        writeln!(
-            out,
-            "  stats sys={} ctx={} sig={} rpc={} fork={} exec={} dump={} rest={} faults={}",
-            s.syscalls,
-            s.ctx_switches,
-            s.signals,
-            s.nfs_rpcs,
-            s.forks,
-            s.execs,
-            s.dumps,
-            s.restores,
-            s.faults_injected
-        )
-        .unwrap();
-        for (pid, p) in &m.procs {
-            writeln!(
-                out,
-                "  proc {pid} comm={} state={:?} utime={}us stime={}us",
-                p.comm,
-                p.state,
-                p.utime.as_micros(),
-                p.stime.as_micros()
-            )
-            .unwrap();
-        }
-        writeln!(out, "  fs_hash={:#018x}", fs_tree_hash(&m.fs)).unwrap();
-        writeln!(
-            out,
-            "  ktrace seq={} dropped={}",
-            m.ktrace.seq, m.ktrace.dropped
-        )
-        .unwrap();
-        for r in m.ktrace.records() {
-            writeln!(out, "  kt {}", r.render()).unwrap();
-        }
-    }
-    for (&(mid, pid), info) in &w.finished {
-        writeln!(
-            out,
-            "exit m{mid} pid={pid} status={} cpu={}us",
-            info.status,
-            info.cpu().as_micros()
-        )
-        .unwrap();
-    }
-    for (name, console) in consoles {
-        writeln!(out, "tty {name}:\n{}", console.output_text()).unwrap();
-    }
-    out
-}
-
-fn fs_tree_hash(fs: &vfs::Filesystem) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut h = FNV_OFFSET;
-    hash_dir(fs, fs.root(), "/", &mut h);
-    h
-}
-
-fn fnv_bytes(h: &mut u64, bytes: &[u8]) {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
-
-fn hash_dir(fs: &vfs::Filesystem, dir: vfs::Ino, path: &str, h: &mut u64) {
-    for name in fs.readdir(dir).unwrap() {
-        let ino = fs.lookup(dir, &name).unwrap();
-        let node = fs.inode(ino).unwrap();
-        let child = format!("{path}{name}");
-        fnv_bytes(h, child.as_bytes());
-        fnv_bytes(h, &node.mode.0.to_be_bytes());
-        fnv_bytes(h, &node.uid.0.to_be_bytes());
-        match &node.kind {
-            InodeKind::Regular(data) => {
-                fnv_bytes(h, b"F");
-                fnv_bytes(h, data);
-            }
-            InodeKind::Directory(_) => {
-                fnv_bytes(h, b"D");
-                hash_dir(fs, ino, &format!("{child}/"), h);
-            }
-            InodeKind::Symlink(target) => {
-                fnv_bytes(h, b"L");
-                fnv_bytes(h, target.as_bytes());
-            }
-            InodeKind::Device(_) => fnv_bytes(h, b"C"),
-        }
-    }
+    common::snapshot_world(&w)
 }
 
 #[test]
