@@ -8,9 +8,11 @@
 //!   placement policies;
 //! * [`nightbatch`] — the "CPU hogs" day/night scheduler: jobs are kept
 //!   stopped (or on one machine) during the day and spread across the
-//!   network at night;
-//! * [`migrated`] — `migrate` rebuilt on the §6.4 daemon proposal
-//!   instead of `rsh`, for the A1 ablation.
+//!   network at night.
+//!
+//! Both movers run the paper's `migrate` over the §6.4 daemon proposal
+//! instead of `rsh` (`pmig::migrate_process` with
+//! `RemoteRunner::Daemon`), issued from the destination.
 //!
 //! The paper lists these as applications one *could* build ("another
 //! interesting subject for future work is to implement one of the
@@ -19,12 +21,10 @@
 //! measure them.
 
 pub mod checkpoint;
-pub mod migrated;
 pub mod nightbatch;
 pub mod policy;
 
 pub use checkpoint::{restore_checkpoint, run_checkpointer, CheckpointPlan, CheckpointRecord};
-pub use migrated::migrate_via_daemon;
 pub use nightbatch::NightBatch;
 pub use policy::{
     Decision, FirstTouch, LoadGradient, MigrationPolicy, MigrationRecord, PolicyEngine, Random,

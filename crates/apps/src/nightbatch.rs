@@ -13,7 +13,7 @@
 use sysdefs::{Credentials, Pid, Signal};
 use ukernel::{MachineId, World};
 
-use crate::migrated::migrate_via_daemon_scripted;
+use pmig::{migrate_process, RemoteRunner};
 
 /// The batch queue and its day machine.
 #[derive(Clone, Debug)]
@@ -59,12 +59,15 @@ impl NightBatch {
                 placements.push((pid, self.day_machine, pid));
                 continue;
             }
-            match migrate_via_daemon_scripted(
+            match migrate_process(
                 world,
                 pid,
                 self.day_machine,
                 target,
+                target,
+                None,
                 self.cred.clone(),
+                RemoteRunner::Daemon,
             ) {
                 Ok(new_pid) => placements.push((pid, target, new_pid)),
                 Err(_) => placements.push((pid, self.day_machine, pid)),

@@ -39,7 +39,7 @@ use std::collections::BTreeSet;
 use sysdefs::{Credentials, Pid};
 use ukernel::{Body, MachineId, ProcState, World};
 
-use crate::migrated::migrate_via_daemon_scripted;
+use pmig::{migrate_process, RemoteRunner};
 
 /// One completed migration.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -286,7 +286,16 @@ impl<P: MigrationPolicy> PolicyEngine<P> {
     /// if the policy proposed one and the pipeline delivered it.
     pub fn step(&mut self, world: &mut World) -> Option<MigrationRecord> {
         let d = self.policy.decide(world, &self.evicted)?;
-        match migrate_via_daemon_scripted(world, d.victim, d.from, d.to, self.cred.clone()) {
+        match migrate_process(
+            world,
+            d.victim,
+            d.from,
+            d.to,
+            d.to,
+            None,
+            self.cred.clone(),
+            RemoteRunner::Daemon,
+        ) {
             Ok(new_pid) => {
                 let rec = MigrationRecord {
                     from: d.from,

@@ -211,29 +211,22 @@ fn daemon_migration_is_much_faster_than_rsh() {
         // remote (the paper's worst case).
         let third = w.add_machine("third", IsaLevel::Isa1);
         let start = w.machine(third).now;
-        let new_pid = if use_daemon {
-            apps::migrated::migrate_via_daemon_scripted(
-                &mut w,
-                pid,
-                brick,
-                schooner,
-                Credentials::root(),
-            )
-            .map(Some)
-            .unwrap_or(None)
+        let runner = if use_daemon {
+            pmig::RemoteRunner::Daemon
         } else {
-            pmig::migrate_process(
-                &mut w,
-                pid,
-                brick,
-                schooner,
-                third,
-                None,
-                Credentials::root(),
-            )
-            .map(Some)
-            .unwrap_or(None)
+            pmig::RemoteRunner::Rsh
         };
+        let new_pid = pmig::migrate_process(
+            &mut w,
+            pid,
+            brick,
+            schooner,
+            third,
+            None,
+            Credentials::root(),
+            runner,
+        )
+        .ok();
         assert!(new_pid.is_some(), "migration must succeed");
         w.machine(third)
             .now

@@ -35,7 +35,7 @@ use m68vm::{assemble, IsaLevel};
 use pmig::commands::RestartArgs;
 use pmig::proto::{migrate_proto, Protocol};
 use simnet::{FaultPlan, FaultSite, FaultSpec};
-use pmig::{api, workloads};
+use pmig::{api, workloads, RemoteRunner};
 use sysdefs::{Credentials, Gid, Pid, Uid};
 use ukernel::{KernelConfig, World};
 
@@ -264,9 +264,17 @@ fn dispatch(world: &mut World, parts: &[&str]) -> Result<(), String> {
                         None => to_m,
                     };
                     let (tty, _handle) = world.add_terminal(cmd_m);
-                    let new_pid =
-                        api::migrate_process(world, pid, from_m, to_m, cmd_m, Some(tty), user())
-                            .map_err(|e| e.to_string())?;
+                    let new_pid = api::migrate_process(
+                        world,
+                        pid,
+                        from_m,
+                        to_m,
+                        cmd_m,
+                        Some(tty),
+                        user(),
+                        RemoteRunner::Rsh,
+                    )
+                    .map_err(|e| e.to_string())?;
                     println!("migrated: now pid {new_pid} on {to}");
                 }
                 Some(p) => {

@@ -365,7 +365,7 @@ fn fig4_case(case: &str) -> SimDuration {
         None,
         alice(),
         move |sys| async move {
-            match pmig::migrate(&sys, victim, &from_name, &to_name).await {
+            match pmig::migrate(&sys, victim, &from_name, &to_name, pmig::RemoteRunner::Rsh).await {
                 Ok(status) => status,
                 Err(e) => e.as_u16() as u32,
             }
@@ -415,18 +415,15 @@ pub struct AblationDaemonRow {
 /// A1: rsh vs daemon transport for a remote-remote migration.
 pub fn ablation_daemon() -> Vec<AblationDaemonRow> {
     let mut rows = Vec::new();
-    for transport in ["rsh", "daemon"] {
+    for (transport, runner) in [
+        ("rsh", pmig::RemoteRunner::Rsh),
+        ("daemon", pmig::RemoteRunner::Daemon),
+    ] {
         let (mut w, brick, schooner, third, victim) = fig4_world();
         let from_name = w.machine(brick).name.clone();
         let to_name = w.machine(schooner).name.clone();
-        let use_daemon = transport == "daemon";
         let cmd = w.spawn_native_proc(third, "migrate", None, alice(), move |sys| async move {
-            let r = if use_daemon {
-                apps::migrate_via_daemon(&sys, victim, &from_name, &to_name).await
-            } else {
-                pmig::migrate(&sys, victim, &from_name, &to_name).await
-            };
-            match r {
+            match pmig::migrate(&sys, victim, &from_name, &to_name, runner).await {
                 Ok(status) => status,
                 Err(e) => e.as_u16() as u32,
             }
@@ -746,7 +743,7 @@ pub fn fault_soak(seed: u64) -> Vec<FaultSoakRow> {
         let from_name = w.machine(brick).name.clone();
         let to_name = w.machine(schooner).name.clone();
         let cmd = w.spawn_native_proc(third, "migrate", None, alice(), move |sys| async move {
-            match pmig::migrate(&sys, victim, &from_name, &to_name).await {
+            match pmig::migrate(&sys, victim, &from_name, &to_name, pmig::RemoteRunner::Rsh).await {
                 Ok(status) => status,
                 Err(e) => e.as_u16() as u32,
             }

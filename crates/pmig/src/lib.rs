@@ -13,12 +13,18 @@
 //! * [`restart`] — verify the three dump files, re-establish
 //!   credentials, cwd, open files (with `/dev/null` placeholders) and
 //!   terminal modes, then call `rest_proc()` (§4.4).
-//! * [`migrate`] — compose the two across machines with `rsh` (§4.1).
+//! * [`migrate`] — compose the two across machines with `rsh` (§4.1), or
+//!   with the §7 migration daemon ([`RemoteRunner`]). Its failure-atomic
+//!   core, [`migrate_with`], runs three phases: `freeze`,
+//!   `restart_with_retry` and `recover_at_source`.
 //! * [`undump_cmd`] — combine an executable and a core dump (§4.3's freebie).
 //!
-//! The [`api`] module offers world-level helpers for tests, examples and
-//! the benchmark harness; [`workloads`] holds the guest programs the
-//! evaluation uses, including the paper's §6.2 test program.
+//! The [`proto`] module is the live-migration engine: its eager protocol
+//! is the daemon `migrate` itself, and pre-copy and demand run the same
+//! phases as steps. The [`api`] module offers world-level helpers for
+//! tests, examples and the benchmark harness; [`workloads`] holds the
+//! guest programs the evaluation uses, including the paper's §6.2 test
+//! program.
 
 pub mod api;
 pub mod commands;

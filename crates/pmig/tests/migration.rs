@@ -4,7 +4,7 @@
 
 use m68vm::{assemble, IsaLevel};
 use pmig::commands::RestartArgs;
-use pmig::{api, workloads};
+use pmig::{api, workloads, RemoteRunner};
 use sysdefs::{Credentials, Gid, Pid, Signal, Uid};
 use ukernel::{KernelConfig, World};
 
@@ -111,6 +111,7 @@ fn migrate_command_moves_process_between_machines() {
         schooner,
         Some(cmd_tty),
         alice(),
+        RemoteRunner::Rsh,
     )
     .expect("migrate succeeds");
     assert_ne!(new_pid, pid, "the process id changes after migration");
@@ -126,8 +127,17 @@ fn migrate_within_one_machine() {
     let (mut w, brick, _schooner) = brick_and_schooner();
     let (pid, _handle) = start_test_program(&mut w, brick, 2);
     let (cmd_tty, _cmd_console) = w.add_terminal(brick);
-    let new_pid = api::migrate_process(&mut w, pid, brick, brick, brick, Some(cmd_tty), alice())
-        .expect("local migrate");
+    let new_pid = api::migrate_process(
+        &mut w,
+        pid,
+        brick,
+        brick,
+        brick,
+        Some(cmd_tty),
+        alice(),
+        RemoteRunner::Rsh,
+    )
+    .expect("local migrate");
     assert_ne!(new_pid, pid);
 }
 
@@ -322,8 +332,17 @@ fn rsh_migrate_cannot_preserve_raw_mode() {
 
     // migrate issued on *brick*, so the restart half runs over rsh with
     // a pipe for a terminal.
-    let new_pid = api::migrate_process(&mut w, pid, brick, schooner, brick, None, alice())
-        .expect("migrate completes");
+    let new_pid = api::migrate_process(
+        &mut w,
+        pid,
+        brick,
+        schooner,
+        brick,
+        None,
+        alice(),
+        RemoteRunner::Rsh,
+    )
+    .expect("migrate completes");
     w.run_slices(50_000);
     // The editor survives but its terminal is a cooked rsh pipe: single
     // keystrokes do NOT reach it.

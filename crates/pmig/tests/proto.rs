@@ -5,7 +5,7 @@
 use m68vm::assemble;
 use m68vm::IsaLevel;
 use pmig::proto::{migrate_proto, MigrationReport, Protocol};
-use pmig::{api, workloads, Survivor};
+use pmig::{api, workloads, RemoteRunner, Survivor};
 use simtime::SimDuration;
 use sysdefs::{Credentials, Gid, Pid, Uid};
 use ukernel::{KernelConfig, World};
@@ -242,8 +242,17 @@ fn tracked_and_untracked_migrations_restore_identically() {
         if track {
             assert!(w.host_set_dirty_tracking(brick, pid, true));
         }
-        let new_pid = api::migrate_process(&mut w, pid, brick, schooner, schooner, None, alice())
-            .expect("migrates");
+        let new_pid = api::migrate_process(
+            &mut w,
+            pid,
+            brick,
+            schooner,
+            schooner,
+            None,
+            alice(),
+            RemoteRunner::Rsh,
+        )
+        .expect("migrates");
         let info = w
             .run_until_exit(schooner, new_pid, 30_000_000)
             .expect("finishes");

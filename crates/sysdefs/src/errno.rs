@@ -150,6 +150,59 @@ impl Errno {
         }
     }
 
+    /// The variant whose 4.2BSD number is `n`, if any: the inverse of
+    /// [`Errno::as_u16`], for turning a command's exit status back into
+    /// the errno it reports.
+    pub fn from_u16(n: u16) -> Option<Errno> {
+        use Errno::*;
+        Some(match n {
+            1 => EPERM,
+            2 => ENOENT,
+            3 => ESRCH,
+            4 => EINTR,
+            5 => EIO,
+            6 => ENXIO,
+            7 => E2BIG,
+            8 => ENOEXEC,
+            9 => EBADF,
+            10 => ECHILD,
+            11 => EAGAIN,
+            12 => ENOMEM,
+            13 => EACCES,
+            14 => EFAULT,
+            15 => ENOTBLK,
+            16 => EBUSY,
+            17 => EEXIST,
+            18 => EXDEV,
+            19 => ENODEV,
+            20 => ENOTDIR,
+            21 => EISDIR,
+            22 => EINVAL,
+            23 => ENFILE,
+            24 => EMFILE,
+            25 => ENOTTY,
+            26 => ETXTBSY,
+            27 => EFBIG,
+            28 => ENOSPC,
+            29 => ESPIPE,
+            30 => EROFS,
+            31 => EMLINK,
+            32 => EPIPE,
+            38 => ENOTSOCK,
+            45 => EOPNOTSUPP,
+            60 => ETIMEDOUT,
+            61 => ECONNREFUSED,
+            62 => ELOOP,
+            63 => ENAMETOOLONG,
+            64 => EHOSTDOWN,
+            65 => EHOSTUNREACH,
+            66 => ENOTEMPTY,
+            70 => ESTALE,
+            71 => EREMOTE,
+            _ => return None,
+        })
+    }
+
     /// Returns a short human-readable description, as `perror(3)` would.
     pub fn description(self) -> &'static str {
         match self {
@@ -258,5 +311,64 @@ mod tests {
         symbols.sort();
         symbols.dedup();
         assert_eq!(symbols.len(), all.len());
+    }
+
+    #[test]
+    fn every_variant_round_trips_through_its_number() {
+        use Errno::*;
+        let all = [
+            EPERM,
+            ENOENT,
+            ESRCH,
+            EINTR,
+            EIO,
+            ENXIO,
+            E2BIG,
+            ENOEXEC,
+            EBADF,
+            ECHILD,
+            EAGAIN,
+            ENOMEM,
+            EACCES,
+            EFAULT,
+            ENOTBLK,
+            EBUSY,
+            EEXIST,
+            EXDEV,
+            ENODEV,
+            ENOTDIR,
+            EISDIR,
+            EINVAL,
+            ENFILE,
+            EMFILE,
+            ENOTTY,
+            ETXTBSY,
+            EFBIG,
+            ENOSPC,
+            ESPIPE,
+            EROFS,
+            EMLINK,
+            EPIPE,
+            ENOTSOCK,
+            EOPNOTSUPP,
+            ETIMEDOUT,
+            ECONNREFUSED,
+            ELOOP,
+            ENAMETOOLONG,
+            EHOSTDOWN,
+            EHOSTUNREACH,
+            ENOTEMPTY,
+            EREMOTE,
+            ESTALE,
+        ];
+        for e in all {
+            assert_eq!(Errno::from_u16(e.as_u16()), Some(e), "{e}");
+        }
+        // Nothing else decodes: the list above is the whole enum.
+        let decoded = (0..=u16::MAX).filter_map(Errno::from_u16).count();
+        assert_eq!(decoded, all.len());
+        for unused in [0, 33, 200] {
+            assert_eq!(Errno::from_u16(unused), None, "{unused}");
+        }
     }
 }

@@ -15,7 +15,7 @@
 
 use m68vm::{assemble, IsaLevel};
 use pmig::commands::RestartArgs;
-use pmig::{api, workloads};
+use pmig::{api, workloads, RemoteRunner};
 use sysdefs::{Credentials, Gid, Uid};
 use ukernel::{KernelConfig, World};
 
@@ -86,8 +86,17 @@ fn main() {
     console.type_input("a");
     w.run_slices(50_000);
 
-    let new_pid = api::migrate_process(&mut w, pid, brick, schooner, brick, None, alice)
-        .expect("migrate completes");
+    let new_pid = api::migrate_process(
+        &mut w,
+        pid,
+        brick,
+        schooner,
+        brick,
+        None,
+        alice,
+        RemoteRunner::Rsh,
+    )
+    .expect("migrate completes");
     w.run_slices(100_000);
     let p = w.proc_ref(schooner, new_pid).expect("restored editor");
     let pipe = w.terminal(p.user.tty.expect("rsh pipe endpoint"));

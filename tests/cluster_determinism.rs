@@ -182,7 +182,7 @@ fn run_cluster(faults: simnet::FaultPlan, require_success: bool) -> String {
         None,
         alice(),
         move |sys| async move {
-            match pmig::migrate(&sys, victim, "h6", "h7").await {
+            match pmig::migrate(&sys, victim, "h6", "h7", pmig::RemoteRunner::Rsh).await {
                 Ok(status) => status,
                 Err(e) => e.as_u16() as u32,
             }

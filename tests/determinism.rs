@@ -69,7 +69,7 @@ fn run_scenario_cfg(
         None,
         alice(),
         move |sys| async move {
-            match pmig::migrate(&sys, victim, "brick", "schooner").await {
+            match pmig::migrate(&sys, victim, "brick", "schooner", pmig::RemoteRunner::Rsh).await {
                 Ok(status) => status,
                 Err(e) => e.as_u16() as u32,
             }
@@ -305,5 +305,51 @@ fn demand_migrate_is_bit_identical_with_superblocks_toggled() {
     assert_eq!(
         fused, slots,
         "superblock toggle changed a demand-restore trajectory"
+    );
+}
+
+/// The eager protocol is the paper's command, not a copy of it: the
+/// engine's eager run and the §7 daemon `migrate` issued from the
+/// target after the same clock sync leave bit-identical worlds.
+#[test]
+fn eager_protocol_is_the_daemon_migrate_command() {
+    use pmig::proto::{migrate_proto, Protocol};
+    let world = || {
+        let mut w = World::new(KernelConfig::paper());
+        let node0 = w.add_machine("node0", IsaLevel::Isa1);
+        let node1 = w.add_machine("node1", IsaLevel::Isa1);
+        let _ = w.add_machine("node2", IsaLevel::Isa1);
+        let obj = assemble(&pmig::workloads::dirty_hog_program(1_500, 10 * 0x2000)).unwrap();
+        w.install_program(node0, "/bin/hog", &obj).unwrap();
+        let victim = w.spawn_vm_proc(node0, "/bin/hog", None, alice()).unwrap();
+        w.run_slices(10);
+        (w, node0, node1, victim)
+    };
+
+    let (mut engine, from, to, victim) = world();
+    let report = migrate_proto(&mut engine, victim, from, to, Protocol::Eager, alice())
+        .expect("engine completes");
+    assert_eq!(report.survivor, pmig::Survivor::Target, "{report:?}");
+
+    let (mut command, from, to, victim) = world();
+    command.run_until_time(command.clock(), 2_000_000);
+    let new_pid = pmig::migrate_process(
+        &mut command,
+        victim,
+        from,
+        to,
+        to,
+        None,
+        alice(),
+        pmig::RemoteRunner::Daemon,
+    )
+    .expect("migrate succeeds");
+
+    assert_eq!(report.new_pid, Some(new_pid));
+    assert!(report.downtime_us < report.total_us, "{report:?}");
+    assert_eq!(
+        common::snapshot_world(&engine),
+        common::snapshot_world(&command),
+        "the eager protocol diverged from the daemon migrate command"
     );
 }

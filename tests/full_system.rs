@@ -3,7 +3,7 @@
 
 use m68vm::{assemble, IsaLevel};
 use pmig::commands::RestartArgs;
-use pmig::{api, workloads};
+use pmig::{api, workloads, RemoteRunner};
 use simtime::SimDuration;
 use sysdefs::{Credentials, Gid, Uid};
 use ukernel::{KernelConfig, World};
@@ -43,6 +43,7 @@ fn abstract_claim_end_to_end() {
         schooner,
         Some(cmd_tty),
         alice(),
+        RemoteRunner::Rsh,
     )
     .expect("migration succeeds");
 
@@ -203,9 +204,17 @@ fn double_migration_round_trip() {
     w.run_slices(50_000);
 
     let (tty_s, _cs) = w.add_terminal(schooner);
-    let on_schooner =
-        api::migrate_process(&mut w, pid, brick, schooner, schooner, Some(tty_s), alice())
-            .expect("first hop");
+    let on_schooner = api::migrate_process(
+        &mut w,
+        pid,
+        brick,
+        schooner,
+        schooner,
+        Some(tty_s),
+        alice(),
+        RemoteRunner::Rsh,
+    )
+    .expect("first hop");
     w.run_slices(100_000);
     let t2 = w
         .proc_ref(schooner, on_schooner)
@@ -223,6 +232,7 @@ fn double_migration_round_trip() {
         brick,
         Some(tty_b),
         alice(),
+        RemoteRunner::Rsh,
     )
     .expect("second hop");
     w.run_slices(100_000);

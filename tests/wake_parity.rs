@@ -214,7 +214,7 @@ fn run_scenario(faults: simnet::FaultPlan, require_success: bool) -> String {
     // The remote-command migrate with the most moving parts, pulled
     // across the cluster while the background workload drains.
     let cmd = w.spawn_native_proc(schooner, "migrate", None, alice(), move |sys| async move {
-        match pmig::migrate(&sys, victim, "brick", "schooner").await {
+        match pmig::migrate(&sys, victim, "brick", "schooner", pmig::RemoteRunner::Rsh).await {
             Ok(status) => status,
             Err(e) => e.as_u16() as u32,
         }
