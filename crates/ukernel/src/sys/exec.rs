@@ -361,7 +361,8 @@ pub fn sys_rest_proc(
         .next()
         .unwrap_or(aout_path)
         .to_string();
-    cx.w.overlaid.insert((cx.mid, cx.pid.as_u32()), comm);
+    let at = cx.machine().now;
+    cx.w.overlaid.insert((cx.mid, cx.pid.as_u32()), (comm, at));
     // An rsh/run_local waiter treats an overlaid command as complete.
     cx.w.poke_remote_done(cx.mid, cx.pid.as_u32());
     // 9. "Returns. At this point, the process running is a copy of the

@@ -94,11 +94,12 @@ pub struct World {
     /// `(machine, pid) -> info`.
     pub finished: std::collections::BTreeMap<(MachineId, u32), ExitInfo>,
     /// Processes successfully overlaid by `rest_proc()`, mapped to the
-    /// image name they became. An `rsh` or `run_local` waiter treats an
-    /// overlaid command as complete (status 0): the restored program
-    /// keeps running, but the session detaches — the practical reading
-    /// of `restart`'s "there is no return from this system call".
-    pub overlaid: std::collections::BTreeMap<(MachineId, u32), String>,
+    /// image name they became and their machine's clock at the overlay.
+    /// An `rsh` or `run_local` waiter treats an overlaid command as
+    /// complete (status 0): the restored program keeps running, but the
+    /// session detaches — the practical reading of `restart`'s "there
+    /// is no return from this system call".
+    pub overlaid: std::collections::BTreeMap<(MachineId, u32), (String, SimTime)>,
     /// Waiters whose remote command was started through the migration
     /// daemon rather than `rsh` (no teardown cost on completion).
     daemon_waiters: std::collections::BTreeSet<(MachineId, u32)>,

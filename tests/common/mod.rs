@@ -182,8 +182,9 @@ pub fn snapshot_world(w: &World) -> String {
         )
         .unwrap();
     }
-    for (&(mid, pid), comm) in &w.overlaid {
-        writeln!(out, "overlaid m{mid} pid={pid} comm={comm}").unwrap();
+    for (&(mid, pid), (comm, at)) in &w.overlaid {
+        let at = at.as_micros();
+        writeln!(out, "overlaid m{mid} pid={pid} comm={comm} at={at}us").unwrap();
     }
     for &(mid, pid) in w.daemon_waiters() {
         writeln!(out, "daemon_wait m{mid} pid={pid}").unwrap();
