@@ -296,6 +296,7 @@ impl Cpu {
         Ok(v)
     }
 
+    #[inline]
     pub(crate) fn branch_taken(&self, op: Op) -> bool {
         let n = self.flag(ccr::N);
         let z = self.flag(ccr::Z);

@@ -170,6 +170,12 @@ impl ICache {
     pub fn translated_blocks(&self) -> usize {
         self.sb.translated()
     }
+
+    /// The superblocks translated so far (corpus coverage tests).
+    #[cfg(test)]
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = &SuperBlock> {
+        self.sb.blocks()
+    }
 }
 
 /// Icaches shared by content: one per `(IsaLevel, text bytes)` pair.

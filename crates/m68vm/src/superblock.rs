@@ -11,14 +11,21 @@
 //! * **direct-threaded dispatch** — each micro-op is a compact enum
 //!   variant whose match arm compiles to one jump-table hop, instead of
 //!   the slot lookup + full `Instr` operand analysis per step;
-//! * **inlined operand fetch** — register/immediate `Size::Long` forms
-//!   index the register file directly; everything else falls back to
-//!   the ordinary `execute` path as a [`SbOp::Generic`] micro-op;
+//! * **specialised micro-ops** — register/immediate `Size::Long` forms
+//!   become variants whose source kind (inlined immediate or data
+//!   register) and flag liveness are fixed at translation, so no arm
+//!   tests either at run time; everything else falls back to the
+//!   ordinary `execute` path as a [`SbOp::Generic`] micro-op;
 //! * **fused condition codes** — a backward liveness scan marks each
 //!   flag write dead when a later in-block write overwrites all four
 //!   CCR bits before any consumer (a conditional branch, a possibly-
-//!   faulting op, or the block exit) can observe it; dead writes are
-//!   skipped at run time.
+//!   faulting op, or the block exit) can observe it; a dead write picks
+//!   the variant without the flag store, and a dead `cmp`/`tst` (like
+//!   every `nop`) translates to no micro-op at all;
+//! * **self-chaining** — [`Cpu::step_superblock`] runs blocks in its own
+//!   loop and keeps the block it ran last, so a block whose branch
+//!   returns to its own head (a counted loop) runs again without the
+//!   icache lookup.
 //!
 //! Translation is **pure cache** in the Milanés sense (DESIGN.md §15):
 //! blocks are derived from the immutable `(text, IsaLevel)` pair the
@@ -36,10 +43,10 @@
 //!   sum, a mid-block fault charges exactly the instructions that
 //!   retired before it (the faulting one charges nothing, like the
 //!   slot path);
-//! * [`Cpu::step_superblock`] only retires a whole block when it fits
-//!   the caller's remaining budget, and single-steps through the slot
-//!   path otherwise — so quantum and signal-check pauses land on the
-//!   same instruction the slot-by-slot loop would pause on.
+//! * [`Cpu::step_superblock`] only retires a whole block — chained or
+//!   looked up — when it fits the caller's remaining budget, and
+//!   single-steps through the slot path otherwise, so quantum pauses
+//!   land on the same instruction the slot-by-slot loop would pause on.
 //!
 //! Blocks never outrun the text segment: translation walks icache
 //! slots only (never raw memory), ends with a [`SbOp::Stop`] at the
@@ -71,6 +78,9 @@ pub struct SuperBlock {
     gens: Vec<GenOp>,
     /// Cost units charged when the whole block retires.
     total_units: u64,
+    /// Instructions translated, the `Stop` boundary included — also
+    /// the `nop`s and dead flag writes that left no micro-op.
+    len: usize,
 }
 
 impl SuperBlock {
@@ -81,12 +91,12 @@ impl SuperBlock {
 
     /// Number of architected instructions the block covers.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.len
     }
 
     /// True when the block covers no instructions (never built).
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.len == 0
     }
 
     /// How many micro-ops carry a live (non-elided) flag update —
@@ -102,7 +112,7 @@ impl SuperBlock {
     }
 }
 
-/// Source operand of a fused register/immediate micro-op.
+/// Source operand of a fusable instruction.
 #[derive(Clone, Copy, Debug)]
 enum Src {
     /// Immediate, inlined at translation time.
@@ -111,77 +121,283 @@ enum Src {
     D(u8),
 }
 
-/// One micro-op. All fused variants are `Size::Long` with a data-
-/// register destination and a register/immediate source, so none can
-/// fault; anything else is `Generic`. A fused op's cost units are its
-/// slot's (1, or 6 for `muls`), counted only into the block total.
-/// `flags: false` marks a condition-code update the liveness scan
-/// proved dead.
+/// A fusable instruction during translation: `Size::Long` `op` into
+/// data register `d`. A unary op (`tst`, `not`, `neg`) takes `d` itself
+/// as its source; a shift takes its pre-masked count as an immediate.
+/// `flags` starts set, and the liveness scan clears it where the flag
+/// write is dead.
 #[derive(Clone, Copy, Debug)]
-enum SbOp {
-    /// `move.l src, dN`.
-    Move { src: Src, d: u8, flags: bool },
-    /// `add.l src, dN`.
-    Add { src: Src, d: u8, flags: bool },
-    /// `sub.l src, dN`.
-    Sub { src: Src, d: u8, flags: bool },
-    /// `cmp.l src, dN` — pure flag write; fully dead when elided.
-    Cmp { src: Src, d: u8, flags: bool },
-    /// `and.l` / `or.l` / `eor.l src, dN`.
-    Logic { op: Op, src: Src, d: u8, flags: bool },
-    /// `lsl.l` / `lsr.l` / `asr.l #n, dN` (immediate count, pre-masked).
-    Shift { op: Op, n: u32, d: u8, flags: bool },
-    /// `tst.l dN` — pure flag write.
-    Tst { d: u8, flags: bool },
-    /// `not.l dN` / `neg.l dN`.
-    NotNeg { neg: bool, d: u8, flags: bool },
-    /// `muls.l src, dN`: the 32-bit wrapping product, C = V = 0.
-    Muls { src: Src, d: u8, flags: bool },
-    /// `nop`.
-    Nop,
-    /// Any other instruction, executed through [`Cpu::execute`] with
-    /// the predecoded `Instr` from the side table. May fault, so it is
-    /// a flag-liveness barrier.
-    Generic(u16),
-    /// `bra target` (terminator).
-    Bra { target: u32 },
-    /// Conditional branch (terminator); consumes the flags.
-    Bcc { op: Op, target: u32, next_pc: u32 },
-    /// `trap #vector` (terminator); pc is left after the trap so the
-    /// kernel can resume, exactly like the slot path.
-    Trap { vector: u8, next_pc: u32 },
-    /// Block boundary before `pc`: length cap, a slot the translator
-    /// leaves to the slot path, or the end of text. Charges nothing —
-    /// the instruction at `pc` has not run.
-    Stop { pc: u32 },
+struct Fusable {
+    op: Op,
+    src: Src,
+    d: u8,
+    flags: bool,
 }
 
-impl SbOp {
-    /// The flag-update switch of a fused op; every fused op writes all
-    /// four CCR bits. `None` for the rest.
-    fn flags_mut(&mut self) -> Option<&mut bool> {
-        match self {
-            SbOp::Move { flags, .. }
-            | SbOp::Add { flags, .. }
-            | SbOp::Sub { flags, .. }
-            | SbOp::Cmp { flags, .. }
-            | SbOp::Logic { flags, .. }
-            | SbOp::Shift { flags, .. }
-            | SbOp::Tst { flags, .. }
-            | SbOp::NotNeg { flags, .. }
-            | SbOp::Muls { flags, .. } => Some(flags),
-            SbOp::Nop
-            | SbOp::Generic(_)
-            | SbOp::Bra { .. }
-            | SbOp::Bcc { .. }
-            | SbOp::Trap { .. }
-            | SbOp::Stop { .. } => None,
-        }
-    }
+/// One translated instruction, before specialisation.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Fused(Fusable),
+    /// `nop`: charged in the block total, no micro-op.
+    Nop,
+    /// A generic op or a terminator, already in its final form.
+    Op(SbOp),
+}
 
-    fn flags_live(&self) -> bool {
-        let mut op = *self;
-        op.flags_mut().is_some_and(|f| *f)
+/// Declares the micro-ops from one table: [`SbOp`], its translation
+/// helpers and `Cpu::run_op`. A `fused` row reads
+/// `Variant = Op source flags semantics result`:
+///
+/// * `source` is `imm` (the variant's `s` is the inlined `u32`) or
+///   `reg` (`s` is a data register number);
+/// * `flags` is `live` (the op stores N, Z, V and C) or `dead`;
+/// * `semantics` is a `fn(dN, src) -> (result, C, V)` below;
+/// * `result` is `store` (written to dN) or `drop` (a pure flag write).
+///
+/// `branches` names the conditional branches, one variant each, so the
+/// condition is fixed at translation too.
+macro_rules! specialised_ops {
+    (
+        fused { $( $v:ident = $op:ident $src:ident $flags:ident $sem:ident $result:ident; )* }
+        branches { $( $b:ident )* }
+    ) => {
+        /// One micro-op. Every fused variant is a `Size::Long` op into
+        /// data register `d` from source `s` and cannot fault; its cost
+        /// units count only into the block total. The other variants
+        /// are the generic escape and the terminators.
+        #[derive(Clone, Copy, Debug)]
+        enum SbOp {
+            $( $v { s: specialised_ops!(@ty $src), d: u8 }, )*
+            /// Any other instruction, executed through [`Cpu::execute`]
+            /// with the predecoded `Instr` from the side table. May
+            /// fault, so it is a flag-liveness barrier.
+            Generic(u16),
+            /// `bra target` (terminator).
+            Bra { target: u32 },
+            $(
+                /// Conditional branch (terminator) on its own condition;
+                /// consumes the flags.
+                $b { target: u32, next_pc: u32 },
+            )*
+            /// `trap #vector` (terminator); pc is left after the trap so
+            /// the kernel can resume, exactly like the slot path.
+            Trap { vector: u8, next_pc: u32 },
+            /// Block boundary before `pc`: length cap, a slot the
+            /// translator leaves to the slot path, or the end of text.
+            /// Charges nothing — the instruction at `pc` has not run.
+            Stop { pc: u32 },
+        }
+
+        /// Every specialised variant's name, for the corpus coverage
+        /// test.
+        #[cfg(test)]
+        const SPECIALISED: &[&str] = &[$( stringify!($v), )* $( stringify!($b) ),*];
+
+        impl SbOp {
+            /// The variant that runs `f`, or `None` for a pure flag
+            /// write whose flags are dead.
+            fn specialise(f: Fusable) -> Option<SbOp> {
+                let Fusable { op, src, d, flags } = f;
+                $(
+                    if let (Op::$op, specialised_ops!(@pat $src s), specialised_ops!(@bool $flags)) =
+                        (op, src, flags)
+                    {
+                        return Some(SbOp::$v { s, d });
+                    }
+                )*
+                debug_assert!(!flags && matches!(op, Op::Cmp | Op::Tst), "no variant for {f:?}");
+                None
+            }
+
+            /// Whether the op stores the condition codes.
+            fn flags_live(&self) -> bool {
+                match self {
+                    $( SbOp::$v { .. } => specialised_ops!(@bool $flags), )*
+                    _ => false,
+                }
+            }
+
+            /// The conditional branch on `op`'s condition.
+            fn branch(op: Op, target: u32, next_pc: u32) -> SbOp {
+                match op {
+                    $( Op::$b => SbOp::$b { target, next_pc }, )*
+                    _ => unreachable!("{op:?} is not a conditional branch"),
+                }
+            }
+
+            /// Whether the op is a conditional branch, which reads the
+            /// flags.
+            fn reads_flags(&self) -> bool {
+                matches!(self, $( SbOp::$b { .. } )|*)
+            }
+        }
+
+        impl Cpu {
+            /// Runs one micro-op that cannot end the block early: every
+            /// variant but `Generic` and `Trap`, which the block loop
+            /// runs itself.
+            #[inline(always)]
+            fn run_op(&mut self, op: SbOp) {
+                match op {
+                    $(
+                        SbOp::$v { s, d } => {
+                            let s = specialised_ops!(@val self $src s);
+                            self.fused::<
+                                { specialised_ops!(@bool $flags) },
+                                { specialised_ops!(@bool $result) },
+                            >(d, s, $sem)
+                        }
+                    )*
+                    $(
+                        SbOp::$b { target, next_pc } => {
+                            self.pc = if self.branch_taken(Op::$b) { target } else { next_pc };
+                        }
+                    )*
+                    SbOp::Bra { target } => self.pc = target,
+                    SbOp::Stop { pc } => self.pc = pc,
+                    SbOp::Generic(_) | SbOp::Trap { .. } => {}
+                }
+            }
+        }
+    };
+    (@ty imm) => { u32 };
+    (@ty reg) => { u8 };
+    (@pat imm $s:ident) => { Src::Imm($s) };
+    (@pat reg $s:ident) => { Src::D($s) };
+    (@val $cpu:ident imm $s:ident) => { $s };
+    (@val $cpu:ident reg $s:ident) => { $cpu.d[($s & 7) as usize] };
+    (@bool live) => { true };
+    (@bool store) => { true };
+    (@bool dead) => { false };
+    (@bool drop) => { false };
+}
+
+specialised_ops! {
+    fused {
+        MoveI = Move imm dead mov store;
+        MoveIF = Move imm live mov store;
+        MoveD = Move reg dead mov store;
+        MoveDF = Move reg live mov store;
+        AddI = Add imm dead add store;
+        AddIF = Add imm live add store;
+        AddD = Add reg dead add store;
+        AddDF = Add reg live add store;
+        SubI = Sub imm dead sub store;
+        SubIF = Sub imm live sub store;
+        SubD = Sub reg dead sub store;
+        SubDF = Sub reg live sub store;
+        CmpIF = Cmp imm live sub drop;
+        CmpDF = Cmp reg live sub drop;
+        AndI = And imm dead and store;
+        AndIF = And imm live and store;
+        AndD = And reg dead and store;
+        AndDF = And reg live and store;
+        OrI = Or imm dead or store;
+        OrIF = Or imm live or store;
+        OrD = Or reg dead or store;
+        OrDF = Or reg live or store;
+        EorI = Eor imm dead eor store;
+        EorIF = Eor imm live eor store;
+        EorD = Eor reg dead eor store;
+        EorDF = Eor reg live eor store;
+        MulsI = Muls imm dead muls store;
+        MulsIF = Muls imm live muls store;
+        MulsD = Muls reg dead muls store;
+        MulsDF = Muls reg live muls store;
+        LslI = Lsl imm dead lsl store;
+        LslIF = Lsl imm live lsl store;
+        LsrI = Lsr imm dead lsr store;
+        LsrIF = Lsr imm live lsr store;
+        AsrI = Asr imm dead asr store;
+        AsrIF = Asr imm live asr store;
+        // `tst dN` is a move of dN to nowhere.
+        TstDF = Tst reg live mov drop;
+        NotD = Not reg dead not store;
+        NotDF = Not reg live not store;
+        NegD = Neg reg dead neg store;
+        NegDF = Neg reg live neg store;
+    }
+    branches { Beq Bne Blt Ble Bgt Bge Bcs Bcc Bmi Bpl }
+}
+
+// The fused semantics: `(dN, src) -> (result, C, V)`, N and Z following
+// from the result. Each mirrors `Cpu::execute`'s `Size::Long` arm for a
+// register destination bit for bit (pinned by the equivalence tests).
+
+fn mov(_: u32, s: u32) -> (u32, bool, bool) {
+    (s, false, false)
+}
+
+fn add(d: u32, s: u32) -> (u32, bool, bool) {
+    let r = d.wrapping_add(s);
+    let c = (d as u64 + s as u64) > u32::MAX as u64;
+    (r, c, ((d ^ r) & (s ^ r) & 0x8000_0000) != 0)
+}
+
+fn sub(d: u32, s: u32) -> (u32, bool, bool) {
+    let r = d.wrapping_sub(s);
+    (r, s > d, ((d ^ s) & (d ^ r) & 0x8000_0000) != 0)
+}
+
+fn and(d: u32, s: u32) -> (u32, bool, bool) {
+    (d & s, false, false)
+}
+
+fn or(d: u32, s: u32) -> (u32, bool, bool) {
+    (d | s, false, false)
+}
+
+fn eor(d: u32, s: u32) -> (u32, bool, bool) {
+    (d ^ s, false, false)
+}
+
+/// The 32-bit wrapping product, C = V = 0.
+fn muls(d: u32, s: u32) -> (u32, bool, bool) {
+    ((d as i32).wrapping_mul(s as i32) as u32, false, false)
+}
+
+fn lsl(d: u32, n: u32) -> (u32, bool, bool) {
+    let (r, c) = shift_long(Op::Lsl, d, n);
+    (r, c, false)
+}
+
+fn lsr(d: u32, n: u32) -> (u32, bool, bool) {
+    let (r, c) = shift_long(Op::Lsr, d, n);
+    (r, c, false)
+}
+
+fn asr(d: u32, n: u32) -> (u32, bool, bool) {
+    let (r, c) = shift_long(Op::Asr, d, n);
+    (r, c, false)
+}
+
+fn not(_: u32, s: u32) -> (u32, bool, bool) {
+    (!s, false, false)
+}
+
+fn neg(_: u32, s: u32) -> (u32, bool, bool) {
+    let r = s.wrapping_neg();
+    (r, r != 0, false)
+}
+
+impl Cpu {
+    /// `dN <- sem(dN, s)`: stores the result when `STORE` and the four
+    /// condition codes when `FLAGS`; both are fixed per variant.
+    #[inline(always)]
+    fn fused<const FLAGS: bool, const STORE: bool>(
+        &mut self,
+        d: u8,
+        s: u32,
+        sem: impl Fn(u32, u32) -> (u32, bool, bool),
+    ) {
+        let d = (d & 7) as usize;
+        let (r, c, v) = sem(self.d[d], s);
+        if FLAGS {
+            self.set_ccr(c, v, r, Size::Long);
+        }
+        if STORE {
+            self.d[d] = r;
+        }
     }
 }
 
@@ -236,125 +452,112 @@ impl SbCache {
     pub(crate) fn translated(&self) -> usize {
         self.cells.iter().filter(|c| c.get().is_some()).count()
     }
+
+    /// The blocks translated so far (corpus coverage tests).
+    #[cfg(test)]
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = &SuperBlock> {
+        self.cells.iter().filter_map(|c| match c.get() {
+            Some(SbEntry::Block(b)) => Some(&**b),
+            _ => None,
+        })
+    }
 }
 
-/// Maps a slot instruction to its fused micro-op, or `None` for the
-/// generic path. Only `Size::Long` register/immediate forms fuse; the
-/// fused arms replicate `Cpu::execute`'s semantics exactly (pinned by
-/// the equivalence tests below). `divs` stays generic because a zero
-/// register divisor faults; `mac2`, word sizes and memory forms stay
-/// generic because no hot loop runs them.
-fn fuse(i: &Instr) -> Option<SbOp> {
+/// Maps a slot instruction to its translation step, or `None` for the
+/// generic path. Only register/immediate `Size::Long` forms fuse, and
+/// only with no operand that has an effective address: `execute`
+/// computes one for every operand before it dispatches, so a `(aN)+`
+/// or `-(aN)` would move a register even on `nop`. `divs` stays generic
+/// because a zero register divisor faults; `mac2`, word sizes and memory
+/// forms stay generic because no hot loop runs them.
+fn fuse(i: &Instr) -> Option<Step> {
     if i.op == Op::Nop {
-        return Some(SbOp::Nop);
+        return (i.src == Operand::None && i.dst == Operand::None).then_some(Step::Nop);
     }
     if i.size != Size::Long {
         return None;
     }
-    let src = match i.src {
-        Operand::Imm(v) => Some(Src::Imm(v)),
-        Operand::DReg(r) => Some(Src::D(r)),
-        _ => None,
+    let Operand::DReg(d) = i.dst else {
+        return None;
     };
-    let d = match i.dst {
-        Operand::DReg(r) => r,
+    use Op::*;
+    let src = match (i.op, i.src) {
+        (Tst | Not | Neg, Operand::None) => Src::D(d),
+        // A register count would fuse the same way (`execute` masks it
+        // too), but the common encoding is immediate.
+        (Lsl | Lsr | Asr, Operand::Imm(n)) => Src::Imm(n & 63),
+        (Move | Add | Sub | Cmp | And | Or | Eor | Muls, Operand::Imm(v)) => Src::Imm(v),
+        (Move | Add | Sub | Cmp | And | Or | Eor | Muls, Operand::DReg(r)) => Src::D(r),
         _ => return None,
     };
-    let flags = true; // The liveness scan prunes these afterwards.
-    Some(match i.op {
-        Op::Move => SbOp::Move { src: src?, d, flags },
-        Op::Add => SbOp::Add { src: src?, d, flags },
-        Op::Sub => SbOp::Sub { src: src?, d, flags },
-        Op::Cmp => SbOp::Cmp { src: src?, d, flags },
-        Op::And | Op::Or | Op::Eor => SbOp::Logic {
-            op: i.op,
-            src: src?,
-            d,
-            flags,
-        },
-        // Shifts fuse only with an immediate count (`execute` masks a
-        // register count the same way, but the common encoding is
-        // immediate and the constant lets the arm stay branch-light).
-        Op::Lsl | Op::Lsr | Op::Asr => match i.src {
-            Operand::Imm(n) => SbOp::Shift {
-                op: i.op,
-                n: n & 63,
-                d,
-                flags,
-            },
-            _ => return None,
-        },
-        Op::Tst if i.src == Operand::None => SbOp::Tst { d, flags },
-        Op::Not => SbOp::NotNeg { neg: false, d, flags },
-        Op::Neg => SbOp::NotNeg { neg: true, d, flags },
-        Op::Muls => SbOp::Muls { src: src?, d, flags },
-        _ => return None,
-    })
+    Some(Step::Fused(Fusable {
+        op: i.op,
+        src,
+        d,
+        flags: true, // The liveness scan prunes these afterwards.
+    }))
 }
 
 /// Translates the straight-line run starting at `pc` (which must be an
 /// aligned in-text slot — the caller checked).
 fn translate(ic: &ICache, start: u32) -> SbEntry {
-    let mut ops: Vec<SbOp> = Vec::new();
+    let mut steps: Vec<Step> = Vec::new();
     let mut gens: Vec<GenOp> = Vec::new();
     let mut total: u64 = 0;
     let mut pc = start;
+    let stop = |pc| Step::Op(SbOp::Stop { pc });
     loop {
-        if ops.len() >= MAX_OPS {
-            ops.push(SbOp::Stop { pc });
+        if steps.len() >= MAX_OPS {
+            steps.push(stop(pc));
             break;
         }
         let Some(&Slot::Instr { instr, ilen, units }) = ic.lookup(pc) else {
             // Fault slot or past text end: the slot path reproduces the
             // exact fault (or falls back to live decode past text_end).
-            if ops.is_empty() {
+            if steps.is_empty() {
                 return SbEntry::Bypass;
             }
-            ops.push(SbOp::Stop { pc });
+            steps.push(stop(pc));
             break;
         };
         let next_pc = pc.wrapping_add(ilen);
         if instr.op.is_branch() {
             if let Operand::Abs(target) = instr.dst {
                 total += units as u64;
-                ops.push(if instr.op == Op::Bra {
+                steps.push(Step::Op(if instr.op == Op::Bra {
                     SbOp::Bra { target }
                 } else {
-                    SbOp::Bcc {
-                        op: instr.op,
-                        target,
-                        next_pc,
-                    }
-                });
+                    SbOp::branch(instr.op, target, next_pc)
+                }));
                 break;
             }
             // A branch without an absolute target faults in `execute`;
             // leave it to the slot path.
-            if ops.is_empty() {
+            if steps.is_empty() {
                 return SbEntry::Bypass;
             }
-            ops.push(SbOp::Stop { pc });
+            steps.push(stop(pc));
             break;
         }
         if instr.op == Op::Trap {
             if let Operand::Imm(v) = instr.src {
                 total += units as u64;
-                ops.push(SbOp::Trap {
+                steps.push(Step::Op(SbOp::Trap {
                     vector: v as u8,
                     next_pc,
-                });
+                }));
                 break;
             }
-            if ops.is_empty() {
+            if steps.is_empty() {
                 return SbEntry::Bypass;
             }
-            ops.push(SbOp::Stop { pc });
+            steps.push(stop(pc));
             break;
         }
         match fuse(&instr) {
-            Some(op) => {
+            Some(step) => {
                 total += units as u64;
-                ops.push(op);
+                steps.push(step);
                 pc = next_pc;
             }
             None => {
@@ -366,7 +569,7 @@ fn translate(ic: &ICache, start: u32) -> SbEntry {
                     units_before: total,
                 });
                 total += units as u64;
-                ops.push(SbOp::Generic((gens.len() - 1) as u16));
+                steps.push(Step::Op(SbOp::Generic((gens.len() - 1) as u16)));
                 if matches!(instr.op, Op::Jsr | Op::Rts) {
                     // Control leaves the straight line here.
                     break;
@@ -375,11 +578,21 @@ fn translate(ic: &ICache, start: u32) -> SbEntry {
             }
         }
     }
-    elide_dead_flags(&mut ops);
+    elide_dead_flags(&mut steps);
+    let len = steps.len();
+    let ops = steps
+        .into_iter()
+        .filter_map(|step| match step {
+            Step::Fused(f) => SbOp::specialise(f),
+            Step::Nop => None,
+            Step::Op(op) => Some(op),
+        })
+        .collect();
     SbEntry::Block(Box::new(SuperBlock {
         ops,
         gens,
         total_units: total,
+        len,
     }))
 }
 
@@ -392,15 +605,17 @@ fn translate(ic: &ICache, start: u32) -> SbEntry {
 /// registers mid-block. A fused op writes all four CCR bits and cannot
 /// fault, so it keeps its update only when the flags are live there,
 /// and makes every earlier write dead until the next barrier.
-fn elide_dead_flags(ops: &mut [SbOp]) {
+fn elide_dead_flags(steps: &mut [Step]) {
     let mut live = true;
-    for op in ops.iter_mut().rev() {
-        if let Some(flags) = op.flags_mut() {
-            *flags = live;
-            live = false;
-        } else if matches!(op, SbOp::Bcc { .. } | SbOp::Generic(_)) {
+    for step in steps.iter_mut().rev() {
+        match step {
+            Step::Fused(f) => {
+                f.flags = live;
+                live = false;
+            }
             // Consumers and fault barriers; the rest are flag-neutral.
-            live = true;
+            Step::Op(op) if op.reads_flags() || matches!(op, SbOp::Generic(_)) => live = true,
+            Step::Op(_) | Step::Nop => {}
         }
     }
 }
@@ -425,17 +640,6 @@ fn shift_long(op: Op, d: u32, count: u32) -> (u32, bool) {
     }
 }
 
-/// How a whole-block run ended.
-enum BlockOut {
-    /// Block done; `used` units retired, pc at the next instruction.
-    Done { used: u64 },
-    /// A trap retired; pc is past the trap, `used` includes it.
-    Trap { vector: u8, used: u64 },
-    /// A generic op faulted; pc at the faulting instruction, which
-    /// charges nothing — `used` covers only the retired prefix.
-    Faulted { fault: Fault, used: u64 },
-}
-
 /// How [`Cpu::step_superblock`] returned to the kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SbExit {
@@ -453,166 +657,6 @@ pub enum SbExit {
 }
 
 impl Cpu {
-    /// One full pass over `sb`. Fused arms never touch `pc` (its value
-    /// is architecturally invisible until a visible point, where the
-    /// terminator or the generic path materializes it).
-    #[inline]
-    fn run_block(&mut self, mem: &mut Memory, sb: &SuperBlock) -> BlockOut {
-        for op in &sb.ops {
-            match *op {
-                SbOp::Move { src, d, flags } => {
-                    let v = self.src_val(src);
-                    self.d[(d & 7) as usize] = v;
-                    if flags {
-                        self.set_ccr(false, false, v, Size::Long);
-                    }
-                }
-                SbOp::Add { src, d, flags } => {
-                    let s = self.src_val(src);
-                    let dd = self.d[(d & 7) as usize];
-                    let r = dd.wrapping_add(s);
-                    if flags {
-                        let c = (dd as u64 + s as u64) > u32::MAX as u64;
-                        let v = ((dd ^ r) & (s ^ r) & 0x8000_0000) != 0;
-                        self.set_ccr(c, v, r, Size::Long);
-                    }
-                    self.d[(d & 7) as usize] = r;
-                }
-                SbOp::Sub { src, d, flags } => {
-                    let s = self.src_val(src);
-                    let dd = self.d[(d & 7) as usize];
-                    let r = dd.wrapping_sub(s);
-                    if flags {
-                        let v = ((dd ^ s) & (dd ^ r) & 0x8000_0000) != 0;
-                        self.set_ccr(s > dd, v, r, Size::Long);
-                    }
-                    self.d[(d & 7) as usize] = r;
-                }
-                SbOp::Cmp { src, d, flags } => {
-                    if flags {
-                        let s = self.src_val(src);
-                        let dd = self.d[(d & 7) as usize];
-                        let r = dd.wrapping_sub(s);
-                        let v = ((dd ^ s) & (dd ^ r) & 0x8000_0000) != 0;
-                        self.set_ccr(s > dd, v, r, Size::Long);
-                    }
-                }
-                SbOp::Logic { op, src, d, flags } => {
-                    let s = self.src_val(src);
-                    let dd = self.d[(d & 7) as usize];
-                    let r = match op {
-                        Op::And => dd & s,
-                        Op::Or => dd | s,
-                        _ => dd ^ s,
-                    };
-                    if flags {
-                        self.set_ccr(false, false, r, Size::Long);
-                    }
-                    self.d[(d & 7) as usize] = r;
-                }
-                SbOp::Shift { op, n, d, flags } => {
-                    let dd = self.d[(d & 7) as usize];
-                    let (r, c) = shift_long(op, dd, n);
-                    if flags {
-                        self.set_ccr(c, false, r, Size::Long);
-                    }
-                    self.d[(d & 7) as usize] = r;
-                }
-                SbOp::Tst { d, flags } => {
-                    if flags {
-                        let dd = self.d[(d & 7) as usize];
-                        self.set_ccr(false, false, dd, Size::Long);
-                    }
-                }
-                SbOp::NotNeg { neg, d, flags } => {
-                    let dd = self.d[(d & 7) as usize];
-                    let r = if neg { dd.wrapping_neg() } else { !dd };
-                    if flags {
-                        self.set_ccr(neg && r != 0, false, r, Size::Long);
-                    }
-                    self.d[(d & 7) as usize] = r;
-                }
-                SbOp::Muls { src, d, flags } => {
-                    let s = self.src_val(src) as i32;
-                    let r = (self.d[(d & 7) as usize] as i32).wrapping_mul(s) as u32;
-                    if flags {
-                        self.set_ccr(false, false, r, Size::Long);
-                    }
-                    self.d[(d & 7) as usize] = r;
-                }
-                SbOp::Nop => {}
-                SbOp::Generic(i) => {
-                    let g = &sb.gens[i as usize];
-                    // `execute` reports fault pcs from `self.pc` and
-                    // pushes `next_pc` for jsr, exactly like the slot
-                    // path; materialize the architected pc first.
-                    self.pc = g.pc;
-                    match self.execute(mem, &g.instr, g.next_pc) {
-                        Ok(Flow::Next) => self.pc = g.next_pc,
-                        Ok(Flow::Jump(t)) => {
-                            self.pc = t;
-                            return BlockOut::Done {
-                                used: g.units_before + g.units as u64,
-                            };
-                        }
-                        Ok(Flow::Trap(vector)) => {
-                            self.pc = g.next_pc;
-                            return BlockOut::Trap {
-                                vector,
-                                used: g.units_before + g.units as u64,
-                            };
-                        }
-                        Err(fault) => {
-                            return BlockOut::Faulted {
-                                fault,
-                                used: g.units_before,
-                            }
-                        }
-                    }
-                }
-                SbOp::Bra { target } => {
-                    self.pc = target;
-                    return BlockOut::Done {
-                        used: sb.total_units,
-                    };
-                }
-                SbOp::Bcc { op, target, next_pc } => {
-                    self.pc = if self.branch_taken(op) { target } else { next_pc };
-                    return BlockOut::Done {
-                        used: sb.total_units,
-                    };
-                }
-                SbOp::Trap { vector, next_pc } => {
-                    self.pc = next_pc;
-                    return BlockOut::Trap {
-                        vector,
-                        used: sb.total_units,
-                    };
-                }
-                SbOp::Stop { pc } => {
-                    self.pc = pc;
-                    return BlockOut::Done {
-                        used: sb.total_units,
-                    };
-                }
-            }
-        }
-        // Only reachable when the final op is a Generic that fell
-        // through (it was a Jsr/Rts whose Flow semantics changed —
-        // impossible today, but harmless: pc is already advanced).
-        BlockOut::Done {
-            used: sb.total_units,
-        }
-    }
-
-    #[inline(always)]
-    fn src_val(&self, src: Src) -> u32 {
-        match src {
-            Src::Imm(v) => v,
-            Src::D(r) => self.d[(r & 7) as usize],
-        }
-    }
-
     /// Interprets through superblocks until `budget` cost units are
     /// retired or control leaves the straight-line world (trap, fault).
     ///
@@ -624,38 +668,78 @@ impl Cpu {
     /// one where the running total reaches `budget`). Like the slot
     /// loop, at least one instruction always retires.
     ///
+    /// Blocks run inside this loop. The block run last is kept with
+    /// its head pc, and when control comes back to that head — a loop
+    /// whose branch targets its own block — the block runs again
+    /// without the icache lookup, under the same budget test. Fused
+    /// arms never touch `pc` (its value is architecturally invisible
+    /// until a visible point, where the terminator or the generic path
+    /// materializes it).
+    ///
     /// The returned `u64` is the units actually retired (a trap's own
     /// units included — the kernel must not add them again).
     pub fn step_superblock(&mut self, mem: &mut Memory, ic: &ICache, budget: u64) -> (u64, SbExit) {
         let mut used: u64 = 0;
-        loop {
-            let fused = match ic.superblock(self.pc) {
-                Some(sb) if used.saturating_add(sb.total_units) <= budget => {
-                    match self.run_block(mem, sb) {
-                        BlockOut::Done { used: u } => {
-                            used += u;
-                            true
-                        }
-                        BlockOut::Trap { vector, used: u } => {
-                            return (used + u, SbExit::Trap { vector });
-                        }
-                        BlockOut::Faulted { fault, used: u } => {
-                            return (used + u, SbExit::Faulted(fault));
+        'lookup: loop {
+            if let Some(sb) = ic.superblock(self.pc) {
+                let head = self.pc;
+                // `used < budget` after any pass, which returned
+                // otherwise, so the difference cannot wrap.
+                while sb.total_units <= budget - used {
+                    let mut retired = sb.total_units;
+                    for &op in &sb.ops {
+                        match op {
+                            SbOp::Generic(i) => {
+                                let g = &sb.gens[i as usize];
+                                // `execute` reports fault pcs from
+                                // `self.pc` and pushes `next_pc` for jsr,
+                                // exactly like the slot path; materialize
+                                // the architected pc first.
+                                self.pc = g.pc;
+                                match self.execute(mem, &g.instr, g.next_pc) {
+                                    Ok(Flow::Next) => self.pc = g.next_pc,
+                                    // jsr/rts, always the block's last op.
+                                    Ok(Flow::Jump(t)) => {
+                                        self.pc = t;
+                                        retired = g.units_before + g.units as u64;
+                                        break;
+                                    }
+                                    Ok(Flow::Trap(vector)) => {
+                                        self.pc = g.next_pc;
+                                        let u = g.units_before + g.units as u64;
+                                        return (used + u, SbExit::Trap { vector });
+                                    }
+                                    Err(fault) => {
+                                        return (used + g.units_before, SbExit::Faulted(fault))
+                                    }
+                                }
+                            }
+                            SbOp::Trap { vector, next_pc } => {
+                                self.pc = next_pc;
+                                return (used + retired, SbExit::Trap { vector });
+                            }
+                            other => self.run_op(other),
                         }
                     }
-                }
-                _ => false,
-            };
-            if !fused {
-                // Slot-by-slot: block missing (non-text pc, bypass
-                // slot) or too big for the remaining budget.
-                match self.step_cached(mem, ic) {
-                    StepEvent::Executed { units } => used += units as u64,
-                    StepEvent::Trap { vector, units } => {
-                        return (used + units as u64, SbExit::Trap { vector });
+                    used += retired;
+                    if used >= budget {
+                        return (used, SbExit::Paused);
                     }
-                    StepEvent::Faulted(f) => return (used, SbExit::Faulted(f)),
+                    // Chain: a pass that ends on the head runs the block
+                    // again, without the lookup.
+                    if self.pc != head {
+                        continue 'lookup;
+                    }
                 }
+            }
+            // Slot-by-slot: block missing (non-text pc, bypass slot) or
+            // too big for the remaining budget.
+            match self.step_cached(mem, ic) {
+                StepEvent::Executed { units } => used += units as u64,
+                StepEvent::Trap { vector, units } => {
+                    return (used + units as u64, SbExit::Trap { vector });
+                }
+                StepEvent::Faulted(f) => return (used, SbExit::Faulted(f)),
             }
             if used >= budget {
                 return (used, SbExit::Paused);
@@ -671,6 +755,7 @@ mod tests {
     use crate::icache::ICache;
     use crate::isa::IsaLevel;
     use crate::mem::MemoryLayout;
+    use std::collections::BTreeSet;
 
     const LOOP_SRC: &str = r"
         start:  move.l  #100, d6
@@ -864,21 +949,41 @@ mod tests {
     /// Operands where the flag and overflow rules have their edges.
     const EDGES: [u32; 6] = [0, 1, u32::MAX, 0x7fff_ffff, 0x8000_0000, 0x0001_0000];
 
+    /// The shapes of the [`random_loop`] corpus.
+    #[derive(Clone, Copy, Debug)]
+    enum Shape {
+        /// Forward conditional branches split the body into blocks of
+        /// varying length and flag liveness; a few trips.
+        Split,
+        /// One block that branches back to its own head, for hundreds
+        /// of trips: chained passes cross the random budgets.
+        SelfLoop,
+        /// A self-loop whose body also loads and stores through `(a0)`
+        /// and `d(a0)`: generic ops inside a chained body.
+        Memory,
+    }
+
     /// A random terminating program: d0–d6 seeded from [`EDGES`], then
     /// a loop counted down in d7 whose body is random fused ops on
-    /// d0–d6, with forward conditional branches scattered through it so
-    /// blocks split at varying points and flag writes vary between live
-    /// and dead.
-    fn random_loop(rng: &mut SplitMix) -> String {
+    /// d0–d6 (with a `Memory` shape, also generic memory and word-size
+    /// ops), with a source that is an immediate or a register at random.
+    /// A `Split` body scatters forward conditional branches through it,
+    /// so blocks split at varying points and flag writes vary between
+    /// live and dead.
+    fn random_loop(rng: &mut SplitMix, shape: Shape) -> String {
         use std::fmt::Write;
         let mut src = String::from("start:\n");
         for r in 0..7 {
             writeln!(src, "move.l #{:#x}, d{r}", rng.pick(&EDGES)).unwrap();
         }
-        writeln!(src, "move.l #{}, d7", 1 + rng.below(6)).unwrap();
+        let trips = match shape {
+            Shape::Split => 1 + rng.below(6),
+            Shape::SelfLoop | Shape::Memory => 100 + rng.below(900),
+        };
+        writeln!(src, "move.l #buf, a0\nmove.l #{trips}, d7").unwrap();
         src.push_str("loop:\n");
         let len = 2 + rng.below(20) as usize;
-        let mut targets = std::collections::BTreeSet::new();
+        let mut targets = BTreeSet::new();
         for i in 0..len {
             if targets.contains(&i) {
                 writeln!(src, "t{i}:").unwrap();
@@ -889,29 +994,42 @@ mod tests {
             } else {
                 format!("d{}", rng.below(7))
             };
-            let line = match rng.below(14) {
-                0 => format!("move.l {s}, d{d}"),
-                1 => format!("add.l {s}, d{d}"),
-                2 => format!("sub.l {s}, d{d}"),
-                3 => format!("cmp.l {s}, d{d}"),
-                4 => format!("and.l {s}, d{d}"),
-                5 => format!("or.l {s}, d{d}"),
-                6 => format!("eor.l {s}, d{d}"),
-                7 => {
-                    let op = rng.pick(&["lsl", "lsr", "asr"]);
-                    let n = rng.pick(&[0, 1, 5, 31, 32, 33, 63]);
-                    format!("{op}.l #{n}, d{d}")
+            let line = if matches!(shape, Shape::Memory) && rng.below(4) == 0 {
+                let disp = 4 * rng.below(8);
+                match rng.below(5) {
+                    0 => format!("move.l d{d}, {disp}(a0)"),
+                    1 => format!("move.l {disp}(a0), d{d}"),
+                    2 => format!("add.l {disp}(a0), d{d}"),
+                    3 => format!("eor.l d{d}, (a0)"),
+                    _ => format!("move.w {s}, d{d}"),
                 }
-                8 => format!("tst.l d{d}"),
-                9 => format!("not.l d{d}"),
-                10 => format!("neg.l d{d}"),
-                11 => "nop".to_string(),
-                _ => format!("muls.l {s}, d{d}"),
+            } else {
+                match rng.below(14) {
+                    0 => format!("move.l {s}, d{d}"),
+                    1 => format!("add.l {s}, d{d}"),
+                    2 => format!("sub.l {s}, d{d}"),
+                    3 => format!("cmp.l {s}, d{d}"),
+                    4 => format!("and.l {s}, d{d}"),
+                    5 => format!("or.l {s}, d{d}"),
+                    6 => format!("eor.l {s}, d{d}"),
+                    7 => {
+                        let op = rng.pick(&["lsl", "lsr", "asr"]);
+                        let n = rng.pick(&[0, 1, 5, 31, 32, 33, 63]);
+                        format!("{op}.l #{n}, d{d}")
+                    }
+                    8 => format!("tst.l d{d}"),
+                    9 => format!("not.l d{d}"),
+                    10 => format!("neg.l d{d}"),
+                    11 => "nop".to_string(),
+                    _ => format!("muls.l {s}, d{d}"),
+                }
             };
             writeln!(src, "{line}").unwrap();
-            if rng.below(4) == 0 {
+            if matches!(shape, Shape::Split) && rng.below(4) == 0 {
                 let to = i + 1 + rng.below(4) as usize;
-                let bcc = rng.pick(&["beq", "bne", "blt", "ble", "bgt", "bge", "bcs", "bcc", "bmi", "bpl"]);
+                let bcc = rng.pick(&[
+                    "beq", "bne", "blt", "ble", "bgt", "bge", "bcs", "bcc", "bmi", "bpl",
+                ]);
                 writeln!(src, "{bcc} t{to}").unwrap();
                 targets.insert(to);
             }
@@ -919,8 +1037,17 @@ mod tests {
         for t in targets.range(len..) {
             writeln!(src, "t{t}:").unwrap();
         }
-        src.push_str("sub.l #1, d7\nbgt loop\ntrap #0\n");
+        src.push_str("sub.l #1, d7\nbgt loop\ntrap #0\n.data\nbuf: .space 32\n");
         src
+    }
+
+    /// The variant name of a micro-op.
+    fn variant(op: &SbOp) -> String {
+        let name = format!("{op:?}");
+        name.split([' ', '('])
+            .next()
+            .unwrap_or_default()
+            .to_string()
     }
 
     #[test]
@@ -928,10 +1055,18 @@ mod tests {
         // Differential test of the fused tier: each seed's program runs
         // on the slot path and on superblocks under the same random
         // budgets, and every return must agree on charge, exit,
-        // registers, SR and memory.
-        for seed in 0..400u64 {
+        // registers, SR and memory. The budgets range from one unit to
+        // thousands, so chained passes of the self-loops stop both
+        // inside and at the edge of a budget.
+        let mut translated = BTreeSet::new();
+        for seed in 0..800u64 {
             let mut rng = SplitMix(seed);
-            let src = random_loop(&mut rng);
+            let shape = match seed {
+                0..400 => Shape::Split,
+                400..600 => Shape::SelfLoop,
+                _ => Shape::Memory,
+            };
+            let src = random_loop(&mut rng, shape);
             let obj = assemble(&src).unwrap_or_else(|e| panic!("seed {seed}: {e:?}\n{src}"));
             let ic = ICache::build(&obj.text, IsaLevel::Isa1);
             let mut mem_a = obj.to_memory();
@@ -941,19 +1076,34 @@ mod tests {
             loop {
                 let budget = match rng.below(4) {
                     0 => 1000,
+                    1 => 1 + rng.below(5000),
                     _ => 1 + rng.below(30),
                 };
                 let out_a = slot_run(&mut cpu_a, &mut mem_a, &ic, budget);
                 let out_b = cpu_b.step_superblock(&mut mem_b, &ic, budget);
-                assert_eq!(out_a, out_b, "seed {seed}, budget {budget}: charge and exit\n{src}");
-                assert_eq!(cpu_a, cpu_b, "seed {seed}, budget {budget}: registers and SR\n{src}");
-                assert_eq!(mem_a, mem_b, "seed {seed}, budget {budget}: memory\n{src}");
+                let at = format!("seed {seed} ({shape:?}), budget {budget}");
+                assert_eq!(out_a, out_b, "{at}: charge and exit\n{src}");
+                assert_eq!(cpu_a, cpu_b, "{at}: registers and SR\n{src}");
+                assert_eq!(mem_a, mem_b, "{at}: memory\n{src}");
                 if out_a.1 != SbExit::Paused {
                     assert_eq!(out_a.1, SbExit::Trap { vector: 0 }, "seed {seed}\n{src}");
                     break;
                 }
             }
+            translated.extend(ic.blocks().flat_map(|sb| sb.ops.iter().map(variant)));
         }
+        // Every specialised variant, so every fused op with an
+        // immediate and a register source and with live and dead
+        // flags, was in a block the corpus ran.
+        let missing: Vec<&str> = SPECIALISED
+            .iter()
+            .copied()
+            .filter(|v| !translated.contains(*v))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "the corpus never translated {missing:?}"
+        );
     }
 
     #[test]
@@ -1074,6 +1224,137 @@ mod tests {
             4 * 7 + 11 + 13,
             "the replayed loads saw the real bytes"
         );
+    }
+
+    /// The dirty hog's sweep: a store, a pointer bump and a count in a
+    /// block that branches to its own head, one pass per ballast page.
+    const SWEEP_SRC: &str = r"
+        start:  move.l  #3, d7
+        outer:  move.l  #ballast, a0
+                move.l  #4, d3
+        sweep:  move.l  d7, (a0)
+                add.l   #0x2000, a0
+                sub.l   #1, d3
+                bgt     sweep
+                sub.l   #1, d7
+                bgt     outer
+                trap    #0
+                .bss
+        ballast:
+                .space  0x8000
+    ";
+
+    /// The sweep at a quarter-page stride with fused work ahead of the
+    /// store: passes that stay on a page chain into the one that
+    /// crosses onto the next, which faults mid-block.
+    const STRIDE_SRC: &str = r"
+        start:  move.l  #2, d7
+        outer:  move.l  #ballast, a0
+                move.l  #16, d3
+        sweep:  add.l   #1, d5
+                muls.l  #3, d4
+                move.l  d5, (a0)
+                add.l   #0x800, a0
+                sub.l   #1, d3
+                bgt     sweep
+                sub.l   #1, d7
+                bgt     outer
+                trap    #0
+                .bss
+        ballast:
+                .space  0x8000
+    ";
+
+    /// Runs `src` with every data page absent on the slot loop and on
+    /// superblocks under the same budgets, comparing every return and
+    /// landing each faulted page in both images. Returns the page
+    /// faults, and how many of them a call took after retiring at least
+    /// one whole pass of the `sweep` block — so on a chained pass.
+    fn sweep_lockstep(src: &str, mut budget: impl FnMut() -> u64) -> (usize, usize) {
+        let obj = assemble(src).unwrap();
+        let ic = ICache::build(&obj.text, IsaLevel::Isa1);
+        let pass = ic.superblock(obj.symbols["sweep"]).unwrap().total_units();
+        let whole = obj.to_memory();
+        let mut mem_a = whole.clone();
+        mem_a.set_absent(data_pages(src));
+        let mut mem_b = mem_a.clone();
+        let mut cpu_a = Cpu::at_entry(obj.entry);
+        let mut cpu_b = cpu_a.clone();
+        let (mut faults, mut chained) = (0, 0);
+        loop {
+            let budget = budget();
+            let out_a = slot_run(&mut cpu_a, &mut mem_a, &ic, budget);
+            let out_b = cpu_b.step_superblock(&mut mem_b, &ic, budget);
+            assert_eq!(out_a, out_b, "budget {budget}: charge and exit");
+            assert_eq!(cpu_a, cpu_b, "budget {budget}: registers and SR");
+            assert_eq!(mem_a, mem_b, "budget {budget}: memory");
+            match out_a {
+                (_, SbExit::Paused) => {}
+                (used, SbExit::Faulted(Fault::PageAbsent { addr })) => {
+                    faults += 1;
+                    if used >= pass {
+                        chained += 1;
+                    }
+                    let page = MemoryLayout::page_of(addr);
+                    let bytes = whole.page_slice(page).unwrap();
+                    assert!(mem_a.install_page(page, bytes) && mem_b.install_page(page, bytes));
+                }
+                (_, exit) => {
+                    assert_eq!(exit, SbExit::Trap { vector: 0 });
+                    return (faults, chained);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn page_faults_on_chained_passes_are_precise() {
+        for src in [SWEEP_SRC, STRIDE_SRC] {
+            // Unbounded: each call runs until the next fault, so every
+            // fault after the first is taken on a chained pass.
+            assert_eq!(sweep_lockstep(src, || u64::MAX), (4, 3));
+            // Whole-block budgets: room for a few passes, so chains
+            // also end at the budget, and a pass that no longer fits
+            // single-steps to its pause.
+            let mut rng = SplitMix(7);
+            let (faults, _) = sweep_lockstep(src, || 10 + rng.below(120));
+            assert_eq!(faults, 4, "one fault per ballast page");
+        }
+    }
+
+    #[test]
+    fn operands_with_side_effects_stay_generic() {
+        // `execute` applies a post-increment or pre-decrement for every
+        // operand of every instruction, the ones an op ignores
+        // included. The assembler never writes such an operand on
+        // `nop`, `tst`, `not` or `neg`, but any text bytes can decode
+        // to one, so those forms must not fuse.
+        use Operand::{DReg, Imm, PostInc, PreDec};
+        let code = [
+            Instr::new(Op::Nop, Size::Long, PostInc(0), PreDec(1)),
+            Instr::new(Op::Not, Size::Long, PostInc(2), DReg(1)),
+            Instr::new(Op::Neg, Size::Long, PreDec(3), DReg(2)),
+            Instr::new(Op::Tst, Size::Long, PostInc(4), DReg(2)),
+            Instr::new(Op::Trap, Size::Long, Imm(0), Operand::None),
+        ];
+        let text = crate::encode::encode_all(&code);
+        let ic = ICache::build(&text, IsaLevel::Isa1);
+        assert_eq!(
+            ic.superblock(MemoryLayout::TEXT_BASE)
+                .unwrap()
+                .generic_ops(),
+            4
+        );
+        let mut mem_a = Memory::new(text, vec![0; 16], 16);
+        let mut cpu_a = Cpu::at_entry(MemoryLayout::TEXT_BASE);
+        cpu_a.d[1] = 5;
+        let mut mem_b = mem_a.clone();
+        let mut cpu_b = cpu_a.clone();
+        let out_a = slot_run(&mut cpu_a, &mut mem_a, &ic, u64::MAX);
+        let out_b = cpu_b.step_superblock(&mut mem_b, &ic, u64::MAX);
+        assert_eq!(out_a, out_b);
+        assert_eq!(cpu_a, cpu_b, "address registers moved on both paths");
+        assert_eq!(cpu_b.a[..5], [4, 0xffff_fffc, 4, 0xffff_fffc, 4]);
     }
 
     #[test]

@@ -282,8 +282,9 @@ fn migration_restores_identical_guest_state_with_superblocks_on_and_off() {
 #[test]
 fn mid_block_dump_restores_identically_with_superblocks_on_and_off() {
     // A tight counted loop: the loop body fuses into one 5-instruction
-    // superblock. The signal-poll stride (4096 units) is not a multiple
-    // of the block's 5 units, so dump pauses land inside the block.
+    // superblock that chains into itself. After the 1-unit `move`, the
+    // 100 000-unit quantum is not a multiple of the block's 6 units, so
+    // the quantum pause before the dump lands inside the block.
     const LOOP_SRC: &str = r"
         start:  move.l  #500000, d6
         loop:   add.l   #1, d5

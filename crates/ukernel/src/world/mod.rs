@@ -1600,17 +1600,14 @@ impl World {
     /// The body is moved out of the process table for the duration of
     /// the quantum so the interpreter's inner loop touches nothing but
     /// the CPU, the memory image and (when built) the predecoded
-    /// instruction cache — no per-step process lookup, no per-step
-    /// signal poll. The process table is re-entered only at trap,
-    /// fault and signal-check boundaries. Nothing else runs while a
-    /// quantum is in progress, so a signal can only appear through a
-    /// syscall dispatched *from this loop*; the periodic check exists
-    /// for the pathological case of a quantum set far larger than the
-    /// default and costs one process lookup per `SIG_CHECK_UNITS`.
+    /// instruction cache — no per-step process lookup, no signal poll.
+    /// The process table is re-entered only at trap and fault
+    /// boundaries. The world is single-threaded, so nothing can post a
+    /// signal while the interpreter runs: only a syscall dispatched
+    /// *from this loop* can, and every such path returns to the top of
+    /// `'quantum`, which checks for pending signals before it takes the
+    /// body again.
     fn run_vm_quantum(&mut self, mid: MachineId, pid: Pid) {
-        /// Cost units interpreted between signal-flag polls.
-        const SIG_CHECK_UNITS: u64 = 4_096;
-
         let isa = self.machines[mid].isa;
         let quantum_units = self.config.cost.quantum_us / self.config.cost.instr_us.max(1);
         let use_superblocks = self.config.use_superblocks;
@@ -1621,7 +1618,6 @@ impl World {
 
         enum Pause {
             Quantum,
-            SignalCheck,
             Event(StepEvent),
         }
 
@@ -1643,170 +1639,141 @@ impl World {
                     }
                 }
             };
-            // Borrow-free inner loop. Superblocks need the icache; a
-            // demand-restored image runs on them like any other, because
-            // every tier faults on an absent page precisely (the CPU is
-            // left as it was before the instruction).
+            // Interpret with the body out of the table. Superblocks need
+            // the icache; a demand-restored image runs on them like any
+            // other, because every tier faults on an absent page
+            // precisely (the CPU is left as it was before the
+            // instruction).
             let use_sb = use_superblocks && vm.icache.is_some();
-            loop {
-                let checkpoint = spent.saturating_add(SIG_CHECK_UNITS);
-                let pause = if use_sb {
-                    // Run whole fused blocks up to the next visible
-                    // boundary (quantum end or signal poll). The engine
-                    // retires a block only when it fits the remaining
-                    // budget and single-steps otherwise, so the pause
-                    // lands on exactly the instruction the slot loop
-                    // would pause on — simtime and ktrace bit-identical.
-                    let boundary = quantum_units.min(checkpoint);
-                    let budget = boundary.saturating_sub(spent);
-                    let ic = vm.icache.as_ref().expect("use_sb implies icache");
-                    let (used, exit) = vm.cpu.step_superblock(&mut vm.mem, ic, budget);
-                    spent += used;
-                    sb_retired += used;
-                    match exit {
-                        m68vm::SbExit::Paused => {
+            let pause = if use_sb {
+                // Run whole fused blocks up to the quantum's end. The
+                // engine retires a block only when it fits the remaining
+                // budget and single-steps otherwise, so the pause lands on
+                // exactly the instruction the slot loop would pause on —
+                // simtime and ktrace bit-identical.
+                let budget = quantum_units.saturating_sub(spent);
+                let ic = vm.icache.as_ref().expect("use_sb implies icache");
+                let (used, exit) = vm.cpu.step_superblock(&mut vm.mem, ic, budget);
+                spent += used;
+                sb_retired += used;
+                match exit {
+                    m68vm::SbExit::Paused => Pause::Quantum,
+                    // Block totals already include the trap's units
+                    // (counted in `used`), so the event carries 0.
+                    m68vm::SbExit::Trap { vector } => {
+                        Pause::Event(StepEvent::Trap { vector, units: 0 })
+                    }
+                    m68vm::SbExit::Faulted(f) => Pause::Event(StepEvent::Faulted(f)),
+                }
+            } else {
+                loop {
+                    let ev = match &vm.icache {
+                        Some(ic) => vm.cpu.step_cached(&mut vm.mem, ic),
+                        None => vm.cpu.step(&mut vm.mem, isa),
+                    };
+                    match ev {
+                        StepEvent::Executed { units } => {
+                            spent += units as u64;
                             if spent >= quantum_units {
-                                Pause::Quantum
-                            } else {
-                                Pause::SignalCheck
+                                break Pause::Quantum;
                             }
                         }
-                        // Block totals already include the trap's units
-                        // (counted in `used`), so the event carries 0.
-                        m68vm::SbExit::Trap { vector } => {
-                            Pause::Event(StepEvent::Trap { vector, units: 0 })
-                        }
-                        m68vm::SbExit::Faulted(f) => Pause::Event(StepEvent::Faulted(f)),
+                        other => break Pause::Event(other),
                     }
-                } else {
-                    loop {
-                        let ev = match &vm.icache {
-                            Some(ic) => vm.cpu.step_cached(&mut vm.mem, ic),
-                            None => vm.cpu.step(&mut vm.mem, isa),
-                        };
-                        match ev {
-                            StepEvent::Executed { units } => {
-                                spent += units as u64;
-                                if spent >= quantum_units {
-                                    break Pause::Quantum;
-                                }
-                                if spent >= checkpoint {
-                                    break Pause::SignalCheck;
-                                }
-                            }
-                            other => break Pause::Event(other),
-                        }
-                    }
-                };
-                match pause {
-                    Pause::Quantum => {
-                        self.return_vm_body(mid, pid, vm);
-                        break 'quantum;
-                    }
-                    Pause::SignalCheck => {
-                        let pending = self
-                            .proc_ref(mid, pid)
-                            .map(|p| p.signal_pending())
-                            .unwrap_or(true);
-                        if pending {
-                            self.return_vm_body(mid, pid, vm);
-                            break 'quantum;
-                        }
-                        continue; // Same body, fresh checkpoint.
-                    }
-                    Pause::Event(StepEvent::Trap { vector: 0, units }) => {
-                        spent += units as u64;
-                        if let Some(addr) = vmabi::absent_arg(&vm.cpu, &vm.mem) {
-                            // An argument lies in a page still at the
-                            // source: back up over the trap and fault
-                            // the page in, so the call re-runs (and is
-                            // charged again) once the page is resident.
-                            vm.cpu.pc = vm.cpu.pc.wrapping_sub(vmabi::TRAP_LEN);
-                            self.return_vm_body(mid, pid, vm);
-                            self.park_page_fetch(mid, pid, addr);
-                            break 'quantum;
-                        }
-                        // Decode against the taken body, then put it
-                        // back: the syscall handlers (and their
-                        // writeback) expect `Body::Vm` in the table.
-                        let decoded = vmabi::decode_trap(&vm.cpu, &vm.mem);
-                        self.return_vm_body(mid, pid, vm);
-                        match decoded {
-                            Err(e) => {
-                                if let Some(p) = self.proc_mut(mid, pid) {
-                                    if let Body::Vm(vm) = &mut p.body {
-                                        vmabi::write_errno(&mut vm.cpu, e);
-                                    }
-                                }
-                            }
-                            Ok(sc) => {
-                                match dispatch(self, mid, pid, &sc) {
-                                    SyscallResult::Done(ret) => {
-                                        if let Some(p) = self.proc_mut(mid, pid) {
-                                            if let Body::Vm(vm) = &mut p.body {
-                                                vmabi::writeback(
-                                                    &mut vm.cpu,
-                                                    &mut vm.mem,
-                                                    &sc,
-                                                    &ret,
-                                                );
-                                            }
-                                        }
-                                    }
-                                    // dispatch() saved the pending call
-                                    // and the restart pc.
-                                    SyscallResult::Blocked => break 'quantum,
-                                    SyscallResult::Gone => break 'quantum,
-                                }
-                            }
-                        }
-                        if spent >= quantum_units {
-                            break 'quantum;
-                        }
-                        // Re-take the (possibly replaced) body at the
-                        // top of the outer loop, which also re-checks
-                        // signals the syscall may have posted.
-                        continue 'quantum;
-                    }
-                    Pause::Event(StepEvent::Trap { units, .. }) => {
-                        // Unknown trap vector: SIGSYS.
-                        spent += units as u64;
-                        self.return_vm_body(mid, pid, vm);
-                        if let Some(p) = self.proc_mut(mid, pid) {
-                            p.post_signal(Signal::SIGSYS);
-                        }
-                        break 'quantum;
-                    }
-                    Pause::Event(StepEvent::Faulted(m68vm::Fault::PageAbsent { addr })) => {
-                        // Not an error: park for the residual-page fetch.
-                        // The fault left the CPU at the faulting
-                        // instruction, unexecuted, so the wake replays it.
+                }
+            };
+            match pause {
+                Pause::Quantum => {
+                    self.return_vm_body(mid, pid, vm);
+                    break 'quantum;
+                }
+                Pause::Event(StepEvent::Trap { vector: 0, units }) => {
+                    spent += units as u64;
+                    if let Some(addr) = vmabi::absent_arg(&vm.cpu, &vm.mem) {
+                        // An argument lies in a page still at the
+                        // source: back up over the trap and fault
+                        // the page in, so the call re-runs (and is
+                        // charged again) once the page is resident.
+                        vm.cpu.pc = vm.cpu.pc.wrapping_sub(vmabi::TRAP_LEN);
                         self.return_vm_body(mid, pid, vm);
                         self.park_page_fetch(mid, pid, addr);
                         break 'quantum;
                     }
-                    Pause::Event(StepEvent::Faulted(f)) => {
-                        let sig = match f {
-                            m68vm::Fault::Unmapped { .. } | m68vm::Fault::StackOverflow { .. } => {
-                                Signal::SIGSEGV
+                    // Decode against the taken body, then put it
+                    // back: the syscall handlers (and their
+                    // writeback) expect `Body::Vm` in the table.
+                    let decoded = vmabi::decode_trap(&vm.cpu, &vm.mem);
+                    self.return_vm_body(mid, pid, vm);
+                    match decoded {
+                        Err(e) => {
+                            if let Some(p) = self.proc_mut(mid, pid) {
+                                if let Body::Vm(vm) = &mut p.body {
+                                    vmabi::write_errno(&mut vm.cpu, e);
+                                }
                             }
-                            m68vm::Fault::WriteToText { .. } => Signal::SIGBUS,
-                            m68vm::Fault::IllegalInstruction { .. }
-                            | m68vm::Fault::IsaViolation { .. } => Signal::SIGILL,
-                            m68vm::Fault::DivZero { .. } => Signal::SIGFPE,
-                            m68vm::Fault::PageAbsent { .. } => {
-                                unreachable!("PageAbsent is handled above")
-                            }
-                        };
-                        self.return_vm_body(mid, pid, vm);
-                        if let Some(p) = self.proc_mut(mid, pid) {
-                            p.post_signal(sig);
                         }
+                        Ok(sc) => {
+                            match dispatch(self, mid, pid, &sc) {
+                                SyscallResult::Done(ret) => {
+                                    if let Some(p) = self.proc_mut(mid, pid) {
+                                        if let Body::Vm(vm) = &mut p.body {
+                                            vmabi::writeback(&mut vm.cpu, &mut vm.mem, &sc, &ret);
+                                        }
+                                    }
+                                }
+                                // dispatch() saved the pending call
+                                // and the restart pc.
+                                SyscallResult::Blocked => break 'quantum,
+                                SyscallResult::Gone => break 'quantum,
+                            }
+                        }
+                    }
+                    if spent >= quantum_units {
                         break 'quantum;
                     }
-                    Pause::Event(StepEvent::Executed { .. }) => {
-                        unreachable!("Executed is handled in the inner loop")
+                    // Re-take the (possibly replaced) body at the top of
+                    // the loop, which also checks for signals the syscall
+                    // may have posted.
+                    continue;
+                }
+                Pause::Event(StepEvent::Trap { units, .. }) => {
+                    // Unknown trap vector: SIGSYS.
+                    spent += units as u64;
+                    self.return_vm_body(mid, pid, vm);
+                    if let Some(p) = self.proc_mut(mid, pid) {
+                        p.post_signal(Signal::SIGSYS);
                     }
+                    break 'quantum;
+                }
+                Pause::Event(StepEvent::Faulted(m68vm::Fault::PageAbsent { addr })) => {
+                    // Not an error: park for the residual-page fetch.
+                    // The fault left the CPU at the faulting
+                    // instruction, unexecuted, so the wake replays it.
+                    self.return_vm_body(mid, pid, vm);
+                    self.park_page_fetch(mid, pid, addr);
+                    break 'quantum;
+                }
+                Pause::Event(StepEvent::Faulted(f)) => {
+                    let sig = match f {
+                        m68vm::Fault::Unmapped { .. } | m68vm::Fault::StackOverflow { .. } => {
+                            Signal::SIGSEGV
+                        }
+                        m68vm::Fault::WriteToText { .. } => Signal::SIGBUS,
+                        m68vm::Fault::IllegalInstruction { .. }
+                        | m68vm::Fault::IsaViolation { .. } => Signal::SIGILL,
+                        m68vm::Fault::DivZero { .. } => Signal::SIGFPE,
+                        m68vm::Fault::PageAbsent { .. } => {
+                            unreachable!("PageAbsent is handled above")
+                        }
+                    };
+                    self.return_vm_body(mid, pid, vm);
+                    if let Some(p) = self.proc_mut(mid, pid) {
+                        p.post_signal(sig);
+                    }
+                    break 'quantum;
+                }
+                Pause::Event(StepEvent::Executed { .. }) => {
+                    unreachable!("Executed is handled in the slot loop")
                 }
             }
         }
