@@ -13,6 +13,11 @@
 //! Next to the interpreter rates sit the two host numbers migration
 //! work cites: one whole dump+restart cycle (`dump_restart_cycle`) and
 //! the `filesXXXXX`/`stackXXXXX` codecs on `codec_inputs`.
+//!
+//! Every figure is timed the same way (`rotated_medians`): the
+//! measurements take turns, one batch each per round, so a slow spell
+//! on a shared host lands on all of them alike, and each figure is the
+//! median of its batches.
 
 use crate::hostclock::HostStopwatch;
 use crate::json::Json;
@@ -75,13 +80,14 @@ enum Engine<'a> {
     Superblock(&'a ICache),
 }
 
-/// Times one full run of `obj` up to its first trap, in seconds.
+/// Times one full run of `obj` up to its first trap, in seconds. The
+/// image and registers are built before the clock starts.
 fn run_once(obj: &m68vm::Object, engine: Engine<'_>) -> f64 {
+    let mut mem = obj.to_memory();
+    let mut cpu = Cpu::at_entry(obj.entry);
     // Host time comes only from the quarantined hostclock module; a
     // bare Instant::now() here would (rightly) fail simlint.
     let start = HostStopwatch::start();
-    let mut mem = obj.to_memory();
-    let mut cpu = Cpu::at_entry(obj.entry);
     match engine {
         Engine::Superblock(ic) => {
             // An unbounded budget never pauses, so the engine returns
@@ -100,17 +106,41 @@ fn run_once(obj: &m68vm::Object, engine: Engine<'_>) -> f64 {
     start.elapsed_secs()
 }
 
-/// Shortest of repeated calls to `run`, after one warm-up call, over
-/// at least ~300 ms of measurement. `run` returns its own host seconds.
-fn best_secs(mut run: impl FnMut() -> f64) -> f64 {
-    let _ = run(); // Warm-up (and superblock translation).
-    let (mut best, mut total) = (f64::INFINITY, 0.0);
-    while total < 0.3 {
-        let secs = run();
-        total += secs;
-        best = best.min(secs);
+/// Rounds of the rotation in [`rotated_medians`].
+const ROUNDS: usize = 9;
+
+/// Host seconds a batch measures at least.
+const BATCH_SECS: f64 = 0.04;
+
+/// A measurement: one call runs it once and returns its own host
+/// seconds.
+type Run<'a> = Box<dyn FnMut() -> f64 + 'a>;
+
+/// Times each of `runs` by rotation. After one warm-up call of each
+/// (which also translates the superblocks), [`ROUNDS`] rounds each run
+/// one batch of every measurement in turn: a batch repeats its run
+/// over at least [`BATCH_SECS`] of measurement and keeps the shortest
+/// call. Returns each measurement's median batch, in order.
+fn rotated_medians<const N: usize>(runs: &mut [Run<'_>; N]) -> [f64; N] {
+    for run in runs.iter_mut() {
+        run();
     }
-    best
+    let mut batches: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(ROUNDS));
+    for _ in 0..ROUNDS {
+        for (run, out) in runs.iter_mut().zip(&mut batches) {
+            let (mut best, mut total) = (f64::INFINITY, 0.0);
+            while total < BATCH_SECS {
+                let secs = run();
+                total += secs;
+                best = best.min(secs);
+            }
+            out.push(best);
+        }
+    }
+    batches.map(|mut b| {
+        b.sort_by(f64::total_cmp);
+        b[ROUNDS / 2]
+    })
 }
 
 /// Host seconds of one call to `f`, dropping its result inside the
@@ -119,12 +149,6 @@ fn timed<T>(f: impl FnOnce() -> T) -> f64 {
     let start = HostStopwatch::start();
     black_box(f());
     start.elapsed_secs()
-}
-
-/// Best observed instructions/second over repeated runs of `obj`, each
-/// retiring `insns` instructions.
-fn insn_per_sec(obj: &m68vm::Object, insns: u64, engine: Engine<'_>) -> f64 {
-    insns as f64 / best_secs(|| run_once(obj, engine))
 }
 
 /// One dump+restart cycle, the §4.2 story end to end: boot brick and
@@ -216,24 +240,35 @@ impl InterpReport {
         let (files, stack) = codec_inputs();
         let files_bytes = files.encode().unwrap();
         let stack_bytes = stack.encode().unwrap();
+        let engine = |obj, e| -> Run<'_> { Box::new(move || run_once(obj, e)) };
+        let mut runs = [
+            engine(&obj, Engine::Uncached),
+            engine(&obj, Engine::Cached(&icache)),
+            engine(&obj, Engine::Superblock(&icache)),
+            engine(&hog, Engine::Cached(&hog_icache)),
+            engine(&hog, Engine::Superblock(&hog_icache)),
+            Box::new(|| timed(dump_restart_cycle)),
+            Box::new(|| timed(|| files.encode())),
+            Box::new(|| timed(|| FilesFile::decode(black_box(&files_bytes)))),
+            Box::new(|| timed(|| stack.encode())),
+            Box::new(|| timed(|| StackFile::decode(black_box(&stack_bytes)))),
+        ];
+        let [
+            uncached, cached, superblock, hog_cached, hog_superblock,
+            cycle, files_enc, files_dec, stack_enc, stack_dec,
+        ] = rotated_medians(&mut runs);
         InterpReport {
             instructions_per_run: n,
-            uncached_insn_per_sec: insn_per_sec(&obj, n, Engine::Uncached),
-            cached_insn_per_sec: insn_per_sec(&obj, n, Engine::Cached(&icache)),
-            superblock_insn_per_sec: insn_per_sec(&obj, n, Engine::Superblock(&icache)),
-            hog_cached_insn_per_sec: insn_per_sec(&hog, hog_insns, Engine::Cached(&hog_icache)),
-            hog_superblock_insn_per_sec: insn_per_sec(
-                &hog,
-                hog_insns,
-                Engine::Superblock(&hog_icache),
-            ),
-            dump_restart_cycle_ms: best_secs(|| timed(dump_restart_cycle)) * 1e3,
-            files_encode_us: best_secs(|| timed(|| files.encode())) * 1e6,
-            files_decode_us: best_secs(|| timed(|| FilesFile::decode(black_box(&files_bytes))))
-                * 1e6,
-            stack_encode_us: best_secs(|| timed(|| stack.encode())) * 1e6,
-            stack_decode_us: best_secs(|| timed(|| StackFile::decode(black_box(&stack_bytes))))
-                * 1e6,
+            uncached_insn_per_sec: n as f64 / uncached,
+            cached_insn_per_sec: n as f64 / cached,
+            superblock_insn_per_sec: n as f64 / superblock,
+            hog_cached_insn_per_sec: hog_insns as f64 / hog_cached,
+            hog_superblock_insn_per_sec: hog_insns as f64 / hog_superblock,
+            dump_restart_cycle_ms: cycle * 1e3,
+            files_encode_us: files_enc * 1e6,
+            files_decode_us: files_dec * 1e6,
+            stack_encode_us: stack_enc * 1e6,
+            stack_decode_us: stack_dec * 1e6,
         }
     }
 

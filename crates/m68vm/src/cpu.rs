@@ -326,7 +326,7 @@ impl Cpu {
             Ok(w) => w,
             Err(f) => return StepEvent::Faulted(f),
         };
-        let (instr, ilen) = match decode(window) {
+        let (instr, ilen) = match decode(&window) {
             Ok(x) => x,
             Err(CodecError::BadOpcode(_)) | Err(CodecError::BadMode(_)) => {
                 return StepEvent::Faulted(Fault::IllegalInstruction { pc: self.pc })

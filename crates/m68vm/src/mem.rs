@@ -5,13 +5,19 @@
 //! * **text** — read-only instructions, loaded at [`MemoryLayout::TEXT_BASE`];
 //! * **data** — initialised data followed by zeroed bss, page-aligned after
 //!   the text;
-//! * **stack** — a fixed region ending at [`MemoryLayout::STACK_TOP`],
-//!   growing downwards.
+//! * **stack** — a region of [`MemoryLayout::STACK_MAX`] bytes ending at
+//!   [`MemoryLayout::STACK_TOP`]. As on 4.2BSD it grows on demand: the
+//!   image stores only the pages from the lowest one the process has
+//!   written (or a restore has filled) up to the top. The rest of the
+//!   region reads as zeros, and a write there grows the stored part by
+//!   whole pages. Nothing a guest or the kernel can observe depends on
+//!   how far it has grown.
 //!
 //! Address zero is unmapped so null-pointer dereferences fault, and writes
 //! to text fault, letting the kernel convert both into the appropriate
 //! signals.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use crate::cpu::Fault;
@@ -29,6 +35,8 @@ impl MemoryLayout {
     pub const STACK_TOP: u32 = 0x0080_0000;
     /// Maximum stack size in bytes.
     pub const STACK_MAX: u32 = 0x0004_0000; // 256 KB
+    /// The lowest stack address: a push below it overflows the stack.
+    const STACK_BASE: u32 = Self::STACK_TOP - Self::STACK_MAX;
 
     /// The base address of the data segment for a given text size.
     pub fn data_base(text_len: u32) -> u32 {
@@ -51,16 +59,20 @@ impl MemoryLayout {
 ///
 /// Equality deliberately ignores the dirty set: dirty tracking is pure
 /// cache in the Milanés sense — a migration image dumped with tracking
-/// on must be bit-identical to one dumped with it off. The absent set
-/// *is* semantic (a demand-restored image genuinely lacks those pages)
-/// and participates in equality.
+/// on must be bit-identical to one dumped with it off. How far the
+/// stack has grown is host-side too, so stacks compare as if
+/// zero-extended to the whole region. The absent set *is* semantic (a
+/// demand-restored image genuinely lacks those pages) and participates
+/// in equality.
 #[derive(Clone, Debug)]
 pub struct Memory {
     text: Vec<u8>,
     /// Initialised data + bss, starting at `data_base`.
     data: Vec<u8>,
     data_base: u32,
-    /// The stack region; index 0 is `STACK_TOP - STACK_MAX`.
+    /// The grown part of the stack region, whole pages ending at
+    /// `STACK_TOP`: index 0 is `STACK_TOP - stack.len()`. The region
+    /// below it holds zeros that no write has needed to store yet.
     stack: Vec<u8>,
     /// Page-granular write tracking over data + stack, armed only while
     /// a pre-copy migration is watching the image.
@@ -75,12 +87,23 @@ impl PartialEq for Memory {
         self.text == other.text
             && self.data == other.data
             && self.data_base == other.data_base
-            && self.stack == other.stack
+            && stacks_eq(&self.stack, &other.stack)
             && self.absent == other.absent
     }
 }
 
 impl Eq for Memory {}
+
+/// Whether two grown stacks hold the same region: the pages only the
+/// longer one stores must be zeros.
+fn stacks_eq(a: &[u8], b: &[u8]) -> bool {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let (extra, rest) = long.split_at(long.len() - short.len());
+    rest == short && extra.iter().all(|&x| x == 0)
+}
+
+/// What an ungrown stack page holds.
+static ZERO_PAGE: [u8; MemoryLayout::PAGE as usize] = [0; MemoryLayout::PAGE as usize];
 
 impl Memory {
     /// Builds an image from a text segment, initialised data and a bss
@@ -93,7 +116,7 @@ impl Memory {
             text,
             data,
             data_base,
-            stack: vec![0; MemoryLayout::STACK_MAX as usize],
+            stack: Vec::new(),
             dirty: None,
             absent: BTreeSet::new(),
         }
@@ -116,35 +139,76 @@ impl Memory {
     }
 
     /// The stack bytes from `sp` to the top of the stack, i.e. the live
-    /// stack contents the `stackXXXXX` dump preserves.
+    /// stack contents the `stackXXXXX` dump preserves. Borrowed when `sp`
+    /// lies in the grown part; below it, the ungrown pages come back as
+    /// zeros.
     ///
     /// Returns `None` if `sp` lies outside the stack region.
-    pub fn stack_from(&self, sp: u32) -> Option<&[u8]> {
-        let base = MemoryLayout::STACK_TOP - MemoryLayout::STACK_MAX;
-        if sp < base || sp > MemoryLayout::STACK_TOP {
+    pub fn stack_from(&self, sp: u32) -> Option<Cow<'_, [u8]>> {
+        if !(MemoryLayout::STACK_BASE..=MemoryLayout::STACK_TOP).contains(&sp) {
             return None;
         }
-        Some(&self.stack[(sp - base) as usize..])
+        let o = (sp - MemoryLayout::STACK_BASE) as usize;
+        Some(self.stack_bytes(o, MemoryLayout::STACK_MAX as usize - o))
     }
 
-    /// Overwrites the live stack so that it holds `contents` ending at the
-    /// stack top, returning the new stack pointer. Used by `rest_proc()`.
+    /// Replaces the stack with `contents` ending at the stack top,
+    /// returning the new stack pointer. Used by `rest_proc()`: the image
+    /// stores exactly `contents`, rounded up to whole pages, and drops
+    /// whatever it had grown before, so a restore into a used image
+    /// equals one into a fresh image.
     ///
     /// Fails if `contents` exceeds the stack region.
     pub fn restore_stack(&mut self, contents: &[u8]) -> Option<u32> {
         if contents.len() > MemoryLayout::STACK_MAX as usize {
             return None;
         }
-        let sp = MemoryLayout::STACK_TOP - contents.len() as u32;
-        let base = MemoryLayout::STACK_TOP - MemoryLayout::STACK_MAX;
-        let off = (sp - base) as usize;
-        // Zero the region below the new sp: a restore into a previously
-        // used image (demand restore reuses the live image in place) must
-        // be bit-identical to a restore into a fresh one.
-        self.stack[..off].fill(0);
-        self.stack[off..].copy_from_slice(contents);
-        self.mark_dirty_span(base, MemoryLayout::STACK_MAX as usize);
-        Some(sp)
+        let len = contents.len().next_multiple_of(MemoryLayout::PAGE as usize);
+        let mut stack = vec![0; len];
+        stack[len - contents.len()..].copy_from_slice(contents);
+        self.stack = stack;
+        self.mark_dirty_span(MemoryLayout::STACK_BASE, MemoryLayout::STACK_MAX as usize);
+        Some(MemoryLayout::STACK_TOP - contents.len() as u32)
+    }
+
+    /// The region offset of the lowest stored stack byte.
+    fn stack_floor(&self) -> usize {
+        MemoryLayout::STACK_MAX as usize - self.stack.len()
+    }
+
+    /// Grows the stored stack down to the page holding region offset `o`.
+    #[cold]
+    fn grow_stack(&mut self, o: usize) {
+        let page = MemoryLayout::PAGE as usize;
+        let len = MemoryLayout::STACK_MAX as usize - o / page * page;
+        let mut grown = vec![0; len];
+        grown[len - self.stack.len()..].copy_from_slice(&self.stack);
+        self.stack = grown;
+    }
+
+    /// Copies the stack bytes from region offset `o` into the zeroed
+    /// `out`, leaving the bytes below the grown part zero.
+    fn copy_stack(&self, o: usize, out: &mut [u8]) {
+        let floor = self.stack_floor();
+        let end = o + out.len();
+        if end <= floor {
+            return;
+        }
+        let skip = floor.saturating_sub(o);
+        out[skip..].copy_from_slice(&self.stack[o + skip - floor..end - floor]);
+    }
+
+    /// The `n` stack bytes from region offset `o`: borrowed when they lie
+    /// in the grown part, copied with zeros below it otherwise.
+    fn stack_bytes(&self, o: usize, n: usize) -> Cow<'_, [u8]> {
+        match o.checked_sub(self.stack_floor()) {
+            Some(i) => Cow::Borrowed(&self.stack[i..i + n]),
+            None => {
+                let mut out = vec![0; n];
+                self.copy_stack(o, &mut out);
+                Cow::Owned(out)
+            }
+        }
     }
 
     /// Arms page-granular dirty tracking, with every data and stack page
@@ -188,7 +252,7 @@ impl Memory {
         }
     }
 
-    /// Every data and stack page number of this image.
+    /// Every data and stack page number of this image, grown or not.
     fn all_pages(&self) -> BTreeSet<u32> {
         let mut pages = BTreeSet::new();
         let data_end = self.data_base + self.data.len() as u32;
@@ -197,8 +261,7 @@ impl Memory {
             pages.insert(MemoryLayout::page_of(a));
             a += MemoryLayout::PAGE;
         }
-        let base = MemoryLayout::STACK_TOP - MemoryLayout::STACK_MAX;
-        let mut a = base;
+        let mut a = MemoryLayout::STACK_BASE;
         while a < MemoryLayout::STACK_TOP {
             pages.insert(MemoryLayout::page_of(a));
             a += MemoryLayout::PAGE;
@@ -219,8 +282,9 @@ impl Memory {
         }
     }
 
-    /// The bytes of page `page`, clipped to its segment's end. `None`
-    /// when the page maps neither data nor stack, or is absent.
+    /// The bytes of page `page`, clipped to its segment's end; a stack
+    /// page the stack has not grown to is a page of zeros. `None` when
+    /// the page maps neither data nor stack, or is absent.
     pub fn page_slice(&self, page: u32) -> Option<&[u8]> {
         if self.absent.contains(&page) {
             return None;
@@ -232,10 +296,12 @@ impl Memory {
             let end = (o + MemoryLayout::PAGE as usize).min(self.data.len());
             return Some(&self.data[o..end]);
         }
-        let stack_base = MemoryLayout::STACK_TOP - MemoryLayout::STACK_MAX;
-        if base >= stack_base && base < MemoryLayout::STACK_TOP {
-            let o = (base - stack_base) as usize;
-            return Some(&self.stack[o..o + MemoryLayout::PAGE as usize]);
+        if (MemoryLayout::STACK_BASE..MemoryLayout::STACK_TOP).contains(&base) {
+            let o = (base - MemoryLayout::STACK_BASE) as usize;
+            return Some(match o.checked_sub(self.stack_floor()) {
+                Some(i) => &self.stack[i..i + MemoryLayout::PAGE as usize],
+                None => &ZERO_PAGE,
+            });
         }
         None
     }
@@ -248,7 +314,6 @@ impl Memory {
     pub fn install_page(&mut self, page: u32, bytes: &[u8]) -> bool {
         let base = MemoryLayout::page_addr(page);
         let data_end = self.data_base + self.data.len() as u32;
-        let stack_base = MemoryLayout::STACK_TOP - MemoryLayout::STACK_MAX;
         let ok = if base >= self.data_base && base < data_end {
             let o = (base - self.data_base) as usize;
             let end = (o + MemoryLayout::PAGE as usize).min(self.data.len());
@@ -258,10 +323,10 @@ impl Memory {
             } else {
                 false
             }
-        } else if base >= stack_base && base < MemoryLayout::STACK_TOP {
-            let o = (base - stack_base) as usize;
+        } else if (MemoryLayout::STACK_BASE..MemoryLayout::STACK_TOP).contains(&base) {
+            let o = (base - MemoryLayout::STACK_BASE) as usize;
             if bytes.len() == MemoryLayout::PAGE as usize {
-                self.stack[o..o + bytes.len()].copy_from_slice(bytes);
+                self.stack_mut(o, bytes.len()).copy_from_slice(bytes);
                 true
             } else {
                 false
@@ -324,42 +389,67 @@ impl Memory {
             }
             return Ok(Region::Data((addr - self.data_base) as usize));
         }
-        let stack_base = MemoryLayout::STACK_TOP - MemoryLayout::STACK_MAX;
-        if addr >= stack_base && end <= MemoryLayout::STACK_TOP {
-            return Ok(Region::Stack((addr - stack_base) as usize));
+        if addr >= MemoryLayout::STACK_BASE && end <= MemoryLayout::STACK_TOP {
+            return Ok(Region::Stack((addr - MemoryLayout::STACK_BASE) as usize));
         }
         Err(Fault::Unmapped { addr })
     }
 
-    /// Returns the longest readable slice starting at `addr`, up to
-    /// `max` bytes, without copying (used by the instruction fetch).
+    /// The `n` stored stack bytes from region offset `o`, growing the
+    /// stack first when they reach below it.
+    fn stack_mut(&mut self, o: usize, n: usize) -> &mut [u8] {
+        if o < self.stack_floor() {
+            self.grow_stack(o);
+        }
+        let i = o - self.stack_floor();
+        &mut self.stack[i..i + n]
+    }
+
+    /// Returns the longest readable run of bytes starting at `addr`, up
+    /// to `max` bytes (used by the instruction fetch).
     ///
     /// The slice stops at the end of the segment holding `addr` or at
     /// the first byte of an absent page, whichever comes first; in the
     /// second case that byte is returned too, so a fetch the hole cut
     /// short can fault the page in instead of decoding the placeholder
-    /// bytes a demand restore leaves there.
-    pub fn read_window(&self, addr: u32, max: u32) -> Result<(&[u8], Option<u32>), Fault> {
+    /// bytes a demand restore leaves there. A window that reaches below
+    /// the grown stack is a copy (see [`Memory::stack_from`]).
+    pub fn read_window(&self, addr: u32, max: u32) -> Result<(Cow<'_, [u8]>, Option<u32>), Fault> {
         // Find how many bytes remain in the segment containing `addr`.
         let (seg, off): (&[u8], usize) = match self.locate(addr, 1)? {
             Region::Text(o) => (&self.text, o),
             Region::Data(o) => (&self.data, o),
-            Region::Stack(o) => (&self.stack, o),
+            Region::Stack(o) => {
+                let len = (MemoryLayout::STACK_MAX as usize - o).min(max as usize);
+                return Ok((self.stack_bytes(o, len), None));
+            }
         };
         let len = (off + max as usize).min(seg.len()) - off;
         let hole = self.first_absent(addr, len as u32);
         let len = hole.map_or(len, |at| (at - addr) as usize);
-        Ok((&seg[off..off + len], hole))
+        Ok((Cow::Borrowed(&seg[off..off + len]), hole))
     }
 
-    /// Reads `len` bytes starting at `addr`.
-    pub fn read_bytes(&self, addr: u32, len: u32) -> Result<&[u8], Fault> {
+    /// Reads `len` bytes starting at `addr`: borrowed, except for a read
+    /// that reaches below the grown stack (see [`Memory::stack_from`]).
+    pub fn read_bytes(&self, addr: u32, len: u32) -> Result<Cow<'_, [u8]>, Fault> {
         let n = len as usize;
         Ok(match self.locate(addr, len)? {
-            Region::Text(o) => &self.text[o..o + n],
-            Region::Data(o) => &self.data[o..o + n],
-            Region::Stack(o) => &self.stack[o..o + n],
+            Region::Text(o) => Cow::Borrowed(&self.text[o..o + n]),
+            Region::Data(o) => Cow::Borrowed(&self.data[o..o + n]),
+            Region::Stack(o) => self.stack_bytes(o, n),
         })
+    }
+
+    /// Reads `N` bytes starting at `addr` into an array.
+    fn read_array<const N: usize>(&self, addr: u32) -> Result<[u8; N], Fault> {
+        let mut out = [0; N];
+        match self.locate(addr, N as u32)? {
+            Region::Text(o) => out.copy_from_slice(&self.text[o..o + N]),
+            Region::Data(o) => out.copy_from_slice(&self.data[o..o + N]),
+            Region::Stack(o) => self.copy_stack(o, &mut out),
+        }
+        Ok(out)
     }
 
     /// Writes `bytes` starting at `addr`; text is write-protected.
@@ -373,7 +463,7 @@ impl Memory {
                 Ok(())
             }
             Region::Stack(o) => {
-                self.stack[o..o + n].copy_from_slice(bytes);
+                self.stack_mut(o, n).copy_from_slice(bytes);
                 self.mark_dirty_span(addr, n);
                 Ok(())
             }
@@ -382,19 +472,17 @@ impl Memory {
 
     /// Reads one byte.
     pub fn read_u8(&self, addr: u32) -> Result<u8, Fault> {
-        Ok(self.read_bytes(addr, 1)?[0])
+        Ok(self.read_array::<1>(addr)?[0])
     }
 
     /// Reads a big-endian 16-bit word.
     pub fn read_u16(&self, addr: u32) -> Result<u16, Fault> {
-        let b = self.read_bytes(addr, 2)?;
-        Ok(u16::from_be_bytes([b[0], b[1]]))
+        Ok(u16::from_be_bytes(self.read_array(addr)?))
     }
 
     /// Reads a big-endian 32-bit word.
     pub fn read_u32(&self, addr: u32) -> Result<u32, Fault> {
-        let b = self.read_bytes(addr, 4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_be_bytes(self.read_array(addr)?))
     }
 
     /// Writes one byte.
@@ -469,7 +557,7 @@ mod tests {
     fn data_and_bss_read_write() {
         let mut m = mem();
         let d = m.data_base();
-        assert_eq!(m.read_bytes(d, 4).unwrap(), &[1, 2, 3, 4]);
+        assert_eq!(*m.read_bytes(d, 4).unwrap(), [1, 2, 3, 4]);
         assert_eq!(m.read_u8(d + 4).unwrap(), 0); // bss zeroed
         m.write_u32(d + 8, 0xCAFEBABE).unwrap();
         assert_eq!(m.read_u32(d + 8).unwrap(), 0xCAFEBABE);
@@ -562,6 +650,123 @@ mod tests {
         assert_eq!(m.stack_from(base).unwrap(), fresh.stack_from(base).unwrap());
     }
 
+    const PAGE: usize = MemoryLayout::PAGE as usize;
+
+    #[test]
+    fn a_fresh_image_holds_no_stack_and_reads_zeros_there() {
+        let m = mem();
+        assert!(m.stack.is_empty());
+        assert_eq!(m.read_u32(MemoryLayout::STACK_TOP - 4).unwrap(), 0);
+        assert_eq!(m.read_u8(MemoryLayout::STACK_BASE).unwrap(), 0);
+        let whole = m.stack_from(MemoryLayout::STACK_BASE).unwrap();
+        assert_eq!(whole.len(), MemoryLayout::STACK_MAX as usize);
+        assert!(whole.iter().all(|&b| b == 0));
+        let top_page = MemoryLayout::page_of(MemoryLayout::STACK_TOP - 1);
+        assert_eq!(m.page_slice(top_page).unwrap(), &[0; PAGE]);
+        // The limit and the unmapped space below it are unchanged.
+        assert!(matches!(
+            m.read_u8(MemoryLayout::STACK_BASE - 1),
+            Err(Fault::Unmapped { .. })
+        ));
+    }
+
+    #[test]
+    fn one_push_grows_exactly_one_page() {
+        let mut m = mem();
+        m.write_u32(MemoryLayout::STACK_TOP - 4, 0xDEAD_BEEF)
+            .unwrap();
+        assert_eq!(m.stack.len(), PAGE);
+        assert_eq!(
+            m.read_u32(MemoryLayout::STACK_TOP - 4).unwrap(),
+            0xDEAD_BEEF
+        );
+        // A write that straddles the grown part's floor grows one page
+        // more, as does any write below it.
+        let floor = MemoryLayout::STACK_TOP - PAGE as u32;
+        m.write_u32(floor - 2, 0x0102_0304).unwrap();
+        assert_eq!(m.stack.len(), 2 * PAGE);
+        m.write_u8(MemoryLayout::STACK_BASE, 9).unwrap();
+        assert_eq!(m.stack.len(), MemoryLayout::STACK_MAX as usize);
+        assert_eq!(m.read_u32(floor - 2).unwrap(), 0x0102_0304);
+        assert_eq!(m.read_u8(MemoryLayout::STACK_BASE).unwrap(), 9);
+        // A write below the limit faults and grows nothing.
+        let mut fresh = mem();
+        assert!(matches!(
+            fresh.write_u32(MemoryLayout::STACK_BASE - 4, 1),
+            Err(Fault::Unmapped { .. })
+        ));
+        assert!(fresh.stack.is_empty());
+    }
+
+    #[test]
+    fn reads_across_the_grown_floor_see_zeros_below_it() {
+        let mut m = mem();
+        let floor = MemoryLayout::STACK_TOP - PAGE as u32;
+        m.write_u16(floor, 0xABCD).unwrap();
+        assert_eq!(m.read_u32(floor - 2).unwrap(), 0x0000_ABCD);
+        assert_eq!(*m.read_bytes(floor - 2, 4).unwrap(), [0, 0, 0xAB, 0xCD]);
+        let (window, hole) = m.read_window(floor - 1, 12).unwrap();
+        assert_eq!(window[..3], [0, 0xAB, 0xCD]);
+        assert_eq!((window.len(), hole), (12, None));
+        let from = m.stack_from(floor - 2).unwrap();
+        assert_eq!(from.len(), PAGE + 2);
+        assert_eq!(from[..4], [0, 0, 0xAB, 0xCD]);
+        // Reading never grows the stack.
+        assert_eq!(m.stack.len(), PAGE);
+    }
+
+    #[test]
+    fn clone_copies_only_the_grown_part() {
+        let mut m = mem();
+        m.write_u32(MemoryLayout::STACK_TOP - 4, 7).unwrap();
+        let c = m.clone();
+        assert_eq!(c.stack.len(), PAGE);
+        assert_eq!(c, m);
+    }
+
+    #[test]
+    fn restore_stack_holds_the_contents_rounded_up_to_a_page() {
+        for n in [
+            0,
+            1,
+            4,
+            PAGE - 1,
+            PAGE,
+            PAGE + 1,
+            MemoryLayout::STACK_MAX as usize,
+        ] {
+            // Into a fresh image and into one grown to the limit: both
+            // hold exactly the restored pages.
+            let mut grown = mem();
+            grown.write_u8(MemoryLayout::STACK_BASE, 1).unwrap();
+            for mut m in [mem(), grown] {
+                let contents = vec![0x5A; n];
+                let sp = m.restore_stack(&contents).unwrap();
+                assert_eq!(sp, MemoryLayout::STACK_TOP - n as u32);
+                assert_eq!(m.stack.len(), n.next_multiple_of(PAGE), "{n} bytes");
+                assert_eq!(*m.stack_from(sp).unwrap(), contents[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_grown_then_zeroed_stack_equals_a_fresh_one() {
+        let fresh = mem();
+        let mut m = mem();
+        m.write_u32(MemoryLayout::STACK_BASE, 0xFFFF_FFFF).unwrap();
+        assert_ne!(m, fresh);
+        assert_ne!(fresh, m);
+        m.write_u32(MemoryLayout::STACK_BASE, 0).unwrap();
+        assert_eq!(m.stack.len(), MemoryLayout::STACK_MAX as usize);
+        assert_eq!(m, fresh);
+        assert_eq!(fresh, m);
+        // Same contents grown to different depths compare equal too.
+        let mut shallow = mem();
+        shallow.write_u32(MemoryLayout::STACK_TOP - 4, 3).unwrap();
+        m.write_u32(MemoryLayout::STACK_TOP - 4, 3).unwrap();
+        assert_eq!(m, shallow);
+    }
+
     #[test]
     fn dirty_tracking_starts_all_dirty_and_follows_writes() {
         let mut m = Memory::new(vec![0xAA; 64], vec![0; 3 * 0x2000], 0);
@@ -569,7 +774,10 @@ mod tests {
         m.enable_dirty_tracking();
         let first = m.take_dirty();
         // 3 data pages + 32 stack pages, all initially dirty.
-        assert_eq!(first.len(), 3 + (MemoryLayout::STACK_MAX / MemoryLayout::PAGE) as usize);
+        assert_eq!(
+            first.len(),
+            3 + (MemoryLayout::STACK_MAX / MemoryLayout::PAGE) as usize
+        );
         assert_eq!(m.dirty_count(), 0);
 
         // A write dirties exactly the touched pages.
@@ -613,7 +821,10 @@ mod tests {
             m.read_u8(d + 0x2000),
             Err(Fault::PageAbsent { addr }) if addr == d + 0x2000
         ));
-        assert!(matches!(m.write_u8(d + 0x2000, 1), Err(Fault::PageAbsent { .. })));
+        assert!(matches!(
+            m.write_u8(d + 0x2000, 1),
+            Err(Fault::PageAbsent { .. })
+        ));
         // A spanning access faults at the first absent byte.
         assert!(matches!(
             m.read_u32(d + 0x2000 - 2),
@@ -635,7 +846,10 @@ mod tests {
         let mut m = mem();
         assert!(!m.install_page(0, &[0; 0x2000]), "page 0 is unmapped");
         let d = MemoryLayout::page_of(m.data_base());
-        assert!(!m.install_page(d, &[0; 7]), "length must match the page span");
+        assert!(
+            !m.install_page(d, &[0; 7]),
+            "length must match the page span"
+        );
         // Short final data page: the clipped length is what fits.
         let span = m.page_slice(d).unwrap().len();
         assert!(m.install_page(d, &vec![3; span]));

@@ -961,12 +961,17 @@ mod tests {
         /// A self-loop whose body also loads and stores through `(a0)`
         /// and `d(a0)`: generic ops inside a chained body.
         Memory,
+        /// A self-loop whose body pushes through `-(a7)`, loads and
+        /// stores through `d(a7)` and walks `a7` down with `lea`, across
+        /// several stack pages: the stack grows inside chained passes.
+        Stack,
     }
 
     /// A random terminating program: d0–d6 seeded from [`EDGES`], then
     /// a loop counted down in d7 whose body is random fused ops on
     /// d0–d6 (with a `Memory` shape, also generic memory and word-size
-    /// ops), with a source that is an immediate or a register at random.
+    /// ops; with a `Stack` shape, stack pushes, loads and stores), with a
+    /// source that is an immediate or a register at random.
     /// A `Split` body scatters forward conditional branches through it,
     /// so blocks split at varying points and flag writes vary between
     /// live and dead.
@@ -979,6 +984,18 @@ mod tests {
         let trips = match shape {
             Shape::Split => 1 + rng.below(6),
             Shape::SelfLoop | Shape::Memory => 100 + rng.below(900),
+            Shape::Stack => 300 + rng.below(700),
+        };
+        // A `Stack` loop starts 64 bytes down, so its `d(a7)` operands
+        // stay below the top, and walks a7 down 96–160 bytes a trip
+        // besides its pushes (at most 84 bytes): at least three pages
+        // over the run, and never past the 256 KB limit.
+        let walk = match shape {
+            Shape::Stack => {
+                src.push_str("lea -64(a7), a7\n");
+                4 * (24 + rng.below(17))
+            }
+            _ => 0,
         };
         writeln!(src, "move.l #buf, a0\nmove.l #{trips}, d7").unwrap();
         src.push_str("loop:\n");
@@ -994,17 +1011,27 @@ mod tests {
             } else {
                 format!("d{}", rng.below(7))
             };
-            let line = if matches!(shape, Shape::Memory) && rng.below(4) == 0 {
-                let disp = 4 * rng.below(8);
-                match rng.below(5) {
-                    0 => format!("move.l d{d}, {disp}(a0)"),
-                    1 => format!("move.l {disp}(a0), d{d}"),
-                    2 => format!("add.l {disp}(a0), d{d}"),
-                    3 => format!("eor.l d{d}, (a0)"),
-                    _ => format!("move.w {s}, d{d}"),
+            let line = match shape {
+                Shape::Memory if rng.below(4) == 0 => {
+                    let disp = 4 * rng.below(8);
+                    match rng.below(5) {
+                        0 => format!("move.l d{d}, {disp}(a0)"),
+                        1 => format!("move.l {disp}(a0), d{d}"),
+                        2 => format!("add.l {disp}(a0), d{d}"),
+                        3 => format!("eor.l d{d}, (a0)"),
+                        _ => format!("move.w {s}, d{d}"),
+                    }
                 }
-            } else {
-                match rng.below(14) {
+                Shape::Stack if rng.below(3) == 0 => {
+                    let disp = 4 * rng.below(16) as i64 - 32;
+                    match rng.below(4) {
+                        0 => format!("move.l d{d}, -(a7)"),
+                        1 => format!("move.l d{d}, {disp}(a7)"),
+                        2 => format!("move.l {disp}(a7), d{d}"),
+                        _ => format!("add.l {disp}(a7), d{d}"),
+                    }
+                }
+                _ => match rng.below(14) {
                     0 => format!("move.l {s}, d{d}"),
                     1 => format!("add.l {s}, d{d}"),
                     2 => format!("sub.l {s}, d{d}"),
@@ -1022,7 +1049,7 @@ mod tests {
                     10 => format!("neg.l d{d}"),
                     11 => "nop".to_string(),
                     _ => format!("muls.l {s}, d{d}"),
-                }
+                },
             };
             writeln!(src, "{line}").unwrap();
             if matches!(shape, Shape::Split) && rng.below(4) == 0 {
@@ -1036,6 +1063,9 @@ mod tests {
         }
         for t in targets.range(len..) {
             writeln!(src, "t{t}:").unwrap();
+        }
+        if walk > 0 {
+            writeln!(src, "lea -{walk}(a7), a7").unwrap();
         }
         src.push_str("sub.l #1, d7\nbgt loop\ntrap #0\n.data\nbuf: .space 32\n");
         src
@@ -1057,14 +1087,16 @@ mod tests {
         // budgets, and every return must agree on charge, exit,
         // registers, SR and memory. The budgets range from one unit to
         // thousands, so chained passes of the self-loops stop both
-        // inside and at the edge of a budget.
+        // inside and at the edge of a budget, and the `Stack` loops grow
+        // the stack page by page inside chained passes.
         let mut translated = BTreeSet::new();
-        for seed in 0..800u64 {
+        for seed in 0..1000u64 {
             let mut rng = SplitMix(seed);
             let shape = match seed {
                 0..400 => Shape::Split,
                 400..600 => Shape::SelfLoop,
-                _ => Shape::Memory,
+                600..800 => Shape::Memory,
+                _ => Shape::Stack,
             };
             let src = random_loop(&mut rng, shape);
             let obj = assemble(&src).unwrap_or_else(|e| panic!("seed {seed}: {e:?}\n{src}"));

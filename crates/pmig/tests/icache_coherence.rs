@@ -146,7 +146,7 @@ fn migration_restores_identical_guest_state_with_icache_on_and_off() {
                     vm.cpu.clone(),
                     vm.mem.text().to_vec(),
                     vm.mem.data().to_vec(),
-                    vm.mem.stack_from(vm.cpu.a[7]).unwrap_or(&[]).to_vec(),
+                    vm.mem.stack_from(vm.cpu.a[7]).map(|s| s.into_owned()).unwrap_or_default(),
                 )
             };
             handle2.type_input("line 3\n");
@@ -253,7 +253,7 @@ fn migration_restores_identical_guest_state_with_superblocks_on_and_off() {
                 vm.cpu.clone(),
                 vm.mem.text().to_vec(),
                 vm.mem.data().to_vec(),
-                vm.mem.stack_from(vm.cpu.a[7]).unwrap_or(&[]).to_vec(),
+                vm.mem.stack_from(vm.cpu.a[7]).map(|s| s.into_owned()).unwrap_or_default(),
             )
         };
         handle2.type_input("line 3\n");

@@ -49,13 +49,13 @@ const SHARED: [&str; 8] = [
     "wake_queue",
 ];
 
-/// One row of the coupling inventory.
+/// One row of the coupling inventory. Rows carry no line number, so
+/// the inventory moves only when a seam does, not when code around it
+/// moves; they sort by file, symbol, kind and detail.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Coupling {
     /// Workspace-relative file.
     pub file: String,
-    /// 1-based line of the function.
-    pub line: u32,
     /// Function name.
     pub symbol: String,
     /// `foreign-index` or `shared-state`.
@@ -123,7 +123,6 @@ pub fn report(files: &[SourceFile]) -> Vec<Coupling> {
                 detail.dedup();
                 out.push(Coupling {
                     file: f.rel_path.clone(),
-                    line: item.line,
                     symbol: item.name.clone(),
                     kind: "foreign-index",
                     detail: detail.join(" "),
@@ -138,7 +137,6 @@ pub fn report(files: &[SourceFile]) -> Vec<Coupling> {
             if !shared.is_empty() {
                 out.push(Coupling {
                     file: f.rel_path.clone(),
-                    line: item.line,
                     symbol: item.name.clone(),
                     kind: "shared-state",
                     detail: shared.join(" "),
@@ -156,9 +154,8 @@ pub fn render_report(rows: &[Coupling]) -> String {
     let mut s = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
         s.push_str(&format!(
-            "  {{\"file\":\"{}\",\"line\":{},\"symbol\":\"{}\",\"kind\":\"{}\",\"detail\":\"{}\"}}{}\n",
+            "  {{\"file\":\"{}\",\"symbol\":\"{}\",\"kind\":\"{}\",\"detail\":\"{}\"}}{}\n",
             r.file,
-            r.line,
             r.symbol,
             r.kind,
             r.detail,
@@ -313,7 +310,6 @@ mod tests {
     fn report_rendering_is_stable_json(){
         let rows = vec![Coupling {
             file: "crates/ukernel/src/world.rs".into(),
-            line: 7,
             symbol: "wake_one".into(),
             kind: "foreign-index",
             detail: "machines(target)".into(),
@@ -321,6 +317,7 @@ mod tests {
         let s = render_report(&rows);
         assert!(s.starts_with("[\n"), "{s}");
         assert!(s.contains("\"symbol\":\"wake_one\""), "{s}");
+        assert!(!s.contains("\"line\""), "{s}");
         assert!(s.ends_with("]\n"), "{s}");
     }
 }

@@ -72,9 +72,9 @@ fn coupling_report_inventories_the_world_layer_too() {
         got,
         vec![
             ("sys_peek", "foreign-index", "machine(dst)"),
-            ("poke_proc", "shared-state", "wake_queue"),
             ("apply_wake", "foreign-index", "machines(server)"),
             ("apply_wake", "shared-state", "finished"),
+            ("poke_proc", "shared-state", "wake_queue"),
         ],
         "{rows:?}"
     );

@@ -6,6 +6,8 @@
 //! terminate (dumping a subset of the information we dump for our new
 //! signal) in a file named core."
 
+use std::borrow::Cow;
+
 use aout::{encode_executable, CoreFile};
 use dumpfmt::{dump_file_names, DeltaFile, DeltaPage, FdRecord, FilesFile, StackFile};
 use m68vm::MemoryLayout;
@@ -224,7 +226,7 @@ pub fn write_core(w: &mut World, mid: MachineId, pid: Pid) -> SysResult<()> {
             CoreFile {
                 regs: vm.cpu.to_regs(),
                 data: vm.mem.data().to_vec(),
-                stack: vm.mem.stack_from(vm.cpu.sp()).unwrap_or(&[]).to_vec(),
+                stack: vm.mem.stack_from(vm.cpu.sp()).map(Cow::into_owned).unwrap_or_default(),
             },
             p.user.cred.clone(),
         )
@@ -379,7 +381,7 @@ fn dump_files(w: &mut World, mid: MachineId, pid: Pid) -> SysResult<()> {
         // stackXXXXX: credentials, stack, registers, signal state.
         let stack_file = StackFile {
             cred: p.user.cred.clone(),
-            stack: vm.mem.stack_from(vm.cpu.sp()).unwrap_or(&[]).to_vec(),
+            stack: vm.mem.stack_from(vm.cpu.sp()).map(Cow::into_owned).unwrap_or_default(),
             regs: vm.cpu.to_regs(),
             sigs: p.user.sigs.clone(),
         };

@@ -11,7 +11,7 @@
 
 use aout::parse_executable;
 use dumpfmt::StackFile;
-use m68vm::Cpu;
+use m68vm::{Cpu, Memory};
 use simnet::NfsOp;
 use sysdefs::{Access, Errno, Pid, SysResult};
 use vfs::InodeKind;
@@ -84,6 +84,18 @@ pub(crate) fn slurp(cx: &mut SysCtx<'_>, path: &str, want_exec: bool) -> SysResu
     Ok(data)
 }
 
+/// The §5.2 modified `execve()`'s initial stack. With the migration
+/// flag set, the image gets exactly the dumped stack, rounded up to a
+/// page, with `sp` at its lowest byte; otherwise it starts empty. Either
+/// way it grows on demand from there.
+fn initial_stack(cx: &SysCtx<'_>, mem: &mut Memory, cpu: &mut Cpu) -> SysResult<()> {
+    let m = cx.machine();
+    if m.exec_mig_flag {
+        cpu.a[7] = mem.restore_stack(&m.exec_mig_stack).ok_or(Errno::ENOMEM)?;
+    }
+    Ok(())
+}
+
 /// The shared overlay: parse, check ISA, build the new body.
 fn overlay(cx: &mut SysCtx<'_>, image: &[u8], comm: &str) -> SysResult<()> {
     let exe = parse_executable(image).map_err(|_| Errno::ENOEXEC)?;
@@ -96,16 +108,7 @@ fn overlay(cx: &mut SysCtx<'_>, image: &[u8], comm: &str) -> SysResult<()> {
     }
     let mut mem = exe.to_memory();
     let mut cpu = Cpu::at_entry(exe.header.a_entry);
-    // The §5.2 modified execve: exact initial stack when the migration
-    // flag is set, empty stack otherwise.
-    let (mig, stack) = {
-        let m = cx.machine();
-        (m.exec_mig_flag, m.exec_mig_stack.clone())
-    };
-    if mig {
-        let sp = mem.restore_stack(&stack).ok_or(Errno::ENOMEM)?;
-        cpu.a[7] = sp;
-    }
+    initial_stack(cx, &mut mem, &mut cpu)?;
     let c = cx.cost().exec_base();
     cx.charge(c);
     // The overlays are the only places a VM body is born.
@@ -153,7 +156,7 @@ fn overlay_demand(cx: &mut SysCtx<'_>, path: &str, comm: &str) -> SysResult<()> 
     // The image: real text, a zeroed data segment with every page
     // absent, and the exact migration stack.
     let data_len = exe.header.a_data + exe.header.a_bss;
-    let mut mem = m68vm::Memory::new(exe.text.clone(), Vec::new(), data_len);
+    let mut mem = Memory::new(exe.text.clone(), Vec::new(), data_len);
     let data_base = mem.data_base();
     let pages: Vec<u32> = {
         let mut v = Vec::new();
@@ -166,14 +169,7 @@ fn overlay_demand(cx: &mut SysCtx<'_>, path: &str, comm: &str) -> SysResult<()> 
     };
     mem.set_absent(pages);
     let mut cpu = Cpu::at_entry(exe.header.a_entry);
-    let (mig, stack) = {
-        let m = cx.machine();
-        (m.exec_mig_flag, m.exec_mig_stack.clone())
-    };
-    if mig {
-        let sp = mem.restore_stack(&stack).ok_or(Errno::ENOMEM)?;
-        cpu.a[7] = sp;
-    }
+    initial_stack(cx, &mut mem, &mut cpu)?;
     let c = cx.cost().exec_base();
     cx.charge(c);
     let icache = cx.w.icache(mid, mem.text());

@@ -77,7 +77,7 @@ pub fn decode_trap(cpu: &Cpu, mem: &Memory) -> Result<Syscall, Errno> {
             buf_addr: Some(a2),
         },
         Sysno::Write => {
-            let bytes = mem.read_bytes(a2, a3).map_err(|_| Errno::EFAULT)?.to_vec();
+            let bytes = mem.read_bytes(a2, a3).map_err(|_| Errno::EFAULT)?.into_owned();
             Syscall::Write {
                 fd: a1 as usize,
                 bytes,
@@ -319,7 +319,7 @@ mod tests {
             &SysRetval::with_data(3, b"abc".to_vec()),
         );
         assert_eq!(cpu.d[0], 3);
-        assert_eq!(mem.read_bytes(d, 3).unwrap(), b"abc");
+        assert_eq!(*mem.read_bytes(d, 3).unwrap(), *b"abc");
     }
 
     #[test]
