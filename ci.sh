@@ -4,8 +4,9 @@
 # The host-time bodies `figures interp` measures also run once inside
 # `cargo test` (crates/bench/src/interp.rs), which catches their
 # bit-rot cheaply. The steps that rewrite the host-time records
-# (BENCH_cluster.json, BENCH_interp.json) run against saved copies that
-# an exit trap puts back, so any run, green or red, leaves them as
+# (BENCH_cluster.json, BENCH_interp.json) and the benchmark's own lock
+# file (tests/perfbench/Cargo.lock) run against saved copies that an
+# exit trap puts back, so any run, green or red, leaves them as
 # committed; regenerate those records by running their `figures`
 # commands by hand.
 #
@@ -58,9 +59,11 @@ test -f BENCH_interp.json || {
 # committed: keep the committed records and put them back on exit.
 cluster_kept=$(mktemp)
 interp_kept=$(mktemp)
+lock_kept=$(mktemp)
 cp BENCH_cluster.json "$cluster_kept"
 cp BENCH_interp.json "$interp_kept"
-trap 'cp "$cluster_kept" BENCH_cluster.json; cp "$interp_kept" BENCH_interp.json; rm -f "$cluster_kept" "$interp_kept"' EXIT
+cp tests/perfbench/Cargo.lock "$lock_kept"
+trap 'cp "$cluster_kept" BENCH_cluster.json; cp "$interp_kept" BENCH_interp.json; cp "$lock_kept" tests/perfbench/Cargo.lock; rm -f "$cluster_kept" "$interp_kept" "$lock_kept"' EXIT
 # Cluster-scale scheduler bench, smoke tier: scheduler throughput at 16
 # and 64 hosts plus the at-scale fault soak (one live copy per workload
 # process, zero orphaned dumps). Writes BENCH_cluster.json; the full
@@ -95,3 +98,14 @@ grep -o '"[a-z_]*":' BENCH_interp.json | sort | diff "$interp_stale" - || {
     exit 1
 }
 rm -f "$interp_stale"
+# The benchmark of record (BENCHMARK.json): perfbench is a workspace of
+# its own, so nothing above compiles it. Its unit tests, then one short
+# traced run of each workload, which exits nonzero when a correctness
+# gate fails or the untraced and traced runs disagree on the fixed
+# prefix. Cargo rewrites tests/perfbench/Cargo.lock; the exit trap puts
+# the committed copy back.
+cargo test -q --release --manifest-path tests/perfbench/Cargo.toml
+for workload in storm protocols steady; do
+    cargo run -q --release --manifest-path tests/perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace 1
+done

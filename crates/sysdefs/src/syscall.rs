@@ -237,15 +237,65 @@ pub const SYSCALL_TABLE: &[SyscallMeta] = &[
     row(Sysno::Getwd, "getwd", CostClass::Quick, false),
 ];
 
+/// The highest call number [`Sysno`] names.
+const MAX_NUMBER: usize = Sysno::Getwd as usize;
+
+/// `ROW_OF[n]` is the [`SYSCALL_TABLE`] row of call number `n`, built
+/// from the table at compile time (`u8::MAX` marks a number no row
+/// carries).
+const ROW_OF: [u8; MAX_NUMBER + 1] = {
+    let mut rows = [u8::MAX; MAX_NUMBER + 1];
+    let mut i = 0;
+    while i < SYSCALL_TABLE.len() {
+        rows[SYSCALL_TABLE[i].no as usize] = i as u8;
+        i += 1;
+    }
+    rows
+};
+
+/// Whether `a` sorts before `b`, bytewise (`str`'s `Ord`, usable in a
+/// const initialiser).
+const fn name_lt(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let mut i = 0;
+    while i < a.len() && i < b.len() {
+        if a[i] != b[i] {
+            return a[i] < b[i];
+        }
+        i += 1;
+    }
+    a.len() < b.len()
+}
+
+/// The [`SYSCALL_TABLE`] rows in name order, the order in which
+/// statistics kept per row are read back.
+pub const SYSCALL_ROWS_BY_NAME: [usize; SYSCALL_TABLE.len()] = {
+    let mut order = [0; SYSCALL_TABLE.len()];
+    let mut i = 0;
+    while i < order.len() {
+        // Insertion sort: shift the sorted prefix up past row `i`.
+        let mut j = i;
+        while j > 0 && name_lt(SYSCALL_TABLE[i].name, SYSCALL_TABLE[order[j - 1]].name) {
+            order[j] = order[j - 1];
+            j -= 1;
+        }
+        order[j] = i;
+        i += 1;
+    }
+    order
+};
+
 impl Sysno {
+    /// This call's row index in [`SYSCALL_TABLE`]: one load from a
+    /// table built at compile time, since the dispatcher asks on every
+    /// call.
+    pub fn row(self) -> usize {
+        ROW_OF[self as usize] as usize
+    }
+
     /// This call's row in [`SYSCALL_TABLE`].
     pub fn meta(self) -> &'static SyscallMeta {
-        // The table is tiny and the scan is branch-predictable; an
-        // index map would buy nothing at this size.
-        SYSCALL_TABLE
-            .iter()
-            .find(|m| m.no == self)
-            .expect("every Sysno has a SYSCALL_TABLE row")
+        &SYSCALL_TABLE[self.row()]
     }
 }
 
@@ -331,6 +381,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn row_indexes_the_table() {
+        for (i, m) in SYSCALL_TABLE.iter().enumerate() {
+            assert_eq!(m.no.row(), i, "{}", m.name);
+        }
+    }
+
+    #[test]
+    fn rows_by_name_sort_every_row_once() {
+        let names: Vec<&str> = SYSCALL_ROWS_BY_NAME
+            .iter()
+            .map(|&r| SYSCALL_TABLE[r].name)
+            .collect();
+        let mut sorted: Vec<&str> = SYSCALL_TABLE.iter().map(|m| m.name).collect();
+        sorted.sort_unstable();
+        assert_eq!(names, sorted);
     }
 
     #[test]

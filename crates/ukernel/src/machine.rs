@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use m68vm::IsaLevel;
 use simtime::cost::Cost;
 use simtime::{SimDuration, SimTime};
-use sysdefs::{Credentials, FileMode, Pid};
+use sysdefs::{Credentials, FileMode, Pid, Sysno, SYSCALL_ROWS_BY_NAME, SYSCALL_TABLE};
 use vfs::{DeviceId, Filesystem, Ino};
 
 use crate::file::FileTable;
@@ -146,9 +146,102 @@ pub struct MachineStats {
     /// determinism snapshots (pure cache, like `m68vm`'s icache).
     pub sb_retired: u64,
     /// Kernel-side per-syscall aggregates (count, total and max charged
-    /// simtime), keyed by trap-table name. Ordered so iteration — and
-    /// the figures JSON built from it — is deterministic.
-    pub per_syscall: BTreeMap<&'static str, SyscallAgg>,
+    /// simtime), one per trap-table row, read by name.
+    pub per_syscall: SyscallStats,
+}
+
+/// The per-syscall aggregates, one slot per [`SYSCALL_TABLE`] row, so
+/// the dispatcher's exit hook folds an attempt in by row index. They
+/// read as a name-keyed map: [`SyscallStats::get`] and `stats["name"]`
+/// look a call up by trap-table name, and iteration yields
+/// `(name, aggregate)` in name order over the calls made at least
+/// once, the order the figures JSON and the determinism snapshot
+/// print.
+#[derive(Clone, PartialEq, Eq)]
+pub struct SyscallStats {
+    rows: [SyscallAgg; SYSCALL_TABLE.len()],
+}
+
+impl Default for SyscallStats {
+    fn default() -> SyscallStats {
+        SyscallStats {
+            rows: [SyscallAgg::default(); SYSCALL_TABLE.len()],
+        }
+    }
+}
+
+impl SyscallStats {
+    /// Folds one dispatch attempt of call `no` into its row.
+    pub(crate) fn note(&mut self, no: Sysno, charged_us: u64) {
+        self.rows[no.row()].note(charged_us);
+    }
+
+    /// The aggregate of the call named `name`, or `None` when it was
+    /// never made (or no trap-table row carries that name).
+    pub fn get(&self, name: &str) -> Option<&SyscallAgg> {
+        let row = SYSCALL_TABLE.iter().position(|m| m.name == name)?;
+        Some(&self.rows[row]).filter(|agg| agg.count > 0)
+    }
+
+    /// `(name, aggregate)` in name order over the calls made at least
+    /// once.
+    pub fn iter(&self) -> SyscallStatsIter<'_> {
+        SyscallStatsIter {
+            stats: self,
+            next: 0,
+        }
+    }
+}
+
+impl std::ops::Index<&str> for SyscallStats {
+    type Output = SyscallAgg;
+
+    /// # Panics
+    ///
+    /// Panics for a call that was never made.
+    fn index(&self, name: &str) -> &SyscallAgg {
+        self.get(name)
+            .unwrap_or_else(|| panic!("no syscall named {name:?} was made"))
+    }
+}
+
+impl<'a> IntoIterator for &'a SyscallStats {
+    type Item = (&'static str, &'a SyscallAgg);
+    type IntoIter = SyscallStatsIter<'a>;
+
+    fn into_iter(self) -> SyscallStatsIter<'a> {
+        self.iter()
+    }
+}
+
+impl std::fmt::Debug for SyscallStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// [`SyscallStats::iter`]: walks [`SYSCALL_ROWS_BY_NAME`], skipping
+/// calls never made.
+#[derive(Clone, Debug)]
+pub struct SyscallStatsIter<'a> {
+    stats: &'a SyscallStats,
+    /// The next position in [`SYSCALL_ROWS_BY_NAME`].
+    next: usize,
+}
+
+impl<'a> Iterator for SyscallStatsIter<'a> {
+    type Item = (&'static str, &'a SyscallAgg);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while let Some(&row) = SYSCALL_ROWS_BY_NAME.get(self.next) {
+            self.next += 1;
+            let agg = &self.stats.rows[row];
+            if agg.count > 0 {
+                return Some((SYSCALL_TABLE[row].name, agg));
+            }
+        }
+        None
+    }
 }
 
 /// Kernel-side timing of one system call (the paper's Fig. 3 is
@@ -488,18 +581,29 @@ impl Machine {
             .any(|&Reverse((t, pid))| self.timer_live(t, pid))
     }
 
-    /// Pops every timer entry due at the machine's current clock into
-    /// `into` (deduplicated, pid-ordered). Stale lazy-deletion entries
-    /// are popped too: the wake pass re-checks each pid's actual state,
-    /// so surfacing a dead deadline is harmless.
-    pub(crate) fn take_due_timers(&mut self, into: &mut BTreeSet<u32>) {
+    /// Pops every timer entry due at the machine's current clock onto
+    /// `into`, unordered and possibly repeating a pid; the wake pass
+    /// sorts and deduplicates. Stale lazy-deletion entries are popped
+    /// too: the wake pass re-checks each pid's actual state, so
+    /// surfacing a dead deadline is harmless.
+    pub(crate) fn take_due_timers(&mut self, into: &mut Vec<u32>) {
         while let Some(&Reverse((t, pid))) = self.timers.peek() {
             if t > self.now {
                 break;
             }
             self.timers.pop();
-            into.insert(pid);
+            into.push(pid);
         }
+    }
+
+    /// Whether a wake pass here has anything to look at: a poked pid or
+    /// a timer entry due at the current clock.
+    pub(crate) fn wake_due(&self) -> bool {
+        !self.wait_pending.is_empty()
+            || self
+                .timers
+                .peek()
+                .is_some_and(|&Reverse((t, _))| t <= self.now)
     }
 
     /// Registers a blocked process as waiting on a byte queue.
@@ -626,6 +730,52 @@ mod tests {
         assert_eq!(m.now.as_micros(), 1_000);
         assert_eq!(m.busy.as_micros(), 100);
         assert!((m.utilization() - 0.1).abs() < 1e-9);
+    }
+
+    #[test]
+    fn per_syscall_reads_like_the_name_keyed_map() {
+        let mut stats = SyscallStats::default();
+        assert_eq!(stats.iter().count(), 0, "no call made, nothing listed");
+        stats.note(Sysno::Sleep, 100);
+        stats.note(Sysno::Read, 30);
+        stats.note(Sysno::Sleep, 250);
+        stats.note(Sysno::Close, 5);
+        let listed: Vec<(&str, SyscallAgg)> = stats.iter().map(|(n, a)| (n, *a)).collect();
+        let agg = |count, total_us, max_us| SyscallAgg {
+            count,
+            total_us,
+            max_us,
+        };
+        assert_eq!(
+            listed,
+            [
+                ("close", agg(1, 5, 5)),
+                ("read", agg(1, 30, 30)),
+                ("sleep", agg(2, 350, 250)),
+            ],
+            "name order over the calls made"
+        );
+        assert_eq!((&stats).into_iter().count(), 3);
+        assert_eq!(stats.get("sleep"), Some(&agg(2, 350, 250)));
+        assert_eq!(stats["read"], agg(1, 30, 30));
+        assert_eq!(stats.get("open"), None, "a call never made");
+        assert_eq!(stats.get("no_such_call"), None);
+        assert_eq!(
+            format!("{stats:?}"),
+            format!(
+                "{:?}",
+                listed.into_iter().collect::<BTreeMap<&str, SyscallAgg>>()
+            ),
+            "Debug renders the map"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no syscall named \"open\" was made")]
+    fn per_syscall_index_panics_for_a_call_never_made() {
+        let mut stats = SyscallStats::default();
+        stats.note(Sysno::Read, 30);
+        let _ = stats["open"];
     }
 
     #[test]

@@ -60,7 +60,18 @@ pub fn deliver_pending(w: &mut World, mid: MachineId, pid: Pid) -> bool {
                 if was_blocked {
                     w.complete_pending(mid, pid, SysRetval::err(Errno::EINTR));
                 }
-                push_handler_frame(w, mid, pid, sig, addr);
+                if !push_handler_frame(w, mid, pid, sig, addr) {
+                    // No room for the frame: as 4.2BSD's `sendsig`
+                    // does, halt the process with an illegal
+                    // instruction — SIGILL at its default action,
+                    // unblocked, delivered next round.
+                    if let Some(p) = w.proc_mut(mid, pid) {
+                        let ill = Signal::SIGILL.number() - 1;
+                        p.user.sigs.dispositions[ill as usize] = Disposition::Default;
+                        p.user.sigs.blocked &= !(1 << ill);
+                        p.post_signal(Signal::SIGILL);
+                    }
+                }
                 continue;
             }
             Disposition::Default => match sig.default_action() {
@@ -108,10 +119,11 @@ pub fn deliver_pending(w: &mut World, mid: MachineId, pid: Pid) -> bool {
 
 /// Pushes a signal frame onto a VM process's stack: saved pc, sr and
 /// blocked mask, then enters the handler. Native bodies record signals
-/// but have no handler text to run, so the signal is dropped.
-fn push_handler_frame(w: &mut World, mid: MachineId, pid: Pid, sig: Signal, addr: u32) {
+/// but have no handler text to run, so the signal is dropped. Returns
+/// false only when the frame does not fit on the stack.
+fn push_handler_frame(w: &mut World, mid: MachineId, pid: Pid, sig: Signal, addr: u32) -> bool {
     let Some(p) = w.proc_mut(mid, pid) else {
-        return;
+        return true;
     };
     let sig_bit = 1u32 << (sig.number() - 1);
     if let Body::Vm(vm) = &mut p.body {
@@ -121,14 +133,14 @@ fn push_handler_frame(w: &mut World, mid: MachineId, pid: Pid, sig: Signal, addr
             && vm.mem.write_u32(sp + 4, vm.cpu.sr as u32).is_ok()
             && vm.mem.write_u32(sp + 8, old_blocked).is_ok();
         if !ok {
-            // Stack gone: treat like SIGSEGV default.
-            return;
+            return false;
         }
         vm.cpu.a[7] = sp;
         vm.cpu.pc = addr;
         // The signal is masked for the duration of the handler.
         p.user.sigs.blocked |= sig_bit;
     }
+    true
 }
 
 /// `sigreturn(2)`: unwind the frame pushed by the handler entry.

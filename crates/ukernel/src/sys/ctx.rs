@@ -51,6 +51,12 @@ impl<'w> SysCtx<'w> {
             .proc_ref(mid, pid)
             .map(|p| p.pending_syscall.is_some())
             .unwrap_or(false);
+        SysCtx::attempt(w, mid, pid, retry)
+    }
+
+    /// A context for a dispatch attempt whose retry flag the caller
+    /// already knows.
+    pub(crate) fn attempt(w: &'w mut World, mid: MachineId, pid: Pid, retry: bool) -> SysCtx<'w> {
         SysCtx {
             w,
             mid,

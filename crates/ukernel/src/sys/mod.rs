@@ -39,7 +39,8 @@ use sysdefs::Pid;
 /// pays the trap cost, exactly as a real kernel re-enters through the
 /// trap gate after a `sleep`.
 pub fn dispatch(w: &mut World, mid: MachineId, pid: Pid, sc: &Syscall) -> SyscallResult {
-    let name = sc.name();
+    let no = sc.sysno();
+    let name = no.meta().name;
     let t0 = w.machine(mid).now;
 
     // Entry hook: trap charge, statistics, trace record.
@@ -55,7 +56,7 @@ pub fn dispatch(w: &mut World, mid: MachineId, pid: Pid, sc: &Syscall) -> Syscal
     m.ktrace.push(at, pid, name, KtraceEvent::Enter { retry });
 
     // Route to the handler through a fresh per-attempt context.
-    let mut cx = SysCtx::new(w, mid, pid);
+    let mut cx = SysCtx::attempt(w, mid, pid, retry);
     let result = route(&mut cx, sc);
 
     // Exit hook: per-syscall aggregates, trace record, Blocked
@@ -64,7 +65,7 @@ pub fn dispatch(w: &mut World, mid: MachineId, pid: Pid, sc: &Syscall) -> Syscal
     // legs) are captured too.
     let m = w.machine_mut(mid);
     let charged_us = m.now.since(t0).as_micros();
-    m.stats.per_syscall.entry(name).or_default().note(charged_us);
+    m.stats.per_syscall.note(no, charged_us);
     let at = m.now;
     m.ktrace
         .push(at, pid, name, KtraceEvent::Exit { result: summarize(&result), charged_us });

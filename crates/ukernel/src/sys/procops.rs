@@ -340,7 +340,10 @@ pub fn sys_setreuid(cx: &mut SysCtx<'_>, ruid: u32, euid: u32) -> SyscallResult 
     })())
 }
 
-/// `sleep`: park until a deadline.
+/// `sleep`: park until a deadline. The timer entry is the wake-up;
+/// the scheduler re-keys the machine after the slice, and services it
+/// first when the deadline is already due by then. Only a signal that
+/// is already pending needs a poke, since nothing will post it again.
 pub fn sys_sleep(cx: &mut SysCtx<'_>, micros: u64) -> SyscallResult {
     if micros == 0 {
         return done(Ok(SysRetval::ok(0)));
@@ -349,9 +352,12 @@ pub fn sys_sleep(cx: &mut SysCtx<'_>, micros: u64) -> SyscallResult {
     let until = cx.machine().now + SimDuration::micros(micros);
     if let Some(p) = cx.proc_mut() {
         p.state = ProcState::Sleeping { until };
+        let signalled = p.signal_pending();
         cx.machine_mut().push_timer(pid, until);
-        let mid = cx.mid;
-        cx.w.poke_proc(mid, pid);
+        if signalled {
+            let mid = cx.mid;
+            cx.w.poke_proc(mid, pid);
+        }
     }
     let c = Cost::cpu_us(100); // Timer setup.
     cx.charge(c);

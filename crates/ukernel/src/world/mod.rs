@@ -45,6 +45,25 @@ enum WakeAction {
     CompletePageFetch(u32),
 }
 
+/// What a slice runs for its process once signals and any retried
+/// call are done.
+#[derive(Clone, Copy)]
+enum Quantum {
+    Vm,
+    Native,
+    Nothing,
+}
+
+impl Quantum {
+    fn of(body: &Body) -> Quantum {
+        match body {
+            Body::Vm(_) => Quantum::Vm,
+            Body::Native(_) => Quantum::Native,
+            Body::Idle => Quantum::Nothing,
+        }
+    }
+}
+
 /// Where `page` of a VM image's data segment starts, as an offset into
 /// the segment, and how many of its bytes the segment holds (the last
 /// page may be short).
@@ -115,13 +134,16 @@ pub struct World {
     /// service before the next pick. Mid-ordered so the drain visits
     /// machines in a fixed order.
     wake_queue: std::collections::BTreeSet<MachineId>,
-    /// Scheduler ready index: `(local clock at enrolment,
-    /// machine)` for every machine believed to have work. Keys go stale
-    /// when a clock advances after enrolment (clocks only move forward,
-    /// so a stale key is always an underestimate); [`World::next_ready`]
-    /// re-keys stale entries as they surface. The `MachineId` tie-break
-    /// keeps dual runs bit-identical.
-    ready: std::collections::BTreeSet<(SimTime, MachineId)>,
+    /// Scheduler ready index: a min-heap of `(local clock at
+    /// enrolment, machine)`. An entry is live only while it equals its
+    /// machine's `ready_key`, the timer heap's lazy-deletion rule:
+    /// re-keying pushes a fresh entry and leaves the old one to be
+    /// dropped when it surfaces. A live key goes stale when the clock
+    /// advances after enrolment (clocks only move forward, so it is
+    /// always an underestimate); [`World::next_ready`] re-keys it as it
+    /// surfaces. The `MachineId` tie-break keeps dual runs
+    /// bit-identical.
+    ready: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, MachineId)>>,
     /// Terminal wait index: tty id to blocked `(machine, pid)` readers.
     tty_waiters: std::collections::BTreeMap<u32, std::collections::BTreeSet<(MachineId, u32)>>,
     /// Remote-completion wait index: `(server, remote pid)` to the
@@ -155,7 +177,7 @@ impl World {
             faults: FaultPlan::none(),
             host_clock: SimTime::BOOT,
             wake_queue: std::collections::BTreeSet::new(),
-            ready: std::collections::BTreeSet::new(),
+            ready: std::collections::BinaryHeap::new(),
             tty_waiters: std::collections::BTreeMap::new(),
             remote_waiters: std::collections::BTreeMap::new(),
             wake_scratch: Vec::new(),
@@ -1302,19 +1324,20 @@ impl World {
     /// fire due alarms, then judge and apply exactly those processes'
     /// wake conditions, in pid order. Only poked or timed-out processes
     /// are looked at; the debug-build pick audit checks that nothing
-    /// else could have woken.
+    /// else could have woken. The candidates gather in the reused
+    /// scratch buffer, so a pass allocates nothing.
     fn service_machine(&mut self, mid: MachineId) {
-        let mut pending = std::mem::take(&mut self.machines[mid].wait_pending);
-        self.machines[mid].take_due_timers(&mut pending);
-        if pending.is_empty() {
-            self.machines[mid].wait_pending = pending;
+        let m = &mut self.machines[mid];
+        if !m.wake_due() {
             return;
         }
         let mut scratch = std::mem::take(&mut self.wake_scratch);
         scratch.clear();
-        scratch.extend(pending.iter().copied());
-        pending.clear();
-        self.machines[mid].wait_pending = pending;
+        scratch.extend(m.wait_pending.iter().copied());
+        m.wait_pending.clear();
+        m.take_due_timers(&mut scratch);
+        scratch.sort_unstable();
+        scratch.dedup();
         // Alarms first: a fired SIGALRM may turn a blocked process
         // signal-wakeable for the second phase. Due-ness is judged on
         // `alarm_at` itself, so stale timer heap entries (lazy deletion)
@@ -1339,47 +1362,47 @@ impl World {
     }
 
     /// Re-keys a machine in the global ready index after its clock,
-    /// run queue or timer heap changed. The stored key only ever
-    /// *underestimates* the machine's clock (clocks are monotonic), so
-    /// the index minimum is a lower bound that [`World::next_ready`]
-    /// tightens lazily on pop.
+    /// run queue or timer heap changed: a fresh entry at its clock, or
+    /// none without work, either way orphaning the old entry. The live
+    /// key only ever *underestimates* the machine's clock (clocks are
+    /// monotonic), so the index minimum is a lower bound that
+    /// [`World::next_ready`] tightens lazily on pop.
     fn mark_ready(&mut self, mid: MachineId) {
-        let has_work = self.machines[mid].has_work();
-        let old = self.machines[mid].ready_key;
-        if has_work {
-            let now = self.machines[mid].now;
-            if old == Some(now) {
-                return;
-            }
-            if let Some(k) = old {
-                self.ready.remove(&(k, mid));
-            }
-            self.ready.insert((now, mid));
-            self.machines[mid].ready_key = Some(now);
-        } else if let Some(k) = old {
-            self.ready.remove(&(k, mid));
-            self.machines[mid].ready_key = None;
+        let m = &mut self.machines[mid];
+        let key = m.has_work().then_some(m.now);
+        if m.ready_key == key {
+            return;
+        }
+        m.ready_key = key;
+        if let Some(now) = key {
+            self.ready.push(std::cmp::Reverse((now, mid)));
         }
     }
 
-    /// Pops the ready machine with the smallest clock (the lowest
+    /// Peeks the ready machine with the smallest clock (the lowest
     /// MachineId breaks ties, which keeps dual runs bit-identical).
-    /// Entries with stale keys are re-keyed and retried; entries without
-    /// work are dropped. With a `deadline`, returns `None` once the
-    /// earliest candidate's true clock has reached it.
+    /// Orphaned entries are dropped, live ones with stale keys are
+    /// re-keyed and retried, and machines without work leave the
+    /// index. With a `deadline`, returns `None` once the earliest
+    /// candidate's true clock has reached it.
     fn next_ready(&mut self, deadline: Option<SimTime>) -> Option<MachineId> {
         loop {
-            let &(key, mid) = self.ready.first()?;
-            if !self.machines[mid].has_work() {
-                self.ready.remove(&(key, mid));
-                self.machines[mid].ready_key = None;
+            let &std::cmp::Reverse((key, mid)) = self.ready.peek()?;
+            let m = &mut self.machines[mid];
+            if m.ready_key != Some(key) {
+                self.ready.pop();
                 continue;
             }
-            let now = self.machines[mid].now;
+            if !m.has_work() {
+                self.ready.pop();
+                m.ready_key = None;
+                continue;
+            }
+            let now = m.now;
             if key != now {
-                self.ready.remove(&(key, mid));
-                self.ready.insert((now, mid));
-                self.machines[mid].ready_key = Some(now);
+                self.ready.pop();
+                self.ready.push(std::cmp::Reverse((now, mid)));
+                m.ready_key = Some(now);
                 continue;
             }
             if let Some(d) = deadline {
@@ -1501,9 +1524,15 @@ impl World {
     fn step_machine(&mut self, mid: MachineId) -> bool {
         let progressed = self.step_machine_inner(mid);
         // The slice may have advanced the clock, armed timers or changed
-        // the run queue; queue a re-key (and a service pass for any
-        // pokes the slice emitted).
-        self.wake_queue.insert(mid);
+        // the run queue. A poke it emitted, or a timer due at the new
+        // clock, needs a wake pass first, and the next drain runs one
+        // and re-keys; otherwise a pass would find nothing, so re-key
+        // now.
+        if self.machines[mid].wake_due() {
+            self.wake_queue.insert(mid);
+        } else {
+            self.mark_ready(mid);
+        }
         progressed
     }
 
@@ -1523,10 +1552,9 @@ impl World {
         let Some(pid) = self.machines[mid].run_queue.pop_front() else {
             return false;
         };
-        let runnable = self
-            .proc_ref(mid, pid)
-            .map(|p| p.state.is_runnable())
-            .unwrap_or(false);
+        let (runnable, signalled) = self.proc_ref(mid, pid).map_or((false, false), |p| {
+            (p.state.is_runnable(), p.signal_pending())
+        });
         if !runnable {
             return true;
         }
@@ -1539,15 +1567,19 @@ impl World {
             m.last_run = Some(pid);
         }
         // Signals first — this is where a posted SIGDUMP takes effect,
-        // in the context of the dumped process.
-        if !deliver_pending(self, mid, pid) {
+        // in the context of the dumped process. With none deliverable,
+        // delivery would find nothing to take.
+        if signalled && !deliver_pending(self, mid, pid) {
             return true;
         }
-        // Retry a blocked system call.
-        if let Some(sc) = self
+        // Retry a blocked system call. One lookup serves the retry and
+        // the quantum; a completed retry looks again.
+        let (retry, mut quantum) = self
             .proc_ref(mid, pid)
-            .and_then(|p| p.pending_syscall.clone())
-        {
+            .map_or((None, Quantum::Nothing), |p| {
+                (p.pending_syscall.clone(), Quantum::of(&p.body))
+            });
+        if let Some(sc) = retry {
             match dispatch(self, mid, pid, &sc) {
                 SyscallResult::Done(ret) => {
                     self.complete_pending(mid, pid, ret);
@@ -1555,17 +1587,14 @@ impl World {
                 SyscallResult::Blocked => return true, // Re-parked.
                 SyscallResult::Gone => return true,
             }
+            quantum = self
+                .proc_ref(mid, pid)
+                .map_or(Quantum::Nothing, |p| Quantum::of(&p.body));
         }
-        // Run a quantum.
-        let body_kind = match self.proc_ref(mid, pid).map(|p| &p.body) {
-            Some(Body::Vm(_)) => 0,
-            Some(Body::Native(_)) => 1,
-            _ => 2,
-        };
-        match body_kind {
-            0 => self.run_vm_quantum(mid, pid),
-            1 => self.run_native_quantum(mid, pid),
-            _ => {}
+        match quantum {
+            Quantum::Vm => self.run_vm_quantum(mid, pid),
+            Quantum::Native => self.run_native_quantum(mid, pid),
+            Quantum::Nothing => {}
         }
         // Requeue if still runnable.
         let requeue = self
@@ -1607,6 +1636,11 @@ impl World {
     /// *from this loop* can, and every such path returns to the top of
     /// `'quantum`, which checks for pending signals before it takes the
     /// body again.
+    ///
+    /// Kept out of line: inlined into `step_machine`, the quantum loop
+    /// compiled differently and `protocols`, where interpretation is
+    /// most of the host time, lost 2–6% of `ops_per_ref_s`.
+    #[inline(never)]
     fn run_vm_quantum(&mut self, mid: MachineId, pid: Pid) {
         let isa = self.machines[mid].isa;
         let quantum_units = self.config.cost.quantum_us / self.config.cost.instr_us.max(1);
@@ -1952,6 +1986,8 @@ impl World {
     #[cfg(debug_assertions)]
     fn audit_pick(&self, deadline: Option<SimTime>, picked: Option<MachineId>) {
         let mut best: Option<(SimTime, MachineId)> = None;
+        let entries: std::collections::BTreeSet<(SimTime, MachineId)> =
+            self.ready.iter().map(|e| e.0).collect();
         for (mid, m) in self.machines.iter().enumerate() {
             for p in m.procs.values() {
                 let (pid, state) = (p.pid.as_u32(), &p.state);
@@ -1997,7 +2033,7 @@ impl World {
                 continue;
             }
             assert!(
-                m.ready_key.is_some_and(|k| k <= m.now && self.ready.contains(&(k, mid))),
+                m.ready_key.is_some_and(|k| k <= m.now && entries.contains(&(k, mid))),
                 "wake audit: machine {mid} ({}) has work (run queue {:?}) but is missing from the ready index",
                 m.name,
                 m.run_queue

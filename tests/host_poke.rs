@@ -5,8 +5,9 @@
 //! papering over any mutation site that lacked its own poke. That
 //! sweep is now narrowed to the one genuinely hook-less host channel
 //! (terminal handles), and the sites it was hiding — fork, execve
-//! overlay, `alarm`, `sleep` — poke explicitly, enforced statically by
-//! simlint's `wake-poke` rule. These tests pin the dynamic behavior:
+//! overlay, `alarm` — poke explicitly, enforced statically by simlint's
+//! `wake-poke` rule; a `sleep`'s deadline reaches the ready index when
+//! the scheduler re-keys the machine after the slice. These tests pin the dynamic behavior:
 //! each wait class must wake on an otherwise idle machine, where a
 //! missing poke stalls the run, while the debug-build wake audit
 //! checks every pick on the way.
@@ -31,7 +32,7 @@ fn world() -> World {
 }
 
 /// Two sleeps then exit — wakes ride purely on the timer heap and the
-/// deadline re-key `sys_sleep`'s poke performs.
+/// re-key that follows each slice.
 const SLEEPER_PROGRAM: &str = r#"
 start:  move.l  #150, d0
         move.l  #2000, d1
@@ -123,6 +124,37 @@ fn run_program(prog: &str) -> String {
 #[test]
 fn sleep_wakes_without_the_conservative_sweep() {
     run_program(SLEEPER_PROGRAM);
+}
+
+/// 50 us sleeps in a loop: each is shorter than the 100 us timer-setup
+/// charge, so its deadline is already due when the slice that armed it
+/// ends.
+const SHORT_SLEEP_LOOP: &str = r#"
+start:  move.l  #150, d0
+        move.l  #50, d1
+        trap    #0
+        bra     start
+"#;
+
+#[test]
+fn a_sleep_due_when_its_slice_ends_completes_before_the_run_call_returns() {
+    // Such a slice leaves its machine queued for a wake pass, and the
+    // next pick's drain completes the sleep before the ready index is
+    // asked, so the sleep completes even when the run call's deadline
+    // stops any further slice.
+    let mut w = world();
+    let mid = w.add_machine("host", IsaLevel::Isa1);
+    let obj = assemble(SHORT_SLEEP_LOOP).unwrap();
+    w.install_program(mid, "/bin/prog", &obj).unwrap();
+    let pid = w.spawn_vm_proc(mid, "/bin/prog", None, alice()).unwrap();
+    let deadline = w.machine(mid).now + simtime::SimDuration::micros(10_000);
+    w.run_until_time(deadline, 1_000_000);
+    let p = w.proc_ref(mid, pid).unwrap();
+    assert!(
+        p.state.is_runnable() && p.pending_syscall.is_none(),
+        "the due sleep is still parked: {:?}",
+        p.state
+    );
 }
 
 #[test]

@@ -11,7 +11,11 @@
 //!   `StackOverflow` at the pushed address, the kernel delivers it as
 //!   `SIGSEGV`, and the core holds the registers at the fault;
 //! * one moves `a7` down past pages it never touched: its dump holds
-//!   zeros for them.
+//!   zeros for them;
+//! * one catches `SIGINT` with its stack full: the 12-byte signal frame
+//!   does not fit, so, as 4.2BSD's `sendsig` does, the kernel resets
+//!   `SIGILL` to its default action, unblocks and posts it, and the
+//!   process dies with a core.
 
 use aout::core_dump::CoreFile;
 use dumpfmt::stack_file::StackFile;
@@ -59,6 +63,32 @@ fn full_guest() -> String {
 /// One push more than [`full_guest`]: a `jsr` with the stack full.
 fn over_guest() -> String {
     recursion("jsr spin")
+}
+
+/// Installs a `SIGINT` handler, then fills the stack exactly as
+/// [`full_guest`] does and spins: a `SIGINT` at `spin` has no room for
+/// its frame.
+fn caught_guest() -> String {
+    format!(
+        r"
+start:  move.l  #108, d0
+        move.l  #2, d1
+        move.l  #handler, d2
+        trap    #0
+        move.l  #{LEVELS}, d0
+        jsr     rec
+first:  bra     first
+rec:    move.l  d0, -(a7)
+        sub.l   #1, d0
+        beq     spin
+        jsr     rec
+inner:  bra     inner
+spin:   bra     spin
+handler:
+        move.l  #139, d0
+        trap    #0
+"
+    )
 }
 
 /// Pushes one long word, then moves `a7` down seven pages with `lea`
@@ -236,5 +266,34 @@ fn moving_sp_past_untouched_pages_dumps_zeros() {
         assert!(first.stack == stack, "superblocks {sb}: untouched pages dump as zeros");
         assert_eq!(second.regs, first.regs, "superblocks {sb}: resumed registers");
         assert!(second.stack == first.stack, "superblocks {sb}: resumed stack");
+    }
+}
+
+#[test]
+fn a_caught_signal_without_room_for_its_frame_kills_with_sigill() {
+    let obj = assemble(&caught_guest()).unwrap();
+    let spin = obj.symbol("spin").unwrap();
+    for sb in [true, false] {
+        let (mut w, brick, _) = boot(sb);
+        w.install_program(brick, "/bin/guest", &obj).unwrap();
+        let pid = w.spawn_vm_proc(brick, "/bin/guest", None, alice()).unwrap();
+        run_to(&mut w, brick, pid, spin);
+        let at_spin = regs(&w, brick, pid);
+        assert_eq!(at_spin[15], LIMIT, "superblocks {sb}: the stack is full");
+        w.host_post_signal(brick, pid, Signal::SIGINT);
+        let exit = w
+            .run_until_exit(brick, pid, 10_000)
+            .unwrap_or_else(|| panic!("superblocks {sb}: the process survives its lost frame"));
+        assert_eq!(
+            exit.status,
+            128 + Signal::SIGILL.number(),
+            "superblocks {sb}"
+        );
+        let path = format!("{}/core{:05}", sysdefs::limits::DUMP_DIR, pid.as_u32());
+        let core = CoreFile::decode(&w.host_read_file(brick, &path).unwrap()).unwrap();
+        assert_eq!(
+            core.regs, at_spin,
+            "superblocks {sb}: registers at spin, no frame"
+        );
     }
 }

@@ -11,11 +11,17 @@
 //! order, clock charges, ktrace records and terminal transcripts.
 //!
 //! The scenario is a cluster of 100+ hosts exercising every wait class
-//! at once: sleep expiry, alarm expiry mid-sleep, tty reads woken by
-//! typed input / close / SIGINT, pipe readers woken by writes, parents
-//! in `wait()`, rsh/run_local remote completions, and a full
-//! daemon-scripted migration — plus a faulty variant, since injected
-//! faults are simulation events the audit must cover too.
+//! at once: sleep expiry, a sleep already due when its slice ends,
+//! alarm expiry mid-sleep, tty reads woken by typed input / close /
+//! SIGINT, pipe readers woken by writes, parents in `wait()`,
+//! rsh/run_local remote completions, and a full daemon-scripted
+//! migration — plus a faulty variant, since injected faults are
+//! simulation events the audit must cover too.
+//!
+//! Two runs of one binary agreeing cannot catch a scheduler change
+//! that moves both runs the same way, so each test also pins its
+//! snapshot's FNV-1a digest. A change that moves the trajectory on
+//! purpose records the new digests the failing assertion prints.
 
 mod common;
 
@@ -89,6 +95,21 @@ start:  move.l  #150, d0
         trap    #0
 "#;
 
+/// Twenty 50 us sleeps, then exit. Each sleep is shorter than the
+/// 100 us timer-setup charge, so its deadline is already due when the
+/// slice that armed it ends.
+const SHORT_SLEEPER_PROGRAM: &str = r#"
+start:  move.l  #20, d7
+again:  move.l  #150, d0
+        move.l  #50, d1
+        trap    #0
+        sub.l   #1, d7
+        bne     again
+        move.l  #1, d0
+        move.l  #0, d1
+        trap    #0
+"#;
+
 /// alarm(1s) then a 2s sleep: SIGALRM fires mid-sleep and terminates
 /// the process (default action), exercising the alarm-before-wake
 /// ordering of the wake pass.
@@ -113,6 +134,7 @@ fn run_scenario(faults: simnet::FaultPlan, require_success: bool) -> String {
     let hog = assemble(&pmig::workloads::cpu_hog_program(20)).unwrap();
     let pipe_ping = assemble(PIPE_PING_PROGRAM).unwrap();
     let sleeper = assemble(SLEEPER_PROGRAM).unwrap();
+    let short_sleeper = assemble(SHORT_SLEEPER_PROGRAM).unwrap();
     let alarmer = assemble(ALARM_PROGRAM).unwrap();
     let testprog = assemble(pmig::workloads::TEST_PROGRAM).unwrap();
     let waiting_parent = assemble(pmig::workloads::WAITING_PARENT_PROGRAM).unwrap();
@@ -137,6 +159,10 @@ fn run_scenario(faults: simnet::FaultPlan, require_success: bool) -> String {
             2 => {
                 w.install_program(mid, "/bin/sleeper", &sleeper).unwrap();
                 w.spawn_vm_proc(mid, "/bin/sleeper", None, alice()).unwrap();
+                w.install_program(mid, "/bin/shortsleep", &short_sleeper)
+                    .unwrap();
+                w.spawn_vm_proc(mid, "/bin/shortsleep", None, alice())
+                    .unwrap();
             }
             3 => {
                 w.install_program(mid, "/bin/alarmer", &alarmer).unwrap();
@@ -230,6 +256,28 @@ fn run_scenario(faults: simnet::FaultPlan, require_success: bool) -> String {
     common::snapshot_world(&w)
 }
 
+/// FNV-1a over a snapshot string.
+fn digest(snapshot: &str) -> u64 {
+    snapshot.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Checks a snapshot against its pinned digest.
+fn assert_digest(snapshot: &str, pinned: u64, which: &str) {
+    let got = digest(snapshot);
+    assert_eq!(
+        got, pinned,
+        "the {which} snapshot digest moved: {got:#018x}, pinned {pinned:#018x}"
+    );
+}
+
+/// The fault-free scenario's snapshot digest.
+const CLEAN_DIGEST: u64 = 0xc88e_caa4_a984_0608;
+
+/// The faulty scenario's snapshot digest.
+const FAULTY_DIGEST: u64 = 0x4366_0efc_9055_0073;
+
 #[test]
 fn cluster_wake_scenario_is_bit_identical_across_runs() {
     let first = run_scenario(simnet::FaultPlan::none(), true);
@@ -240,6 +288,7 @@ fn cluster_wake_scenario_is_bit_identical_across_runs() {
     );
     let second = run_scenario(simnet::FaultPlan::none(), true);
     assert_eq!(first, second, "two runs diverged at cluster scale");
+    assert_digest(&first, CLEAN_DIGEST, "fault-free");
 }
 
 #[test]
@@ -257,4 +306,5 @@ fn faulty_cluster_wake_scenario_is_bit_identical_across_runs() {
     );
     let second = run_scenario(plan(), false);
     assert_eq!(first, second, "two faulty runs diverged");
+    assert_digest(&first, FAULTY_DIGEST, "faulty");
 }
