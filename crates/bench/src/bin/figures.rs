@@ -175,7 +175,10 @@ fn run_cluster(json: bool, smoke: bool) {
     }
     let report = Json::Obj(vec![
         ("bench".into(), Json::Str("cluster_sched".into())),
-        ("tier".into(), Json::Str(if smoke { "smoke" } else { "full" }.into())),
+        (
+            "tier".into(),
+            Json::Str(if smoke { "smoke" } else { "full" }.into()),
+        ),
         ("rows".into(), rows.as_slice().to_json()),
         ("fault_soak".into(), soak.as_slice().to_json()),
     ]);
@@ -195,8 +198,7 @@ fn run_cluster(json: bool, smoke: bool) {
     for r in &rows {
         println!(
             "{:>6} {:>10} {:>9.3} {:>12.0} {:>12.3} {:>10.2}",
-            r.hosts, r.slices, r.host_secs, r.events_per_sec, r.us_per_event,
-            r.migrations_per_sec
+            r.hosts, r.slices, r.host_secs, r.events_per_sec, r.us_per_event, r.migrations_per_sec
         );
     }
     hr("Cluster fault soak: one live copy per hog, zero orphaned dumps");
@@ -207,8 +209,7 @@ fn run_cluster(json: bool, smoke: bool) {
     for r in &soak {
         println!(
             "{:<10} {:>6} {:>6} {:>6} {:>9} {:>6} {:>9} {:>11}",
-            r.case, r.hosts, r.migrations, r.failures, r.injected, r.live, r.expected,
-            r.dumps_left
+            r.case, r.hosts, r.migrations, r.failures, r.injected, r.live, r.expected, r.dumps_left
         );
     }
 }
@@ -217,10 +218,20 @@ fn run_migration(json: bool, smoke: bool) {
     let rows = scenarios::migration(smoke);
     for r in &rows {
         assert_eq!(r.status, 0, "{}: migration failed", r.protocol);
-        assert_eq!(r.survivor, "target", "{}: did not land on target", r.protocol);
+        assert_eq!(
+            r.survivor, "target",
+            "{}: did not land on target",
+            r.protocol
+        );
     }
-    let eager = rows.iter().find(|r| r.protocol == "eager").expect("eager row");
-    let precopy = rows.iter().find(|r| r.protocol == "precopy").expect("precopy row");
+    let eager = rows
+        .iter()
+        .find(|r| r.protocol == "eager")
+        .expect("eager row");
+    let precopy = rows
+        .iter()
+        .find(|r| r.protocol == "precopy")
+        .expect("precopy row");
     assert!(
         precopy.downtime_ms < eager.downtime_ms,
         "pre-copy downtime ({:.1} ms) must undercut eager ({:.1} ms) on the dirty-page hog",
@@ -229,7 +240,10 @@ fn run_migration(json: bool, smoke: bool) {
     );
     let report = Json::Obj(vec![
         ("bench".into(), Json::Str("migration_protocols".into())),
-        ("tier".into(), Json::Str(if smoke { "smoke" } else { "full" }.into())),
+        (
+            "tier".into(),
+            Json::Str(if smoke { "smoke" } else { "full" }.into()),
+        ),
         ("rows".into(), rows.as_slice().to_json()),
     ]);
     let text = to_string_pretty(&report);
@@ -247,7 +261,12 @@ fn run_migration(json: bool, smoke: bool) {
     for r in &rows {
         println!(
             "{:<10} {:>12.1} {:>10.1} {:>7} {:>10} {:>9} {:>11}",
-            r.protocol, r.downtime_ms, r.total_ms, r.rounds, r.pages_precopied, r.pages_fetched,
+            r.protocol,
+            r.downtime_ms,
+            r.total_ms,
+            r.rounds,
+            r.pages_precopied,
+            r.pages_fetched,
             r.bytes_sent
         );
     }
@@ -272,10 +291,7 @@ fn run_interp(json: bool) {
         return;
     }
     hr("Host time: interpreter engines, dump+restart, codecs (BENCH_interp.json)");
-    println!(
-        "{:<12} {:>16} {:>10}",
-        "engine", "insn/sec", "vs uncached"
-    );
+    println!("{:<12} {:>16} {:>10}", "engine", "insn/sec", "vs uncached");
     for (name, v) in [
         ("uncached", report.uncached_insn_per_sec),
         ("cached", report.cached_insn_per_sec),
@@ -288,7 +304,10 @@ fn run_interp(json: bool) {
             v / report.uncached_insn_per_sec
         );
     }
-    println!("\n{:<16} {:>16} {:>10}", "hog loop", "insn/sec", "vs cached");
+    println!(
+        "\n{:<16} {:>16} {:>10}",
+        "hog loop", "insn/sec", "vs cached"
+    );
     for (name, v) in [
         ("hog cached", report.hog_cached_insn_per_sec),
         ("hog superblock", report.hog_superblock_insn_per_sec),
@@ -300,7 +319,10 @@ fn run_interp(json: bool) {
             v / report.hog_cached_insn_per_sec
         );
     }
-    println!("\ndump+restart cycle {:>10.3} ms", report.dump_restart_cycle_ms);
+    println!(
+        "\ndump+restart cycle {:>10.3} ms",
+        report.dump_restart_cycle_ms
+    );
     println!("{:<8} {:>12} {:>12}", "codec", "encode us", "decode us");
     for (name, enc, dec) in [
         ("files", report.files_encode_us, report.files_decode_us),

@@ -34,8 +34,8 @@ use std::io::BufRead;
 use m68vm::{assemble, IsaLevel};
 use pmig::commands::RestartArgs;
 use pmig::proto::{migrate_proto, Protocol};
-use simnet::{FaultPlan, FaultSite, FaultSpec};
 use pmig::{api, workloads, RemoteRunner};
+use simnet::{FaultPlan, FaultSite, FaultSpec};
 use sysdefs::{Credentials, Gid, Pid, Uid};
 use ukernel::{KernelConfig, World};
 
@@ -228,15 +228,18 @@ fn dispatch(world: &mut World, parts: &[&str]) -> Result<(), String> {
             let dump_host = parts.get(3).map(|s| s.to_string());
             let pid = Pid(pid.parse().map_err(|_| "bad pid".to_string())?);
             let (tty, _handle) = world.add_terminal(m);
-            let new_pid =
-                api::run_restart(
-                    world,
-                    m,
-                    RestartArgs { pid, dump_host, demand: false },
-                    Some(tty),
-                    user(),
-                )
-                    .map_err(|e| e.to_string())?;
+            let new_pid = api::run_restart(
+                world,
+                m,
+                RestartArgs {
+                    pid,
+                    dump_host,
+                    demand: false,
+                },
+                Some(tty),
+                user(),
+            )
+            .map_err(|e| e.to_string())?;
             println!("restored as pid {new_pid} on {host}, terminal tty{tty}");
         }
         ["migrate", rest @ ..] if rest.len() >= 3 => {
@@ -246,9 +249,10 @@ fn dispatch(world: &mut World, parts: &[&str]) -> Result<(), String> {
                 let name = *rest
                     .get(i + 1)
                     .ok_or_else(|| "--proto needs a protocol".to_string())?;
-                proto = Some(Protocol::parse(name).ok_or_else(|| {
-                    format!("unknown protocol `{name}` (eager precopy demand)")
-                })?);
+                proto =
+                    Some(Protocol::parse(name).ok_or_else(|| {
+                        format!("unknown protocol `{name}` (eager precopy demand)")
+                    })?);
                 rest.drain(i..=i + 1);
             }
             let [pid, from, to, on @ ..] = rest.as_slice() else {
@@ -304,8 +308,9 @@ fn dispatch(world: &mut World, parts: &[&str]) -> Result<(), String> {
             println!("fault plan reseeded ({seed}); rules cleared");
         }
         ["fault", "add", site, host, from_us, until_us, per_mille, hits] => {
-            let site = FaultSite::parse(site)
-                .ok_or_else(|| format!("unknown site `{site}` (nfs rsh middump enospc page-fetch)"))?;
+            let site = FaultSite::parse(site).ok_or_else(|| {
+                format!("unknown site `{site}` (nfs rsh middump enospc page-fetch)")
+            })?;
             let machine = match *host {
                 "*" => None,
                 name => Some(machine_by_name(world, name)?),
@@ -320,7 +325,10 @@ fn dispatch(world: &mut World, parts: &[&str]) -> Result<(), String> {
                 hits: 0,
             };
             world.faults = std::mem::take(&mut world.faults).with(spec);
-            println!("armed: {} on {host} in [{from_us}us,{until_us}us) {per_mille}/1000, budget {hits}", site.name());
+            println!(
+                "armed: {} on {host} in [{from_us}us,{until_us}us) {per_mille}/1000, budget {hits}",
+                site.name()
+            );
         }
         ["fault", "list"] => {
             let plan = &world.faults;

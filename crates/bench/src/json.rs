@@ -215,7 +215,10 @@ mod tests {
     fn escapes_and_nesting() {
         let v = Json::Obj(vec![
             ("name".into(), Json::Str("a\"b\\c\n".into())),
-            ("xs".into(), Json::Arr(vec![Json::Int(-3), Json::UInt(7), Json::Bool(true)])),
+            (
+                "xs".into(),
+                Json::Arr(vec![Json::Int(-3), Json::UInt(7), Json::Bool(true)]),
+            ),
             ("empty".into(), Json::Arr(vec![])),
         ]);
         assert_eq!(

@@ -14,7 +14,7 @@ pub mod json;
 pub mod scenarios;
 
 pub use scenarios::{
-    ablation_checkpoint, ablation_daemon, ablation_loadbal, ablation_names, ablation_virt,
-    cluster, cluster_soak, fault_soak, fig1, fig2, fig3, fig4, ClusterRow, ClusterSoakRow,
-    FaultSoakRow, Fig1Row, Fig2Row, Fig3Row, Fig4Row,
+    ablation_checkpoint, ablation_daemon, ablation_loadbal, ablation_names, ablation_virt, cluster,
+    cluster_soak, fault_soak, fig1, fig2, fig3, fig4, ClusterRow, ClusterSoakRow, FaultSoakRow,
+    Fig1Row, Fig2Row, Fig3Row, Fig4Row,
 };

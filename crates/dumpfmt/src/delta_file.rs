@@ -151,7 +151,10 @@ mod tests {
         bad[0] ^= 0xff;
         assert!(matches!(
             DeltaFile::decode(&bad),
-            Err(DumpError::BadMagic { expected: 0o446, .. })
+            Err(DumpError::BadMagic {
+                expected: 0o446,
+                ..
+            })
         ));
     }
 

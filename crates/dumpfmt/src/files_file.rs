@@ -227,7 +227,10 @@ mod tests {
             fds: vec![FdRecord::Unused; 70_000],
             ..sample()
         };
-        assert_eq!(f.encode(), Err(DumpError::Malformed("absurd fd table size")));
+        assert_eq!(
+            f.encode(),
+            Err(DumpError::Malformed("absurd fd table size"))
+        );
     }
 }
 

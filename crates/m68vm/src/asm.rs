@@ -941,12 +941,11 @@ mod tests {
 
     #[test]
     fn section_directive_is_equivalent_to_the_short_forms() {
-        let via_section = assemble(
-            ".section .text\nstart: move.l x, d0\n trap #0\n.section data\nx: .long 7\n",
-        )
-        .unwrap();
-        let via_short = assemble(".text\nstart: move.l x, d0\n trap #0\n.data\nx: .long 7\n")
-            .unwrap();
+        let via_section =
+            assemble(".section .text\nstart: move.l x, d0\n trap #0\n.section data\nx: .long 7\n")
+                .unwrap();
+        let via_short =
+            assemble(".text\nstart: move.l x, d0\n trap #0\n.data\nx: .long 7\n").unwrap();
         assert_eq!(via_section.text, via_short.text);
         assert_eq!(via_section.data, via_short.data);
     }

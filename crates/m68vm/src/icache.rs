@@ -289,7 +289,10 @@ mod tests {
         assert_eq!(cached, live);
         assert!(matches!(
             cached,
-            StepEvent::Faulted(Fault::IsaViolation { op: Op::Bfextu2, .. })
+            StepEvent::Faulted(Fault::IsaViolation {
+                op: Op::Bfextu2,
+                ..
+            })
         ));
 
         // The same text cached at ISA-2 executes it.
@@ -316,10 +319,13 @@ mod tests {
         let mut truncated_text = crate::encode::encode_all(&[instr]);
         assert_eq!(truncated_text.len(), 8);
         truncated_text.truncate(4); // cut off the extension word
-        // 0xFF is no opcode.
+                                    // 0xFF is no opcode.
         let illegal_text = vec![0xFFu8, 0, 0, 0];
 
-        for (text, expected) in [(truncated_text, Slot::Truncated), (illegal_text, Slot::Illegal)] {
+        for (text, expected) in [
+            (truncated_text, Slot::Truncated),
+            (illegal_text, Slot::Illegal),
+        ] {
             let icache = ICache::build(&text, IsaLevel::Isa2);
             assert_eq!(icache.lookup(MemoryLayout::TEXT_BASE), Some(&expected));
             let pc = MemoryLayout::TEXT_BASE;
@@ -345,7 +351,9 @@ mod tests {
         assert!(icache
             .lookup(MemoryLayout::TEXT_BASE + obj.text.len() as u32)
             .is_none());
-        assert!(icache.lookup(MemoryLayout::data_base(obj.text.len() as u32)).is_none());
+        assert!(icache
+            .lookup(MemoryLayout::data_base(obj.text.len() as u32))
+            .is_none());
     }
 
     #[test]
@@ -358,7 +366,10 @@ mod tests {
         // Build an image whose data segment *is* the code blob.
         let mut mem = Memory::new(obj.text.clone(), code.clone(), 0);
         let data_pc = mem.data_base();
-        assert_eq!(mem.read_bytes(data_pc, code.len() as u32).unwrap(), &code[..]);
+        assert_eq!(
+            mem.read_bytes(data_pc, code.len() as u32).unwrap(),
+            &code[..]
+        );
         let mut cpu = Cpu::at_entry(data_pc);
         assert!(matches!(
             cpu.step_cached(&mut mem, &icache),

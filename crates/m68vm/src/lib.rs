@@ -35,9 +35,9 @@ pub mod superblock;
 
 pub use asm::{assemble, AsmError};
 pub use cpu::{Cpu, Fault, StepEvent};
-pub use icache::{ICache, ICachePool};
-pub use superblock::SbExit;
 pub use disasm::disassemble_one;
+pub use icache::{ICache, ICachePool};
 pub use isa::{Instr, IsaLevel, Op, Operand, Size};
 pub use mem::{Memory, MemoryLayout};
 pub use object::Object;
+pub use superblock::SbExit;

@@ -84,7 +84,10 @@ fn dump_files_identical_with_icache_on_and_off() {
     assert_eq!(a.0, b.0, "stack file diverges between cached and uncached");
     assert_eq!(a.1, b.1, "a.out file diverges between cached and uncached");
     assert_eq!(a.2, b.2, "files file diverges between cached and uncached");
-    assert_eq!(a.3, b.3, "simulated clock diverges between cached and uncached");
+    assert_eq!(
+        a.3, b.3,
+        "simulated clock diverges between cached and uncached"
+    );
 }
 
 /// The acceptance run: dump → migrate → restore, once with the cache
@@ -146,7 +149,10 @@ fn migration_restores_identical_guest_state_with_icache_on_and_off() {
                     vm.cpu.clone(),
                     vm.mem.text().to_vec(),
                     vm.mem.data().to_vec(),
-                    vm.mem.stack_from(vm.cpu.a[7]).map(|s| s.into_owned()).unwrap_or_default(),
+                    vm.mem
+                        .stack_from(vm.cpu.a[7])
+                        .map(|s| s.into_owned())
+                        .unwrap_or_default(),
                 )
             };
             handle2.type_input("line 3\n");
@@ -161,10 +167,16 @@ fn migration_restores_identical_guest_state_with_icache_on_and_off() {
         assert_eq!(a.1, b.1, "{target:?}: restored text diverges");
         assert_eq!(a.2, b.2, "{target:?}: restored data diverges");
         assert_eq!(a.3, b.3, "{target:?}: restored stack diverges");
-        assert_eq!(a.4, b.4, "{target:?}: exit accounting diverges (simtime invariant)");
+        assert_eq!(
+            a.4, b.4,
+            "{target:?}: exit accounting diverges (simtime invariant)"
+        );
         assert_eq!(a.5, b.5, "{target:?}: output file diverges");
         assert_eq!(a.6, b.6, "{target:?}: terminal transcript diverges");
-        assert!(a.6.contains("R4 S4 K4"), "{target:?}: the restored counters continue");
+        assert!(
+            a.6.contains("R4 S4 K4"),
+            "{target:?}: the restored counters continue"
+        );
     }
 }
 
@@ -253,7 +265,10 @@ fn migration_restores_identical_guest_state_with_superblocks_on_and_off() {
                 vm.cpu.clone(),
                 vm.mem.text().to_vec(),
                 vm.mem.data().to_vec(),
-                vm.mem.stack_from(vm.cpu.a[7]).map(|s| s.into_owned()).unwrap_or_default(),
+                vm.mem
+                    .stack_from(vm.cpu.a[7])
+                    .map(|s| s.into_owned())
+                    .unwrap_or_default(),
             )
         };
         handle2.type_input("line 3\n");
@@ -382,12 +397,17 @@ fn data_segment_code_runs_via_fallback_decoder() {
         let mut w = World::new(config(use_icache));
         let brick = w.add_machine("brick", IsaLevel::Isa1);
         w.install_program(brick, "/bin/dataprog", &obj).unwrap();
-        let pid = w.spawn_vm_proc(brick, "/bin/dataprog", None, alice()).unwrap();
+        let pid = w
+            .spawn_vm_proc(brick, "/bin/dataprog", None, alice())
+            .unwrap();
         let info = w.run_until_exit(brick, pid, 50_000).expect("exits");
         statuses.push(info);
     }
     assert_eq!(statuses[0].status, 42, "5 + 37 accumulated in d3");
-    assert_eq!(statuses[0], statuses[1], "fallback path diverges from uncached");
+    assert_eq!(
+        statuses[0], statuses[1],
+        "fallback path diverges from uncached"
+    );
 }
 
 /// The icache of `pid`'s body on `mid`, when it has one.

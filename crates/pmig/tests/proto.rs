@@ -54,7 +54,8 @@ fn live_copies(w: &World, pid: Pid) -> usize {
     for mid in 0..w.machine_count() {
         if w.proc_ref(mid, pid).is_some()
             && !w.finished.contains_key(&(mid, pid.as_u32()))
-            && w.proc_ref(mid, pid).is_some_and(|p| !p.comm.starts_with("a.out"))
+            && w.proc_ref(mid, pid)
+                .is_some_and(|p| !p.comm.starts_with("a.out"))
         {
             n += 1;
         }
@@ -99,8 +100,7 @@ fn every_protocol_migrates_the_hog() {
 #[test]
 fn precopy_streams_and_freezes_small() {
     let (mut w, brick, schooner, pid) = hog_world();
-    let report =
-        migrate_proto(&mut w, pid, brick, schooner, Protocol::PreCopy, alice()).unwrap();
+    let report = migrate_proto(&mut w, pid, brick, schooner, Protocol::PreCopy, alice()).unwrap();
     assert_eq!(report.survivor, Survivor::Target);
     assert!(report.rounds >= 2, "{report:?}");
     // Round 1 streams the whole image: at least the ballast pages.
@@ -111,8 +111,7 @@ fn precopy_streams_and_freezes_small() {
 #[test]
 fn demand_restart_fetches_residual_pages() {
     let (mut w, brick, schooner, pid) = hog_world();
-    let report =
-        migrate_proto(&mut w, pid, brick, schooner, Protocol::Demand, alice()).unwrap();
+    let report = migrate_proto(&mut w, pid, brick, schooner, Protocol::Demand, alice()).unwrap();
     assert_eq!(report.survivor, Survivor::Target);
     let new_pid = report.new_pid.unwrap();
     // The drain finished: the image is whole, and pages moved after the
@@ -128,15 +127,17 @@ fn demand_restart_fetches_residual_pages() {
 #[test]
 fn a_victim_spawned_on_the_idle_source_after_demand_runs_its_asked_span() {
     let (mut w, brick, schooner, pid) = hog_world();
-    let report =
-        migrate_proto(&mut w, pid, brick, schooner, Protocol::Demand, alice()).unwrap();
+    let report = migrate_proto(&mut w, pid, brick, schooner, Protocol::Demand, alice()).unwrap();
     assert_eq!(report.survivor, Survivor::Target);
     // The drain ran on schooner, so brick idled behind the world clock.
     let lag = w.clock().since(w.machine(brick).now);
     assert!(lag > SimDuration::secs(1), "brick lags by only {lag}");
 
     let victim = w.spawn_vm_proc(brick, "/bin/hog", None, alice()).unwrap();
-    assert_eq!(w.proc_ref(brick, victim).unwrap().start_time, w.host_clock());
+    assert_eq!(
+        w.proc_ref(brick, victim).unwrap().start_time,
+        w.host_clock()
+    );
     // Running 50 ms past the world clock gives the newcomer that span,
     // plus at most the quantum a deadline may be overshot by, and not
     // a replay of the seconds brick had fallen behind.
@@ -152,11 +153,25 @@ fn a_victim_spawned_on_the_idle_source_after_demand_runs_its_asked_span() {
 #[test]
 fn precopy_downtime_strictly_below_eager() {
     let (mut w_e, brick_e, schooner_e, pid_e) = hog_world();
-    let eager =
-        migrate_proto(&mut w_e, pid_e, brick_e, schooner_e, Protocol::Eager, alice()).unwrap();
+    let eager = migrate_proto(
+        &mut w_e,
+        pid_e,
+        brick_e,
+        schooner_e,
+        Protocol::Eager,
+        alice(),
+    )
+    .unwrap();
     let (mut w_p, brick_p, schooner_p, pid_p) = hog_world();
-    let precopy =
-        migrate_proto(&mut w_p, pid_p, brick_p, schooner_p, Protocol::PreCopy, alice()).unwrap();
+    let precopy = migrate_proto(
+        &mut w_p,
+        pid_p,
+        brick_p,
+        schooner_p,
+        Protocol::PreCopy,
+        alice(),
+    )
+    .unwrap();
     assert_eq!(eager.survivor, Survivor::Target);
     assert_eq!(precopy.survivor, Survivor::Target);
     assert!(

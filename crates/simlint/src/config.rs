@@ -227,10 +227,9 @@ mod tests {
 
     #[test]
     fn entries_without_justification_are_rejected() {
-        let err = Config::parse(
-            "[[allow]]\nrule = \"determinism\"\npath = \"crates/x/src/lib.rs\"\n",
-        )
-        .unwrap_err();
+        let err =
+            Config::parse("[[allow]]\nrule = \"determinism\"\npath = \"crates/x/src/lib.rs\"\n")
+                .unwrap_err();
         assert!(err.contains("justification"), "got: {err}");
     }
 

@@ -37,9 +37,7 @@ fn main() -> ExitCode {
             "--json" => json = true,
             "--coupling-report" => coupling = true,
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: simlint [--root <workspace-dir>] [--json] [--coupling-report]"
-                );
+                eprintln!("usage: simlint [--root <workspace-dir>] [--json] [--coupling-report]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -109,7 +107,11 @@ fn main() -> ExitCode {
         eprintln!(
             "simlint: clean ({} exemption{} applied)",
             filtered.silenced.len(),
-            if filtered.silenced.len() == 1 { "" } else { "s" }
+            if filtered.silenced.len() == 1 {
+                ""
+            } else {
+                "s"
+            }
         );
         ExitCode::SUCCESS
     } else {

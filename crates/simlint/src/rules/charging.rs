@@ -82,7 +82,10 @@ pub fn check(files: &[SourceFile]) -> Vec<Diagnostic> {
                 .map(|c| c.name)
                 .collect();
             let direct_charge = calls.iter().any(|c| SINKS.contains(&c.as_str()));
-            by_name.entry(item.name.clone()).or_default().push(fns.len());
+            by_name
+                .entry(item.name.clone())
+                .or_default()
+                .push(fns.len());
             fns.push(FnInfo {
                 file: f.rel_path.clone(),
                 line: item.line,

@@ -34,7 +34,13 @@ pub const RULE: &str = "coupling";
 
 /// World-level accessors that take a machine id as their first
 /// argument; a non-`mid` first argument is a foreign-machine index.
-const INDEXERS: [&str; 5] = ["machine", "machine_mut", "proc_ref", "proc_mut", "machine_name"];
+const INDEXERS: [&str; 5] = [
+    "machine",
+    "machine_mut",
+    "proc_ref",
+    "proc_mut",
+    "machine_name",
+];
 
 /// World-owned structures shared across machines: mutating or reading
 /// these from a per-machine step couples that step to every machine.
@@ -238,7 +244,11 @@ mod tests {
         let d = check(&[f]);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].subject, "sys_msend");
-        assert!(d[0].message.contains("machine_mut(dst)"), "{}", d[0].message);
+        assert!(
+            d[0].message.contains("machine_mut(dst)"),
+            "{}",
+            d[0].message
+        );
     }
 
     #[test]
@@ -307,7 +317,7 @@ mod tests {
     }
 
     #[test]
-    fn report_rendering_is_stable_json(){
+    fn report_rendering_is_stable_json() {
         let rows = vec![Coupling {
             file: "crates/ukernel/src/world.rs".into(),
             symbol: "wake_one".into(),

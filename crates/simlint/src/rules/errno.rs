@@ -17,8 +17,7 @@ pub const RULE: &str = "errno-vocabulary";
 
 /// Is this file part of the kernel's syscall surface?
 fn in_scope(rel_path: &str) -> bool {
-    rel_path.starts_with("crates/ukernel/src/sys/")
-        || rel_path == "crates/ukernel/src/signal.rs"
+    rel_path.starts_with("crates/ukernel/src/sys/") || rel_path == "crates/ukernel/src/signal.rs"
 }
 
 /// Error constructors whose argument must be an `Errno` path.

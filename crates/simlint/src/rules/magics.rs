@@ -134,7 +134,10 @@ mod tests {
             "crates/dumpfmt/src/stack_file.rs",
             "pub const STACK_MAGIC: u16 = 0o444;",
         );
-        let limits = file_at("crates/sysdefs/src/limits.rs", "pub const NOFILE: usize = 30;");
+        let limits = file_at(
+            "crates/sysdefs/src/limits.rs",
+            "pub const NOFILE: usize = 30;",
+        );
         assert!(check(&[stack, limits]).is_empty());
     }
 

@@ -194,7 +194,10 @@ fn builder_mentions(files: &[SourceFile]) -> (BTreeSet<String>, bool) {
                 .into_iter()
                 .map(|c| c.name)
                 .collect();
-            by_name.entry(item.name.clone()).or_default().push(fns.len());
+            by_name
+                .entry(item.name.clone())
+                .or_default()
+                .push(fns.len());
             fns.push(TestFn {
                 mentions: dot_mentions(&f.toks, item.body_start, item.body_end),
                 calls,
@@ -323,7 +326,10 @@ mod tests {
             "crates/ukernel/src/file.rs",
             "pub struct FileStruct { pub refcount: u32 }",
         );
-        let t = file_at("tests/determinism.rs", "fn snapshot(w: &World) -> String {}");
+        let t = file_at(
+            "tests/determinism.rs",
+            "fn snapshot(w: &World) -> String {}",
+        );
         assert!(check(&[m, t]).is_empty());
     }
 }

@@ -116,7 +116,10 @@ pub fn check(files: &[SourceFile]) -> Vec<Diagnostic> {
             let mechanism = MECHANISM
                 .iter()
                 .any(|&(path, name)| f.rel_path.ends_with(path) && item.name == name);
-            by_name.entry(item.name.clone()).or_default().push(fns.len());
+            by_name
+                .entry(item.name.clone())
+                .or_default()
+                .push(fns.len());
             fns.push(FnInfo {
                 file: f.rel_path.clone(),
                 line: item.line,

@@ -186,7 +186,8 @@ pub fn field_writes(toks: &[Tok], start: usize, end: usize) -> Vec<FieldWrite> {
         let field = toks[i].text.clone();
         let line = toks[i].line;
         // `.f.m(` — a mutator applied directly to the field.
-        if let (Some(dot), Some(m), Some(paren)) = (toks.get(i + 1), toks.get(i + 2), toks.get(i + 3))
+        if let (Some(dot), Some(m), Some(paren)) =
+            (toks.get(i + 1), toks.get(i + 2), toks.get(i + 3))
         {
             if dot.is_punct(".")
                 && m.kind == TokKind::Ident
@@ -344,8 +345,7 @@ mod tests {
 
     #[test]
     fn field_writes_cover_assignment_shapes() {
-        let toks = lex(
-            "fn f(m: &mut Machine) {\n\
+        let toks = lex("fn f(m: &mut Machine) {\n\
                  m.busy = t;\n\
                  p.sig_pending |= bit;\n\
                  m.peak <<= 1;\n\
@@ -353,8 +353,7 @@ mod tests {
                  if m.now == t { read(m.now); }\n\
                  let _ = m.run_queue.len();\n\
                  if m.depth <= 3 { }\n\
-             }",
-        );
+             }");
         let w = field_writes(&toks, 0, toks.len());
         let names: Vec<(&str, Option<&str>)> = w
             .iter()
@@ -380,13 +379,11 @@ mod tests {
 
     #[test]
     fn test_mod_ranges_cover_cfg_test_modules() {
-        let toks = lex(
-            "fn shipped() { p.state = Runnable; }\n\
+        let toks = lex("fn shipped() { p.state = Runnable; }\n\
              #[cfg(test)]\n\
              mod tests {\n\
                  fn t() { p.state = Runnable; }\n\
-             }\n",
-        );
+             }\n");
         let ranges = test_mod_ranges(&toks);
         assert_eq!(ranges.len(), 1);
         let writes = field_writes(&toks, 0, toks.len());
@@ -411,6 +408,12 @@ mod tests {
         let items = fn_items(&toks);
         assert_eq!(items.len(), 1);
         let calls = calls_in(&toks, items[0].body_start, items[0].body_end);
-        assert_eq!(calls, vec![CallSite { name: "work".into(), line: 1 }]);
+        assert_eq!(
+            calls,
+            vec![CallSite {
+                name: "work".into(),
+                line: 1
+            }]
+        );
     }
 }

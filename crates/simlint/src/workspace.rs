@@ -95,13 +95,13 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 /// Maps a workspace-relative path to (crate, role).
 fn classify(rel_path: &str) -> (String, Role) {
     let parts: Vec<&str> = rel_path.split('/').collect();
-    let (crate_name, rest): (String, &[&str]) = if parts.first() == Some(&"crates") && parts.len() > 2
-    {
-        (parts[1].to_string(), &parts[2..])
-    } else {
-        // Root-package `tests/` and `examples/`.
-        ("process-migration".to_string(), &parts[..])
-    };
+    let (crate_name, rest): (String, &[&str]) =
+        if parts.first() == Some(&"crates") && parts.len() > 2 {
+            (parts[1].to_string(), &parts[2..])
+        } else {
+            // Root-package `tests/` and `examples/`.
+            ("process-migration".to_string(), &parts[..])
+        };
     let role = match rest.first().copied() {
         Some("tests") => Role::Test,
         Some("examples") => Role::Example,

@@ -244,7 +244,10 @@ mod tests {
         assert!(p.fire(FaultSite::NfsOp, 1, 150).is_none(), "wrong machine");
         assert!(p.fire(FaultSite::Rsh, 2, 150).is_none(), "wrong site");
         assert!(p.fire(FaultSite::NfsOp, 2, 150).is_some(), "in window");
-        assert!(p.fire(FaultSite::NfsOp, 2, 200).is_none(), "window end is exclusive");
+        assert!(
+            p.fire(FaultSite::NfsOp, 2, 200).is_none(),
+            "window end is exclusive"
+        );
     }
 
     #[test]

@@ -233,7 +233,12 @@ pub const SYSCALL_TABLE: &[SyscallMeta] = &[
     row(Sysno::Sleep, "sleep", CostClass::Quick, true),
     row(Sysno::RestProc, "rest_proc", CostClass::ProcLife, false),
     row(Sysno::GetpidReal, "getpid_real", CostClass::Quick, false),
-    row(Sysno::GethostnameReal, "gethostname_real", CostClass::Quick, false),
+    row(
+        Sysno::GethostnameReal,
+        "gethostname_real",
+        CostClass::Quick,
+        false,
+    ),
     row(Sysno::Getwd, "getwd", CostClass::Quick, false),
 ];
 

@@ -243,7 +243,10 @@ mod tests {
             },
         );
         let line = k.render(None);
-        assert_eq!(line.trim(), "#0 0us pid=3 open exit err=ENOENT charged=300us");
+        assert_eq!(
+            line.trim(),
+            "#0 0us pid=3 open exit err=ENOENT charged=300us"
+        );
     }
 
     #[test]

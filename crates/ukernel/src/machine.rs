@@ -457,9 +457,11 @@ impl Machine {
         let Some(pid) = dump_artifact_pid(name) else {
             return;
         };
-        let any_left = DUMP_ARTIFACT_PREFIXES
-            .iter()
-            .any(|p| self.fs.lookup(self.dump_dir, &format!("{p}{pid:05}")).is_ok());
+        let any_left = DUMP_ARTIFACT_PREFIXES.iter().any(|p| {
+            self.fs
+                .lookup(self.dump_dir, &format!("{p}{pid:05}"))
+                .is_ok()
+        });
         if !any_left {
             self.pending_dumps.remove(&pid);
         }
@@ -608,7 +610,10 @@ impl Machine {
 
     /// Registers a blocked process as waiting on a byte queue.
     pub(crate) fn wait_on_queue(&mut self, q: QueueId, pid: Pid) {
-        self.queue_waiters.entry(q).or_default().insert(pid.as_u32());
+        self.queue_waiters
+            .entry(q)
+            .or_default()
+            .insert(pid.as_u32());
     }
 
     /// Moves a queue's waiters into the pending-wake set (the queue's
@@ -629,7 +634,8 @@ impl Machine {
             self.queue_waiters.remove(&q);
             return false;
         }
-        self.wait_pending.extend(self.queue_waiters[&q].iter().copied());
+        self.wait_pending
+            .extend(self.queue_waiters[&q].iter().copied());
         true
     }
 

@@ -238,7 +238,11 @@ pub fn write_core(w: &mut World, mid: MachineId, pid: Pid) -> SysResult<()> {
             CoreFile {
                 regs: vm.cpu.to_regs(),
                 data: vm.mem.data().to_vec(),
-                stack: vm.mem.stack_from(vm.cpu.sp()).map(Cow::into_owned).unwrap_or_default(),
+                stack: vm
+                    .mem
+                    .stack_from(vm.cpu.sp())
+                    .map(Cow::into_owned)
+                    .unwrap_or_default(),
             },
             p.user.cred.clone(),
         )
@@ -298,7 +302,6 @@ pub fn write_migration_dump(w: &mut World, mid: MachineId, pid: Pid) -> SysResul
 /// Gathers and writes the three dump files (the fallible middle of
 /// [`write_migration_dump`]).
 fn dump_files(w: &mut World, mid: MachineId, pid: Pid) -> SysResult<()> {
-
     let (image_bytes, delta_mode, files_file, stack_file, owner) = {
         let p = w.proc_ref(mid, pid).ok_or(Errno::ESRCH)?;
         let Body::Vm(vm) = &p.body else {
@@ -393,11 +396,21 @@ fn dump_files(w: &mut World, mid: MachineId, pid: Pid) -> SysResult<()> {
         // stackXXXXX: credentials, stack, registers, signal state.
         let stack_file = StackFile {
             cred: p.user.cred.clone(),
-            stack: vm.mem.stack_from(vm.cpu.sp()).map(Cow::into_owned).unwrap_or_default(),
+            stack: vm
+                .mem
+                .stack_from(vm.cpu.sp())
+                .map(Cow::into_owned)
+                .unwrap_or_default(),
             regs: vm.cpu.to_regs(),
             sigs: p.user.sigs.clone(),
         };
-        (image_bytes, delta_mode, files_file, stack_file, p.user.cred.clone())
+        (
+            image_bytes,
+            delta_mode,
+            files_file,
+            stack_file,
+            p.user.cred.clone(),
+        )
     };
 
     // Gathering cost: the kernel walks the fd table copying names.
@@ -483,7 +496,10 @@ fn kernel_unlink(w: &mut World, mid: MachineId, dir_path: &str, name: &str) {
     let Ok(vfs::WalkOutcome::Done(dir)) = m.fs.walk(m.fs.root(), &comps, None) else {
         return;
     };
-    if m.fs.unlink(dir, name, &sysdefs::Credentials::root()).is_ok() {
+    if m.fs
+        .unlink(dir, name, &sysdefs::Credentials::root())
+        .is_ok()
+    {
         m.note_dump_unlink(dir, name);
     }
 }

@@ -32,11 +32,7 @@ fn done(r: SysResult<SysRetval>) -> SyscallResult {
 /// Resolves `path` through the namespace and copies out the regular
 /// file it names, charging only the lookup: returns the machine the
 /// file lives on, for the caller to charge the transfer from.
-fn read_file(
-    cx: &mut SysCtx<'_>,
-    path: &str,
-    want_exec: bool,
-) -> SysResult<(MachineId, Vec<u8>)> {
+fn read_file(cx: &mut SysCtx<'_>, path: &str, want_exec: bool) -> SysResult<(MachineId, Vec<u8>)> {
     let mid = cx.mid;
     let cred = cx.cred()?;
     let cwd = cx.cwd()?;
@@ -48,7 +44,11 @@ fn read_file(
     let node = cx.w.machine(fref.machine).fs.inode(fref.ino)?;
     match &node.kind {
         InodeKind::Regular(bytes) => {
-            let access = if want_exec { Access::Exec } else { Access::Read };
+            let access = if want_exec {
+                Access::Exec
+            } else {
+                Access::Read
+            };
             if !node.mode.allows(&cred, node.uid, node.gid, access) {
                 return Err(Errno::EACCES);
             }

@@ -112,10 +112,7 @@ fn open_common(
     // "/dev/tty" names the controlling terminal, whichever it is — the
     // rewrite target dumpproc uses for terminal files.
     if abs_guess.as_deref() == Some("/dev/tty") || arg == "/dev/tty" {
-        let tty = cx
-            .proc_ref()
-            .and_then(|p| p.user.tty)
-            .ok_or(Errno::ENXIO)?;
+        let tty = cx.proc_ref().and_then(|p| p.user.tty).ok_or(Errno::ENXIO)?;
         let idx = cx
             .machine_mut()
             .files
@@ -205,10 +202,7 @@ fn open_common(
         }
     }
 
-    let idx = cx
-        .machine_mut()
-        .files
-        .insert(FileStruct::new(kind, flags));
+    let idx = cx.machine_mut().files.insert(FileStruct::new(kind, flags));
     let fd = match install_fd(cx, idx) {
         Ok(fd) => fd,
         Err(e) => {
@@ -697,7 +691,13 @@ pub fn sys_chdir(cx: &mut SysCtx<'_>, arg: &str) -> SyscallResult {
         let cwd = cx.cwd()?;
         let cache_key = format!("{mid}:{}:{}:{arg}", cwd.machine, cwd.ino);
         let res = namei(cx.w, mid, &cred, cwd, arg, FollowLast::Yes)?;
-        if !cx.w.machine(res.fref.machine).fs.inode(res.fref.ino)?.is_dir() {
+        if !cx
+            .w
+            .machine(res.fref.machine)
+            .fs
+            .inode(res.fref.ino)?
+            .is_dir()
+        {
             return Err(Errno::ENOTDIR);
         }
         charge_namei(cx, &res, &cache_key)?;

@@ -67,8 +67,15 @@ pub fn dispatch(w: &mut World, mid: MachineId, pid: Pid, sc: &Syscall) -> Syscal
     let charged_us = m.now.since(t0).as_micros();
     m.stats.per_syscall.note(no, charged_us);
     let at = m.now;
-    m.ktrace
-        .push(at, pid, name, KtraceEvent::Exit { result: summarize(&result), charged_us });
+    m.ktrace.push(
+        at,
+        pid,
+        name,
+        KtraceEvent::Exit {
+            result: summarize(&result),
+            charged_us,
+        },
+    );
 
     if matches!(result, SyscallResult::Blocked) {
         if let Some(p) = w.proc_mut(mid, pid) {
@@ -158,34 +165,82 @@ mod tests {
         let variants: Vec<Syscall> = vec![
             Syscall::Exit { status: 0 },
             Syscall::Fork,
-            Syscall::Read { fd: 0, len: 0, buf_addr: None },
-            Syscall::Write { fd: 0, bytes: vec![] },
-            Syscall::Open { path: String::new(), flags: 0, mode: 0 },
-            Syscall::Creat { path: String::new(), mode: 0 },
+            Syscall::Read {
+                fd: 0,
+                len: 0,
+                buf_addr: None,
+            },
+            Syscall::Write {
+                fd: 0,
+                bytes: vec![],
+            },
+            Syscall::Open {
+                path: String::new(),
+                flags: 0,
+                mode: 0,
+            },
+            Syscall::Creat {
+                path: String::new(),
+                mode: 0,
+            },
             Syscall::Close { fd: 0 },
             Syscall::Wait,
-            Syscall::Link { old: String::new(), new: String::new() },
-            Syscall::Unlink { path: String::new() },
-            Syscall::Chdir { path: String::new() },
-            Syscall::Stat { path: String::new() },
-            Syscall::Lseek { fd: 0, offset: 0, whence: super::args::Whence::Set },
+            Syscall::Link {
+                old: String::new(),
+                new: String::new(),
+            },
+            Syscall::Unlink {
+                path: String::new(),
+            },
+            Syscall::Chdir {
+                path: String::new(),
+            },
+            Syscall::Stat {
+                path: String::new(),
+            },
+            Syscall::Lseek {
+                fd: 0,
+                offset: 0,
+                whence: super::args::Whence::Set,
+            },
             Syscall::Getpid,
             Syscall::Getuid,
             Syscall::Kill { pid: 0, sig: 0 },
             Syscall::Dup { fd: 0 },
             Syscall::Pipe,
-            Syscall::Ioctl { fd: 0, req: super::args::IoctlReq::Gtty },
-            Syscall::Symlink { target: String::new(), link: String::new() },
-            Syscall::Readlink { path: String::new(), buf_addr: None, buf_len: 0 },
-            Syscall::Execve { path: String::new() },
-            Syscall::Gethostname { buf_addr: None, buf_len: 0 },
+            Syscall::Ioctl {
+                fd: 0,
+                req: super::args::IoctlReq::Gtty,
+            },
+            Syscall::Symlink {
+                target: String::new(),
+                link: String::new(),
+            },
+            Syscall::Readlink {
+                path: String::new(),
+                buf_addr: None,
+                buf_len: 0,
+            },
+            Syscall::Execve {
+                path: String::new(),
+            },
+            Syscall::Gethostname {
+                buf_addr: None,
+                buf_len: 0,
+            },
             Syscall::Socket,
-            Syscall::Sigvec { sig: 1, disp: Disposition::Default },
+            Syscall::Sigvec {
+                sig: 1,
+                disp: Disposition::Default,
+            },
             Syscall::Sigsetmask { mask: 0 },
             Syscall::Alarm { secs: 0 },
             Syscall::Gettimeofday,
             Syscall::Setreuid { ruid: 0, euid: 0 },
-            Syscall::Mkdir { path: String::new(), mode: 0 },
+            Syscall::Mkdir {
+                path: String::new(),
+                mode: 0,
+            },
             Syscall::Sigreturn,
             Syscall::Sleep { micros: 0 },
             Syscall::RestProc {
@@ -196,8 +251,14 @@ mod tests {
                 demand: false,
             },
             Syscall::GetpidReal,
-            Syscall::GethostnameReal { buf_addr: None, buf_len: 0 },
-            Syscall::Getwd { buf_addr: None, buf_len: 0 },
+            Syscall::GethostnameReal {
+                buf_addr: None,
+                buf_len: 0,
+            },
+            Syscall::Getwd {
+                buf_addr: None,
+                buf_len: 0,
+            },
         ];
         assert_eq!(
             variants.len(),
@@ -223,7 +284,13 @@ mod tests {
         assert_eq!(Syscall::Fork.meta().cost, CostClass::ProcLife);
         assert_eq!(Syscall::Getpid.meta().cost, CostClass::Quick);
         assert_eq!(
-            Syscall::Open { path: String::new(), flags: 0, mode: 0 }.meta().cost,
+            Syscall::Open {
+                path: String::new(),
+                flags: 0,
+                mode: 0
+            }
+            .meta()
+            .cost,
             CostClass::Path
         );
     }

@@ -54,10 +54,7 @@ pub fn sys_fork(cx: &mut SysCtx<'_>) -> SyscallResult {
             }
         }
         let now = cx.machine().now;
-        let comm = cx
-            .proc_ref()
-            .map(|p| p.comm.clone())
-            .unwrap_or_default();
+        let comm = cx.proc_ref().map(|p| p.comm.clone()).unwrap_or_default();
         let child = Proc {
             pid: child_pid,
             ppid: pid,

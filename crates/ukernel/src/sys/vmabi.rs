@@ -77,7 +77,10 @@ pub fn decode_trap(cpu: &Cpu, mem: &Memory) -> Result<Syscall, Errno> {
             buf_addr: Some(a2),
         },
         Sysno::Write => {
-            let bytes = mem.read_bytes(a2, a3).map_err(|_| Errno::EFAULT)?.into_owned();
+            let bytes = mem
+                .read_bytes(a2, a3)
+                .map_err(|_| Errno::EFAULT)?
+                .into_owned();
             Syscall::Write {
                 fd: a1 as usize,
                 bytes,

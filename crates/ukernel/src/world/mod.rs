@@ -373,7 +373,9 @@ impl World {
         text: &[u8],
     ) -> Option<std::sync::Arc<m68vm::ICache>> {
         let level = self.machines[mid].isa;
-        self.config.use_icache.then(|| self.icaches.get(text, level))
+        self.config
+            .use_icache
+            .then(|| self.icaches.get(text, level))
     }
 
     // ------------------------------------------------------------------
@@ -1163,8 +1165,7 @@ impl World {
             .fault_fire(FaultSite::PageFetch, mid, pid, Errno::ETIMEDOUT)
             .is_some()
         {
-            let until =
-                self.machines[mid].now + SimDuration::micros(simnet::NFS_SOFT_TIMEOUT_US);
+            let until = self.machines[mid].now + SimDuration::micros(simnet::NFS_SOFT_TIMEOUT_US);
             let give_up = tries + 1 >= PAGE_FETCH_TRIES;
             if let Some(p) = self.proc_mut(mid, pid) {
                 if let Body::Vm(vm) = &mut p.body {
@@ -1308,8 +1309,12 @@ impl World {
         if let Some(name) = name {
             let m = &mut self.machines[mid];
             let at = m.now;
-            m.ktrace
-                .push(at, pid, name, crate::ktrace::KtraceEvent::Complete { result });
+            m.ktrace.push(
+                at,
+                pid,
+                name,
+                crate::ktrace::KtraceEvent::Complete { result },
+            );
         }
     }
 

@@ -53,7 +53,11 @@ fn spawn_on_an_idle_lagging_machine_starts_at_the_host_clock() {
     spawn(&mut w, 1, "/bin/spin");
     w.run_slices(50);
     let host = w.host_clock();
-    assert_eq!(host, w.clock(), "the host clock is the world clock at return");
+    assert_eq!(
+        host,
+        w.clock(),
+        "the host clock is the world clock at return"
+    );
     let lag = host.since(w.machine(0).now);
     assert!(lag > SimDuration::secs(4), "node0 lags by only {lag}");
 
@@ -120,7 +124,10 @@ fn spawn_on_a_machine_with_only_a_live_timer_keeps_its_clock() {
             )
             && m.now < w.host_clock()
     });
-    assert!(lagging, "node1 never idled behind the host clock on a timer");
+    assert!(
+        lagging,
+        "node1 never idled behind the host clock on a timer"
+    );
     let before = w.machine(1).now;
     let pid = spawn(&mut w, 1, "/bin/spin");
     assert_eq!(start_time(&w, 1, pid), before);

@@ -48,12 +48,7 @@ fn exit_traced(w: &mut World, m: usize, pid: Pid, slices: u64) -> u32 {
 }
 
 /// Counts ring records for syscall `name` matching `pred`.
-fn count_records(
-    w: &World,
-    m: usize,
-    name: &str,
-    pred: impl Fn(&KtraceEvent) -> bool,
-) -> usize {
+fn count_records(w: &World, m: usize, name: &str, pred: impl Fn(&KtraceEvent) -> bool) -> usize {
     w.machine(m)
         .ktrace
         .records()
@@ -82,25 +77,28 @@ fn parked_read_charges_trap_per_dispatch_attempt() {
     .unwrap();
     w.install_program(m, "/bin/reader", &obj).unwrap();
     let (tty, handle) = w.add_terminal(m);
-    let pid = w.spawn_vm_proc(m, "/bin/reader", Some(tty), alice()).unwrap();
+    let pid = w
+        .spawn_vm_proc(m, "/bin/reader", Some(tty), alice())
+        .unwrap();
     w.run_slices(50_000);
 
     // Parked: one dispatch attempt so far, ending blocked.
     let first_try = count_records(&w, m, "read", |ev| {
         matches!(ev, KtraceEvent::Enter { retry: false })
     });
-    assert_traced(&w, m, first_try == 1, "expected exactly one initial read attempt");
-    let blocked_charged = w
-        .machine(m)
-        .ktrace
-        .records()
-        .find_map(|r| match r.ev {
-            KtraceEvent::Exit {
-                result: KtraceResult::Blocked,
-                charged_us,
-            } if r.name == "read" => Some(charged_us),
-            _ => None,
-        });
+    assert_traced(
+        &w,
+        m,
+        first_try == 1,
+        "expected exactly one initial read attempt",
+    );
+    let blocked_charged = w.machine(m).ktrace.records().find_map(|r| match r.ev {
+        KtraceEvent::Exit {
+            result: KtraceResult::Blocked,
+            charged_us,
+        } if r.name == "read" => Some(charged_us),
+        _ => None,
+    });
     assert_traced(
         &w,
         m,
@@ -119,7 +117,12 @@ fn parked_read_charges_trap_per_dispatch_attempt() {
     let retries = count_records(&w, m, "read", |ev| {
         matches!(ev, KtraceEvent::Enter { retry: true })
     });
-    assert_traced(&w, m, retries == 1, "the wakeup re-issues the parked read once");
+    assert_traced(
+        &w,
+        m,
+        retries == 1,
+        "the wakeup re-issues the parked read once",
+    );
     let agg = w.machine(m).stats.per_syscall["read"];
     assert_eq!(agg.count, 2, "blocked attempt + retry each charged");
     assert!(agg.total_us >= 2 * blocked_charged.unwrap().min(1));
@@ -227,7 +230,9 @@ fn signal_while_parked_surfaces_eintr() {
     .unwrap();
     w.install_program(m, "/bin/victim", &obj).unwrap();
     let (tty, _handle) = w.add_terminal(m);
-    let victim = w.spawn_vm_proc(m, "/bin/victim", Some(tty), alice()).unwrap();
+    let victim = w
+        .spawn_vm_proc(m, "/bin/victim", Some(tty), alice())
+        .unwrap();
     w.run_slices(50_000);
     assert_traced(
         &w,
@@ -274,7 +279,12 @@ fn signal_while_parked_surfaces_eintr() {
             }
         )
     });
-    assert_traced(&w, m, eintr == 1, "signal abort cuts a complete err=EINTR record");
+    assert_traced(
+        &w,
+        m,
+        eintr == 1,
+        "signal abort cuts a complete err=EINTR record",
+    );
     // No retry: an EINTR-aborted call is not re-issued.
     let retries = count_records(&w, m, "read", |ev| {
         matches!(ev, KtraceEvent::Enter { retry: true })

@@ -44,8 +44,15 @@ fn main() {
         console.with(|t| t.gtty().is_raw())
     );
 
-    let report = migrate_proto(&mut w, pid, brick, schooner, Protocol::PreCopy, alice.clone())
-        .expect("engine completes");
+    let report = migrate_proto(
+        &mut w,
+        pid,
+        brick,
+        schooner,
+        Protocol::PreCopy,
+        alice.clone(),
+    )
+    .expect("engine completes");
     assert!(report.migrated(), "editor lands on schooner: {report:?}");
     println!(
         "pre-copy: downtime {:.1} ms, total {:.1} ms, {} round(s), {} pages streamed",
@@ -71,7 +78,9 @@ fn main() {
         let schooner = w.add_machine("schooner", IsaLevel::Isa1);
         let obj = assemble(&workloads::dirty_hog_program(1_500, 10 * 0x2000)).unwrap();
         w.install_program(brick, "/bin/hog", &obj).unwrap();
-        let pid = w.spawn_vm_proc(brick, "/bin/hog", None, alice.clone()).unwrap();
+        let pid = w
+            .spawn_vm_proc(brick, "/bin/hog", None, alice.clone())
+            .unwrap();
         w.run_slices(10);
         let report = migrate_proto(&mut w, pid, brick, schooner, proto, alice.clone())
             .expect("engine completes");

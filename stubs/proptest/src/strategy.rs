@@ -99,7 +99,10 @@ where
                 return v;
             }
         }
-        panic!("prop_filter({}) rejected {MAX_FILTER_TRIES} candidates", self.whence);
+        panic!(
+            "prop_filter({}) rejected {MAX_FILTER_TRIES} candidates",
+            self.whence
+        );
     }
 }
 
@@ -316,7 +319,9 @@ mod tests {
     #[test]
     fn map_and_filter_compose() {
         let mut rng = TestRng::new(2);
-        let s = (0u32..10).prop_map(|v| v * 2).prop_filter("nonzero", |v| *v != 0);
+        let s = (0u32..10)
+            .prop_map(|v| v * 2)
+            .prop_filter("nonzero", |v| *v != 0);
         for _ in 0..100 {
             let v = s.generate(&mut rng);
             assert!(v % 2 == 0 && v != 0 && v < 20);
@@ -335,10 +340,7 @@ mod tests {
     #[test]
     fn union_respects_weights() {
         let mut rng = TestRng::new(4);
-        let s = Union::new(vec![
-            (9, wrap_arm(Just(1u32))),
-            (1, wrap_arm(Just(2u32))),
-        ]);
+        let s = Union::new(vec![(9, wrap_arm(Just(1u32))), (1, wrap_arm(Just(2u32)))]);
         let ones = (0..1000).filter(|_| s.generate(&mut rng) == 1).count();
         assert!(ones > 700, "weight-9 arm picked only {ones}/1000 times");
     }

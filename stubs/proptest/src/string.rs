@@ -47,12 +47,16 @@ fn emit_seq(pieces: &[Piece], rng: &mut TestRng, out: &mut String) {
 }
 
 fn pick_class(ranges: &[(char, char)], rng: &mut TestRng) -> char {
-    let total: u64 = ranges.iter().map(|(a, b)| (*b as u64) - (*a as u64) + 1).sum();
+    let total: u64 = ranges
+        .iter()
+        .map(|(a, b)| (*b as u64) - (*a as u64) + 1)
+        .sum();
     let mut pick = rng.below(total);
     for (a, b) in ranges {
         let span = (*b as u64) - (*a as u64) + 1;
         if pick < span {
-            return char::from_u32(*a as u32 + pick as u32).expect("class range stays in scalar values");
+            return char::from_u32(*a as u32 + pick as u32)
+                .expect("class range stays in scalar values");
         }
         pick -= span;
     }
@@ -141,7 +145,10 @@ fn with_repeat(atom: Atom, chars: &mut Peekable<Chars>, pattern: &str) -> Piece 
                             (n, n)
                         }
                     };
-                    assert!(min <= max, "string pattern {pattern:?}: inverted repeat {{{spec}}}");
+                    assert!(
+                        min <= max,
+                        "string pattern {pattern:?}: inverted repeat {{{spec}}}"
+                    );
                     return Piece { atom, min, max };
                 }
                 spec.push(c);
@@ -150,17 +157,33 @@ fn with_repeat(atom: Atom, chars: &mut Peekable<Chars>, pattern: &str) -> Piece 
         }
         Some('?') => {
             chars.next();
-            Piece { atom, min: 0, max: 1 }
+            Piece {
+                atom,
+                min: 0,
+                max: 1,
+            }
         }
         Some('*') => {
             chars.next();
-            Piece { atom, min: 0, max: 8 }
+            Piece {
+                atom,
+                min: 0,
+                max: 8,
+            }
         }
         Some('+') => {
             chars.next();
-            Piece { atom, min: 1, max: 8 }
+            Piece {
+                atom,
+                min: 1,
+                max: 8,
+            }
         }
-        _ => Piece { atom, min: 1, max: 1 },
+        _ => Piece {
+            atom,
+            min: 1,
+            max: 1,
+        },
     }
 }
 
@@ -199,7 +222,10 @@ mod tests {
     fn multi_range_class() {
         for s in all("[a-zA-Z0-9 ]{0,20}", 200) {
             assert!(s.len() <= 20);
-            assert!(s.bytes().all(|b| b.is_ascii_alphanumeric() || b == b' '), "{s:?}");
+            assert!(
+                s.bytes().all(|b| b.is_ascii_alphanumeric() || b == b' '),
+                "{s:?}"
+            );
         }
     }
 

@@ -11,11 +11,7 @@ enum E {
 }
 
 fn arb_e() -> impl Strategy<Value = E> {
-    prop_oneof![
-        Just(E::A),
-        Just(E::B),
-        any::<u32>().prop_map(E::C),
-    ]
+    prop_oneof![Just(E::A), Just(E::B), any::<u32>().prop_map(E::C),]
 }
 
 #[test]

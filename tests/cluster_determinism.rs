@@ -158,7 +158,9 @@ fn run_cluster(faults: simnet::FaultPlan, require_success: bool) -> String {
     let testprog = assemble(pmig::workloads::TEST_PROGRAM).unwrap();
     w.install_program(6, "/bin/testprog", &testprog).unwrap();
     let (tty, _handle) = w.add_terminal(6);
-    let victim = w.spawn_vm_proc(6, "/bin/testprog", Some(tty), alice()).unwrap();
+    let victim = w
+        .spawn_vm_proc(6, "/bin/testprog", Some(tty), alice())
+        .unwrap();
 
     // The demand-restore pair: a dirty hog on h4 whose dump h5 will
     // restore with `-d`, fetching residual pages over the wire.
@@ -176,30 +178,18 @@ fn run_cluster(faults: simnet::FaultPlan, require_success: bool) -> String {
     );
 
     // Kick off the migrate (h6 -> h7, driven from h7) and the dump.
-    let cmd = w.spawn_native_proc(
-        7,
-        "migrate",
-        None,
-        alice(),
-        move |sys| async move {
-            match pmig::migrate(&sys, victim, "h6", "h7", pmig::RemoteRunner::Rsh).await {
-                Ok(status) => status,
-                Err(e) => e.as_u16() as u32,
-            }
-        },
-    );
-    let dumper = w.spawn_native_proc(
-        4,
-        "dumpproc",
-        None,
-        alice(),
-        move |sys| async move {
-            match pmig::commands::dumpproc(&sys, hog_pid).await {
-                Ok(()) => 0,
-                Err(e) => e.as_u16() as u32,
-            }
-        },
-    );
+    let cmd = w.spawn_native_proc(7, "migrate", None, alice(), move |sys| async move {
+        match pmig::migrate(&sys, victim, "h6", "h7", pmig::RemoteRunner::Rsh).await {
+            Ok(status) => status,
+            Err(e) => e.as_u16() as u32,
+        }
+    });
+    let dumper = w.spawn_native_proc(4, "dumpproc", None, alice(), move |sys| async move {
+        match pmig::commands::dumpproc(&sys, hog_pid).await {
+            Ok(()) => 0,
+            Err(e) => e.as_u16() as u32,
+        }
+    });
     assert_eq!(
         w.run_until_time(SimTime::BOOT + SimDuration::millis(500), budget),
         RunOutcome::Idle,
@@ -207,20 +197,14 @@ fn run_cluster(faults: simnet::FaultPlan, require_success: bool) -> String {
     );
 
     // Demand-restore the hog on h5 from h4's dump files.
-    let restarter = w.spawn_native_proc(
-        5,
-        "restart",
-        None,
-        alice(),
-        move |sys| async move {
-            let args = pmig::commands::RestartArgs {
-                pid: hog_pid,
-                dump_host: Some("h4".to_string()),
-                demand: true,
-            };
-            pmig::commands::restart(&sys, &args).await.as_u16() as u32
-        },
-    );
+    let restarter = w.spawn_native_proc(5, "restart", None, alice(), move |sys| async move {
+        let args = pmig::commands::RestartArgs {
+            pid: hog_pid,
+            dump_host: Some("h4".to_string()),
+            demand: true,
+        };
+        pmig::commands::restart(&sys, &args).await.as_u16() as u32
+    });
     // The rsh-driven migrate takes ~11.6s of simulated time (daemon
     // connect phases and dump/restart backoffs), so the final deadline
     // sits well past it.
@@ -240,7 +224,10 @@ fn run_cluster(faults: simnet::FaultPlan, require_success: bool) -> String {
             .finished
             .get(&(4, dumper.0))
             .expect("dumpproc finishes before the final deadline");
-        assert_eq!(info.status, 0, "dumpproc must succeed in the fault-free run");
+        assert_eq!(
+            info.status, 0,
+            "dumpproc must succeed in the fault-free run"
+        );
         // The restarter never *returns* on success — it became the
         // restored hog — so success is it not having exited with an
         // errno status.

@@ -44,11 +44,7 @@ fn run_scenario_with(faults: simnet::FaultPlan, require_success: bool) -> String
 /// The same scenario under an explicit kernel configuration, for the
 /// host-accelerator toggles (superblocks) whose on/off runs must be
 /// bit-identical even mid-fault.
-fn run_scenario_cfg(
-    cfg: KernelConfig,
-    faults: simnet::FaultPlan,
-    require_success: bool,
-) -> String {
+fn run_scenario_cfg(cfg: KernelConfig, faults: simnet::FaultPlan, require_success: bool) -> String {
     let mut w = World::new(cfg);
     w.faults = faults;
     let brick = w.add_machine("brick", IsaLevel::Isa1);
@@ -63,18 +59,12 @@ fn run_scenario_cfg(
         .unwrap();
     w.run_slices(50_000);
 
-    let cmd = w.spawn_native_proc(
-        schooner,
-        "migrate",
-        None,
-        alice(),
-        move |sys| async move {
-            match pmig::migrate(&sys, victim, "brick", "schooner", pmig::RemoteRunner::Rsh).await {
-                Ok(status) => status,
-                Err(e) => e.as_u16() as u32,
-            }
-        },
-    );
+    let cmd = w.spawn_native_proc(schooner, "migrate", None, alice(), move |sys| async move {
+        match pmig::migrate(&sys, victim, "brick", "schooner", pmig::RemoteRunner::Rsh).await {
+            Ok(status) => status,
+            Err(e) => e.as_u16() as u32,
+        }
+    });
     let info = w
         .run_until_exit(schooner, cmd, 30_000_000)
         .expect("migrate command exits");

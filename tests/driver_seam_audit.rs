@@ -38,7 +38,12 @@ fn scan_file(path: &Path, violations: &mut Vec<String>) {
         let code = line.split("//").next().unwrap_or(line);
         for pat in FORBIDDEN {
             if code.contains(pat) {
-                violations.push(format!("{}:{}: `{pat}` — {}", path.display(), idx + 1, line.trim()));
+                violations.push(format!(
+                    "{}:{}: `{pat}` — {}",
+                    path.display(),
+                    idx + 1,
+                    line.trim()
+                ));
             }
         }
     }

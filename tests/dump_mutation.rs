@@ -122,7 +122,11 @@ fn run(seed: u64, aim: Aim, use_superblocks: bool) -> Outcome {
     if let Ok(new_pid) = restarted {
         w.run_slices(SLICES);
         if let Some(Body::Vm(vm)) = w.proc_ref(schooner, new_pid).map(|p| &p.body) {
-            let top = vm.mem.stack_from(vm.cpu.a[7]).map(|s| s.into_owned()).unwrap_or_default();
+            let top = vm
+                .mem
+                .stack_from(vm.cpu.a[7])
+                .map(|s| s.into_owned())
+                .unwrap_or_default();
             image = Some((vm.cpu.clone(), vm.mem.data().to_vec(), top));
         }
     }

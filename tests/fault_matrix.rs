@@ -51,7 +51,10 @@ fn dumped_world() -> (World, usize, Pid) {
 /// Applies `corrupt` to the dump files, runs `restart`, and checks it
 /// fails with exactly `want` — leaving no half-restarted process behind
 /// and the dump files still in place for a later recovery attempt.
-fn restart_must_fail(corrupt: impl FnOnce(&mut World, usize, &dumpfmt::DumpFileNames), want: Errno) {
+fn restart_must_fail(
+    corrupt: impl FnOnce(&mut World, usize, &dumpfmt::DumpFileNames),
+    want: Errno,
+) {
     let (mut w, m, victim) = dumped_world();
     let names = dumpfmt::dump_file_names(victim);
     corrupt(&mut w, m, &names);
@@ -69,7 +72,11 @@ fn restart_must_fail(corrupt: impl FnOnce(&mut World, usize, &dumpfmt::DumpFileN
     .expect_err("restart of corrupt dumps must fail");
     match err {
         pmig::MigrationError::Failed(status) => {
-            assert_eq!(status, want.as_u16() as u32, "wrong errno for this corruption");
+            assert_eq!(
+                status,
+                want.as_u16() as u32,
+                "wrong errno for this corruption"
+            );
         }
         other => panic!("unexpected failure mode: {other}"),
     }
@@ -189,7 +196,12 @@ fn restart_rejects_stack_length_mismatch() {
         |w, m, names| {
             patch(w, m, &names.stack, |mut b| {
                 let len_off = 2 + 16;
-                let len = u32::from_be_bytes([b[len_off], b[len_off + 1], b[len_off + 2], b[len_off + 3]]);
+                let len = u32::from_be_bytes([
+                    b[len_off],
+                    b[len_off + 1],
+                    b[len_off + 2],
+                    b[len_off + 3],
+                ]);
                 b[len_off..len_off + 4].copy_from_slice(&(len + 100).to_be_bytes());
                 b
             })
@@ -260,8 +272,10 @@ fn dumpproc_times_out_when_dump_never_appears() {
 fn reaper_sweeps_only_orphan_dump_files() {
     let mut w = World::new(KernelConfig::paper());
     let m = w.add_machine("brick", IsaLevel::Isa1);
-    w.host_write_file(m, "/usr/tmp/a.out00042", b"torn").unwrap();
-    w.host_write_file(m, "/usr/tmp/files00042", b"torn").unwrap();
+    w.host_write_file(m, "/usr/tmp/a.out00042", b"torn")
+        .unwrap();
+    w.host_write_file(m, "/usr/tmp/files00042", b"torn")
+        .unwrap();
     w.host_write_file(m, "/usr/tmp/stack00042", b"").unwrap();
     w.host_write_file(m, "/usr/tmp/a.out-not-a-dump", b"keep")
         .unwrap();

@@ -312,18 +312,12 @@ fn pending_dumps_index_matches_a_fresh_scan() {
     assert!(w.machine(mid).pending_dump_pids().is_empty());
     assert!(scan_dump_pids(&w, mid).is_empty());
 
-    let dumper = w.spawn_native_proc(
-        mid,
-        "dumpproc",
-        None,
-        alice(),
-        move |sys| async move {
-            match pmig::commands::dumpproc(&sys, victim).await {
-                Ok(()) => 0,
-                Err(e) => e.as_u16() as u32,
-            }
-        },
-    );
+    let dumper = w.spawn_native_proc(mid, "dumpproc", None, alice(), move |sys| async move {
+        match pmig::commands::dumpproc(&sys, victim).await {
+            Ok(()) => 0,
+            Err(e) => e.as_u16() as u32,
+        }
+    });
     let info = w
         .run_until_exit(mid, dumper, 10_000_000)
         .expect("dumpproc exits");

@@ -224,8 +224,14 @@ fn recursion_to_the_limit_dumps_and_resumes_with_an_identical_stack() {
         assert_eq!(at_spin, cpu.to_regs(), "superblocks {sb}: registers");
         assert_eq!(first.regs, at_spin, "superblocks {sb}: dumped registers");
         assert!(first.stack == stack, "superblocks {sb}: stackXXXXX bytes");
-        assert_eq!(second.regs, first.regs, "superblocks {sb}: resumed registers");
-        assert!(second.stack == first.stack, "superblocks {sb}: resumed stack");
+        assert_eq!(
+            second.regs, first.regs,
+            "superblocks {sb}: resumed registers"
+        );
+        assert!(
+            second.stack == first.stack,
+            "superblocks {sb}: resumed stack"
+        );
     }
 }
 
@@ -241,12 +247,25 @@ fn one_push_past_the_limit_faults_as_sigsegv() {
         let (mut w, brick, _) = boot(sb);
         w.install_program(brick, "/bin/guest", &obj).unwrap();
         let pid = w.spawn_vm_proc(brick, "/bin/guest", None, alice()).unwrap();
-        let exit = w.run_until_exit(brick, pid, 10_000).expect("the guest dies");
-        assert_eq!(exit.status, 128 + Signal::SIGSEGV.number(), "superblocks {sb}");
+        let exit = w
+            .run_until_exit(brick, pid, 10_000)
+            .expect("the guest dies");
+        assert_eq!(
+            exit.status,
+            128 + Signal::SIGSEGV.number(),
+            "superblocks {sb}"
+        );
         let path = format!("{}/core{:05}", sysdefs::limits::DUMP_DIR, pid.as_u32());
         let core = CoreFile::decode(&w.host_read_file(brick, &path).unwrap()).unwrap();
-        assert_eq!(core.regs, cpu.to_regs(), "superblocks {sb}: registers at the fault");
-        assert!(core.stack == full_stack(&obj), "superblocks {sb}: stack at the fault");
+        assert_eq!(
+            core.regs,
+            cpu.to_regs(),
+            "superblocks {sb}: registers at the fault"
+        );
+        assert!(
+            core.stack == full_stack(&obj),
+            "superblocks {sb}: stack at the fault"
+        );
     }
 }
 
@@ -263,9 +282,18 @@ fn moving_sp_past_untouched_pages_dumps_zeros() {
         let (at_spin, first, second) = dump_restart_redump(SKIP_GUEST, sb);
         assert_eq!(at_spin, cpu.to_regs(), "superblocks {sb}: registers");
         assert_eq!(first.regs, at_spin, "superblocks {sb}: dumped registers");
-        assert!(first.stack == stack, "superblocks {sb}: untouched pages dump as zeros");
-        assert_eq!(second.regs, first.regs, "superblocks {sb}: resumed registers");
-        assert!(second.stack == first.stack, "superblocks {sb}: resumed stack");
+        assert!(
+            first.stack == stack,
+            "superblocks {sb}: untouched pages dump as zeros"
+        );
+        assert_eq!(
+            second.regs, first.regs,
+            "superblocks {sb}: resumed registers"
+        );
+        assert!(
+            second.stack == first.stack,
+            "superblocks {sb}: resumed stack"
+        );
     }
 }
 

@@ -26,7 +26,7 @@
 mod common;
 
 use m68vm::{assemble, IsaLevel};
-use sysdefs::{Credentials, Gid, Uid, Signal};
+use sysdefs::{Credentials, Gid, Signal, Uid};
 use tty::TtyHandle;
 use ukernel::{KernelConfig, World};
 
@@ -154,7 +154,8 @@ fn run_scenario(faults: simnet::FaultPlan, require_success: bool) -> String {
             }
             1 => {
                 w.install_program(mid, "/bin/pipeping", &pipe_ping).unwrap();
-                w.spawn_vm_proc(mid, "/bin/pipeping", None, alice()).unwrap();
+                w.spawn_vm_proc(mid, "/bin/pipeping", None, alice())
+                    .unwrap();
             }
             2 => {
                 w.install_program(mid, "/bin/sleeper", &sleeper).unwrap();
@@ -182,7 +183,8 @@ fn run_scenario(faults: simnet::FaultPlan, require_success: bool) -> String {
                 }
             }
             5 => {
-                w.install_program(mid, "/bin/waiter", &waiting_parent).unwrap();
+                w.install_program(mid, "/bin/waiter", &waiting_parent)
+                    .unwrap();
                 let (tty, console) = w.add_terminal(mid);
                 w.spawn_vm_proc(mid, "/bin/waiter", Some(tty), alice())
                     .unwrap();
@@ -216,7 +218,8 @@ fn run_scenario(faults: simnet::FaultPlan, require_success: bool) -> String {
     // The Figure-4 migrate pair on top of the numbered hosts.
     let brick = w.add_machine("brick", IsaLevel::Isa1);
     let schooner = w.add_machine("schooner", IsaLevel::Isa1);
-    w.install_program(brick, "/bin/testprog", &testprog).unwrap();
+    w.install_program(brick, "/bin/testprog", &testprog)
+        .unwrap();
     let (vtty, _victim_console) = w.add_terminal(brick);
     let victim = w
         .spawn_vm_proc(brick, "/bin/testprog", Some(vtty), alice())
