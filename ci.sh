@@ -14,6 +14,10 @@
 # --workspace so every crate compiles and runs.
 set -eux
 
+# Formatting: the workspace is rustfmt-clean, so a change never has to
+# reformat code it does not touch. (tests/perfbench is a workspace of
+# its own and is not checked here.)
+cargo fmt --all --check
 cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings

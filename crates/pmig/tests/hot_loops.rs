@@ -1,18 +1,24 @@
 //! The workloads' hot loops stay on the superblock tier's fused path:
-//! no micro-op of their blocks falls back to `Cpu::execute`, and the
-//! blocks still charge what the slot path charges.
+//! no micro-op of their blocks falls back to `Cpu::execute`, the
+//! blocks still charge what the slot path charges, and the hogs' inner
+//! loops close on one fused `sub.l #1; bgt` terminator.
 
 use m68vm::{assemble, ICache, IsaLevel};
 use pmig::workloads;
 
-/// The superblock at `label` of `src`: (generic ops, total units).
-fn block_at(src: &str, label: &str) -> (usize, u64) {
+/// The superblock at `label` of `src`: (generic ops, total units,
+/// whether it ends in a fused flag write and branch).
+fn block_at(src: &str, label: &str) -> (usize, u64, bool) {
     let obj = assemble(src).unwrap();
     let ic = ICache::build(&obj.text, IsaLevel::Isa1);
     let sb = ic
         .superblock(obj.symbols[label])
         .unwrap_or_else(|| panic!("{label} translates"));
-    (sb.generic_ops(), sb.total_units())
+    (
+        sb.generic_ops(),
+        sb.total_units(),
+        sb.ends_in_fused_branch(),
+    )
 }
 
 #[test]
@@ -24,7 +30,7 @@ fn hog_inner_loops_are_fully_fused() {
         workloads::cpu_hog_program(10),
         workloads::dirty_hog_program(10, 4 * 0x2000),
     ] {
-        assert_eq!(block_at(&src, "inner"), (0, 10));
+        assert_eq!(block_at(&src, "inner"), (0, 10, true));
     }
 }
 
@@ -32,5 +38,5 @@ fn hog_inner_loops_are_fully_fused() {
 fn cluster_ticker_is_fully_fused() {
     // Three moves and the sleep trap.
     let src = workloads::cluster_tick_program(10);
-    assert_eq!(block_at(&src, "start"), (0, 4));
+    assert_eq!(block_at(&src, "start"), (0, 4, false));
 }
