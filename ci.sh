@@ -16,7 +16,8 @@ set -eux
 
 # Formatting: the workspace is rustfmt-clean, so a change never has to
 # reformat code it does not touch. (tests/perfbench is a workspace of
-# its own and is not checked here.)
+# its own; its format and lints are checked below, once its lock file
+# is saved.)
 cargo fmt --all --check
 cargo build --release --workspace
 cargo test -q --workspace
@@ -68,6 +69,11 @@ cp BENCH_cluster.json "$cluster_kept"
 cp BENCH_interp.json "$interp_kept"
 cp tests/perfbench/Cargo.lock "$lock_kept"
 trap 'cp "$cluster_kept" BENCH_cluster.json; cp "$interp_kept" BENCH_interp.json; cp "$lock_kept" tests/perfbench/Cargo.lock; rm -f "$cluster_kept" "$interp_kept" "$lock_kept"' EXIT
+# The benchmark's own workspace (tests/perfbench) is held to the same
+# format and lint rules as the root one. Cargo rewrites its lock file;
+# the exit trap puts the committed copy back.
+cargo fmt --check --manifest-path tests/perfbench/Cargo.toml
+cargo clippy --release --manifest-path tests/perfbench/Cargo.toml --all-targets -- -D warnings
 # Cluster-scale scheduler bench, smoke tier: scheduler throughput at 16
 # and 64 hosts plus the at-scale fault soak (one live copy per workload
 # process, zero orphaned dumps). Writes BENCH_cluster.json; the full

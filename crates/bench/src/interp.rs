@@ -6,9 +6,12 @@
 //! the superblock engine that retires whole fused blocks. The cached
 //! and superblock engines also run the workloads' own CPU hog
 //! ([`pmig::workloads::cpu_hog_program`]), whose inner loop carries a
-//! `muls.l`. All three are host-side accelerators — the coherence
-//! suite proves they share one guest-visible trajectory — so the only
-//! thing measured here is host instructions per second.
+//! `muls.l`. The hog's inner loop has a closed form and the arithmetic
+//! loop has none, so on the superblock engine the hog's figure times
+//! the closed form and the arithmetic loop's the pass loop. All three
+//! engines are host-side accelerators — the coherence suite proves
+//! they share one guest-visible trajectory — so the only thing
+//! measured here is host instructions per second.
 //!
 //! Next to the interpreter rates sit the two host numbers migration
 //! work cites: one whole dump+restart cycle (`dump_restart_cycle`) and
@@ -32,22 +35,9 @@ use ukernel::{KernelConfig, World};
 /// instructions, about as long as the arithmetic loop.
 const HOG_ROUNDS: u32 = 12;
 
-/// A tight arithmetic loop whose body fuses into one superblock: it
-/// retires 100_000 iterations of five instructions plus the prologue
-/// move and the final trap.
+/// The arithmetic loop ([`pmig::workloads::ARITH_LOOP_PROGRAM`]).
 fn interp_loop() -> m68vm::Object {
-    assemble(
-        r"
-        start:  move.l  #100000, d6
-        loop:   add.l   #1, d5
-                eor.l   d5, d4
-                lsr.l   #1, d4
-                sub.l   #1, d6
-                bgt     loop
-                trap    #0
-        ",
-    )
-    .unwrap()
+    assemble(pmig::workloads::ARITH_LOOP_PROGRAM).unwrap()
 }
 
 /// The workloads' CPU hog, cut to [`HOG_ROUNDS`] rounds.

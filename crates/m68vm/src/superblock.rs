@@ -27,7 +27,11 @@
 //!   whole passes of a block fit the budget, and an out-of-line pass
 //!   loop runs them while each pass returns to the block's head (a
 //!   counted loop), without the icache lookup and on a local copy of
-//!   the data registers, SR and pc.
+//!   the data registers, SR and pc;
+//! * **closed-form passes** — a counted loop whose pass is an affine
+//!   map of the registers it writes ([`ClosedForm`]) retires every pass
+//!   whose branch is provably taken at once, in O(log k) for k passes,
+//!   and leaves the exit pass to the pass loop.
 //!
 //! Translation is **pure cache** in the Milanés sense (DESIGN.md §15):
 //! blocks are derived from the immutable `(text, IsaLevel)` pair the
@@ -83,6 +87,9 @@ pub struct SuperBlock {
     /// Instructions translated, the `Stop` boundary included — also
     /// the `nop`s and dead flag writes that left no micro-op.
     len: usize,
+    /// The block's passes in closed form, when it is a counted loop of
+    /// affine register arithmetic.
+    closed: Option<ClosedForm>,
 }
 
 impl SuperBlock {
@@ -117,6 +124,12 @@ impl SuperBlock {
     /// that reads it — exposed for the hot-loop tests.
     pub fn ends_in_fused_branch(&self) -> bool {
         self.ops.last().is_some_and(SbOp::is_closer)
+    }
+
+    /// Whether the block retires its passes in closed form — exposed
+    /// for the corpus and hot-loop tests.
+    pub fn has_closed_form(&self) -> bool {
+        self.closed.is_some()
     }
 }
 
@@ -688,7 +701,7 @@ fn translate(ic: &ICache, start: u32) -> SbEntry {
             *steps.last_mut().expect("two steps") = Step::Op(op);
         }
     }
-    let ops = steps
+    let ops: Vec<SbOp> = steps
         .into_iter()
         .filter_map(|step| match step {
             Step::Fused(f) => SbOp::specialise(f),
@@ -697,6 +710,7 @@ fn translate(ic: &ICache, start: u32) -> SbEntry {
         })
         .collect();
     SbEntry::Block(Box::new(SuperBlock {
+        closed: ClosedForm::of(&ops, start),
         ops,
         gens,
         total_units: total,
@@ -748,6 +762,199 @@ fn shift_long(op: Op, d: u32, count: u32) -> (u32, bool) {
     }
 }
 
+/// A counted loop's passes in closed form.
+///
+/// A block has one when its terminator is a fused `sub.l #s, dC;
+/// b<cc>` back to its own head, with cc one of `gt`, `ge`, `ne` and
+/// `pl` and 0 < s < 2³¹, and every other micro-op is a dead-flag
+/// `move`, `add`, `sub` or `muls.l` from an immediate or from a
+/// register that no op of the block writes, or a `neg`, `not` or
+/// `lsl.l #n`, on a register other than dC. A pass then touches no
+/// memory, leaves the pc on the head while its branch is taken, sets
+/// the flags only in its closer, and maps each register it writes by
+/// `x ↦ a·x + b mod 2³²`, where `a` and `b` depend on the immediates
+/// and on the source registers, whose values no pass changes. So k
+/// passes are each map's k-th power, dC stepped k times and the k-th
+/// closer's flags ([`Cpu::retire_closed`]).
+#[derive(Debug)]
+struct ClosedForm {
+    /// The counter, dC.
+    counter: u8,
+    /// What the closer subtracts from dC, s.
+    step: u32,
+    /// The body, one affine step per micro-op, in order.
+    body: Vec<Affine>,
+    /// The registers the body writes, one bit each.
+    written: u8,
+}
+
+/// A body op of a [`ClosedForm`] as an affine step of its register:
+/// `dN ← m·dN + c mod 2³²`.
+#[derive(Clone, Copy, Debug)]
+struct Affine {
+    d: u8,
+    m: Term,
+    c: Term,
+}
+
+/// A coefficient of an [`Affine`] step: an immediate, or a source
+/// register (negated, for `sub`) read when the block is entered.
+#[derive(Clone, Copy, Debug)]
+enum Term {
+    Imm(u32),
+    D(u8),
+    NegD(u8),
+}
+
+impl Term {
+    /// The term's value under data registers `d`.
+    fn value(self, d: &[u32; 8]) -> u32 {
+        match self {
+            Term::Imm(v) => v,
+            Term::D(r) => d[(r & 7) as usize],
+            Term::NegD(r) => d[(r & 7) as usize].wrapping_neg(),
+        }
+    }
+
+    /// The register the term reads, as a bit.
+    fn reads(self) -> u8 {
+        match self {
+            Term::Imm(_) => 0,
+            Term::D(r) | Term::NegD(r) => 1 << (r & 7),
+        }
+    }
+}
+
+impl SbOp {
+    /// The op as an affine step of its register, if it is one that a
+    /// closed form takes.
+    fn affine(&self) -> Option<Affine> {
+        use Term::{Imm, NegD, D};
+        let (d, m, c) = match *self {
+            SbOp::MoveI { s, d } => (d, Imm(0), Imm(s)),
+            SbOp::MoveD { s, d } => (d, Imm(0), D(s)),
+            SbOp::AddI { s, d } => (d, Imm(1), Imm(s)),
+            SbOp::AddD { s, d } => (d, Imm(1), D(s)),
+            SbOp::SubI { s, d } => (d, Imm(1), Imm(s.wrapping_neg())),
+            SbOp::SubD { s, d } => (d, Imm(1), NegD(s)),
+            SbOp::MulsI { s, d } => (d, Imm(s), Imm(0)),
+            SbOp::MulsD { s, d } => (d, D(s), Imm(0)),
+            // −x, and !x = −x − 1.
+            SbOp::NegD { d, .. } => (d, Imm(u32::MAX), Imm(0)),
+            SbOp::NotD { d, .. } => (d, Imm(u32::MAX), Imm(u32::MAX)),
+            // x << n is x·2ⁿ, and 0 from n = 32 on (`shift_long`).
+            SbOp::LslI { s, d } => (d, Imm(1u32.checked_shl(s).unwrap_or(0)), Imm(0)),
+            _ => return None,
+        };
+        Some(Affine { d: d & 7, m, c })
+    }
+}
+
+impl ClosedForm {
+    /// The closed form of the block `ops` headed at `head`, if it has
+    /// one.
+    fn of(ops: &[SbOp], head: u32) -> Option<ClosedForm> {
+        let (closer, ops) = ops.split_last()?;
+        let (SbOp::SubIBgt { s, d, target, .. }
+        | SbOp::SubIBge { s, d, target, .. }
+        | SbOp::SubIBne { s, d, target, .. }
+        | SbOp::SubIBpl { s, d, target, .. }) = *closer
+        else {
+            return None;
+        };
+        if target != head || s == 0 || s >= 1 << 31 {
+            return None;
+        }
+        let counter = d & 7;
+        let body: Vec<Affine> = ops.iter().map(SbOp::affine).collect::<Option<_>>()?;
+        let written = body.iter().fold(0u8, |w, a| w | 1 << a.d);
+        let invariant = |t: Term| t.reads() & (written | 1 << counter) == 0;
+        (written & 1 << counter == 0 && body.iter().all(|a| invariant(a.m) && invariant(a.c)))
+            .then_some(ClosedForm {
+                counter,
+                step: s,
+                body,
+                written,
+            })
+    }
+
+    /// How many of `passes` passes from data registers `d` retire in
+    /// closed form: ⌊(dC − 1)/s⌋ of them at most, for a signed dC ≥ 1,
+    /// and none otherwise. Pass i of those ends with dC − i·s ≥ 1, so
+    /// its `sub` neither borrows nor overflows and its branch is taken
+    /// on every condition a closed form allows; the exit pass is never
+    /// among them.
+    fn passes(&self, d: &[u32; 8], passes: u64) -> u64 {
+        match d[self.counter as usize] as i32 {
+            c @ 1.. => passes.min(u64::from((c as u32 - 1) / self.step)),
+            _ => 0,
+        }
+    }
+
+    /// Runs `k` passes, as [`ClosedForm::passes`] allows, on `cpu`.
+    fn retire(&self, cpu: &mut Cpu, k: u64) {
+        // One pass as a map per register, `x ↦ a·x + b`, read off the
+        // body with the sources' values at entry.
+        let mut maps = [(1u32, 0u32); 8];
+        for step in &self.body {
+            let (m, c) = (step.m.value(&cpu.d), step.c.value(&cpu.d));
+            let (a, b) = maps[step.d as usize];
+            maps[step.d as usize] = (m.wrapping_mul(a), m.wrapping_mul(b).wrapping_add(c));
+        }
+        for (r, &map) in maps.iter().enumerate() {
+            if self.written & 1 << r != 0 {
+                let (a, b) = affine_pow(map, k);
+                cpu.d[r] = a.wrapping_mul(cpu.d[r]).wrapping_add(b);
+            }
+        }
+        // k·s < dC < 2³¹, so none of this wraps. The k-th closer's
+        // `sub` sets the flags and its branch is taken, so the pc stays
+        // on the head.
+        let c = self.counter as usize;
+        let before = cpu.d[c] - (k as u32 - 1) * self.step;
+        let (r, carry, overflow) = sub(before, self.step);
+        cpu.d[c] = r;
+        cpu.sr = set_ccr(cpu.sr, carry, overflow, r, Size::Long);
+    }
+}
+
+/// The `k`-th power of `x ↦ a·x + b mod 2³²`, by square-and-multiply.
+fn affine_pow((mut a, mut b): (u32, u32), mut k: u64) -> (u32, u32) {
+    let (mut pa, mut pb) = (1u32, 0u32);
+    while k > 0 {
+        if k & 1 == 1 {
+            (pa, pb) = (a.wrapping_mul(pa), a.wrapping_mul(pb).wrapping_add(b));
+        }
+        (a, b) = (a.wrapping_mul(a), a.wrapping_mul(b).wrapping_add(b));
+        k >>= 1;
+    }
+    (pa, pb)
+}
+
+/// The debug-build closed-form audit: the same `k` passes of `sb`, run
+/// through [`Regs::run_op`] from `entry`, must leave d0–d7, the SR and
+/// the pc where [`ClosedForm::retire`] left `cpu`. Release builds carry
+/// no audit.
+#[cfg(debug_assertions)]
+fn audit_closed_form(sb: &SuperBlock, mut r: Regs, cpu: &Cpu, k: u64) {
+    let (head, entry) = (r.pc, r.d);
+    for _ in 0..k {
+        for op in &sb.ops {
+            assert!(!r.run_op(op), "closed-form audit: {op:?} escaped");
+        }
+    }
+    let closed = Regs::load(cpu);
+    assert!(
+        r.d == closed.d && r.pc == closed.pc,
+        "closed-form audit: {k} passes of the block at {head:#x} from d0-d7, sr = {entry:x?}: \
+         the pass loop gives {:x?}, pc {:#x}; the closed form {:x?}, pc {:#x}",
+        r.d,
+        r.pc,
+        closed.d,
+        closed.pc,
+    );
+}
+
 /// How [`Cpu::step_superblock`] returned to the kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SbExit {
@@ -787,10 +994,12 @@ impl Cpu {
     /// loop, at least one instruction always retires.
     ///
     /// On entering a block it computes how many whole passes fit the
-    /// remaining budget and hands them to the out-of-line pass loop,
-    /// which runs the block again without the icache lookup as long as
-    /// a pass ends back on its head (a loop whose branch targets its
-    /// own block).
+    /// remaining budget. A block with a [`ClosedForm`] retires those of
+    /// them whose branch is provably taken at once; the out-of-line
+    /// pass loop runs the rest, the block again without the icache
+    /// lookup as long as a pass ends back on its head (a loop whose
+    /// branch targets its own block). So the exit pass, and any pause,
+    /// trap or fault, runs on the pass loop as before.
     ///
     /// The returned `u64` is the units actually retired (a trap's own
     /// units included — the kernel must not add them again).
@@ -804,12 +1013,16 @@ impl Cpu {
                 let passes = (budget - used) / sb.total_units;
                 if passes > 0 {
                     let head = self.pc;
-                    let (retired, end) = self.run_passes(mem, sb, passes);
-                    used += retired;
-                    match end {
-                        ChainEnd::Done => {}
-                        ChainEnd::Trap(vector) => return (used, SbExit::Trap { vector }),
-                        ChainEnd::Faulted(f) => return (used, SbExit::Faulted(f)),
+                    let closed = self.retire_closed(sb, passes);
+                    used += closed * sb.total_units;
+                    if closed < passes {
+                        let (retired, end) = self.run_passes(mem, sb, passes - closed);
+                        used += retired;
+                        match end {
+                            ChainEnd::Done => {}
+                            ChainEnd::Trap(vector) => return (used, SbExit::Trap { vector }),
+                            ChainEnd::Faulted(f) => return (used, SbExit::Faulted(f)),
+                        }
                     }
                     if used >= budget {
                         return (used, SbExit::Paused);
@@ -836,6 +1049,29 @@ impl Cpu {
                 return (used, SbExit::Paused);
             }
         }
+    }
+
+    /// Retires as many of `passes` whole passes of `sb`, from its head
+    /// at the pc, as its closed form allows, if it has one; returns how
+    /// many. Debug builds check each retirement against the pass loop's
+    /// own ops.
+    #[inline]
+    fn retire_closed(&mut self, sb: &SuperBlock, passes: u64) -> u64 {
+        let Some(cf) = &sb.closed else {
+            return 0;
+        };
+        let k = cf.passes(&self.d, passes);
+        if k == 0 {
+            return 0;
+        }
+        #[cfg(debug_assertions)]
+        let entry = Regs::load(self);
+        cf.retire(self, k);
+        #[cfg(debug_assertions)]
+        audit_closed_form(sb, entry, self, k);
+        #[cfg(test)]
+        tests::CLOSED_FORMS.with(|n| n.set(n.get() + 1));
+        k
     }
 
     /// Runs up to `passes` whole passes of `sb` from its head, the pc,
@@ -945,7 +1181,14 @@ mod tests {
     use crate::icache::ICache;
     use crate::isa::IsaLevel;
     use crate::mem::MemoryLayout;
+    use std::cell::Cell;
     use std::collections::BTreeSet;
+
+    thread_local! {
+        /// Closed-form retirements on this thread, for the corpus's
+        /// coverage check.
+        pub(super) static CLOSED_FORMS: Cell<u64> = const { Cell::new(0) };
+    }
 
     const LOOP_SRC: &str = r"
         start:  move.l  #100, d6
@@ -1159,6 +1402,53 @@ mod tests {
         /// and steps `a1` on every pass, so the pass loop spills and
         /// reloads its registers around generic ops on every pass.
         Sweep,
+        /// A self-loop of affine register arithmetic that has a closed
+        /// form ([`affine_op`], [`affine_closing`]); one in eight reads
+        /// a register the loop writes, and has none.
+        Affine,
+    }
+
+    /// The conditions a closed form allows.
+    const AFFINE_CONDITIONS: [&str; 4] = ["bgt", "bge", "bne", "bpl"];
+
+    /// One op of an `Affine` body: a `move`, `add`, `sub` or `muls.l`
+    /// into one of `writes` from an immediate or from one of `reads`, a
+    /// `neg`, `not` or `lsl.l`, a `nop`, or a `cmp` or `tst` whose flags
+    /// the loop's closer overwrites.
+    fn affine_op(rng: &mut SplitMix, writes: &[u64], reads: &[u64]) -> String {
+        let d = rng.pick(writes);
+        let s = match reads {
+            [] => format!("#{:#x}", rng.pick(&EDGES)),
+            _ if rng.below(2) == 0 => format!("#{:#x}", rng.pick(&EDGES)),
+            _ => format!("d{}", rng.pick(reads)),
+        };
+        match rng.below(10) {
+            0 => format!("move.l {s}, d{d}"),
+            1 => format!("add.l {s}, d{d}"),
+            2 => format!("sub.l {s}, d{d}"),
+            3 | 4 => format!("muls.l {s}, d{d}"),
+            5 => format!("neg.l d{d}"),
+            6 => format!("not.l d{d}"),
+            7 => format!("lsl.l #{}, d{d}", rng.pick(&[0, 1, 5, 31, 32, 33, 63])),
+            8 => "nop".to_string(),
+            _ if rng.below(2) == 0 => format!("cmp.l {s}, d{}", rng.below(8)),
+            _ => format!("tst.l d{}", rng.below(8)),
+        }
+    }
+
+    /// An `Affine` loop's closing `sub.l #s, d7; <cc> loop` and d7's
+    /// start: s is 1 or, in half the loops, up to 0x7fffffff on a log
+    /// scale, and d7 starts at 1, 2, s − 1, s + 1, i32::MAX or i32::MIN.
+    fn affine_closing(rng: &mut SplitMix, cc: &str) -> (u32, String) {
+        let step = match rng.below(2) {
+            0 => 1,
+            _ => {
+                let scale = rng.below(31);
+                1 + rng.below(0x7fff_ffff >> scale) as u32
+            }
+        };
+        let start = rng.pick(&[1, 2, step - 1, step + 1, i32::MAX as u32, i32::MIN as u32]);
+        (start, format!("sub.l #{step:#x}, d7\n{cc} loop\n"))
     }
 
     /// The conditions a loop can close on, one fused terminator each.
@@ -1188,6 +1478,10 @@ mod tests {
         }
     }
 
+    /// Marks the op of an `Affine` body that reads a register the loop
+    /// writes, so the loop has no closed form.
+    const NEAR_MISS: &str = "| reads a register the loop writes";
+
     /// A random terminating program: d0–d6 seeded from [`EDGES`], then
     /// a loop counted in d7, closed by [`closing`] on condition `cc`,
     /// whose body is random fused ops on d0–d6 (with a `Memory` shape,
@@ -1196,7 +1490,9 @@ mod tests {
     /// and pointer step), with a source that is an immediate or a
     /// register at random. A `Split` body scatters forward conditional
     /// branches through it, so blocks split at varying points and flag
-    /// writes vary between live and dead.
+    /// writes vary between live and dead. An `Affine` loop is closed by
+    /// [`affine_closing`] instead, may not terminate, and splits d0–d6
+    /// into registers its body writes and registers it only reads.
     fn random_loop(rng: &mut SplitMix, shape: Shape, cc: &str) -> String {
         use std::fmt::Write;
         let mut src = String::from("start:\n");
@@ -1207,6 +1503,7 @@ mod tests {
             Shape::Split => 1 + rng.below(6),
             Shape::SelfLoop | Shape::Memory | Shape::Sweep => 100 + rng.below(900),
             Shape::Stack => 300 + rng.below(700),
+            Shape::Affine => 0,
         };
         // A `Stack` loop starts 64 bytes down, so its `d(a7)` operands
         // stay below the top, and walks a7 down 96–160 bytes a trip
@@ -1219,7 +1516,10 @@ mod tests {
             }
             _ => 0,
         };
-        let (start, close) = closing(cc, trips);
+        let (start, close) = match shape {
+            Shape::Affine => affine_closing(rng, cc),
+            _ => closing(cc, trips),
+        };
         writeln!(
             src,
             "move.l #buf, a0\nmove.l #area, a1\nmove.l #{start:#x}, d7"
@@ -1229,6 +1529,17 @@ mod tests {
         let len = 2 + rng.below(20) as usize;
         // Where a `Sweep` body stores and steps its pointer.
         let sweep_at = rng.below(len as u64) as usize;
+        // The registers an `Affine` body writes (at least one) and the
+        // ones it only reads, and where a near miss reads a written one.
+        let (mut writes, mut reads) = (Vec::new(), Vec::new());
+        let mut miss = None;
+        if let Shape::Affine = shape {
+            (writes, reads) = (0..7).partition(|_| rng.below(3) != 0);
+            if writes.is_empty() {
+                writes.push(reads.remove(0));
+            }
+            miss = (rng.below(8) == 0).then(|| rng.below(len as u64) as usize);
+        }
         let mut targets = BTreeSet::new();
         for i in 0..len {
             if targets.contains(&i) {
@@ -1244,6 +1555,19 @@ mod tests {
                 format!("d{}", rng.below(7))
             };
             let line = match shape {
+                Shape::Affine if miss == Some(i) => {
+                    // Reads the counter, or a register it writes first.
+                    let w = rng.pick(&[&writes[..], &[7]].concat());
+                    let op = rng.pick(&["move", "add", "sub", "muls"]);
+                    let d = rng.pick(&writes);
+                    let write = if w == 7 {
+                        String::new()
+                    } else {
+                        format!("not.l d{w}\n")
+                    };
+                    format!("{write}{op}.l d{w}, d{d} {NEAR_MISS}")
+                }
+                Shape::Affine => affine_op(rng, &writes, &reads),
                 Shape::Memory if rng.below(4) == 0 => {
                     let disp = 4 * rng.below(8);
                     match rng.below(5) {
@@ -1342,21 +1666,27 @@ mod tests {
         // one, in mid-chain, or at random, so chains stop both inside
         // and at the edge of a budget, the `Stack` loops grow the stack
         // page by page inside chained passes, and the `Sweep` loops
-        // spill and reload around a store on every pass.
+        // spill and reload around a store on every pass. The `Affine`
+        // loops retire passes in closed form, on each condition that
+        // allows one, and stop after 40 calls if they have not ended.
         let mut translated = BTreeSet::new();
-        // (condition, budget kind) pairs that stopped a running loop.
+        // (condition, budget kind) pairs that stopped a running loop,
+        // and those that retired passes in closed form.
         let mut closed = BTreeSet::new();
-        for seed in 0..1200u64 {
+        let mut closed_forms = BTreeSet::new();
+        for seed in 0..1600u64 {
             let mut rng = SplitMix(seed);
             let shape = match seed {
                 0..400 => Shape::Split,
                 400..600 => Shape::SelfLoop,
                 600..800 => Shape::Memory,
                 800..1000 => Shape::Stack,
-                _ => Shape::Sweep,
+                1000..1200 => Shape::Sweep,
+                _ => Shape::Affine,
             };
             let cc = match shape {
                 Shape::Split | Shape::Stack => "bgt",
+                Shape::Affine => AFFINE_CONDITIONS[seed as usize % AFFINE_CONDITIONS.len()],
                 _ => CONDITIONS[seed as usize % CONDITIONS.len()],
             };
             let src = random_loop(&mut rng, shape, cc);
@@ -1370,6 +1700,10 @@ mod tests {
                 _ => {
                     let sb = ic.superblock(head).expect("the loop translates");
                     assert!(sb.ends_in_fused_branch(), "seed {seed}\n{src}");
+                    if let Shape::Affine = shape {
+                        let want = !src.contains(NEAR_MISS);
+                        assert_eq!(sb.has_closed_form(), want, "seed {seed}\n{src}");
+                    }
                     Some((sb.total_units(), 0))
                 }
             };
@@ -1379,7 +1713,10 @@ mod tests {
             let mut mem_b = mem_a.clone();
             let mut cpu_b = cpu_a.clone();
             let mut first = chain.is_some();
-            loop {
+            for call in 0.. {
+                if matches!(shape, Shape::Affine) && call == 40 {
+                    break;
+                }
                 let random = match rng.below(4) {
                     0 => 1000,
                     1 => 1 + rng.below(5000),
@@ -1402,7 +1739,11 @@ mod tests {
                 };
                 first = false;
                 let out_a = slot_run(&mut cpu_a, &mut mem_a, &ic, budget);
+                let retired = CLOSED_FORMS.with(Cell::get);
                 let out_b = cpu_b.step_superblock(&mut mem_b, &ic, budget);
+                if CLOSED_FORMS.with(Cell::get) > retired {
+                    closed_forms.insert((cc, kind));
+                }
                 let at = format!("seed {seed} ({shape:?}, {cc}), budget {budget} ({kind})");
                 assert_eq!(out_a, out_b, "{at}: charge and exit\n{src}");
                 assert_eq!(cpu_a, cpu_b, "{at}: registers and SR\n{src}");
@@ -1444,10 +1785,17 @@ mod tests {
             "the corpus never translated {missing:?}"
         );
         // Every condition closed a running chain under every budget
-        // kind.
-        for cc in CONDITIONS {
-            for kind in ["on a pass boundary", "one unit short", "mid-chain"] {
+        // kind, and every condition that allows a closed form retired
+        // one under each.
+        for kind in ["on a pass boundary", "one unit short", "mid-chain"] {
+            for cc in CONDITIONS {
                 assert!(closed.contains(&(cc, kind)), "no {cc} loop stopped {kind}");
+            }
+            for cc in AFFINE_CONDITIONS {
+                assert!(
+                    closed_forms.contains(&(cc, kind)),
+                    "no {cc} loop retired a closed form {kind}"
+                );
             }
         }
     }

@@ -174,6 +174,21 @@ progress:
     )
 }
 
+/// The interpreter benchmark's arithmetic loop (`figures interp`): a
+/// tight loop whose body fuses into one superblock. It retires 100 000
+/// iterations of five instructions plus the prologue move and the final
+/// trap. `eor` and `lsr` are not affine, so its passes have no closed
+/// form: every pass runs on the superblock pass loop.
+pub const ARITH_LOOP_PROGRAM: &str = r"
+start:  move.l  #100000, d6
+loop:   add.l   #1, d5
+        eor.l   d5, d4
+        lsr.l   #1, d4
+        sub.l   #1, d6
+        bgt     loop
+        trap    #0
+";
+
 /// A periodic "interactive" process for the cluster benchmarks:
 /// `beats` short sleeps in a loop. Each expiry is one small scheduling
 /// event — exactly the traffic an installation of mostly-idle
