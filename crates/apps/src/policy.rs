@@ -34,6 +34,7 @@
 //! * [`Random`] — seeded random source/victim/destination, the classic
 //!   baseline a smarter policy must beat.
 
+use simtime::rng::SplitMix64;
 use simtime::SimDuration;
 use std::collections::BTreeSet;
 use sysdefs::{Credentials, Pid};
@@ -195,7 +196,7 @@ impl MigrationPolicy for FirstTouch {
     }
 }
 
-/// Seeded random placement (splitmix64, no host entropy): a random
+/// Seeded random placement ([`SplitMix64`], no host entropy): a random
 /// source among machines with an eligible candidate, its oldest aged
 /// job, and a random destination other than the source. The baseline
 /// policy — and a stress generator, since it migrates without looking
@@ -204,7 +205,9 @@ impl MigrationPolicy for FirstTouch {
 pub struct Random {
     /// Minimum age before a process is a migration candidate.
     pub min_age: SimDuration,
-    state: u64,
+    /// Owned by the policy, so runs are reproducible from the seed
+    /// alone.
+    rng: SplitMix64,
 }
 
 impl Random {
@@ -212,18 +215,8 @@ impl Random {
     pub fn seeded(seed: u64) -> Random {
         Random {
             min_age: LoadGradient::default().min_age,
-            state: seed,
+            rng: SplitMix64::new(seed),
         }
-    }
-
-    fn next(&mut self) -> u64 {
-        // splitmix64: tiny, well-distributed, and owned by the policy,
-        // so runs are reproducible from the seed alone.
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
     }
 }
 
@@ -243,8 +236,8 @@ impl MigrationPolicy for Random {
         if sources.is_empty() {
             return None;
         }
-        let (from, victim) = sources[(self.next() % sources.len() as u64) as usize];
-        let mut to = (self.next() % (n as u64 - 1)) as usize;
+        let (from, victim) = self.rng.pick(&sources);
+        let mut to = self.rng.below(n as u64 - 1) as usize;
         if to >= from {
             to += 1;
         }

@@ -1,6 +1,6 @@
 //! Hand-rolled JSON emission for the figure/bench harness.
 //!
-//! The offline build has no `serde`/`serde_json` (see `stubs/README.md`);
+//! The workspace has no external dependencies, so no `serde`/`serde_json`;
 //! the harness only ever *writes* JSON, so a small value tree plus a
 //! field-listing macro per row struct covers everything.
 

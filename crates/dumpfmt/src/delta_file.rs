@@ -193,23 +193,23 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use simtime::rng::SplitMix64;
+    use std::panic::catch_unwind;
 
-    proptest! {
-        #[test]
-        fn encode_decode_round_trip(
-            entry in any::<u32>(),
-            machtype in any::<u16>(),
-            data_base in any::<u32>(),
-            data_len in 0u32..(1 << 20),
-            pages in proptest::collection::vec(
-                (any::<u32>(), proptest::collection::vec(any::<u8>(), 0..64)),
-                0..8,
-            ),
-        ) {
-            let mut pages: Vec<DeltaPage> = pages
-                .into_iter()
-                .map(|(page, bytes)| DeltaPage { page, bytes })
+    /// Cases per property.
+    const CASES: u32 = 64;
+
+    #[test]
+    fn encode_decode_round_trip() {
+        let mut rng = SplitMix64::new(1);
+        for case in 0..CASES {
+            let (entry, machtype, data_base) = (rng.int(), rng.int(), rng.int());
+            let data_len = rng.below(1 << 20) as u32;
+            let mut pages: Vec<DeltaPage> = (0..rng.below(8))
+                .map(|_| DeltaPage {
+                    page: rng.int(),
+                    bytes: rng.bytes(0..64),
+                })
                 .collect();
             pages.sort_by_key(|p| p.page);
             pages.dedup_by_key(|p| p.page);
@@ -220,12 +220,18 @@ mod proptests {
                 data_len,
                 pages,
             };
-            prop_assert_eq!(DeltaFile::decode(&d.encode().unwrap()).unwrap(), d);
+            let decoded = DeltaFile::decode(&d.encode().unwrap());
+            assert_eq!(decoded.as_ref(), Ok(&d), "case {case}");
         }
+    }
 
-        #[test]
-        fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-            let _ = DeltaFile::decode(&bytes);
+    #[test]
+    fn decode_never_panics() {
+        let mut rng = SplitMix64::new(2);
+        for case in 0..CASES {
+            let bytes = rng.bytes(0..512);
+            let decoded = catch_unwind(|| DeltaFile::decode(&bytes));
+            assert!(decoded.is_ok(), "case {case}: {bytes:02x?}");
         }
     }
 }

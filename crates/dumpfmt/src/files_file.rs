@@ -237,43 +237,60 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use simtime::rng::SplitMix64;
+    use std::panic::catch_unwind;
 
-    fn arb_record() -> impl Strategy<Value = FdRecord> {
-        prop_oneof![
-            Just(FdRecord::Unused),
-            Just(FdRecord::Socket),
-            ("(/[a-z]{1,6}){1,4}", 0u16..0o7777, any::<u64>()).prop_map(|(path, f, offset)| {
+    /// Cases per property.
+    const CASES: u32 = 64;
+
+    /// `(/[a-z]{1,6}){1,max}`: one to `max` components of one to six
+    /// lowercase letters.
+    fn arb_path(rng: &mut SplitMix64, max: u64) -> String {
+        (0..1 + rng.below(max))
+            .map(|_| format!("/{}", rng.string(&[b'a'..=b'z'], 1..=6)))
+            .collect()
+    }
+
+    /// Unused, Socket or an open file, one in three each.
+    fn arb_record(rng: &mut SplitMix64) -> FdRecord {
+        match rng.below(3) {
+            0 => FdRecord::Unused,
+            1 => FdRecord::Socket,
+            _ => {
+                let path = arb_path(rng, 4);
+                let f = rng.below(0o7777) as u16;
                 FdRecord::File {
                     path,
                     // Mask out the invalid access-mode 3.
                     flags: OpenFlags(if f & 3 == 3 { f & !1 } else { f }),
-                    offset,
+                    offset: rng.int(),
                 }
-            }),
-        ]
+            }
+        }
     }
 
-    proptest! {
-        #[test]
-        fn encode_decode_round_trip(
-            host in "[a-z]{1,10}",
-            cwd in "(/[a-z]{1,6}){1,5}",
-            fds in proptest::collection::vec(arb_record(), 0..40),
-            tty in any::<u16>(),
-        ) {
+    #[test]
+    fn encode_decode_round_trip() {
+        let mut rng = SplitMix64::new(1);
+        for case in 0..CASES {
             let f = FilesFile {
-                host,
-                cwd,
-                fds,
-                tty_flags: TtyFlags::from_bits(tty),
+                host: rng.string(&[b'a'..=b'z'], 1..=10),
+                cwd: arb_path(&mut rng, 5),
+                fds: (0..rng.below(40)).map(|_| arb_record(&mut rng)).collect(),
+                tty_flags: TtyFlags::from_bits(rng.int()),
             };
-            prop_assert_eq!(FilesFile::decode(&f.encode().unwrap()).unwrap(), f);
+            let decoded = FilesFile::decode(&f.encode().unwrap());
+            assert_eq!(decoded.as_ref(), Ok(&f), "case {case}");
         }
+    }
 
-        #[test]
-        fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-            let _ = FilesFile::decode(&bytes);
+    #[test]
+    fn decode_never_panics() {
+        let mut rng = SplitMix64::new(2);
+        for case in 0..CASES {
+            let bytes = rng.bytes(0..256);
+            let decoded = catch_unwind(|| FilesFile::decode(&bytes));
+            assert!(decoded.is_ok(), "case {case}: {bytes:02x?}");
         }
     }
 }

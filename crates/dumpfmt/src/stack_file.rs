@@ -238,47 +238,55 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use simtime::rng::SplitMix64;
+    use std::panic::catch_unwind;
 
-    fn arb_disposition() -> impl Strategy<Value = Disposition> {
-        prop_oneof![
-            Just(Disposition::Default),
-            Just(Disposition::Ignore),
-            any::<u32>().prop_map(Disposition::Handler),
-        ]
+    /// Cases per property.
+    const CASES: u32 = 64;
+
+    /// Default, Ignore or a handler at any address, one in three each.
+    fn arb_disposition(rng: &mut SplitMix64) -> Disposition {
+        match rng.below(3) {
+            0 => Disposition::Default,
+            1 => Disposition::Ignore,
+            _ => Disposition::Handler(rng.int()),
+        }
     }
 
-    proptest! {
-        #[test]
-        fn encode_decode_round_trip(
-            ruid in any::<u32>(),
-            euid in any::<u32>(),
-            gid in any::<u32>(),
-            stack in proptest::collection::vec(any::<u8>(), 0..2048),
-            regs in proptest::array::uniform18(any::<u32>()),
-            blocked in any::<u32>(),
-            disps in proptest::collection::vec(arb_disposition(), NSIG),
-        ) {
-            let mut dispositions = [Disposition::Default; NSIG];
-            dispositions.copy_from_slice(&disps);
+    #[test]
+    fn encode_decode_round_trip() {
+        let mut rng = SplitMix64::new(1);
+        for case in 0..CASES {
+            let gid = Gid(rng.int());
             let s = StackFile {
                 cred: Credentials {
-                    ruid: Uid(ruid),
-                    euid: Uid(euid),
-                    rgid: Gid(gid),
-                    egid: Gid(gid),
+                    ruid: Uid(rng.int()),
+                    euid: Uid(rng.int()),
+                    rgid: gid,
+                    egid: gid,
                 },
-                stack,
-                regs,
-                sigs: SignalState { dispositions, blocked },
+                stack: rng.bytes(0..2048),
+                regs: std::array::from_fn(|_| rng.int()),
+                sigs: SignalState {
+                    dispositions: std::array::from_fn(|_| arb_disposition(&mut rng)),
+                    blocked: rng.int(),
+                },
             };
-            prop_assert_eq!(StackFile::decode(&s.encode().unwrap()).unwrap(), s);
+            let decoded = StackFile::decode(&s.encode().unwrap());
+            assert_eq!(decoded.as_ref(), Ok(&s), "case {case}");
         }
+    }
 
-        #[test]
-        fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-            let _ = StackFile::decode(&bytes);
-            let _ = StackFile::peek_credentials(&bytes);
+    #[test]
+    fn decode_never_panics() {
+        let mut rng = SplitMix64::new(2);
+        for case in 0..CASES {
+            let bytes = rng.bytes(0..512);
+            let decoded = catch_unwind(|| {
+                let _ = StackFile::decode(&bytes);
+                let _ = StackFile::peek_credentials(&bytes);
+            });
+            assert!(decoded.is_ok(), "case {case}: {bytes:02x?}");
         }
     }
 }

@@ -223,49 +223,61 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use simtime::rng::SplitMix64;
+    use std::panic::catch_unwind;
 
-    fn arb_reg() -> impl Strategy<Value = u8> {
-        0u8..8
+    /// Cases per property.
+    const CASES: u32 = 64;
+
+    /// Each of the nine operand kinds one time in nine, registers 0–7.
+    fn arb_operand(rng: &mut SplitMix64) -> Operand {
+        let reg = rng.below(8) as u8;
+        match rng.below(9) {
+            0 => Operand::None,
+            1 => Operand::DReg(reg),
+            2 => Operand::AReg(reg),
+            3 => Operand::Imm(rng.int()),
+            4 => Operand::Abs(rng.int()),
+            5 => Operand::Ind(reg),
+            6 => Operand::IndDisp(reg, rng.int()),
+            7 => Operand::PostInc(reg),
+            _ => Operand::PreDec(reg),
+        }
     }
 
-    fn arb_operand() -> impl Strategy<Value = Operand> {
-        prop_oneof![
-            Just(Operand::None),
-            arb_reg().prop_map(Operand::DReg),
-            arb_reg().prop_map(Operand::AReg),
-            any::<u32>().prop_map(Operand::Imm),
-            any::<u32>().prop_map(Operand::Abs),
-            arb_reg().prop_map(Operand::Ind),
-            (arb_reg(), any::<i32>()).prop_map(|(r, d)| Operand::IndDisp(r, d)),
-            arb_reg().prop_map(Operand::PostInc),
-            arb_reg().prop_map(Operand::PreDec),
-        ]
+    /// An opcode from 1–34 (redrawn until it names an op), any size and
+    /// any two operands.
+    fn arb_instr(rng: &mut SplitMix64) -> Instr {
+        let op = loop {
+            if let Some(op) = Op::from_u8(1 + rng.below(34) as u8) {
+                break op;
+            }
+        };
+        let size = rng.pick(&[Size::Byte, Size::Word, Size::Long]);
+        let (src, dst) = (arb_operand(rng), arb_operand(rng));
+        Instr { op, size, src, dst }
     }
 
-    fn arb_instr() -> impl Strategy<Value = Instr> {
-        (
-            (1u8..=34).prop_filter_map("opcode", Op::from_u8),
-            prop_oneof![Just(Size::Byte), Just(Size::Word), Just(Size::Long)],
-            arb_operand(),
-            arb_operand(),
-        )
-            .prop_map(|(op, size, src, dst)| Instr { op, size, src, dst })
-    }
-
-    proptest! {
-        #[test]
-        fn encode_decode_round_trip(i in arb_instr()) {
+    #[test]
+    fn encode_decode_round_trip() {
+        let mut rng = SplitMix64::new(1);
+        for case in 0..CASES {
+            let i = arb_instr(&mut rng);
             let mut buf = Vec::new();
             encode(&i, &mut buf);
             let (j, n) = decode(&buf).unwrap();
-            prop_assert_eq!(n as usize, buf.len());
-            prop_assert_eq!(i, j);
+            assert_eq!(n as usize, buf.len(), "case {case}: {i:?}");
+            assert_eq!(i, j, "case {case}");
         }
+    }
 
-        #[test]
-        fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..16)) {
-            let _ = decode(&bytes);
+    #[test]
+    fn decode_never_panics() {
+        let mut rng = SplitMix64::new(2);
+        for case in 0..CASES {
+            let bytes = rng.bytes(0..16);
+            let decoded = catch_unwind(|| decode(&bytes));
+            assert!(decoded.is_ok(), "case {case}: {bytes:02x?}");
         }
     }
 }

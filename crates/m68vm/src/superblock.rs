@@ -1181,6 +1181,7 @@ mod tests {
     use crate::icache::ICache;
     use crate::isa::IsaLevel;
     use crate::mem::MemoryLayout;
+    use simtime::rng::SplitMix64;
     use std::cell::Cell;
     use std::collections::BTreeSet;
 
@@ -1358,27 +1359,6 @@ mod tests {
         }
     }
 
-    /// splitmix64, the generator the simulator's seeded parts use.
-    struct SplitMix(u64);
-
-    impl SplitMix {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-
-        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
-            from[self.below(from.len() as u64) as usize]
-        }
-    }
-
     /// Operands where the flag and overflow rules have their edges.
     const EDGES: [u32; 6] = [0, 1, u32::MAX, 0x7fff_ffff, 0x8000_0000, 0x0001_0000];
 
@@ -1415,7 +1395,7 @@ mod tests {
     /// into one of `writes` from an immediate or from one of `reads`, a
     /// `neg`, `not` or `lsl.l`, a `nop`, or a `cmp` or `tst` whose flags
     /// the loop's closer overwrites.
-    fn affine_op(rng: &mut SplitMix, writes: &[u64], reads: &[u64]) -> String {
+    fn affine_op(rng: &mut SplitMix64, writes: &[u64], reads: &[u64]) -> String {
         let d = rng.pick(writes);
         let s = match reads {
             [] => format!("#{:#x}", rng.pick(&EDGES)),
@@ -1439,7 +1419,7 @@ mod tests {
     /// An `Affine` loop's closing `sub.l #s, d7; <cc> loop` and d7's
     /// start: s is 1 or, in half the loops, up to 0x7fffffff on a log
     /// scale, and d7 starts at 1, 2, s − 1, s + 1, i32::MAX or i32::MIN.
-    fn affine_closing(rng: &mut SplitMix, cc: &str) -> (u32, String) {
+    fn affine_closing(rng: &mut SplitMix64, cc: &str) -> (u32, String) {
         let step = match rng.below(2) {
             0 => 1,
             _ => {
@@ -1493,7 +1473,7 @@ mod tests {
     /// writes vary between live and dead. An `Affine` loop is closed by
     /// [`affine_closing`] instead, may not terminate, and splits d0–d6
     /// into registers its body writes and registers it only reads.
-    fn random_loop(rng: &mut SplitMix, shape: Shape, cc: &str) -> String {
+    fn random_loop(rng: &mut SplitMix64, shape: Shape, cc: &str) -> String {
         use std::fmt::Write;
         let mut src = String::from("start:\n");
         for r in 0..7 {
@@ -1675,7 +1655,7 @@ mod tests {
         let mut closed = BTreeSet::new();
         let mut closed_forms = BTreeSet::new();
         for seed in 0..1600u64 {
-            let mut rng = SplitMix(seed);
+            let mut rng = SplitMix64::new(seed);
             let shape = match seed {
                 0..400 => Shape::Split,
                 400..600 => Shape::SelfLoop,
@@ -2010,7 +1990,7 @@ mod tests {
             // Whole-block budgets: room for a few passes, so chains
             // also end at the budget, and a pass that no longer fits
             // single-steps to its pause.
-            let mut rng = SplitMix(7);
+            let mut rng = SplitMix64::new(7);
             let (faults, _) = sweep_lockstep(src, || 10 + rng.below(120));
             assert_eq!(faults, 4, "one fault per ballast page");
         }

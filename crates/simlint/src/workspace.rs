@@ -1,14 +1,11 @@
 //! Workspace discovery: which `.rs` files to lint and how to classify
 //! them.
 //!
-//! Linted roots are `crates/`, `tests/` and `examples/`. `stubs/` is
-//! excluded wholesale: its crates are API stand-ins for *external*
-//! dependencies, so the repo's simulation contracts do not apply to
-//! them. `target/` is build
-//! output. `fixtures/` directories hold simlint's own seeded-violation
-//! test trees (`crates/simlint/tests/fixtures/`), which exist to be
-//! dirty — linting them would fail the real workspace on purpose-built
-//! true positives.
+//! Linted roots are `crates/`, `tests/` and `examples/`. `target/` is
+//! build output. `fixtures/` directories hold simlint's own
+//! seeded-violation test trees (`crates/simlint/tests/fixtures/`),
+//! which exist to be dirty — linting them would fail the real
+//! workspace on purpose-built true positives.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -81,7 +78,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
         let path = entry.path();
         let name = entry.file_name().to_string_lossy().into_owned();
         if path.is_dir() {
-            if name == "target" || name == "stubs" || name == "fixtures" || name.starts_with('.') {
+            if name == "target" || name == "fixtures" || name.starts_with('.') {
                 continue;
             }
             collect_rs(&path, out)?;

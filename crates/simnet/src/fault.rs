@@ -11,6 +11,8 @@
 //! dual-run determinism test covers a faulty scenario for exactly this
 //! reason.
 
+use simtime::rng::SplitMix64;
+
 /// Where a fault can be injected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultSite {
@@ -142,15 +144,6 @@ pub struct FaultPlan {
     pub injected: u64,
 }
 
-/// SplitMix64: a tiny, well-mixed deterministic hash. Seeded explicitly
-/// from the plan — no ambient host entropy anywhere near it.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 impl FaultPlan {
     /// An empty plan: nothing ever fires.
     pub fn none() -> FaultPlan {
@@ -189,12 +182,15 @@ impl FaultPlan {
             .specs
             .iter_mut()
             .find(|s| s.matches(site, machine, now_us))?;
-        let roll = splitmix64(
+        // The first output of a generator seeded from (seed, site,
+        // seq): a hash of the three, so no draw depends on another.
+        let roll = SplitMix64::new(
             self.seed
                 .wrapping_mul(0x2545_f491_4f6c_dd1d)
                 .wrapping_add(seq)
                 .wrapping_add((site.index() as u64) << 56),
-        );
+        )
+        .next_u64();
         if spec.per_mille < 1000 && roll % 1000 >= spec.per_mille as u64 {
             return None;
         }

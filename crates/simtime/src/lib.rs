@@ -14,6 +14,7 @@
 
 pub mod clock;
 pub mod cost;
+pub mod rng;
 
 pub use clock::{Clock, SimDuration, SimTime};
 pub use cost::CostModel;

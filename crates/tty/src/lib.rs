@@ -375,33 +375,43 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use simtime::rng::SplitMix64;
 
-    proptest! {
-        /// In cooked mode, whatever full lines are typed come back as
-        /// exactly those lines, one per read.
-        #[test]
-        fn cooked_lines_round_trip(
-            lines in proptest::collection::vec("[a-zA-Z0-9 ]{0,20}", 1..8)
-        ) {
+    /// Cases per property.
+    const CASES: u32 = 64;
+
+    /// In cooked mode, whatever full lines are typed come back as
+    /// exactly those lines, one per read: one to seven lines of
+    /// `[a-zA-Z0-9 ]{0,20}`.
+    #[test]
+    fn cooked_lines_round_trip() {
+        let mut rng = SplitMix64::new(1);
+        let alphabet = [b'a'..=b'z', b'A'..=b'Z', b'0'..=b'9', b' '..=b' '];
+        for case in 0..CASES {
+            let lines: Vec<String> = (0..1 + rng.below(7))
+                .map(|_| rng.string(&alphabet, 0..=20))
+                .collect();
             let mut t = Terminal::new();
             for l in &lines {
                 t.type_input(&format!("{l}\n"));
             }
             for l in &lines {
                 let got = t.process_read(256).expect("line ready");
-                prop_assert_eq!(got, format!("{l}\n").into_bytes());
+                assert_eq!(got, format!("{l}\n").into_bytes(), "case {case}: {lines:?}");
             }
-            prop_assert_eq!(t.process_read(256), None);
+            assert_eq!(t.process_read(256), None, "case {case}: {lines:?}");
         }
+    }
 
-        /// In raw mode, bytes arrive exactly as typed, in order,
-        /// regardless of read chunking.
-        #[test]
-        fn raw_bytes_round_trip(
-            text in "[ -~]{0,64}",
-            chunk in 1usize..16,
-        ) {
+    /// In raw mode, bytes arrive exactly as typed, in order,
+    /// regardless of read chunking: up to 64 printable ASCII
+    /// characters, read in chunks of 1 to 15 bytes.
+    #[test]
+    fn raw_bytes_round_trip() {
+        let mut rng = SplitMix64::new(2);
+        for case in 0..CASES {
+            let text = rng.string(&[b' '..=b'~'], 0..=64);
+            let chunk = 1 + rng.below(15) as usize;
             let mut t = Terminal::new();
             t.stty(sysdefs::TtyFlags::raw_noecho());
             t.type_input(&text);
@@ -415,16 +425,19 @@ mod proptests {
                     break;
                 }
             }
-            prop_assert_eq!(got, text.clone().into_bytes());
+            assert_eq!(got, text.as_bytes(), "case {case}: {text:?} by {chunk}");
         }
+    }
 
-        /// Erase handling never panics and never leaks erased characters
-        /// into a delivered line.
-        #[test]
-        fn erase_never_leaks(
-            keeps in "[a-z]{1,8}",
-            noise in "[a-z]{0,8}",
-        ) {
+    /// Erase handling never panics and never leaks erased characters
+    /// into a delivered line: `[a-z]{0,8}` of noise erased, then a line
+    /// of `[a-z]{1,8}`.
+    #[test]
+    fn erase_never_leaks() {
+        let mut rng = SplitMix64::new(3);
+        for case in 0..CASES {
+            let keeps = rng.string(&[b'a'..=b'z'], 1..=8);
+            let noise = rng.string(&[b'a'..=b'z'], 0..=8);
             let mut t = Terminal::new();
             t.type_input(&noise);
             for _ in 0..noise.len() + 2 {
@@ -432,7 +445,11 @@ mod proptests {
             }
             t.type_input(&format!("{keeps}\n"));
             let got = t.process_read(256).expect("line");
-            prop_assert_eq!(got, format!("{keeps}\n").into_bytes());
+            assert_eq!(
+                got,
+                format!("{keeps}\n").into_bytes(),
+                "case {case}: {noise:?}"
+            );
         }
     }
 }

@@ -189,62 +189,93 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use simtime::rng::SplitMix64;
 
-    fn arb_component() -> impl Strategy<Value = String> {
-        prop_oneof![
-            3 => "[a-z]{1,8}",
-            1 => Just(".".to_string()),
-            1 => Just("..".to_string()),
-        ]
-    }
+    /// Cases per property.
+    const CASES: u32 = 64;
 
-    fn arb_abs_path() -> impl Strategy<Value = String> {
-        proptest::collection::vec(arb_component(), 0..8).prop_map(|cs| format!("/{}", cs.join("/")))
-    }
-
-    fn arb_rel_path() -> impl Strategy<Value = String> {
-        proptest::collection::vec(arb_component(), 1..8).prop_map(|cs| cs.join("/"))
-    }
-
-    proptest! {
-        #[test]
-        fn normalize_is_idempotent(p in arb_abs_path()) {
-            let once = normalize(&p);
-            prop_assert_eq!(normalize(&once), once.clone());
+    /// `[a-z]{1,8}`, `.` or `..`, weighted 3:1:1.
+    fn arb_component(rng: &mut SplitMix64) -> String {
+        match rng.below(5) {
+            0..=2 => rng.string(&[b'a'..=b'z'], 1..=8),
+            3 => ".".to_string(),
+            _ => "..".to_string(),
         }
+    }
 
-        #[test]
-        fn normalized_has_no_dots(p in arb_abs_path()) {
+    /// `/` and zero to seven components.
+    fn arb_abs_path(rng: &mut SplitMix64) -> String {
+        let cs: Vec<String> = (0..rng.below(8)).map(|_| arb_component(rng)).collect();
+        format!("/{}", cs.join("/"))
+    }
+
+    /// One to seven components.
+    fn arb_rel_path(rng: &mut SplitMix64) -> String {
+        let cs: Vec<String> = (0..1 + rng.below(7)).map(|_| arb_component(rng)).collect();
+        cs.join("/")
+    }
+
+    #[test]
+    fn normalize_is_idempotent() {
+        let mut rng = SplitMix64::new(1);
+        for case in 0..CASES {
+            let p = arb_abs_path(&mut rng);
+            let once = normalize(&p);
+            assert_eq!(normalize(&once), once, "case {case}: {p:?}");
+        }
+    }
+
+    #[test]
+    fn normalized_has_no_dots() {
+        let mut rng = SplitMix64::new(2);
+        for case in 0..CASES {
+            let p = arb_abs_path(&mut rng);
             let n = normalize(&p);
-            prop_assert!(n.starts_with('/'));
+            assert!(n.starts_with('/'), "case {case}: {p:?} -> {n:?}");
             for c in n.split('/') {
-                prop_assert!(c != "." && c != "..");
+                assert!(c != "." && c != "..", "case {case}: {p:?} -> {n:?}");
             }
         }
+    }
 
-        #[test]
-        fn combine_result_is_normalized_absolute(cwd in arb_abs_path(), p in arb_rel_path()) {
-            let cwd = normalize(&cwd);
+    #[test]
+    fn combine_result_is_normalized_absolute() {
+        let mut rng = SplitMix64::new(3);
+        for case in 0..CASES {
+            let cwd = normalize(&arb_abs_path(&mut rng));
+            let p = arb_rel_path(&mut rng);
             let c = combine(&cwd, &p);
-            prop_assert!(c.starts_with('/'));
-            prop_assert_eq!(normalize(&c), c.clone());
+            assert!(c.starts_with('/'), "case {case}: {cwd:?} + {p:?} -> {c:?}");
+            assert_eq!(normalize(&c), c, "case {case}: {cwd:?} + {p:?}");
         }
+    }
 
-        #[test]
-        fn combine_with_absolute_ignores_cwd(cwd in arb_abs_path(), p in arb_abs_path()) {
-            let cwd = normalize(&cwd);
-            prop_assert_eq!(combine(&cwd, &p), normalize(&p));
+    #[test]
+    fn combine_with_absolute_ignores_cwd() {
+        let mut rng = SplitMix64::new(4);
+        for case in 0..CASES {
+            let cwd = normalize(&arb_abs_path(&mut rng));
+            let p = arb_abs_path(&mut rng);
+            let want = normalize(&p);
+            assert_eq!(combine(&cwd, &p), want, "case {case}: {cwd:?} + {p:?}");
         }
+    }
 
-        #[test]
-        fn dirname_basename_reassemble(p in arb_abs_path()) {
+    #[test]
+    fn dirname_basename_reassemble() {
+        let mut rng = SplitMix64::new(5);
+        for case in 0..CASES {
+            let p = arb_abs_path(&mut rng);
             let n = normalize(&p);
             if n != "/" {
                 let d = dirname(&n);
                 let b = basename(&n);
-                let re = if d == "/" { format!("/{b}") } else { format!("{d}/{b}") };
-                prop_assert_eq!(re, n);
+                let re = if d == "/" {
+                    format!("/{b}")
+                } else {
+                    format!("{d}/{b}")
+                };
+                assert_eq!(re, n, "case {case}: {p:?}");
             }
         }
     }

@@ -195,9 +195,11 @@ pub fn snapshot_world(w: &World) -> String {
     out
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a offset basis, the hash of no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-fn fnv_bytes(h: &mut u64, bytes: &[u8]) {
+/// Folds `bytes` into the FNV-1a hash `h`.
+pub fn fnv_bytes(h: &mut u64, bytes: &[u8]) {
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     for &b in bytes {
         *h ^= b as u64;

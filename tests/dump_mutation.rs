@@ -21,29 +21,13 @@ use m68vm::{assemble, IsaLevel};
 use pmig::api;
 use pmig::commands::RestartArgs;
 use pmig::workloads;
+use simtime::rng::SplitMix64;
 use sysdefs::{Credentials, Gid, Uid};
 use ukernel::proc::Body;
 use ukernel::{KernelConfig, World};
 
 fn alice() -> Credentials {
     Credentials::user(Uid(100), Gid(10))
-}
-
-/// splitmix64, the generator the simulator's seeded parts use.
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
 }
 
 /// Where a seed puts its mutated bytes.
@@ -82,7 +66,7 @@ fn run(seed: u64, aim: Aim, use_superblocks: bool) -> Outcome {
     w.run_slices(3);
     assert_eq!(api::run_dumpproc(&mut w, brick, pid, alice()), Ok(0));
 
-    let mut rng = SplitMix(seed);
+    let mut rng = SplitMix64::new(seed);
     let names = dumpfmt::dump_file_names(pid);
     let path = match aim {
         Aim::Headers => [&names.a_out, &names.stack, &names.files][rng.below(3) as usize],

@@ -259,16 +259,10 @@ fn run_scenario(faults: simnet::FaultPlan, require_success: bool) -> String {
     common::snapshot_world(&w)
 }
 
-/// FNV-1a over a snapshot string.
-fn digest(snapshot: &str) -> u64 {
-    snapshot.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// Checks a snapshot against its pinned digest.
+/// Checks a snapshot's FNV-1a digest against its pinned value.
 fn assert_digest(snapshot: &str, pinned: u64, which: &str) {
-    let got = digest(snapshot);
+    let mut got = common::FNV_OFFSET;
+    common::fnv_bytes(&mut got, snapshot.as_bytes());
     assert_eq!(
         got, pinned,
         "the {which} snapshot digest moved: {got:#018x}, pinned {pinned:#018x}"
