@@ -110,12 +110,15 @@ grep -o '"[a-z_]*":' BENCH_interp.json | sort | diff "$interp_stale" - || {
 rm -f "$interp_stale"
 # The benchmark of record (BENCHMARK.json): perfbench is a workspace of
 # its own, so nothing above compiles it. Its unit tests, then one short
-# traced run of each workload, which exits nonzero when a correctness
+# traced run of each workload at the benchmark's seed (42) and at the
+# held-out seed (7), each of which exits nonzero when a correctness
 # gate fails or the untraced and traced runs disagree on the fixed
 # prefix. Cargo rewrites tests/perfbench/Cargo.lock; the exit trap puts
 # the committed copy back.
 cargo test -q --release --manifest-path tests/perfbench/Cargo.toml
 for workload in storm protocols steady; do
-    cargo run -q --release --manifest-path tests/perfbench/Cargo.toml -- \
-        --workload "$workload" --seconds 1 --trace 1
+    for seed in 42 7; do
+        cargo run -q --release --manifest-path tests/perfbench/Cargo.toml -- \
+            --workload "$workload" --seed "$seed" --seconds 1 --trace 1
+    done
 done

@@ -90,6 +90,9 @@ pub struct SuperBlock {
     /// The block's passes in closed form, when it is a counted loop of
     /// affine register arithmetic.
     closed: Option<ClosedForm>,
+    /// Whether the terminator can branch back to the block's own head,
+    /// so passes can chain.
+    chains: bool,
 }
 
 impl SuperBlock {
@@ -282,6 +285,17 @@ macro_rules! specialised_ops {
             /// flags.
             fn reads_flags(&self) -> bool {
                 matches!(self, $( SbOp::$b { .. } )|*)
+            }
+
+            /// The branch target of a `bra`, conditional branch or
+            /// closer; `None` for any other op.
+            fn target(&self) -> Option<u32> {
+                match *self {
+                    SbOp::Bra { target }
+                    $( | SbOp::$b { target, .. } )*
+                    $( | SbOp::$c { target, .. } )* => Some(target),
+                    _ => None,
+                }
             }
         }
 
@@ -711,6 +725,7 @@ fn translate(ic: &ICache, start: u32) -> SbEntry {
         .collect();
     SbEntry::Block(Box::new(SuperBlock {
         closed: ClosedForm::of(&ops, start),
+        chains: ops.last().and_then(SbOp::target) == Some(start),
         ops,
         gens,
         total_units: total,
@@ -994,12 +1009,13 @@ impl Cpu {
     /// loop, at least one instruction always retires.
     ///
     /// On entering a block it computes how many whole passes fit the
-    /// remaining budget. A block with a [`ClosedForm`] retires those of
-    /// them whose branch is provably taken at once; the out-of-line
-    /// pass loop runs the rest, the block again without the icache
-    /// lookup as long as a pass ends back on its head (a loop whose
-    /// branch targets its own block). So the exit pass, and any pause,
-    /// trap or fault, runs on the pass loop as before.
+    /// remaining budget, at most one for a block whose terminator
+    /// cannot branch back to its head. A block with a [`ClosedForm`]
+    /// retires those of them whose branch is provably taken at once;
+    /// the out-of-line pass loop runs the rest, the block again without
+    /// the icache lookup as long as a pass ends back on its head (a loop
+    /// whose branch targets its own block). So the exit pass, and any
+    /// pause, trap or fault, runs on the pass loop as before.
     ///
     /// The returned `u64` is the units actually retired (a trap's own
     /// units included — the kernel must not add them again).
@@ -1009,8 +1025,15 @@ impl Cpu {
             if let Some(sb) = ic.superblock(self.pc) {
                 // `used < budget` here, or an earlier step returned, so
                 // the difference cannot wrap; every block charges at
-                // least one unit.
-                let passes = (budget - used) / sb.total_units;
+                // least one unit. Only a block whose terminator can
+                // branch back to its head runs more than one pass here,
+                // so only such a block pays for the division.
+                let left = budget - used;
+                let passes = if sb.chains {
+                    left / sb.total_units
+                } else {
+                    u64::from(sb.total_units <= left)
+                };
                 if passes > 0 {
                     let head = self.pc;
                     let closed = self.retire_closed(sb, passes);
@@ -1029,9 +1052,10 @@ impl Cpu {
                     }
                     // A chain that ends on the head ran out of passes:
                     // less than a pass of budget is left, so the slot
-                    // path steps the rest. Anywhere else, look up the
+                    // path steps the rest. Anywhere else, and after the
+                    // one pass of a block that cannot chain, look up the
                     // block that runs there.
-                    if self.pc != head {
+                    if self.pc != head || !sb.chains {
                         continue;
                     }
                 }
@@ -1332,6 +1356,18 @@ mod tests {
                 return (spent, SbExit::Paused);
             }
         }
+    }
+
+    #[test]
+    fn only_a_block_that_branches_to_its_own_head_chains() {
+        let obj = assemble(MULS_LOOP_SRC).unwrap();
+        let ic = ICache::build(&obj.text, IsaLevel::Isa1);
+        let chains = |label: &str| ic.superblock(obj.symbols[label]).unwrap().chains;
+        assert!(chains("loop"), "the loop closes on its own head");
+        assert!(
+            !chains("start"),
+            "the entry block runs into the loop and branches to its head, not its own"
+        );
     }
 
     #[test]

@@ -325,8 +325,6 @@ pub struct Machine {
     /// byte queue. Entries are registered when a process blocks and
     /// cleaned lazily when the queue is next poked.
     pub(crate) queue_waiters: BTreeMap<QueueId, BTreeSet<u32>>,
-    /// This machine's key in the world's ready index, if enrolled.
-    pub(crate) ready_key: Option<SimTime>,
     /// Pids that may have `SIGDUMP` artifact files in `/usr/tmp`,
     /// maintained at dump create/unlink time so the reaper sweeps only
     /// machines (and names) that can actually have work — a superset of
@@ -420,7 +418,6 @@ impl Machine {
             timers: BinaryHeap::new(),
             wait_pending: BTreeSet::new(),
             queue_waiters: BTreeMap::new(),
-            ready_key: None,
             pending_dumps: BTreeSet::new(),
             residual_kills: BTreeSet::new(),
             namei_cache: Cell::new(None),
@@ -517,23 +514,42 @@ impl Machine {
     /// `pid` names a live process) the process's system time; wait time
     /// advances the clock only.
     pub fn charge_sys(&mut self, pid: Option<Pid>, cost: Cost) {
-        self.now += cost.cpu;
-        self.now += cost.wait;
-        self.busy += cost.cpu;
-        if let Some(pid) = pid {
-            if let Some(p) = self.proc_mut(pid) {
-                p.stime += cost.cpu;
+        match pid {
+            Some(pid) => {
+                self.charge_sys_to(pid, cost);
+            }
+            None => {
+                self.now += cost.cpu;
+                self.now += cost.wait;
+                self.busy += cost.cpu;
             }
         }
     }
 
+    /// [`Machine::charge_sys`] to `pid`, handing back the process, if it
+    /// lives, so the caller reads or updates it on the same lookup.
+    pub(crate) fn charge_sys_to(&mut self, pid: Pid, cost: Cost) -> Option<&mut Proc> {
+        self.now += cost.cpu;
+        self.now += cost.wait;
+        self.busy += cost.cpu;
+        let p = self.proc_mut(pid)?;
+        p.stime += cost.cpu;
+        Some(p)
+    }
+
     /// Charges user-mode CPU time.
     pub fn charge_user(&mut self, pid: Pid, cpu: SimDuration) {
+        self.charge_user_to(pid, cpu);
+    }
+
+    /// [`Machine::charge_user`], handing back the process, if it lives,
+    /// so the caller reads or updates it on the same lookup.
+    pub(crate) fn charge_user_to(&mut self, pid: Pid, cpu: SimDuration) -> Option<&mut Proc> {
         self.now += cpu;
         self.busy += cpu;
-        if let Some(p) = self.proc_mut(pid) {
-            p.utime += cpu;
-        }
+        let p = self.proc_mut(pid)?;
+        p.utime += cpu;
+        Some(p)
     }
 
     /// Records a timer deadline for `pid` (a `sleep` wake-up or an

@@ -43,15 +43,14 @@ pub fn dispatch(w: &mut World, mid: MachineId, pid: Pid, sc: &Syscall) -> Syscal
     let name = no.meta().name;
     let t0 = w.machine(mid).now;
 
-    // Entry hook: trap charge, statistics, trace record.
-    let retry = w
-        .proc_ref(mid, pid)
-        .map(|p| p.pending_syscall.is_some())
-        .unwrap_or(false);
+    // Entry hook: trap charge, statistics, trace record. The lookup
+    // that charges the trap also reads the retry flag.
     let trap = w.config.cost.syscall_trap();
     let m = w.machine_mut(mid);
     m.stats.syscalls += 1;
-    m.charge_sys(Some(pid), trap);
+    let retry = m
+        .charge_sys_to(pid, trap)
+        .is_some_and(|p| p.pending_syscall.is_some());
     let at = m.now;
     m.ktrace.push(at, pid, name, KtraceEvent::Enter { retry });
 

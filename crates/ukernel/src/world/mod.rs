@@ -1,5 +1,7 @@
 //! The world: machines, terminals, the Ethernet, and the scheduler.
 
+mod ready;
+
 use m68vm::{IsaLevel, StepEvent};
 use simnet::{Ethernet, FaultPlan, FaultSite, NfsOp, RshPhase, NFS_SOFT_TIMEOUT_US};
 use simtime::cost::Cost;
@@ -73,6 +75,37 @@ fn residual_page_span(vm: &crate::proc::VmBody, page: u32) -> (usize, usize) {
     (page_off, len)
 }
 
+/// [`World::complete_pending`] on a process already in hand: writes the
+/// VM registers or stores the native reply, clears the pending record
+/// and, since the parked call finished outside dispatch (sleep expiry,
+/// remote completion, EINTR), cuts its trace record at `now`.
+fn finish_pending(p: &mut Proc, ktrace: &mut crate::ktrace::Ktrace, now: SimTime, ret: SysRetval) {
+    let sc = p.pending_syscall.take();
+    p.restart_pc = None;
+    let name = sc.as_ref().map(|s| s.name());
+    let result = match ret.val {
+        Ok(v) => crate::ktrace::KtraceResult::Ok(v),
+        Err(e) => crate::ktrace::KtraceResult::Err(e),
+    };
+    match &mut p.body {
+        Body::Vm(vm) => {
+            if let Some(sc) = sc {
+                vmabi::writeback(&mut vm.cpu, &mut vm.mem, &sc, &ret);
+            }
+        }
+        Body::Native(native) => native.reply(ret),
+        Body::Idle => {}
+    }
+    if let Some(name) = name {
+        ktrace.push(
+            now,
+            p.pid,
+            name,
+            crate::ktrace::KtraceEvent::Complete { result },
+        );
+    }
+}
+
 /// Walks an absolute path on `fs` to its inode, following no symlink:
 /// the host verbs' lookup.
 fn host_walk(fs: &Filesystem, path: &str) -> SysResult<vfs::Ino> {
@@ -134,16 +167,14 @@ pub struct World {
     /// service before the next pick. Mid-ordered so the drain visits
     /// machines in a fixed order.
     wake_queue: std::collections::BTreeSet<MachineId>,
-    /// Scheduler ready index: a min-heap of `(local clock at
-    /// enrolment, machine)`. An entry is live only while it equals its
-    /// machine's `ready_key`, the timer heap's lazy-deletion rule:
-    /// re-keying pushes a fresh entry and leaves the old one to be
-    /// dropped when it surfaces. A live key goes stale when the clock
-    /// advances after enrolment (clocks only move forward, so it is
-    /// always an underestimate); [`World::next_ready`] re-keys it as it
-    /// surfaces. The `MachineId` tie-break keeps dual runs
-    /// bit-identical.
-    ready: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, MachineId)>>,
+    /// Scheduler ready index: a winner tree over machine ids whose root
+    /// is the `(local clock at enrolment, machine)` minimum. Each
+    /// machine has one leaf, so re-keying leaves nothing stale behind.
+    /// A key goes stale when the clock advances after enrolment (clocks
+    /// only move forward, so it is always an underestimate);
+    /// [`World::next_ready`] re-keys it when it reaches the root. The
+    /// `MachineId` tie-break keeps dual runs bit-identical.
+    ready: ready::ReadyTree,
     /// Terminal wait index: tty id to blocked `(machine, pid)` readers.
     tty_waiters: std::collections::BTreeMap<u32, std::collections::BTreeSet<(MachineId, u32)>>,
     /// Remote-completion wait index: `(server, remote pid)` to the
@@ -177,7 +208,7 @@ impl World {
             faults: FaultPlan::none(),
             host_clock: SimTime::BOOT,
             wake_queue: std::collections::BTreeSet::new(),
-            ready: std::collections::BinaryHeap::new(),
+            ready: ready::ReadyTree::default(),
             tty_waiters: std::collections::BTreeMap::new(),
             remote_waiters: std::collections::BTreeMap::new(),
             wake_scratch: Vec::new(),
@@ -1068,14 +1099,15 @@ impl World {
         }
     }
 
-    /// Carries out a [`World::wake_action`] verdict.
+    /// Carries out a [`World::wake_action`] verdict other than
+    /// `CompleteSleep`, which [`World::service_machine`] carries out
+    /// itself.
     fn apply_wake(&mut self, mid: MachineId, pid: Pid, action: WakeAction) {
         match action {
             WakeAction::Nothing => {}
             WakeAction::Wake => self.machines[mid].make_runnable(pid),
             WakeAction::CompleteSleep => {
-                self.complete_pending(mid, pid, SysRetval::ok(0));
-                self.machines[mid].make_runnable(pid);
+                unreachable!("the wake pass completes a due sleep on the lookup that finds it")
             }
             WakeAction::CompletePageFetch(addr) => self.complete_page_fetch(mid, pid, addr),
             WakeAction::CompleteRemote(status, server, rp) => {
@@ -1285,36 +1317,9 @@ impl World {
     /// Delivers a completed blocked call: write VM registers or store the
     /// native reply, then clear the pending record.
     pub(crate) fn complete_pending(&mut self, mid: MachineId, pid: Pid, ret: SysRetval) {
-        let Some(p) = self.proc_mut(mid, pid) else {
-            return;
-        };
-        let sc = p.pending_syscall.take();
-        p.restart_pc = None;
-        let name = sc.as_ref().map(|s| s.name());
-        let result = match ret.val {
-            Ok(v) => crate::ktrace::KtraceResult::Ok(v),
-            Err(e) => crate::ktrace::KtraceResult::Err(e),
-        };
-        match &mut p.body {
-            Body::Vm(vm) => {
-                if let Some(sc) = sc {
-                    vmabi::writeback(&mut vm.cpu, &mut vm.mem, &sc, &ret);
-                }
-            }
-            Body::Native(native) => native.reply(ret),
-            Body::Idle => {}
-        }
-        // The parked call finished outside dispatch (sleep expiry,
-        // remote completion, EINTR): cut the trace record here.
-        if let Some(name) = name {
-            let m = &mut self.machines[mid];
-            let at = m.now;
-            m.ktrace.push(
-                at,
-                pid,
-                name,
-                crate::ktrace::KtraceEvent::Complete { result },
-            );
+        let m = &mut self.machines[mid];
+        if let Some(p) = m.procs.get_mut(&pid.as_u32()) {
+            finish_pending(p, &mut m.ktrace, m.now, ret);
         }
     }
 
@@ -1330,7 +1335,10 @@ impl World {
     /// wake conditions, in pid order. Only poked or timed-out processes
     /// are looked at; the debug-build pick audit checks that nothing
     /// else could have woken. The candidates gather in the reused
-    /// scratch buffer, so a pass allocates nothing.
+    /// scratch buffer, so a pass allocates nothing. A due sleep, every
+    /// ticker's wake and [`World::wake_action`]'s `CompleteSleep`, is
+    /// judged and completed here on the one process-table lookup that
+    /// finds it; every other verdict goes to [`World::apply_wake`].
     fn service_machine(&mut self, mid: MachineId) {
         let m = &mut self.machines[mid];
         if !m.wake_due() {
@@ -1360,54 +1368,55 @@ impl World {
             }
         }
         for &raw in &scratch {
-            let action = self.wake_action(mid, Pid(raw));
-            self.apply_wake(mid, Pid(raw), action);
+            let pid = Pid(raw);
+            let m = &mut self.machines[mid];
+            let now = m.now;
+            match m.procs.get_mut(&raw) {
+                Some(p) if matches!(p.state, ProcState::Sleeping { until } if now >= until) => {
+                    finish_pending(p, &mut m.ktrace, now, SysRetval::ok(0));
+                    p.state = ProcState::Runnable;
+                    if !m.run_queue.contains(&pid) {
+                        m.run_queue.push_back(pid);
+                    }
+                }
+                Some(_) => {
+                    let action = self.wake_action(mid, pid);
+                    self.apply_wake(mid, pid, action);
+                }
+                None => {}
+            }
         }
         self.wake_scratch = scratch;
     }
 
     /// Re-keys a machine in the global ready index after its clock,
-    /// run queue or timer heap changed: a fresh entry at its clock, or
-    /// none without work, either way orphaning the old entry. The live
-    /// key only ever *underestimates* the machine's clock (clocks are
-    /// monotonic), so the index minimum is a lower bound that
-    /// [`World::next_ready`] tightens lazily on pop.
+    /// run queue or timer heap changed: its leaf takes its clock, or
+    /// empties without work. The key only ever *underestimates* the
+    /// machine's clock (clocks are monotonic), so the index minimum is
+    /// a lower bound that [`World::next_ready`] tightens at the root.
     fn mark_ready(&mut self, mid: MachineId) {
         let m = &mut self.machines[mid];
         let key = m.has_work().then_some(m.now);
-        if m.ready_key == key {
-            return;
-        }
-        m.ready_key = key;
-        if let Some(now) = key {
-            self.ready.push(std::cmp::Reverse((now, mid)));
-        }
+        self.ready.set(mid, key);
     }
 
     /// Peeks the ready machine with the smallest clock (the lowest
-    /// MachineId breaks ties, which keeps dual runs bit-identical).
-    /// Orphaned entries are dropped, live ones with stale keys are
-    /// re-keyed and retried, and machines without work leave the
-    /// index. With a `deadline`, returns `None` once the earliest
-    /// candidate's true clock has reached it.
+    /// MachineId breaks ties, which keeps dual runs bit-identical). A
+    /// root with a stale key is re-keyed and the match replayed, and a
+    /// machine without work leaves the index. With a `deadline`,
+    /// returns `None` once the earliest candidate's true clock has
+    /// reached it.
     fn next_ready(&mut self, deadline: Option<SimTime>) -> Option<MachineId> {
         loop {
-            let &std::cmp::Reverse((key, mid)) = self.ready.peek()?;
+            let (key, mid) = self.ready.min()?;
             let m = &mut self.machines[mid];
-            if m.ready_key != Some(key) {
-                self.ready.pop();
-                continue;
-            }
             if !m.has_work() {
-                self.ready.pop();
-                m.ready_key = None;
+                self.ready.set(mid, None);
                 continue;
             }
             let now = m.now;
             if key != now {
-                self.ready.pop();
-                self.ready.push(std::cmp::Reverse((now, mid)));
-                m.ready_key = Some(now);
+                self.ready.set(mid, Some(now));
                 continue;
             }
             if let Some(d) = deadline {
@@ -1557,12 +1566,20 @@ impl World {
         let Some(pid) = self.machines[mid].run_queue.pop_front() else {
             return false;
         };
-        let (runnable, signalled) = self.proc_ref(mid, pid).map_or((false, false), |p| {
-            (p.state.is_runnable(), p.signal_pending())
+        // One lookup starts the slice: whether the process runs, takes
+        // a signal or retries a call, and what its quantum runs.
+        let start = self.proc_ref(mid, pid).and_then(|p| {
+            p.state.is_runnable().then(|| {
+                (
+                    p.signal_pending(),
+                    p.pending_syscall.clone(),
+                    Quantum::of(&p.body),
+                )
+            })
         });
-        if !runnable {
+        let Some((signalled, mut retry, mut quantum)) = start else {
             return true;
-        }
+        };
         // Context switch.
         if self.machines[mid].last_run != Some(pid) {
             let c = self.config.cost.context_switch();
@@ -1573,17 +1590,20 @@ impl World {
         }
         // Signals first — this is where a posted SIGDUMP takes effect,
         // in the context of the dumped process. With none deliverable,
-        // delivery would find nothing to take.
-        if signalled && !deliver_pending(self, mid, pid) {
-            return true;
+        // delivery would find nothing to take. A delivery can end the
+        // pending call (EINTR) or replace the body, so the slice looks
+        // again after one.
+        if signalled {
+            if !deliver_pending(self, mid, pid) {
+                return true;
+            }
+            (retry, quantum) = self
+                .proc_ref(mid, pid)
+                .map_or((None, Quantum::Nothing), |p| {
+                    (p.pending_syscall.clone(), Quantum::of(&p.body))
+                });
         }
-        // Retry a blocked system call. One lookup serves the retry and
-        // the quantum; a completed retry looks again.
-        let (retry, mut quantum) = self
-            .proc_ref(mid, pid)
-            .map_or((None, Quantum::Nothing), |p| {
-                (p.pending_syscall.clone(), Quantum::of(&p.body))
-            });
+        // Retry a blocked system call; a completed retry looks again.
         if let Some(sc) = retry {
             match dispatch(self, mid, pid, &sc) {
                 SyscallResult::Done(ret) => {
@@ -1596,57 +1616,45 @@ impl World {
                 .proc_ref(mid, pid)
                 .map_or(Quantum::Nothing, |p| Quantum::of(&p.body));
         }
-        match quantum {
+        let user = match quantum {
             Quantum::Vm => self.run_vm_quantum(mid, pid),
-            Quantum::Native => self.run_native_quantum(mid, pid),
-            Quantum::Nothing => {}
-        }
-        // Requeue if still runnable.
-        let requeue = self
-            .proc_ref(mid, pid)
-            .map(|p| p.state.is_runnable())
-            .unwrap_or(false);
-        if requeue {
-            let m = &mut self.machines[mid];
-            if !m.run_queue.contains(&pid) {
-                m.run_queue.push_back(pid);
+            Quantum::Native => {
+                self.run_native_quantum(mid, pid);
+                SimDuration::ZERO
             }
+            Quantum::Nothing => SimDuration::ZERO,
+        };
+        // Charge the quantum's user time and requeue the process if it
+        // is still runnable, on one lookup.
+        let m = &mut self.machines[mid];
+        let requeue = m
+            .charge_user_to(pid, user)
+            .is_some_and(|p| p.state.is_runnable());
+        if requeue && !m.run_queue.contains(&pid) {
+            m.run_queue.push_back(pid);
         }
         true
     }
 
-    /// Puts a VM body taken by [`World::run_vm_quantum`] back into its
-    /// process-table slot. The slot may legitimately be occupied again
-    /// (a syscall dispatched mid-quantum exited the process, leaving
-    /// `Body::Idle` on a zombie): the taken body is stale then and is
-    /// simply dropped.
-    fn return_vm_body(&mut self, mid: MachineId, pid: Pid, vm: crate::proc::VmBody) {
-        if let Some(p) = self.machines[mid].proc_mut(pid) {
-            if matches!(p.state, ProcState::Zombie { .. }) {
-                return;
-            }
-            p.body = Body::Vm(vm);
-        }
-    }
-
-    /// Interprets VM instructions for up to one quantum.
+    /// Interprets VM instructions for up to one quantum and returns the
+    /// user time it ran, for the caller to charge.
     ///
-    /// The body is moved out of the process table for the duration of
-    /// the quantum so the interpreter's inner loop touches nothing but
-    /// the CPU, the memory image and (when built) the predecoded
-    /// instruction cache — no per-step process lookup, no signal poll.
-    /// The process table is re-entered only at trap and fault
-    /// boundaries. The world is single-threaded, so nothing can post a
-    /// signal while the interpreter runs: only a syscall dispatched
-    /// *from this loop* can, and every such path returns to the top of
-    /// `'quantum`, which checks for pending signals before it takes the
-    /// body again.
+    /// The body is borrowed in place, its CPU, memory image and
+    /// predecoded instruction cache as three disjoint borrows, so the
+    /// interpreter's inner loop touches nothing else — no per-step
+    /// process lookup, no signal poll — and no process state is copied
+    /// out of the table or back. The process table is re-entered only at
+    /// trap and fault boundaries. The world is single-threaded, so
+    /// nothing can post a signal while the interpreter runs: only a
+    /// syscall dispatched *from this loop* can, and every such path
+    /// returns to the top of `'quantum`, which checks for pending
+    /// signals before it borrows the body again.
     ///
     /// Kept out of line: inlined into `step_machine`, the quantum loop
     /// compiled differently and `protocols`, where interpretation is
     /// most of the host time, lost 2–6% of `ops_per_ref_s`.
     #[inline(never)]
-    fn run_vm_quantum(&mut self, mid: MachineId, pid: Pid) {
+    fn run_vm_quantum(&mut self, mid: MachineId, pid: Pid) -> SimDuration {
         let isa = self.machines[mid].isa;
         let quantum_units = self.config.cost.quantum_us / self.config.cost.instr_us.max(1);
         let use_superblocks = self.config.use_superblocks;
@@ -1660,55 +1668,49 @@ impl World {
             Event(StepEvent),
         }
 
-        'quantum: loop {
-            // Take the body (checking liveness and pending signals
-            // exactly where the per-step loop used to).
-            let mut vm = {
-                let Some(p) = self.machines[mid].proc_mut(pid) else {
-                    break;
-                };
-                if p.signal_pending() {
-                    break;
-                }
-                match std::mem::replace(&mut p.body, Body::Idle) {
-                    Body::Vm(vm) => vm,
-                    other => {
-                        p.body = other;
-                        break;
-                    }
-                }
+        'quantum: while let Some(p) = self.machines[mid].proc_mut(pid) {
+            // Check for pending signals exactly where the per-step loop
+            // used to.
+            if p.signal_pending() {
+                break;
+            }
+            let Body::Vm(crate::proc::VmBody {
+                cpu, mem, icache, ..
+            }) = &mut p.body
+            else {
+                break;
             };
-            // Interpret with the body out of the table. Superblocks need
-            // the icache; a demand-restored image runs on them like any
-            // other, because every tier faults on an absent page
-            // precisely (the CPU is left as it was before the
-            // instruction).
-            let use_sb = use_superblocks && vm.icache.is_some();
-            let pause = if use_sb {
-                // Run whole fused blocks up to the quantum's end. The
-                // engine retires a block only when it fits the remaining
-                // budget and single-steps otherwise, so the pause lands on
-                // exactly the instruction the slot loop would pause on —
-                // simtime and ktrace bit-identical.
-                let budget = quantum_units.saturating_sub(spent);
-                let ic = vm.icache.as_ref().expect("use_sb implies icache");
-                let (used, exit) = vm.cpu.step_superblock(&mut vm.mem, ic, budget);
-                spent += used;
-                sb_retired += used;
-                match exit {
-                    m68vm::SbExit::Paused => Pause::Quantum,
-                    // Block totals already include the trap's units
-                    // (counted in `used`), so the event carries 0.
-                    m68vm::SbExit::Trap { vector } => {
-                        Pause::Event(StepEvent::Trap { vector, units: 0 })
+            let icache = icache.as_deref();
+            // Superblocks need the icache; a demand-restored image runs
+            // on them like any other, because every tier faults on an
+            // absent page precisely (the CPU is left as it was before
+            // the instruction).
+            let pause = match icache {
+                Some(ic) if use_superblocks => {
+                    // Run whole fused blocks up to the quantum's end. The
+                    // engine retires a block only when it fits the
+                    // remaining budget and single-steps otherwise, so the
+                    // pause lands on exactly the instruction the slot
+                    // loop would pause on — simtime and ktrace
+                    // bit-identical.
+                    let budget = quantum_units.saturating_sub(spent);
+                    let (used, exit) = cpu.step_superblock(mem, ic, budget);
+                    spent += used;
+                    sb_retired += used;
+                    match exit {
+                        m68vm::SbExit::Paused => Pause::Quantum,
+                        // Block totals already include the trap's units
+                        // (counted in `used`), so the event carries 0.
+                        m68vm::SbExit::Trap { vector } => {
+                            Pause::Event(StepEvent::Trap { vector, units: 0 })
+                        }
+                        m68vm::SbExit::Faulted(f) => Pause::Event(StepEvent::Faulted(f)),
                     }
-                    m68vm::SbExit::Faulted(f) => Pause::Event(StepEvent::Faulted(f)),
                 }
-            } else {
-                loop {
-                    let ev = match &vm.icache {
-                        Some(ic) => vm.cpu.step_cached(&mut vm.mem, ic),
-                        None => vm.cpu.step(&mut vm.mem, isa),
+                _ => loop {
+                    let ev = match icache {
+                        Some(ic) => cpu.step_cached(mem, ic),
+                        None => cpu.step(mem, isa),
                     };
                     match ev {
                         StepEvent::Executed { units } => {
@@ -1719,76 +1721,50 @@ impl World {
                         }
                         other => break Pause::Event(other),
                     }
-                }
+                },
             };
             match pause {
-                Pause::Quantum => {
-                    self.return_vm_body(mid, pid, vm);
-                    break 'quantum;
-                }
+                Pause::Quantum => break 'quantum,
                 Pause::Event(StepEvent::Trap { vector: 0, units }) => {
                     spent += units as u64;
-                    if let Some(addr) = vmabi::absent_arg(&vm.cpu, &vm.mem) {
+                    if let Some(addr) = vmabi::absent_arg(cpu, mem) {
                         // An argument lies in a page still at the
                         // source: back up over the trap and fault
                         // the page in, so the call re-runs (and is
                         // charged again) once the page is resident.
-                        vm.cpu.pc = vm.cpu.pc.wrapping_sub(vmabi::TRAP_LEN);
-                        self.return_vm_body(mid, pid, vm);
+                        cpu.pc = cpu.pc.wrapping_sub(vmabi::TRAP_LEN);
                         self.park_page_fetch(mid, pid, addr);
                         break 'quantum;
                     }
-                    // Decode against the taken body, then put it
-                    // back: the syscall handlers (and their
-                    // writeback) expect `Body::Vm` in the table.
-                    let decoded = vmabi::decode_trap(&vm.cpu, &vm.mem);
-                    self.return_vm_body(mid, pid, vm);
-                    match decoded {
-                        Err(e) => {
-                            if let Some(p) = self.proc_mut(mid, pid) {
-                                if let Body::Vm(vm) = &mut p.body {
-                                    vmabi::write_errno(&mut vm.cpu, e);
+                    match vmabi::decode_trap(cpu, mem) {
+                        Err(e) => vmabi::write_errno(cpu, e),
+                        Ok(sc) => match dispatch(self, mid, pid, &sc) {
+                            SyscallResult::Done(ret) => {
+                                let body = self.machines[mid].proc_mut(pid).map(|p| &mut p.body);
+                                if let Some(Body::Vm(vm)) = body {
+                                    vmabi::writeback(&mut vm.cpu, &mut vm.mem, &sc, &ret);
                                 }
                             }
-                        }
-                        Ok(sc) => {
-                            match dispatch(self, mid, pid, &sc) {
-                                SyscallResult::Done(ret) => {
-                                    if let Some(p) = self.proc_mut(mid, pid) {
-                                        if let Body::Vm(vm) = &mut p.body {
-                                            vmabi::writeback(&mut vm.cpu, &mut vm.mem, &sc, &ret);
-                                        }
-                                    }
-                                }
-                                // dispatch() saved the pending call
-                                // and the restart pc.
-                                SyscallResult::Blocked => break 'quantum,
-                                SyscallResult::Gone => break 'quantum,
-                            }
-                        }
+                            // dispatch() saved the pending call and the
+                            // restart pc.
+                            SyscallResult::Blocked => break 'quantum,
+                            SyscallResult::Gone => break 'quantum,
+                        },
                     }
                     if spent >= quantum_units {
                         break 'quantum;
                     }
-                    // Re-take the (possibly replaced) body at the top of
-                    // the loop, which also checks for signals the syscall
-                    // may have posted.
-                    continue;
                 }
                 Pause::Event(StepEvent::Trap { units, .. }) => {
                     // Unknown trap vector: SIGSYS.
                     spent += units as u64;
-                    self.return_vm_body(mid, pid, vm);
-                    if let Some(p) = self.proc_mut(mid, pid) {
-                        p.post_signal(Signal::SIGSYS);
-                    }
+                    p.post_signal(Signal::SIGSYS);
                     break 'quantum;
                 }
                 Pause::Event(StepEvent::Faulted(m68vm::Fault::PageAbsent { addr })) => {
                     // Not an error: park for the residual-page fetch.
                     // The fault left the CPU at the faulting
                     // instruction, unexecuted, so the wake replays it.
-                    self.return_vm_body(mid, pid, vm);
                     self.park_page_fetch(mid, pid, addr);
                     break 'quantum;
                 }
@@ -1805,10 +1781,7 @@ impl World {
                             unreachable!("PageAbsent is handled above")
                         }
                     };
-                    self.return_vm_body(mid, pid, vm);
-                    if let Some(p) = self.proc_mut(mid, pid) {
-                        p.post_signal(sig);
-                    }
+                    p.post_signal(sig);
                     break 'quantum;
                 }
                 Pause::Event(StepEvent::Executed { .. }) => {
@@ -1819,10 +1792,7 @@ impl World {
         if sb_retired > 0 {
             self.machines[mid].stats.sb_retired += sb_retired;
         }
-        if spent > 0 {
-            let cpu = SimDuration::micros(spent * self.config.cost.instr_us);
-            self.machines[mid].charge_user(pid, cpu);
-        }
+        SimDuration::micros(spent * self.config.cost.instr_us)
     }
 
     /// Services native requests for one scheduling slice: polls the
@@ -1979,10 +1949,11 @@ impl World {
     ///   mutation skipped its poke;
     /// * (b) a sleep, page-wait or alarm deadline has no timer-heap
     ///   entry;
-    /// * (c) a machine with a runnable process or a live deadline is
-    ///   missing from the ready index;
+    /// * (c) a machine with a runnable process or a live deadline has no
+    ///   key at or below its clock in its ready-tree leaf;
     /// * (d) `picked` is not the (clock, id) minimum among machines with
-    ///   work before `deadline`.
+    ///   work before `deadline`, or an inner node of the ready tree
+    ///   does not hold the minimum of its children.
     ///
     /// A due deadline with its timer entry is legal: a wake pass can
     /// move the clock past deadlines after taking its due timers (a
@@ -1991,8 +1962,9 @@ impl World {
     #[cfg(debug_assertions)]
     fn audit_pick(&self, deadline: Option<SimTime>, picked: Option<MachineId>) {
         let mut best: Option<(SimTime, MachineId)> = None;
-        let entries: std::collections::BTreeSet<(SimTime, MachineId)> =
-            self.ready.iter().map(|e| e.0).collect();
+        if let Some(node) = self.ready.stale_node() {
+            panic!("wake audit: ready-tree node {node} is not the minimum of its children");
+        }
         for (mid, m) in self.machines.iter().enumerate() {
             for p in m.procs.values() {
                 let (pid, state) = (p.pid.as_u32(), &p.state);
@@ -2038,7 +2010,7 @@ impl World {
                 continue;
             }
             assert!(
-                m.ready_key.is_some_and(|k| k <= m.now && entries.contains(&(k, mid))),
+                self.ready.key(mid).is_some_and(|k| k <= m.now),
                 "wake audit: machine {mid} ({}) has work (run queue {:?}) but is missing from the ready index",
                 m.name,
                 m.run_queue
@@ -2089,9 +2061,15 @@ impl World {
     ) -> Option<ExitInfo> {
         self.enter_run();
         let key = (mid, pid.as_u32());
+        // Exit records are only ever added, so the map is probed again
+        // only after a slice added one.
+        let mut exits = None;
         for _ in 0..max_slices {
-            if self.finished.contains_key(&key) {
-                break;
+            if exits != Some(self.finished.len()) {
+                if self.finished.contains_key(&key) {
+                    break;
+                }
+                exits = Some(self.finished.len());
             }
             if !self.step_world() {
                 break;

@@ -279,6 +279,42 @@ fn fault_signals_map_correctly() {
 }
 
 #[test]
+fn unknown_trap_vector_dies_of_sigsys_with_a_core() {
+    const BAD_TRAP: &str = r#"
+start:  move.l  #7, d2
+        trap    #1
+after:  move.l  #1, d0              | exit(0): never reached
+        move.l  #0, d1
+        trap    #0
+"#;
+    let obj = assemble(BAD_TRAP).unwrap();
+    // Every tier of the quantum loop: superblocks, the cached slot
+    // loop and the live decoder.
+    for (use_icache, use_superblocks) in [(true, true), (true, false), (false, false)] {
+        let tier = format!("icache {use_icache}, superblocks {use_superblocks}");
+        let mut w = World::new(KernelConfig {
+            use_icache,
+            use_superblocks,
+            ..KernelConfig::paper()
+        });
+        let m = w.add_machine("brick", IsaLevel::Isa1);
+        w.install_program(m, "/bin/badtrap", &obj).unwrap();
+        let pid = w.spawn_vm_proc(m, "/bin/badtrap", None, alice()).unwrap();
+        let info = w.run_until_exit(m, pid, 10_000).expect("trap #1 kills");
+        assert_eq!(info.status, 128 + Signal::SIGSYS.number(), "{tier}");
+        let core = w
+            .host_read_file(m, &format!("/usr/tmp/core{:05}", pid.as_u32()))
+            .unwrap_or_else(|e| panic!("{tier}: no core file: {e:?}"));
+        let core = aout::CoreFile::decode(&core).expect("a well-formed core");
+        assert_eq!(core.regs[2], 7, "{tier}: d2 as the guest left it");
+        assert_eq!(
+            core.regs[16], obj.symbols["after"],
+            "{tier}: pc past the trap"
+        );
+    }
+}
+
+#[test]
 fn sigpipe_on_write_to_closed_pipe() {
     let (mut w, m) = world();
     let obj = assemble(
