@@ -21,6 +21,9 @@ set -eux
 cargo fmt --all --check
 cargo build --release --workspace
 cargo test -q --workspace
+# Release builds carry no overflow checks, so the file-size bound and
+# the a.out segment arithmetic run there too.
+cargo test -q --release -p vfs -p aout
 cargo clippy --workspace --all-targets -- -D warnings
 # Workspace invariant checker: determinism, simtime charging, errno
 # vocabulary, magic literals, wake-poke dataflow, snapshot coverage,

@@ -111,7 +111,7 @@ pub fn undump(executable: &[u8], core: &[u8]) -> Result<Vec<u8>, UndumpError> {
         });
     }
     Ok(crate::header::encode_executable(
-        &exe.text,
+        exe.text,
         &core.data,
         0,
         exe.header.a_entry,

@@ -144,27 +144,31 @@ impl AoutHeader {
     }
 }
 
-/// A fully parsed executable: header plus segment bytes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Executable {
+/// A fully parsed executable: header plus its segments, borrowed from
+/// the file's bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Executable<'a> {
     /// The validated header.
     pub header: AoutHeader,
     /// Text segment bytes.
-    pub text: Vec<u8>,
+    pub text: &'a [u8],
     /// Initialised data segment bytes.
-    pub data: Vec<u8>,
+    pub data: &'a [u8],
 }
 
-impl Executable {
+impl Executable<'_> {
     /// The ISA level required to run this image.
     pub fn isa(&self) -> IsaLevel {
         self.header.isa().expect("validated at parse time")
     }
 
     /// Builds a fresh memory image (data at its dumped values, bss
-    /// zeroed, empty stack).
+    /// zeroed, empty stack). The data segment is allocated once, at its
+    /// final size.
     pub fn to_memory(&self) -> m68vm::Memory {
-        m68vm::Memory::new(self.text.clone(), self.data.clone(), self.header.a_bss)
+        let mut data = Vec::with_capacity(self.data.len() + self.header.a_bss as usize);
+        data.extend_from_slice(self.data);
+        m68vm::Memory::new(self.text.to_vec(), data, self.header.a_bss)
     }
 }
 
@@ -189,24 +193,38 @@ pub fn encode_object(obj: &Object) -> Vec<u8> {
     )
 }
 
-/// Parses and validates a complete a.out file.
-pub fn parse_executable(bytes: &[u8]) -> Result<Executable, AoutError> {
-    let header = AoutHeader::decode(bytes)?;
-    let text_start = AOUT_HEADER_LEN;
-    let text_end = text_start + header.a_text as usize;
-    let data_end = text_end + header.a_data as usize;
-    if bytes.len() < data_end {
+/// Validates an a.out file from its first [`AOUT_HEADER_LEN`] bytes and
+/// its length alone: the header's magic and machine, segments that fit
+/// the file, and an entry point inside the text. A file passes exactly
+/// when [`parse_executable`] accepts it, so a reader can stream the rest
+/// of the file without keeping it.
+pub fn check_executable(head: &[u8], len: usize) -> Result<AoutHeader, AoutError> {
+    let header = AoutHeader::decode(head)?;
+    let data_end = AOUT_HEADER_LEN + header.a_text as usize + header.a_data as usize;
+    if len < data_end {
         return Err(AoutError::Truncated);
     }
-    let text = bytes[text_start..text_end].to_vec();
-    let data = bytes[text_end..data_end].to_vec();
+    // The entry must lie in [TEXT_BASE, TEXT_BASE + a_text), compared
+    // as an offset so no sum of header fields can overflow.
     let text_base = m68vm::MemoryLayout::TEXT_BASE;
     if header.a_text > 0
-        && (header.a_entry < text_base || header.a_entry >= text_base + header.a_text)
+        && (header.a_entry < text_base || header.a_entry - text_base >= header.a_text)
     {
         return Err(AoutError::BadEntry(header.a_entry));
     }
-    Ok(Executable { header, text, data })
+    Ok(header)
+}
+
+/// Parses and validates a complete a.out file, borrowing its segments.
+pub fn parse_executable(bytes: &[u8]) -> Result<Executable<'_>, AoutError> {
+    let header = check_executable(bytes, bytes.len())?;
+    let text_end = AOUT_HEADER_LEN + header.a_text as usize;
+    let data_end = text_end + header.a_data as usize;
+    Ok(Executable {
+        header,
+        text: &bytes[AOUT_HEADER_LEN..text_end],
+        data: &bytes[text_end..data_end],
+    })
 }
 
 #[cfg(test)]
@@ -295,10 +313,29 @@ mod tests {
     }
 
     #[test]
+    fn huge_segment_sizes_check_without_overflow() {
+        // A header alone can claim segments no file holds; the check
+        // must still answer, not overflow.
+        let base = m68vm::MemoryLayout::TEXT_BASE;
+        let mut h = AoutHeader::new(u32::MAX, u32::MAX, 0, base + 5, IsaLevel::Isa1);
+        assert_eq!(check_executable(&h.encode(), usize::MAX), Ok(h));
+        assert_eq!(
+            check_executable(&h.encode(), 1 << 20),
+            Err(AoutError::Truncated)
+        );
+        h.a_entry = base - 1;
+        assert_eq!(
+            check_executable(&h.encode(), usize::MAX),
+            Err(AoutError::BadEntry(base - 1))
+        );
+    }
+
+    #[test]
     fn parsed_executable_runs() {
         use m68vm::{Cpu, IsaLevel, StepEvent};
         let obj = sample();
-        let exe = parse_executable(&encode_object(&obj)).unwrap();
+        let file = encode_object(&obj);
+        let exe = parse_executable(&file).unwrap();
         let mut mem = exe.to_memory();
         let mut cpu = Cpu::at_entry(exe.header.a_entry);
         loop {
@@ -309,5 +346,103 @@ mod tests {
             }
         }
         assert_eq!(cpu.d[0], 123);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use m68vm::MemoryLayout;
+    use simtime::rng::SplitMix64;
+
+    /// The verdict of a reader that streams the file and keeps only its
+    /// first header's worth of bytes and its length, as `verify_dumps`
+    /// does.
+    fn streamed_verdict(file: &[u8]) -> bool {
+        check_executable(&file[..file.len().min(AOUT_HEADER_LEN)], file.len()).is_ok()
+    }
+
+    /// Asserts the streamed verdict equals the full parse's, and that a
+    /// file the parse accepts yields exactly `text` and `data`.
+    fn agree(file: &[u8], text: &[u8], data: &[u8], what: &str) -> bool {
+        let parsed = parse_executable(file);
+        assert_eq!(
+            streamed_verdict(file),
+            parsed.is_ok(),
+            "{what}: {parsed:?} on {} bytes",
+            file.len()
+        );
+        if let Ok(exe) = parsed {
+            assert_eq!(exe.text, text, "{what}");
+            assert_eq!(exe.data, data, "{what}");
+        }
+        parsed.is_ok()
+    }
+
+    /// On a seeded corpus the header-and-length check and the full parse
+    /// agree: 200 valid images of random segment sizes (text possibly
+    /// empty), each cut one byte before, at and after every segment
+    /// boundary, given trailing bytes, and corrupted in its magic, its
+    /// machine type and its entry point.
+    #[test]
+    fn header_check_agrees_with_the_full_parse() {
+        let mut rng = SplitMix64::new(27);
+        let (mut accepted, mut refused) = (0, 0);
+        let mut tally = |ok: bool| {
+            if ok {
+                accepted += 1;
+            } else {
+                refused += 1;
+            }
+        };
+        for case in 0..200 {
+            let text = rng.bytes(0..if case % 8 == 0 { 1 } else { 600 });
+            let data = rng.bytes(0..900);
+            let bss = rng.below(4096) as u32;
+            let isa = rng.pick(&[IsaLevel::Isa1, IsaLevel::Isa2]);
+            let base = MemoryLayout::TEXT_BASE;
+            let entry = match text.len() as u32 {
+                0 => rng.next_u64() as u32,
+                n => base + rng.below(n.into()) as u32,
+            };
+            let file = encode_executable(&text, &data, bss, entry, isa);
+            let what = |w: &str| format!("case {case}: {w}");
+            assert!(agree(&file, &text, &data, &what("valid")));
+
+            let text_end = AOUT_HEADER_LEN + text.len();
+            for boundary in [0, AOUT_HEADER_LEN, text_end, file.len()] {
+                for cut in [boundary.saturating_sub(1), boundary, boundary + 1] {
+                    if cut <= file.len() {
+                        tally(agree(&file[..cut], &text, &data, &what("cut")));
+                    }
+                }
+            }
+            let mut longer = file.clone();
+            longer.extend(rng.bytes(1..64));
+            assert!(agree(&longer, &text, &data, &what("trailing bytes")));
+
+            let mut bad_magic = file.clone();
+            bad_magic[2..4].copy_from_slice(&(rng.below(0x1_0000) as u16 | 1 << 15).to_be_bytes());
+            assert!(!agree(&bad_magic, &text, &data, &what("bad magic")));
+            let mut bad_machine = file.clone();
+            bad_machine[0..2].copy_from_slice(&(3 + rng.below(0xfff0) as u16).to_be_bytes());
+            assert!(!agree(&bad_machine, &text, &data, &what("bad machine")));
+
+            let n = text.len() as u32;
+            for outside in [
+                base + n,
+                base.wrapping_sub(1),
+                base + n + rng.below(1 << 20) as u32,
+            ] {
+                let file = encode_executable(&text, &data, bss, outside, isa);
+                tally(agree(&file, &text, &data, &what("entry outside the text")));
+                assert_eq!(parse_executable(&file).is_ok(), n == 0, "{}", what("entry"));
+            }
+        }
+        // The corpus exercises both verdicts, not just one.
+        assert!(
+            accepted > 200 && refused > 800,
+            "{accepted} accepted, {refused} refused"
+        );
     }
 }

@@ -14,7 +14,9 @@
 //!   word selecting the required ISA level, as Sun's a.out did for the
 //!   68010/68020;
 //! * [`encode_executable`] / [`parse_executable`] — whole-file codecs
-//!   between segment sets and bytes;
+//!   between segment sets and bytes, the parse borrowing its segments
+//!   from the file; [`check_executable`] gives the parse's verdict from
+//!   the header and the file's length alone;
 //! * [`CoreFile`] — the `core` file `SIGQUIT` produces (registers, data
 //!   and stack segments);
 //! * [`undump`] — combine an executable and a core dump into a new
@@ -25,6 +27,6 @@ pub mod header;
 
 pub use core_dump::{required_isa, undump, CoreError, CoreFile, UndumpError, CORE_MAGIC};
 pub use header::{
-    encode_executable, encode_object, parse_executable, AoutError, AoutHeader, Executable,
-    AOUT_HEADER_LEN, MID_ISA1, MID_ISA2, OMAGIC,
+    check_executable, encode_executable, encode_object, parse_executable, AoutError, AoutHeader,
+    Executable, AOUT_HEADER_LEN, MID_ISA1, MID_ISA2, OMAGIC,
 };

@@ -358,9 +358,14 @@ impl Memory {
         !self.absent.is_empty()
     }
 
-    /// The absent page numbers, in order.
-    pub fn absent_pages(&self) -> Vec<u32> {
-        self.absent.iter().copied().collect()
+    /// The lowest absent page number, if any page is absent.
+    pub fn first_absent_page(&self) -> Option<u32> {
+        self.absent.first().copied()
+    }
+
+    /// True while page `page` is absent.
+    pub fn is_absent(&self, page: u32) -> bool {
+        self.absent.contains(&page)
     }
 
     /// The first absent byte an access `[addr, addr+len)` would touch
@@ -814,7 +819,8 @@ mod tests {
         let page = MemoryLayout::page_of(d + 0x2000);
         m.set_absent([page]);
         assert!(m.has_absent());
-        assert_eq!(m.absent_pages(), vec![page]);
+        assert_eq!(m.first_absent_page(), Some(page));
+        assert!(m.is_absent(page) && !m.is_absent(page - 1));
 
         // Reads and writes inside the absent page fault with its address.
         assert!(matches!(

@@ -600,18 +600,24 @@ async fn verify_dumps(sys: &Sys, route: &Route) -> SysResult<()> {
     let [a_out, delta, files, stack] = [&names.a_out, &names.delta, &names.files, &names.stack]
         .map(|n| format!("{}{n}", route.prefix));
 
-    let image_ok = match read_whole(sys, &[&a_out, &delta]).await? {
-        (0, bytes) => aout::parse_executable(&bytes).is_ok(),
-        (_, bytes) => DeltaFile::decode(&bytes).is_ok(),
+    // An a.out's verdict needs only its header and its length, so only
+    // those are kept of it; a delta decodes whole.
+    let keep = |which| match which {
+        0 => aout::AOUT_HEADER_LEN,
+        _ => usize::MAX,
+    };
+    let image_ok = match read_whole(sys, &[&a_out, &delta], keep).await? {
+        (0, head, len) => aout::check_executable(&head, len).is_ok(),
+        (_, bytes, _) => DeltaFile::decode(&bytes).is_ok(),
     };
     if !image_ok {
         return Err(Errno::ENOEXEC);
     }
 
-    let (_, bytes) = read_whole(sys, &[&files]).await?;
+    let (_, bytes, _) = read_whole(sys, &[&files], |_| usize::MAX).await?;
     FilesFile::decode(&bytes).map_err(|_| Errno::EINVAL)?;
 
-    let (_, bytes) = read_whole(sys, &[&stack]).await?;
+    let (_, bytes, _) = read_whole(sys, &[&stack], |_| usize::MAX).await?;
     StackFile::decode(&bytes).map_err(|_| Errno::EINVAL)?;
     Ok(())
 }
@@ -629,9 +635,13 @@ async fn open_first(sys: &Sys, paths: &[&str]) -> SysResult<(usize, usize)> {
 }
 
 /// Reads the whole of the first of `paths` that exists, retrying
-/// transient NFS timeouts with backoff; returns which path it read and
-/// its bytes.
-async fn read_whole(sys: &Sys, paths: &[&str]) -> SysResult<(usize, Vec<u8>)> {
+/// transient NFS timeouts with backoff; returns which path it read, the
+/// first `keep(which)` bytes of it and its length.
+async fn read_whole(
+    sys: &Sys,
+    paths: &[&str],
+    keep: impl Fn(usize) -> usize,
+) -> SysResult<(usize, Vec<u8>, usize)> {
     let mut last = Errno::EIO;
     for attempt in 0..MIGRATE_TRIES {
         if attempt > 0 {
@@ -639,9 +649,10 @@ async fn read_whole(sys: &Sys, paths: &[&str]) -> SysResult<(usize, Vec<u8>)> {
         }
         let r: SysResult<_> = async {
             let (which, fd) = open_first(sys, paths).await?;
-            let bytes = sys.read_all(fd).await;
+            let read = sys.read_through(fd, keep(which)).await;
             let _ = sys.close(fd).await;
-            Ok((which, bytes?))
+            let (kept, len) = read?;
+            Ok((which, kept, len))
         }
         .await;
         match r {
@@ -685,4 +696,77 @@ pub async fn undump_cmd(
     sys.write(fd, &merged).await?;
     sys.close(fd).await?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use m68vm::{assemble, IsaLevel};
+    use sysdefs::{Credentials, Gid, Uid};
+    use ukernel::{KernelConfig, MachineId, World};
+
+    /// Runs `verify_dumps` for `pid`'s dumps as a native command on
+    /// `brick`, the machine that wrote them.
+    fn verify(w: &mut World, brick: MachineId, pid: Pid) -> SysResult<()> {
+        let cred = Credentials::user(Uid(100), Gid(10));
+        let cmd = w.spawn_native_proc(brick, "verify", None, cred, move |sys| async move {
+            let r = async {
+                let route = Route::new(&sys, pid, "brick", RemoteRunner::Daemon).await?;
+                verify_dumps(&sys, &route).await
+            };
+            errno_status(r.await)
+        });
+        let status = w
+            .run_until_exit(brick, cmd, 2_000_000)
+            .expect("exits")
+            .status;
+        match crate::api::status_errno(status) {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
+    }
+
+    /// `verify_dumps` keeps only the a.out's header and length, yet
+    /// refuses every a.out the full parse refuses: cut one byte short of
+    /// its data, cut inside its header, with a bad magic, or with its
+    /// entry point past the text. The image spans several of the
+    /// command's 8 KB reads.
+    #[test]
+    fn verify_dumps_refuses_every_aout_the_parse_refuses() {
+        let alice = Credentials::user(Uid(100), Gid(10));
+        let mut w = World::new(KernelConfig::paper());
+        let brick = w.add_machine("brick", IsaLevel::Isa1);
+        let hog = assemble(&crate::workloads::dirty_hog_program(1_000_000, 4 * 0x2000)).unwrap();
+        w.install_program(brick, "/bin/hog", &hog).unwrap();
+        let pid = w
+            .spawn_vm_proc(brick, "/bin/hog", None, alice.clone())
+            .unwrap();
+        w.run_slices(10);
+        assert_eq!(
+            crate::api::run_dumpproc(&mut w, brick, pid, alice).unwrap(),
+            0
+        );
+        let name = dump_file_names(pid).a_out;
+        let dump = w.host_read_file(brick, &name).unwrap().to_vec();
+        assert!(dump.len() > 3 * 8192, "{} bytes", dump.len());
+        assert_eq!(verify(&mut w, brick, pid), Ok(()));
+
+        let text = AoutHeader::decode(&dump).unwrap().a_text;
+        let mut bad_magic = dump.clone();
+        bad_magic[3] ^= 0xff;
+        let mut bad_entry = dump.clone();
+        bad_entry[20..24].copy_from_slice(&(m68vm::MemoryLayout::TEXT_BASE + text).to_be_bytes());
+        for (what, bytes) in [
+            ("one byte short", dump[..dump.len() - 1].to_vec()),
+            ("cut in the header", dump[..20].to_vec()),
+            ("bad magic", bad_magic),
+            ("entry past the text", bad_entry),
+        ] {
+            assert!(aout::parse_executable(&bytes).is_err(), "{what}");
+            w.host_write_file(brick, &name, bytes).unwrap();
+            assert_eq!(verify(&mut w, brick, pid), Err(Errno::ENOEXEC), "{what}");
+        }
+        w.host_write_file(brick, &name, dump).unwrap();
+        assert_eq!(verify(&mut w, brick, pid), Ok(()));
+    }
 }

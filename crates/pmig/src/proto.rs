@@ -40,7 +40,7 @@
 use std::collections::BTreeMap;
 use std::future::Future;
 
-use aout::encode_executable;
+use aout::{AoutHeader, AOUT_HEADER_LEN};
 use dumpfmt::{dump_file_names, DeltaFile};
 use m68vm::MemoryLayout;
 use simnet::NfsOp;
@@ -559,13 +559,15 @@ impl Engine {
             // needed to bring the process back locally.
             return Err(errno(Errno::ETIMEDOUT));
         }
+        // The reassembled image moves into its file; the two small files
+        // are copied out of the pulled ones, which the source still holds.
         let image = reassemble(geom, staged, &delta);
-        let planted = world.host_write_file(to, &names.a_out, &image).is_ok()
+        let planted = world.host_write_file(to, &names.a_out, image).is_ok()
             && world
-                .host_write_file(to, &names.files, &files_bytes)
+                .host_write_file(to, &names.files, files_bytes.as_slice())
                 .is_ok()
             && world
-                .host_write_file(to, &names.stack, &stack_bytes)
+                .host_write_file(to, &names.stack, stack_bytes.as_slice())
                 .is_ok();
         if !planted {
             return Err(errno(Errno::ENOSPC));
@@ -597,19 +599,31 @@ impl Engine {
         if let Some(delta) = delta.ok().and_then(|b| DeltaFile::decode(&b).ok()) {
             let image = reassemble(geom, staged, &delta);
             // Without the a.out the recovery's restart fails: `Lost`.
-            let _ = world.host_write_file(self.from, &names.a_out, &image);
+            let _ = world.host_write_file(self.from, &names.a_out, image);
         }
         self.recover(world)
     }
 }
 
-/// Rebuilds the complete data segment from the staged pre-copy pages
-/// overlaid with the freeze delta, and encodes the ordinary executable
-/// `rest_proc()` expects. Stack pages in the stream are skipped — the
-/// `stackXXXXX` file carries the authoritative stack.
+/// Rebuilds the ordinary executable `rest_proc()` expects: header and
+/// text, then the data segment assembled in place from the staged
+/// pre-copy pages overlaid with the freeze delta. Stack pages in the
+/// stream are skipped — the `stackXXXXX` file carries the authoritative
+/// stack.
 fn reassemble(geom: &ImageGeometry, staged: &BTreeMap<u32, Vec<u8>>, delta: &DeltaFile) -> Vec<u8> {
-    let mut data = vec![0u8; delta.data_len as usize];
-    let place = |page: u32, bytes: &[u8], data: &mut Vec<u8>| {
+    let isa = if delta.machtype == aout::MID_ISA2 {
+        m68vm::IsaLevel::Isa2
+    } else {
+        m68vm::IsaLevel::Isa1
+    };
+    let header = AoutHeader::new(geom.text.len() as u32, delta.data_len, 0, delta.entry, isa);
+    let data_off = AOUT_HEADER_LEN + geom.text.len();
+    let mut image = Vec::with_capacity(data_off + delta.data_len as usize);
+    image.extend_from_slice(&header.encode());
+    image.extend_from_slice(&geom.text);
+    image.resize(data_off + delta.data_len as usize, 0);
+    let data = &mut image[data_off..];
+    let mut place = |page: u32, bytes: &[u8]| {
         let base = MemoryLayout::page_addr(page);
         if base < delta.data_base || base >= delta.data_base + delta.data_len {
             return;
@@ -619,15 +633,10 @@ fn reassemble(geom: &ImageGeometry, staged: &BTreeMap<u32, Vec<u8>>, delta: &Del
         data[o..end].copy_from_slice(&bytes[..end - o]);
     };
     for (page, bytes) in staged {
-        place(*page, bytes, &mut data);
+        place(*page, bytes);
     }
     for p in &delta.pages {
-        place(p.page, &p.bytes, &mut data);
+        place(p.page, &p.bytes);
     }
-    let isa = if delta.machtype == aout::MID_ISA2 {
-        m68vm::IsaLevel::Isa2
-    } else {
-        m68vm::IsaLevel::Isa1
-    };
-    encode_executable(&geom.text, &data, 0, delta.entry, isa)
+    image
 }

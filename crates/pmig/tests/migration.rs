@@ -177,9 +177,9 @@ fn restart_rejects_corrupt_magic() {
     assert_eq!(status, 0);
     // Corrupt the stack file's magic.
     let names = dumpfmt::dump_file_names(pid);
-    let mut stack = w.host_read_file(brick, &names.stack).unwrap();
+    let mut stack = w.host_read_file(brick, &names.stack).unwrap().to_vec();
     stack[0] ^= 0xff;
-    w.host_write_file(brick, &names.stack, &stack).unwrap();
+    w.host_write_file(brick, &names.stack, stack).unwrap();
     let err = api::run_restart(
         &mut w,
         brick,

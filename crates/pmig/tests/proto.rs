@@ -236,9 +236,9 @@ fn dirty_tracking_is_pure_cache_for_dumps() {
         assert_eq!(status, 0);
         let names = dumpfmt::dump_file_names(pid);
         (
-            w.host_read_file(brick, &names.a_out).unwrap(),
-            w.host_read_file(brick, &names.files).unwrap(),
-            w.host_read_file(brick, &names.stack).unwrap(),
+            w.host_read_file(brick, &names.a_out).unwrap().to_vec(),
+            w.host_read_file(brick, &names.files).unwrap().to_vec(),
+            w.host_read_file(brick, &names.stack).unwrap().to_vec(),
         )
     };
     let (a0, f0, s0) = run(false);

@@ -37,6 +37,16 @@ pub const NSIG: usize = 32;
 /// Directory under which `SIGDUMP` places its three dump files.
 pub const DUMP_DIR: &str = "/usr/tmp";
 
+/// Largest size a regular file may reach, in bytes: a write that would
+/// end past it fails `EFBIG` (4.2BSD's `RLIMIT_FSIZE`, here fixed).
+///
+/// Every file lives in host memory, so without a bound one `lseek` and
+/// a one-byte write could make the host allocate gigabytes. 16 MiB is
+/// the bound the dump codecs already put on a segment, and far above
+/// any file the workloads write: a dump image is its text plus a data
+/// segment of a few hundred KiB.
+pub const MAXFILESIZE: u64 = 16 << 20;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,5 +61,8 @@ mod tests {
         assert!(maxsym >= 1);
         assert_eq!(NSIG, 32);
         assert_eq!(DUMP_DIR, "/usr/tmp");
+        // Every byte of a file stays reachable by lseek's 32-bit offset.
+        let maxfile = MAXFILESIZE;
+        assert!(maxfile <= i32::MAX as u64);
     }
 }

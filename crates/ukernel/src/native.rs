@@ -219,14 +219,33 @@ impl Sys {
 
     /// Reads the whole remainder of a file.
     pub async fn read_all(&self, fd: usize) -> SysResult<Vec<u8>> {
-        let mut out = Vec::new();
+        Ok(self.read_through(fd, usize::MAX).await?.0)
+    }
+
+    /// Reads the whole remainder of a file, in the same 8 KB reads as
+    /// [`Sys::read_all`], but keeps only its first `keep` bytes: returns
+    /// those and the number of bytes read in all. The kept chunks are
+    /// joined once at the end; a single chunk comes back as it was read.
+    pub async fn read_through(&self, fd: usize, keep: usize) -> SysResult<(Vec<u8>, usize)> {
+        let mut chunks = Vec::new();
+        let mut len = 0;
         loop {
-            let chunk = self.read(fd, 8192).await?;
+            let mut chunk = self.read(fd, 8192).await?;
             if chunk.is_empty() {
-                return Ok(out);
+                break;
             }
-            out.extend_from_slice(&chunk);
+            let room = keep.saturating_sub(len);
+            len += chunk.len();
+            if room > 0 {
+                chunk.truncate(room);
+                chunks.push(chunk);
+            }
         }
+        let kept = match chunks.len() {
+            1 => chunks.pop().expect("one chunk"),
+            _ => chunks.concat(),
+        };
+        Ok((kept, len))
     }
 
     /// Writes bytes; returns the count written.
@@ -557,7 +576,7 @@ mod tests {
             calls(&w, m, pid),
             ["open", "creat", "write", "close", "exit"]
         );
-        assert_eq!(w.host_read_file(m, "/tmp/x").unwrap(), b"abc");
+        assert_eq!(*w.host_read_file(m, "/tmp/x").unwrap(), b"abc");
     }
 
     #[test]

@@ -201,7 +201,8 @@ fn kernel_create(
 }
 
 /// Writes `bytes` as a fresh dump/core file, charging the synchronous
-/// create + streaming write + sync-close this kind of file costs.
+/// create + streaming write + sync-close this kind of file costs. The
+/// buffer becomes the file's contents without a copy.
 #[allow(clippy::too_many_arguments)]
 fn kernel_write_file(
     w: &mut World,
@@ -209,17 +210,18 @@ fn kernel_write_file(
     pid: Pid,
     dir: &str,
     name: &str,
-    bytes: &[u8],
+    bytes: Vec<u8>,
     mode: FileMode,
     owner: sysdefs::Credentials,
 ) -> SysResult<()> {
     let ino = kernel_create(w, mid, dir, name, mode, owner)?;
+    let len = bytes.len();
     w.fs_mut(mid).write(ino, 0, bytes)?;
     let c = w
         .config
         .cost
         .disk_create()
-        .plus(w.config.cost.disk_write(bytes.len()))
+        .plus(w.config.cost.disk_write(len))
         .plus(w.config.cost.disk_sync_close());
     w.charge_kernel(mid, pid, c);
     Ok(())
@@ -254,7 +256,7 @@ pub fn write_core(w: &mut World, mid: MachineId, pid: Pid) -> SysResult<()> {
         pid,
         sysdefs::limits::DUMP_DIR,
         &name,
-        &core.encode(),
+        core.encode(),
         FileMode(0o600),
         owner,
     )
@@ -442,10 +444,10 @@ fn dump_files(w: &mut World, mid: MachineId, pid: Pid) -> SysResult<()> {
     } else {
         (base(&names.a_out), FileMode(0o700))
     };
-    let dumps: [(String, &[u8], FileMode); 3] = [
-        (image_name, &image_bytes, image_mode),
-        (base(&names.files), &files_bytes, FileMode(0o600)),
-        (base(&names.stack), &stack_bytes, FileMode(0o600)),
+    let dumps: [(String, FileMode); 3] = [
+        (image_name, image_mode),
+        (base(&names.files), FileMode(0o600)),
+        (base(&names.stack), FileMode(0o600)),
     ];
 
     // Consult the fault plan before touching the disk. `/usr/tmp` full:
@@ -463,13 +465,16 @@ fn dump_files(w: &mut World, mid: MachineId, pid: Pid) -> SysResult<()> {
     };
     let broken_at = enospc_roll.or(crash_roll).map(|roll| (roll % 3) as usize);
 
-    for (i, (name, bytes, mode)) in dumps.iter().enumerate() {
+    // Each encoded buffer moves into its file.
+    let contents = [image_bytes, files_bytes, stack_bytes];
+    for (i, mut bytes) in contents.into_iter().enumerate() {
+        let (name, mode) = &dumps[i];
         if broken_at == Some(i) {
             if enospc_roll.is_some() {
                 // The failing create/write is still a disk round trip.
                 let c = w.config.cost.disk_create();
                 w.charge_kernel(mid, pid, c);
-                for (done, _, _) in dumps.iter().take(i) {
+                for (done, _) in &dumps[..i] {
                     kernel_unlink(w, mid, dir, done);
                 }
                 return Err(Errno::ENOSPC);
@@ -481,7 +486,8 @@ fn dump_files(w: &mut World, mid: MachineId, pid: Pid) -> SysResult<()> {
             } else {
                 ((roll / 3) % bytes.len() as u64) as usize
             };
-            kernel_write_file(w, mid, pid, dir, name, &bytes[..cut], *mode, owner.clone())?;
+            bytes.truncate(cut);
+            kernel_write_file(w, mid, pid, dir, name, bytes, *mode, owner.clone())?;
             return Err(Errno::EIO);
         }
         kernel_write_file(w, mid, pid, dir, name, bytes, *mode, owner.clone())?;

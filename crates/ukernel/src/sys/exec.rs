@@ -9,6 +9,8 @@
 //! [`crate::machine::Machine::exec_mig_flag`] and
 //! [`crate::machine::Machine::exec_mig_stack`].
 
+use std::rc::Rc;
+
 use aout::parse_executable;
 use dumpfmt::StackFile;
 use m68vm::{Cpu, Memory};
@@ -29,10 +31,15 @@ fn done(r: SysResult<SysRetval>) -> SyscallResult {
     })
 }
 
-/// Resolves `path` through the namespace and copies out the regular
-/// file it names, charging only the lookup: returns the machine the
-/// file lives on, for the caller to charge the transfer from.
-fn read_file(cx: &mut SysCtx<'_>, path: &str, want_exec: bool) -> SysResult<(MachineId, Vec<u8>)> {
+/// Resolves `path` through the namespace and shares out the contents of
+/// the regular file it names, charging only the lookup: returns the
+/// machine the file lives on, for the caller to charge the transfer
+/// from.
+fn read_file(
+    cx: &mut SysCtx<'_>,
+    path: &str,
+    want_exec: bool,
+) -> SysResult<(MachineId, Rc<Vec<u8>>)> {
     let mid = cx.mid;
     let cred = cx.cred()?;
     let cwd = cx.cwd()?;
@@ -52,7 +59,7 @@ fn read_file(cx: &mut SysCtx<'_>, path: &str, want_exec: bool) -> SysResult<(Mac
             if !node.mode.allows(&cred, node.uid, node.gid, access) {
                 return Err(Errno::EACCES);
             }
-            Ok((fref.machine, bytes.clone()))
+            Ok((fref.machine, Rc::clone(bytes)))
         }
         InodeKind::Directory(_) => Err(Errno::EISDIR),
         _ => Err(Errno::EACCES),
@@ -77,8 +84,9 @@ fn charge_read(cx: &mut SysCtx<'_>, home: MachineId, len: usize) -> SysResult<()
 }
 
 /// Reads a whole file through the namespace, charging namei plus the
-/// image transfer (disk locally, NFS reads remotely).
-pub(crate) fn slurp(cx: &mut SysCtx<'_>, path: &str, want_exec: bool) -> SysResult<Vec<u8>> {
+/// image transfer (disk locally, NFS reads remotely). The contents come
+/// back shared with the file, not copied.
+pub(crate) fn slurp(cx: &mut SysCtx<'_>, path: &str, want_exec: bool) -> SysResult<Rc<Vec<u8>>> {
     let (home, data) = read_file(cx, path, want_exec)?;
     charge_read(cx, home, data.len())?;
     Ok(data)
@@ -156,7 +164,7 @@ fn overlay_demand(cx: &mut SysCtx<'_>, path: &str, comm: &str) -> SysResult<()> 
     // The image: real text, a zeroed data segment with every page
     // absent, and the exact migration stack.
     let data_len = exe.header.a_data + exe.header.a_bss;
-    let mut mem = Memory::new(exe.text.clone(), Vec::new(), data_len);
+    let mut mem = Memory::new(exe.text.to_vec(), Vec::new(), data_len);
     let data_base = mem.data_base();
     let pages: Vec<u32> = {
         let mut v = Vec::new();
@@ -280,7 +288,7 @@ pub fn sys_rest_proc(
         Err(e) => return done(Err(e)),
     };
     // 2. "Reads the user credentials and the size of the stack."
-    let stack_file = match StackFile::decode(&stack_bytes) {
+    let mut stack_file = match StackFile::decode(&stack_bytes) {
         Ok(s) => s,
         Err(_) => return done(Err(Errno::ENOEXEC)),
     };
@@ -301,7 +309,7 @@ pub fn sys_rest_proc(
     {
         let m = cx.machine_mut();
         m.exec_mig_flag = true;
-        m.exec_mig_stack = stack_file.stack.clone();
+        m.exec_mig_stack = std::mem::take(&mut stack_file.stack);
     }
     // 4. "Calls execve() to execute the a.outXXXXX file, with the
     //    environment set to null."
@@ -324,7 +332,7 @@ pub fn sys_rest_proc(
     {
         let m = cx.machine_mut();
         m.exec_mig_flag = false;
-        m.exec_mig_stack.clear();
+        m.exec_mig_stack = Vec::new();
     }
     if let Err(e) = result {
         return done(Err(e));
@@ -337,11 +345,11 @@ pub fn sys_rest_proc(
     {
         let virtualize = cx.w.config.virtualize_ids;
         let p = cx.proc_mut().expect("just overlaid");
-        p.user.cred = stack_file.cred.clone();
+        p.user.cred = stack_file.cred;
         if let Body::Vm(vm) = &mut p.body {
             vm.cpu = Cpu::from_regs(&stack_file.regs);
         }
-        p.user.sigs = stack_file.sigs.clone();
+        p.user.sigs = stack_file.sigs;
         // §7 extension: remember the old identity when the kernel is
         // built with virtualization.
         if virtualize {

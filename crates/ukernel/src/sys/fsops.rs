@@ -550,10 +550,13 @@ pub fn sys_lseek(cx: &mut SysCtx<'_>, fd: usize, offset: i64, whence: Whence) ->
             Whence::Cur => cur as i64,
             Whence::End => size as i64,
         };
-        let new = base.checked_add(offset).ok_or(Errno::EINVAL)?;
-        if new < 0 {
-            return Err(Errno::EINVAL);
-        }
+        // 4.2BSD's `off_t` is 32 bits and comes back in d0: an offset
+        // outside 0..=i32::MAX is not representable.
+        let new = base
+            .checked_add(offset)
+            .and_then(|n| i32::try_from(n).ok())
+            .filter(|&n| n >= 0)
+            .ok_or(Errno::EINVAL)?;
         cx.machine_mut().files.get_mut(idx).expect("live").offset = new as u64;
         Ok(SysRetval::ok(new as u32))
     })())

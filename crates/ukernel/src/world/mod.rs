@@ -2,6 +2,9 @@
 
 mod ready;
 
+use std::borrow::Cow;
+use std::rc::Rc;
+
 use m68vm::{IsaLevel, StepEvent};
 use simnet::{Ethernet, FaultPlan, FaultSite, NfsOp, RshPhase, NFS_SOFT_TIMEOUT_US};
 use simtime::cost::Cost;
@@ -581,8 +584,14 @@ impl World {
     }
 
     /// Writes a file at an absolute local path on `mid`, creating parent
-    /// directories as needed.
-    pub fn host_write_file(&mut self, mid: MachineId, path: &str, bytes: &[u8]) -> SysResult<()> {
+    /// directories as needed. An owned buffer becomes the file's
+    /// contents without a copy.
+    pub fn host_write_file<'b>(
+        &mut self,
+        mid: MachineId,
+        path: &str,
+        bytes: impl Into<Cow<'b, [u8]>>,
+    ) -> SysResult<()> {
         let dir_path = vpath::dirname(path);
         self.host_mkdir_p(mid, &dir_path)?;
         let cred = Credentials::root();
@@ -604,28 +613,11 @@ impl World {
     }
 
     /// Reads a file at an absolute local path on `mid` (no symlink
-    /// following).
-    pub fn host_read_file(&self, mid: MachineId, path: &str) -> SysResult<Vec<u8>> {
+    /// following). The contents come back shared with the file, not
+    /// copied; a later write to the file leaves them as they were.
+    pub fn host_read_file(&self, mid: MachineId, path: &str) -> SysResult<Rc<Vec<u8>>> {
         let fs = &self.machines[mid].fs;
-        fs.read(host_walk(fs, path)?, 0, usize::MAX)
-    }
-
-    /// Reads exactly `len` bytes at `off` of a file at an absolute local
-    /// path on `mid`; `EIO` when the file ends first.
-    fn host_read_exact(
-        &self,
-        mid: MachineId,
-        path: &str,
-        off: usize,
-        len: usize,
-    ) -> SysResult<Vec<u8>> {
-        let fs = &self.machines[mid].fs;
-        let bytes = fs.read(host_walk(fs, path)?, off as u64, len)?;
-        if bytes.len() == len {
-            Ok(bytes)
-        } else {
-            Err(Errno::EIO)
-        }
+        fs.contents(host_walk(fs, path)?)
     }
 
     /// Installs an assembled program as an executable a.out file.
@@ -635,7 +627,7 @@ impl World {
         path: &str,
         obj: &m68vm::Object,
     ) -> SysResult<()> {
-        self.host_write_file(mid, path, &aout::encode_object(obj))
+        self.host_write_file(mid, path, aout::encode_object(obj))
     }
 
     // ------------------------------------------------------------------
@@ -744,7 +736,7 @@ impl World {
     ) -> Option<SysResult<u32>> {
         let (page, len) = self.proc_ref(mid, pid).and_then(|p| match &p.body {
             Body::Vm(vm) if vm.residual.is_some() => {
-                let page = *vm.mem.absent_pages().first()?;
+                let page = vm.mem.first_absent_page()?;
                 Some((page, residual_page_span(vm, page).1))
             }
             _ => None,
@@ -756,23 +748,29 @@ impl World {
 
     /// Copies absent `page` of demand-restored `pid` from its source
     /// dump into the image: locates the page in the dump's data segment,
-    /// reads and bounds-checks it, installs it, and drops the residual
+    /// bounds-checks it (`EIO` when the dump ends first), installs it
+    /// straight from the dump's shared contents, and drops the residual
     /// dependency once no page is absent. Charges nothing; callers pay
     /// for the RPC their own way.
     fn fetch_residual_page(&mut self, mid: MachineId, pid: Pid, page: u32) -> SysResult<()> {
-        let (residual, (page_off, len)) = self
-            .proc_ref(mid, pid)
-            .and_then(|p| match &p.body {
-                Body::Vm(vm) => Some((vm.residual.clone()?, residual_page_span(vm, page))),
-                _ => None,
-            })
-            .ok_or(Errno::ESRCH)?;
-        let off = residual.data_off + page_off;
-        let bytes = self.host_read_exact(residual.server, &residual.aout_path, off, len)?;
+        let (dump, span) = {
+            let Some(Body::Vm(vm)) = self.proc_ref(mid, pid).map(|p| &p.body) else {
+                return Err(Errno::ESRCH);
+            };
+            let residual = vm.residual.as_ref().ok_or(Errno::ESRCH)?;
+            let (page_off, len) = residual_page_span(vm, page);
+            let off = residual.data_off + page_off;
+            let fs = &self.machines[residual.server].fs;
+            let dump = fs.contents(host_walk(fs, &residual.aout_path)?)?;
+            if dump.len() < off + len {
+                return Err(Errno::EIO);
+            }
+            (dump, off..off + len)
+        };
         let m = &mut self.machines[mid];
         m.stats.pages_fetched += 1;
         if let Some(Body::Vm(vm)) = m.proc_mut(pid).map(|p| &mut p.body) {
-            vm.mem.install_page(page, &bytes);
+            vm.mem.install_page(page, &dump[span]);
             if !vm.mem.has_absent() {
                 vm.residual = None;
             }
@@ -1177,7 +1175,7 @@ impl World {
         let already_resident = self
             .proc_ref(mid, pid)
             .map(|p| match &p.body {
-                Body::Vm(vm) => !vm.mem.absent_pages().contains(&page),
+                Body::Vm(vm) => !vm.mem.is_absent(page),
                 _ => false,
             })
             .unwrap_or(false);

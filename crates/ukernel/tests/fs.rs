@@ -182,6 +182,34 @@ fn lseek_whence_and_sparse_files() {
         assert_eq!(sys.lseek(fd, 4, ukernel::Whence::Cur).await.unwrap(), 8);
         sys.write(fd, b"tail").await.unwrap();
         assert_eq!(sys.lseek(fd, 0, ukernel::Whence::End).await.unwrap(), 12);
+        // A file may not grow past MAXFILESIZE: the write fails EFBIG
+        // before the host allocates anything.
+        let limit = sysdefs::limits::MAXFILESIZE;
+        assert_eq!(
+            sys.lseek(fd, limit as i64, ukernel::Whence::Set).await,
+            Ok(limit)
+        );
+        assert_eq!(sys.write(fd, b"x").await, Err(Errno::EFBIG));
+        // Offsets are 4.2BSD's 32-bit off_t, returned in d0: repeating
+        // a maximal relative seek fails EINVAL once the result would
+        // pass i32::MAX, and the offset stays where it was.
+        let max = i32::MAX as i64;
+        assert_eq!(sys.lseek(fd, 0, ukernel::Whence::Set).await, Ok(0));
+        assert_eq!(
+            sys.lseek(fd, max, ukernel::Whence::Cur).await,
+            Ok(max as u64)
+        );
+        assert_eq!(
+            sys.lseek(fd, max, ukernel::Whence::Cur).await,
+            Err(Errno::EINVAL)
+        );
+        assert_eq!(
+            sys.lseek(fd, 1 << 40, ukernel::Whence::Set).await,
+            Err(Errno::EINVAL)
+        );
+        assert_eq!(sys.lseek(fd, 0, ukernel::Whence::Cur).await, Ok(max as u64));
+        assert_eq!(sys.write(fd, b"x").await, Err(Errno::EFBIG));
+        assert_eq!(sys.lseek(fd, 0, ukernel::Whence::End).await, Ok(12));
         sys.close(fd).await.unwrap();
         let fd = sys.open("/tmp/sparse", 0, 0).await.unwrap();
         let all = sys.read_all(fd).await.unwrap();

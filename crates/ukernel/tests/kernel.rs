@@ -148,7 +148,7 @@ fn test_program_reads_lines_and_appends() {
     assert_eq!(info.status, 0);
     // The appended lines are in the output file (cwd is /).
     let out = w.host_read_file(m, "/tmp/testout").unwrap();
-    assert_eq!(out, b"first line\nsecond line\n");
+    assert_eq!(*out, b"first line\nsecond line\n");
 }
 
 #[test]
@@ -333,7 +333,7 @@ fn nfs_read_write_across_machines() {
     assert_eq!(info.status, 0);
     // The file is on schooner's local fs.
     let remote = w.host_read_file(1, "/tmp/shared").unwrap();
-    assert_eq!(remote, b"over the wire");
+    assert_eq!(*remote, b"over the wire");
     assert!(w.machine(a).stats.nfs_rpcs > 0, "must have used NFS");
 }
 
@@ -492,7 +492,7 @@ fn pipe_write_larger_than_the_buffer_completes_in_parts() {
         5000,
         "the reader must receive exactly 5000 bytes"
     );
-    assert_eq!(got, sent);
+    assert_eq!(*got, sent);
 }
 
 #[test]
@@ -634,7 +634,7 @@ fn rsh_runs_remote_command_with_degraded_tty() {
     );
     let info = w.run_until_exit(a, pid, 100_000).expect("rsh completes");
     assert_eq!(info.status, 0);
-    assert_eq!(w.host_read_file(1, "/tmp/made-by-rsh").unwrap(), b"hi");
+    assert_eq!(*w.host_read_file(1, "/tmp/made-by-rsh").unwrap(), b"hi");
     // rsh costs seconds of real time.
     let elapsed = w.machine(a).now.since(start);
     assert!(

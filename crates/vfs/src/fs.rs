@@ -1,7 +1,10 @@
 //! The inode filesystem of one simulated machine.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
+use sysdefs::limits::MAXFILESIZE;
 use sysdefs::{Access, Credentials, Errno, FileMode, Gid, SysResult, Uid};
 
 /// An inode number.
@@ -20,8 +23,11 @@ pub enum DeviceId {
 /// What an inode is.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum InodeKind {
-    /// A regular file and its contents.
-    Regular(Vec<u8>),
+    /// A regular file and its contents, shared copy-on-write: a
+    /// whole-file read ([`Filesystem::contents`]) hands out the buffer
+    /// itself, and a write copies it first only while a reader still
+    /// holds it, so a shared buffer is never mutated in place.
+    Regular(Rc<Vec<u8>>),
     /// A directory: name to inode map.
     Directory(BTreeMap<String, Ino>),
     /// A symbolic link: "files containing the name of another file".
@@ -232,7 +238,7 @@ impl Filesystem {
         mode: FileMode,
         cred: &Credentials,
     ) -> SysResult<Ino> {
-        self.create_node(dir, name, InodeKind::Regular(Vec::new()), mode, cred)
+        self.create_node(dir, name, InodeKind::Regular(Rc::default()), mode, cred)
     }
 
     /// Creates a directory in `dir`.
@@ -391,43 +397,66 @@ impl Filesystem {
 
     /// Reads up to `len` bytes of a regular file from `offset`.
     pub fn read(&self, ino: Ino, offset: u64, len: usize) -> SysResult<Vec<u8>> {
+        let data = self.contents(ino)?;
+        let start = (offset as usize).min(data.len());
+        let end = start.saturating_add(len).min(data.len());
+        Ok(data[start..end].to_vec())
+    }
+
+    /// A regular file's whole contents: the file's own buffer, shared,
+    /// not a copy. Later writes to the file leave it as it was.
+    pub fn contents(&self, ino: Ino) -> SysResult<Rc<Vec<u8>>> {
         match &self.inode(ino)?.kind {
-            InodeKind::Regular(data) => {
-                let start = (offset as usize).min(data.len());
-                let end = start.saturating_add(len).min(data.len());
-                Ok(data[start..end].to_vec())
-            }
+            InodeKind::Regular(data) => Ok(Rc::clone(data)),
             InodeKind::Directory(_) => Err(Errno::EISDIR),
             _ => Err(Errno::EINVAL),
         }
     }
 
     /// Writes bytes to a regular file at `offset`, zero-filling any gap,
-    /// and returns the bytes written.
-    pub fn write(&mut self, ino: Ino, offset: u64, bytes: &[u8]) -> SysResult<usize> {
+    /// and returns the bytes written. Owned bytes written whole into an
+    /// empty file become its contents without a copy. A write that would
+    /// take the file past [`MAXFILESIZE`] fails `EFBIG` before anything
+    /// is allocated.
+    pub fn write<'b>(
+        &mut self,
+        ino: Ino,
+        offset: u64,
+        bytes: impl Into<Cow<'b, [u8]>>,
+    ) -> SysResult<usize> {
+        let bytes = bytes.into();
         match &mut self.inode_mut(ino)?.kind {
             InodeKind::Regular(data) => {
+                let n = bytes.len();
+                match offset.checked_add(n as u64) {
+                    Some(end) if end <= MAXFILESIZE => {}
+                    _ => return Err(Errno::EFBIG),
+                }
+                if offset == 0 && data.is_empty() {
+                    *data = Rc::new(bytes.into_owned());
+                    return Ok(n);
+                }
+                let data = Rc::make_mut(data);
                 let start = offset as usize;
                 if start > data.len() {
                     data.resize(start, 0);
                 }
-                let end = start + bytes.len();
-                if end > data.len() {
-                    data.resize(end, 0);
-                }
-                data[start..end].copy_from_slice(bytes);
-                Ok(bytes.len())
+                let overlap = (data.len() - start).min(n);
+                data[start..start + overlap].copy_from_slice(&bytes[..overlap]);
+                data.extend_from_slice(&bytes[overlap..]);
+                Ok(n)
             }
             InodeKind::Directory(_) => Err(Errno::EISDIR),
             _ => Err(Errno::EINVAL),
         }
     }
 
-    /// Truncates a regular file to zero length (`O_TRUNC`).
+    /// Truncates a regular file to zero length (`O_TRUNC`). A reader
+    /// still holding the old contents keeps them.
     pub fn truncate(&mut self, ino: Ino) -> SysResult<()> {
         match &mut self.inode_mut(ino)?.kind {
             InodeKind::Regular(data) => {
-                data.clear();
+                *data = Rc::default();
                 Ok(())
             }
             _ => Err(Errno::EINVAL),
@@ -540,6 +569,52 @@ mod tests {
         assert_eq!(fs.read(f, 5, 5).unwrap(), vec![0; 5]); // Zero-filled gap.
         assert_eq!(fs.read(f, 10, 100).unwrap(), b"world"); // Short read at EOF.
         assert_eq!(fs.read(f, 100, 10).unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn contents_are_shared_and_never_mutated_in_place() {
+        let (mut fs, _, tmp) = fixture();
+        let f = fs
+            .create_file(tmp, "image", FileMode::REG_DEFAULT, &root_cred())
+            .unwrap();
+        let image = vec![7u8; 64];
+        let at = image.as_ptr();
+        assert_eq!(fs.write(f, 0, image).unwrap(), 64);
+        let held = fs.contents(f).unwrap();
+        assert_eq!(
+            held.as_ptr(),
+            at,
+            "an owned write into an empty file moves in"
+        );
+        // Overwrite and append while a reader holds the contents: the
+        // file changes, the reader's bytes do not.
+        fs.write(f, 60, b"tail!").unwrap();
+        assert_eq!(*held, vec![7u8; 64]);
+        assert_eq!(fs.read(f, 58, 16).unwrap(), b"\x07\x07tail!");
+        let again = fs.contents(f).unwrap();
+        fs.truncate(f).unwrap();
+        assert_eq!(again.len(), 65);
+        assert_eq!(fs.file_len(f).unwrap(), 0);
+        assert_eq!(fs.contents(tmp), Err(Errno::EISDIR));
+    }
+
+    #[test]
+    fn writes_past_the_size_limit_fail_before_allocating() {
+        let (mut fs, _, tmp) = fixture();
+        let f = fs
+            .create_file(tmp, "big", FileMode::REG_DEFAULT, &root_cred())
+            .unwrap();
+        fs.write(f, 0, b"abc").unwrap();
+        assert_eq!(fs.write(f, MAXFILESIZE, b"x"), Err(Errno::EFBIG));
+        assert_eq!(fs.write(f, MAXFILESIZE - 2, b"xyz"), Err(Errno::EFBIG));
+        assert_eq!(fs.write(f, MAXFILESIZE + 1, b""), Err(Errno::EFBIG));
+        // Offsets whose end overflows a u64 are refused too.
+        assert_eq!(fs.write(f, u64::MAX, b"x"), Err(Errno::EFBIG));
+        assert_eq!(fs.write(f, u64::MAX - 1, b"xyz"), Err(Errno::EFBIG));
+        assert_eq!(fs.file_len(f).unwrap(), 3);
+        // A write that ends exactly at the limit lands.
+        assert_eq!(fs.write(f, MAXFILESIZE - 1, b"x"), Ok(1));
+        assert_eq!(fs.file_len(f).unwrap(), MAXFILESIZE);
     }
 
     #[test]
@@ -662,7 +737,8 @@ mod proptests {
     /// Writing at arbitrary offsets then reading back returns exactly
     /// what was written, with zero fill in the gaps: 64 cases of zero
     /// to fifteen writes, each of up to 63 bytes at an offset below
-    /// 2048.
+    /// 2048, half of them handed over owned. Contents taken between
+    /// writes keep the bytes they had when taken.
     #[test]
     fn write_read_round_trip() {
         let mut rng = SplitMix64::new(1);
@@ -676,8 +752,13 @@ mod proptests {
                 .create_file(fs.root(), "f", FileMode::REG_DEFAULT, &cred)
                 .unwrap();
             let mut model: Vec<u8> = Vec::new();
+            let mut held = Vec::new();
             for (off, bytes) in &writes {
-                fs.write(f, *off, bytes).unwrap();
+                if rng.below(2) == 0 {
+                    fs.write(f, *off, bytes).unwrap();
+                } else {
+                    fs.write(f, *off, bytes.clone()).unwrap();
+                }
                 let start = *off as usize;
                 if start > model.len() {
                     model.resize(start, 0);
@@ -687,11 +768,17 @@ mod proptests {
                     model.resize(end, 0);
                 }
                 model[start..end].copy_from_slice(bytes);
+                if rng.below(3) == 0 {
+                    held.push((fs.contents(f).unwrap(), model.clone()));
+                }
             }
             let len = fs.file_len(f).unwrap() as usize;
             assert_eq!(len, model.len(), "case {case}: {writes:?}");
             let got = fs.read(f, 0, model.len() + 16).unwrap();
             assert_eq!(got, model, "case {case}: {writes:?}");
+            for (contents, then) in &held {
+                assert_eq!(**contents, *then, "case {case}: {writes:?}");
+            }
         }
     }
 }

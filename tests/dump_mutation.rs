@@ -72,7 +72,7 @@ fn run(seed: u64, aim: Aim, use_superblocks: bool) -> Outcome {
         Aim::Headers => [&names.a_out, &names.stack, &names.files][rng.below(3) as usize],
         Aim::Registers => &names.stack,
     };
-    let mut bytes = w.host_read_file(brick, path).unwrap();
+    let mut bytes = w.host_read_file(brick, path).unwrap().to_vec();
     let len = bytes.len() as u64;
     // d0..d7, a0..a7, pc and sr follow the 22-byte header and the
     // stack contents.
@@ -89,7 +89,7 @@ fn run(seed: u64, aim: Aim, use_superblocks: bool) -> Outcome {
         };
         bytes[at as usize] ^= 1 + rng.below(255) as u8;
     }
-    w.host_write_file(brick, path, &bytes).unwrap();
+    w.host_write_file(brick, path, bytes).unwrap();
 
     let restarted = api::run_restart(
         &mut w,

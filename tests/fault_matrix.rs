@@ -95,9 +95,8 @@ fn restart_must_fail(
 }
 
 fn patch(w: &mut World, m: usize, path: &str, f: impl FnOnce(Vec<u8>) -> Vec<u8>) {
-    let bytes = w.host_read_file(m, path).unwrap();
-    let bytes = f(bytes);
-    w.host_write_file(m, path, &bytes).unwrap();
+    let bytes = w.host_read_file(m, path).unwrap().to_vec();
+    w.host_write_file(m, path, f(bytes)).unwrap();
 }
 
 #[test]
