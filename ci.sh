@@ -21,9 +21,11 @@ set -eux
 cargo fmt --all --check
 cargo build --release --workspace
 cargo test -q --workspace
-# Release builds carry no overflow checks, so the file-size bound and
-# the a.out segment arithmetic run there too.
+# Release builds carry no overflow checks, so the file-size bound, the
+# a.out segment arithmetic and the process table's mask and probe
+# arithmetic run there too.
 cargo test -q --release -p vfs -p aout
+cargo test -q --release -p ukernel --lib proctable
 cargo clippy --workspace --all-targets -- -D warnings
 # Workspace invariant checker: determinism, simtime charging, errno
 # vocabulary, magic literals, wake-poke dataflow, snapshot coverage,

@@ -618,25 +618,149 @@ fn reassemble(geom: &ImageGeometry, staged: &BTreeMap<u32, Vec<u8>>, delta: &Del
     };
     let header = AoutHeader::new(geom.text.len() as u32, delta.data_len, 0, delta.entry, isa);
     let data_off = AOUT_HEADER_LEN + geom.text.len();
-    let mut image = Vec::with_capacity(data_off + delta.data_len as usize);
+    let image_len = data_off + delta.data_len as usize;
+    let mut image = Vec::with_capacity(image_len);
     image.extend_from_slice(&header.encode());
     image.extend_from_slice(&geom.text);
-    image.resize(data_off + delta.data_len as usize, 0);
-    let data = &mut image[data_off..];
-    let mut place = |page: u32, bytes: &[u8]| {
+    // Each page lands at its offset in the data segment: the gap before
+    // it is zeroed, bytes an earlier page laid there are overwritten and
+    // the rest appended, so only the gaps are ever zero-filled. The
+    // delta goes on after the staged pages, so its pages win.
+    let mut lay = |page: u32, bytes: &[u8]| {
         let base = MemoryLayout::page_addr(page);
         if base < delta.data_base || base >= delta.data_base + delta.data_len {
             return;
         }
-        let o = (base - delta.data_base) as usize;
-        let end = (o + bytes.len()).min(data.len());
-        data[o..end].copy_from_slice(&bytes[..end - o]);
+        let o = data_off + (base - delta.data_base) as usize;
+        let end = (o + bytes.len()).min(image_len);
+        if image.len() < o {
+            image.resize(o, 0);
+        }
+        let laid = image.len().min(end);
+        image[o..laid].copy_from_slice(&bytes[..laid - o]);
+        image.extend_from_slice(&bytes[laid - o..end - o]);
     };
     for (page, bytes) in staged {
-        place(*page, bytes);
+        lay(*page, bytes);
     }
     for p in &delta.pages {
-        place(p.page, &p.bytes);
+        lay(p.page, &p.bytes);
     }
+    image.resize(image_len, 0);
     image
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dumpfmt::DeltaPage;
+    use simtime::rng::SplitMix64;
+
+    /// The fill-then-overlay form `reassemble` replaced: zero the whole
+    /// data segment, then copy the staged pages and the delta over it.
+    fn overlay_oracle(
+        geom: &ImageGeometry,
+        staged: &BTreeMap<u32, Vec<u8>>,
+        delta: &DeltaFile,
+    ) -> Vec<u8> {
+        let isa = if delta.machtype == aout::MID_ISA2 {
+            m68vm::IsaLevel::Isa2
+        } else {
+            m68vm::IsaLevel::Isa1
+        };
+        let header = AoutHeader::new(geom.text.len() as u32, delta.data_len, 0, delta.entry, isa);
+        let data_off = AOUT_HEADER_LEN + geom.text.len();
+        let mut image = header.encode().to_vec();
+        image.extend_from_slice(&geom.text);
+        image.resize(data_off + delta.data_len as usize, 0);
+        let data = &mut image[data_off..];
+        let mut place = |page: u32, bytes: &[u8]| {
+            let base = MemoryLayout::page_addr(page);
+            if base < delta.data_base || base >= delta.data_base + delta.data_len {
+                return;
+            }
+            let o = (base - delta.data_base) as usize;
+            let end = (o + bytes.len()).min(data.len());
+            data[o..end].copy_from_slice(&bytes[..end - o]);
+        };
+        for (page, bytes) in staged {
+            place(*page, bytes);
+        }
+        for p in &delta.pages {
+            place(p.page, &p.bytes);
+        }
+        image
+    }
+
+    #[test]
+    fn reassembly_matches_the_fill_then_overlay_form() {
+        const PAGE: usize = MemoryLayout::PAGE as usize;
+        // Which cases the seeds reached: a page below the data segment,
+        // one past its end, a last page cut by `data_len`, and a delta
+        // page overriding a staged one.
+        let mut reached = [false; 4];
+        for seed in 0..150 {
+            let mut rng = SplitMix64::new(seed);
+            let first = 2 + rng.below(3) as u32;
+            let data_len = rng.below(6 * PAGE as u64) as u32;
+            let data_pages = (data_len as usize).div_ceil(PAGE) as u32;
+            let geom = ImageGeometry {
+                text: rng.bytes(0..64),
+                entry: MemoryLayout::TEXT_BASE,
+                machtype: aout::MID_ISA1,
+                data_base: MemoryLayout::page_addr(first),
+                data_len,
+            };
+            // Each page is filled with its own nonzero byte, mostly a
+            // whole page long, sometimes short of one or spilling into
+            // the next.
+            let mut fill = 0u8;
+            let mut page_bytes = |rng: &mut SplitMix64| {
+                fill = fill % 254 + 1;
+                let len = match rng.below(6) {
+                    0 => rng.below(PAGE as u64) as usize,
+                    1 => PAGE + rng.below(PAGE as u64) as usize,
+                    _ => PAGE,
+                };
+                vec![fill; len]
+            };
+            let candidates = first.saturating_sub(2)..first + data_pages + 2;
+            let mut staged = BTreeMap::new();
+            let mut pages = Vec::new();
+            for page in candidates {
+                if rng.below(3) != 0 {
+                    staged.insert(page, page_bytes(&mut rng));
+                }
+                if rng.below(3) == 0 {
+                    pages.push(DeltaPage {
+                        page,
+                        bytes: page_bytes(&mut rng),
+                    });
+                }
+            }
+            let delta = DeltaFile {
+                entry: geom.entry,
+                machtype: geom.machtype,
+                data_base: geom.data_base,
+                data_len,
+                pages,
+            };
+            let laid = staged.keys().chain(delta.pages.iter().map(|p| &p.page));
+            for &page in laid {
+                reached[0] |= page < first;
+                reached[1] |= page >= first + data_pages;
+            }
+            reached[2] |= !(data_len as usize).is_multiple_of(PAGE)
+                && staged.contains_key(&(first + data_pages - 1));
+            reached[3] |= delta.pages.iter().any(|p| {
+                p.page >= first && p.page < first + data_pages && staged.contains_key(&p.page)
+            });
+            assert_eq!(
+                reassemble(&geom, &staged, &delta),
+                overlay_oracle(&geom, &staged, &delta),
+                "seed {seed}"
+            );
+        }
+        assert_eq!(reached, [true; 4], "every case was reached");
+    }
 }

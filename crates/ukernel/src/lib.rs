@@ -36,6 +36,7 @@ pub mod machine;
 pub mod namei;
 pub mod native;
 pub mod proc;
+pub mod proctable;
 pub mod signal;
 pub mod sys;
 pub mod user;
@@ -47,6 +48,7 @@ pub use ktrace::{Ktrace, KtraceEvent, KtraceRecord, KtraceResult};
 pub use machine::{Machine, MachineId};
 pub use native::{NativeProgram, Sys};
 pub use proc::{Body, ExitInfo, Proc, ProcState};
+pub use proctable::ProcTable;
 pub use sys::args::{IoctlReq, Syscall, SyscallResult, Whence};
 pub use sys::ctx::SysCtx;
 pub use user::{FileRef, UserArea};

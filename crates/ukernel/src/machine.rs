@@ -12,6 +12,7 @@ use vfs::{DeviceId, Filesystem, Ino};
 
 use crate::file::FileTable;
 use crate::proc::Proc;
+use crate::proctable::ProcTable;
 
 fn cred_key(cred: &Credentials) -> (u32, u32, u32, u32) {
     (
@@ -266,8 +267,8 @@ pub struct Machine {
     pub isa: IsaLevel,
     /// The local filesystem.
     pub fs: Filesystem,
-    /// Process table, keyed by pid.
-    pub procs: BTreeMap<u32, Proc>,
+    /// Process table, keyed by pid and found by hashing it.
+    pub procs: ProcTable,
     /// Run queue (round robin).
     pub run_queue: VecDeque<Pid>,
     /// The machine-wide open-file table.
@@ -351,12 +352,15 @@ pub struct Machine {
 pub(crate) const DUMP_ARTIFACT_PREFIXES: [&str; 4] = ["a.out", "files", "stack", "delta"];
 
 /// Parses `a.outXXXXX`/`filesXXXXX`/`stackXXXXX`/`deltaXXXXX` into the
-/// pid the artifact belongs to; anything else is `None`.
+/// pid the artifact belongs to; anything else is `None`. The suffix must
+/// be one `{pid:05}` writes: five digits, or more without a leading zero
+/// once the pid passes 99,999, so the pid names the artifact back.
 pub(crate) fn dump_artifact_pid(name: &str) -> Option<u32> {
     let suffix = DUMP_ARTIFACT_PREFIXES
         .iter()
         .find_map(|p| name.strip_prefix(p))?;
-    if suffix.len() == 5 && suffix.bytes().all(|b| b.is_ascii_digit()) {
+    let width_ok = suffix.len() == 5 || (suffix.len() > 5 && !suffix.starts_with('0'));
+    if width_ok && suffix.bytes().all(|b| b.is_ascii_digit()) {
         suffix.parse().ok()
     } else {
         None
@@ -397,7 +401,7 @@ impl Machine {
             name: name.to_string(),
             isa,
             fs,
-            procs: BTreeMap::new(),
+            procs: ProcTable::new(),
             run_queue: VecDeque::new(),
             files: FileTable::new(),
             mounts: BTreeMap::new(),
@@ -798,6 +802,32 @@ mod tests {
         let mut stats = SyscallStats::default();
         stats.note(Sysno::Read, 30);
         let _ = stats["open"];
+    }
+
+    #[test]
+    fn dump_artifact_names_parse_back_to_their_pid() {
+        for pid in [2, 1_234, 99_999, 100_000, 1_234_567, u32::MAX] {
+            let names = dumpfmt::dump_file_names(Pid(pid));
+            for path in [names.a_out, names.files, names.stack, names.delta] {
+                let name = path.rsplit('/').next().expect("a file name");
+                assert_eq!(dump_artifact_pid(name), Some(pid), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn dump_artifact_names_refuse_what_no_pid_writes() {
+        for name in [
+            "a.out1234",
+            "a.out012345",
+            "a.out+1234",
+            "a.out1234x",
+            "core12345",
+            "stack",
+            "files4294967296",
+        ] {
+            assert_eq!(dump_artifact_pid(name), None, "{name}");
+        }
     }
 
     #[test]

@@ -1951,7 +1951,11 @@ impl World {
     ///   key at or below its clock in its ready-tree leaf;
     /// * (d) `picked` is not the (clock, id) minimum among machines with
     ///   work before `deadline`, or an inner node of the ready tree
-    ///   does not hold the minimum of its children.
+    ///   does not hold the minimum of its children;
+    /// * (e) a machine's process table breaks its own invariants (see
+    ///   [`crate::ProcTable`]): a live pid unreachable from its home
+    ///   slot, a slot whose pid is missing from the pid order, an order
+    ///   that is not strictly ascending, or a pid held in two slots.
     ///
     /// A due deadline with its timer entry is legal: a wake pass can
     /// move the clock past deadlines after taking its due timers (a
@@ -1964,6 +1968,12 @@ impl World {
             panic!("wake audit: ready-tree node {node} is not the minimum of its children");
         }
         for (mid, m) in self.machines.iter().enumerate() {
+            if let Some(fault) = m.procs.broken_invariant() {
+                panic!(
+                    "wake audit: machine {mid} ({}) process table: {fault}",
+                    m.name
+                );
+            }
             for p in m.procs.values() {
                 let (pid, state) = (p.pid.as_u32(), &p.state);
                 let wait_until = match *state {

@@ -20,7 +20,7 @@
 mod common;
 
 use m68vm::{assemble, IsaLevel};
-use sysdefs::{Credentials, Gid, Uid};
+use sysdefs::{Credentials, Gid, Signal, Uid};
 use ukernel::{KernelConfig, World};
 
 fn alice() -> Credentials {
@@ -275,7 +275,8 @@ fn snapshot_sees_the_newly_folded_fields() {
 
 /// A fresh scan of `/usr/tmp` for dump artifacts, returning the pids
 /// they belong to — the ground truth `Machine::pending_dumps` must
-/// stay a superset of.
+/// stay a superset of. A name's pid is written `{pid:05}`: five digits,
+/// or more without a leading zero.
 fn scan_dump_pids(w: &World, mid: usize) -> Vec<u32> {
     let m = w.machine(mid);
     let names = m.fs.readdir(m.dump_dir).expect("dump dir readable");
@@ -285,7 +286,8 @@ fn scan_dump_pids(w: &World, mid: usize) -> Vec<u32> {
             let s = ["a.out", "files", "stack", "delta"]
                 .iter()
                 .find_map(|p| n.strip_prefix(p))?;
-            if s.len() == 5 && s.bytes().all(|b| b.is_ascii_digit()) {
+            let width_ok = s.len() == 5 || (s.len() > 5 && !s.starts_with('0'));
+            if width_ok && s.bytes().all(|b| b.is_ascii_digit()) {
                 s.parse().ok()
             } else {
                 None
@@ -337,6 +339,34 @@ fn pending_dumps_index_matches_a_fresh_scan() {
     assert!(scan_dump_pids(&w, mid).is_empty());
     assert!(w.machine(mid).pending_dump_pids().is_empty());
     assert!(w.host_reap_orphan_dumps(mid).is_empty());
+}
+
+/// Dump names widen with the pid (`a.out{pid:05}`), so a machine that
+/// has handed out 100,000 pids writes `a.out100002`. The pending index
+/// must record that triple too, or the reaper never sweeps it.
+#[test]
+fn the_reaper_sweeps_dumps_of_pids_past_99999() {
+    let mut w = world();
+    let mid = w.add_machine("host", IsaLevel::Isa1);
+    let obj = assemble(SLEEPER_PROGRAM).unwrap();
+    w.install_program(mid, "/bin/prog", &obj).unwrap();
+    while w.machine(mid).next_pid() < 100_002 {
+        w.machine_mut(mid).alloc_pid();
+    }
+    let victim = w.spawn_vm_proc(mid, "/bin/prog", None, alice()).unwrap();
+    assert_eq!(victim.as_u32(), 100_002);
+    w.host_post_signal(mid, victim, Signal::SIGDUMP);
+    w.run_until_exit(mid, victim, 1_000_000)
+        .expect("SIGDUMP ends the victim");
+    assert_eq!(scan_dump_pids(&w, mid), vec![100_002]);
+    assert_eq!(w.machine(mid).pending_dump_pids(), vec![100_002]);
+    assert_eq!(
+        w.host_reap_orphan_dumps(mid),
+        vec!["a.out100002", "files100002", "stack100002"]
+    );
+    assert!(w.host_read_file(mid, "/usr/tmp/a.out100002").is_err());
+    assert!(scan_dump_pids(&w, mid).is_empty());
+    assert!(w.machine(mid).pending_dump_pids().is_empty());
 }
 
 /// creat(2)/unlink(2) on artifact-shaped names in `/usr/tmp` flow
