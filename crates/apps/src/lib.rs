@@ -26,6 +26,4 @@ pub mod policy;
 
 pub use checkpoint::{restore_checkpoint, run_checkpointer, CheckpointPlan, CheckpointRecord};
 pub use nightbatch::NightBatch;
-pub use policy::{
-    Decision, FirstTouch, LoadGradient, MigrationPolicy, MigrationRecord, PolicyEngine, Random,
-};
+pub use policy::{Decision, LoadGradient, MigrationPolicy, MigrationRecord, PolicyEngine, Random};

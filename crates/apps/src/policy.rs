@@ -25,12 +25,9 @@
 //! equivalent of dropping a profiled pid on `ESRCH`: a process that
 //! vanished or refused to move once is not retried every round).
 //!
-//! Three built-in policies:
+//! Two built-in policies:
 //!
 //! * [`LoadGradient`] — the paper's strategy;
-//! * [`FirstTouch`] — locality-flavored: the destination is the first
-//!   less-loaded machine scanning outward from the source, so jobs move
-//!   as little as possible;
 //! * [`Random`] — seeded random source/victim/destination, the classic
 //!   baseline a smarter policy must beat.
 
@@ -148,50 +145,6 @@ impl MigrationPolicy for LoadGradient {
             victim,
             from: busiest,
             to: idlest,
-        })
-    }
-}
-
-/// Locality-first placement: take the busiest machine's oldest job, but
-/// send it to the *nearest* machine (scanning outward from the source,
-/// wrapping) whose load is at least the threshold below the source's —
-/// jobs stay close to where they first ran instead of all piling onto
-/// the single idlest host.
-#[derive(Clone, Debug)]
-pub struct FirstTouch {
-    /// Minimum age before a process is a migration candidate.
-    pub min_age: SimDuration,
-    /// Minimum source-to-destination load difference worth a migration.
-    pub imbalance_threshold: usize,
-}
-
-impl Default for FirstTouch {
-    fn default() -> Self {
-        let g = LoadGradient::default();
-        FirstTouch {
-            min_age: g.min_age,
-            imbalance_threshold: g.imbalance_threshold,
-        }
-    }
-}
-
-impl MigrationPolicy for FirstTouch {
-    fn name(&self) -> &'static str {
-        "first-touch"
-    }
-
-    fn decide(&mut self, world: &World, evicted: &BTreeSet<(MachineId, u32)>) -> Option<Decision> {
-        let n = world.machine_count();
-        let loads: Vec<usize> = (0..n).map(|m| load_of(world, m)).collect();
-        let (busiest, &max) = loads.iter().enumerate().max_by_key(|&(_, l)| l)?;
-        let to = (1..n)
-            .map(|d| (busiest + d) % n)
-            .find(|&m| max.saturating_sub(loads[m]) >= self.imbalance_threshold)?;
-        let victim = aged_candidate(world, busiest, self.min_age, evicted)?;
-        Some(Decision {
-            victim,
-            from: busiest,
-            to,
         })
     }
 }
@@ -404,16 +357,6 @@ mod tests {
             "one job on one machine is not an imbalance worth a migration"
         );
         assert_eq!(engine.failures, 0);
-    }
-
-    #[test]
-    fn first_touch_prefers_nearest_idle_machine() {
-        let mut w = cluster_with_hogs(4, 4);
-        aged(&mut w);
-        let mut pol = FirstTouch::default();
-        let d = pol.decide(&w, &BTreeSet::new()).expect("decision");
-        assert_eq!(d.from, 0);
-        assert_eq!(d.to, 1, "nearest less-loaded machine, not the idlest");
     }
 
     #[test]

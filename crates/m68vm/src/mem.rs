@@ -222,11 +222,6 @@ impl Memory {
         self.dirty = None;
     }
 
-    /// True while dirty tracking is armed.
-    pub fn dirty_tracking(&self) -> bool {
-        self.dirty.is_some()
-    }
-
     /// How many pages are currently dirty (0 when tracking is off).
     pub fn dirty_count(&self) -> usize {
         self.dirty.as_ref().map(|d| d.len()).unwrap_or(0)

@@ -170,7 +170,7 @@ fn alive(world: &World, mid: MachineId, pid: Pid) -> bool {
 /// target side can pay for pulls of a dead source pid's files.
 fn charge_transfer(world: &mut World, mid: MachineId, pid: Pid, op: NfsOp) -> bool {
     for _ in 0..MIGRATE_TRIES {
-        if world.charge_kernel_rpc(mid, pid, op).1.is_ok() {
+        if world.charge_kernel_rpc(mid, pid, op).is_ok() {
             return true;
         }
     }

@@ -2,21 +2,20 @@
 //!
 //! The paper's figures are simulated-time measurements, so a handler
 //! that mutates kernel state without charging simulated time silently
-//! deflates every number downstream. Since the `SysCtx` refactor the
-//! kernel has exactly one accounted entry path, and this rule pins both
-//! halves of that contract structurally:
+//! deflates every number downstream. The kernel has exactly one entry
+//! path, through the `SysCtx` context, and this rule pins both halves of
+//! that contract structurally:
 //!
 //! * **Signature.** Every `sys_*` handler in the kernel takes
-//!   `&mut SysCtx`. The context is what carries the per-call
-//!   accounting; a handler reverting to a raw `&mut World` (plus loose
-//!   machine/pid arguments) would charge time the dispatcher cannot
-//!   see.
+//!   `&mut SysCtx`. A handler reverting to a raw `&mut World` (plus
+//!   loose machine/pid arguments) could charge through primitives the
+//!   rule below does not watch.
 //! * **Reachability.** Each handler can reach a charge through the
-//!   kernel's own call graph. The sinks are the `SysCtx` accounting
+//!   kernel's own call graph. The sinks are the `SysCtx` charging
 //!   methods — `charge` and `charge_rpc` — and only those: the
 //!   `World` primitives they wrap are named `charge_kernel` /
 //!   `charge_kernel_rpc` precisely so a bare `charge(...)` call in
-//!   kernel code can only be the accounted context method.
+//!   kernel code can only be the context method.
 //!
 //! The reachability analysis is a may-reach fixpoint over function
 //! names: a function charges if its body calls a sink directly, or
@@ -37,7 +36,7 @@ use crate::workspace::{Role, SourceFile};
 /// Rule id.
 pub const RULE: &str = "simtime-charging";
 
-/// The `SysCtx` accounting methods. `World`'s kernel-internal
+/// The `SysCtx` charging methods. `World`'s kernel-internal
 /// primitives are spelled `charge_kernel`/`charge_kernel_rpc` so these
 /// names are unambiguous in kernel code.
 const SINKS: [&str; 2] = ["charge", "charge_rpc"];

@@ -147,9 +147,6 @@ pub struct CostModel {
     pub rsh_spawn_us: u64,
     /// Connection teardown and exit-status plumbing.
     pub rsh_teardown_us: u64,
-    /// The 1-second poll sleep `dumpproc` takes between attempts to open
-    /// `a.outXXXXX` (fixed by the paper).
-    pub dumpproc_poll_sleep_us: u64,
     /// The in-kernel body of a "quick" system call — one that only reads
     /// or updates a field of the proc/user structure (`getpid`, `alarm`,
     /// `sigsetmask`, `lseek`, ...). Small next to the trap cost, but not
@@ -192,7 +189,6 @@ impl CostModel {
             rsh_auth_us: 3_000_000,
             rsh_spawn_us: 2_400_000,
             rsh_teardown_us: 1_200_000,
-            dumpproc_poll_sleep_us: 1_000_000,
             quick_call_us: 50,
         }
     }
@@ -320,28 +316,6 @@ impl CostModel {
             .plus(self.ether_message(resp))
     }
 
-    /// Everything `rsh` pays before the remote command starts, plus
-    /// teardown afterwards. Almost entirely wait time, which is why the
-    /// paper's Figure 4 shows `migrate` real time ballooning while CPU
-    /// time stays modest.
-    pub fn rsh_session_overhead(&self) -> Cost {
-        Cost {
-            cpu: SimDuration::micros(400_000), // Local+remote shell CPU.
-            wait: SimDuration::micros(
-                self.rsh_name_lookup_us
-                    + self.rsh_connect_us
-                    + self.rsh_auth_us
-                    + self.rsh_spawn_us
-                    + self.rsh_teardown_us,
-            ),
-        }
-    }
-
-    /// The fixed poll sleep in `dumpproc`.
-    pub fn dumpproc_poll_sleep(&self) -> SimDuration {
-        SimDuration::micros(self.dumpproc_poll_sleep_us)
-    }
-
     /// The body of a quick, proc-structure-only system call.
     pub fn quick_call(&self) -> Cost {
         Cost::cpu_us(self.quick_call_us)
@@ -374,14 +348,6 @@ mod tests {
         assert_eq!(warm.cpu, cold.cpu);
         assert_eq!(warm.wait, SimDuration::ZERO);
         assert!(cold.wait > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn rsh_overhead_is_seconds_of_wait() {
-        let m = CostModel::sun2();
-        let c = m.rsh_session_overhead();
-        assert!(c.wait > SimDuration::secs(5));
-        assert!(c.cpu < SimDuration::secs(1));
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub use mode::FileMode;
 pub use openflags::OpenFlags;
 pub use signal::Signal;
 pub use signal::{DefaultAction, Disposition};
-pub use syscall::{CostClass, SyscallMeta, Sysno, SYSCALL_ROWS_BY_NAME, SYSCALL_TABLE};
+pub use syscall::{SyscallMeta, Sysno, SYSCALL_ROWS_BY_NAME, SYSCALL_TABLE};
 pub use ttyflags::TtyFlags;
 
 /// Result type used by everything that can fail with a Unix error number.

@@ -149,26 +149,6 @@ impl fmt::Display for Sysno {
     }
 }
 
-/// The broad cost family a system call's kernel work falls into. The
-/// dispatcher charges every call the same trap cost at entry; the class
-/// names the *dominant* charge of the handler body, so traces and tests
-/// can group the paper's measured calls without re-deriving it from the
-/// cost model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CostClass {
-    /// Fixed-cost bodies: a `quick_call` (or less) beyond the trap.
-    Quick,
-    /// Path-resolving calls, dominated by `namei` and the §5.1 name
-    /// bookkeeping.
-    Path,
-    /// Data-moving calls, dominated by copies, disk or NFS transfers.
-    Io,
-    /// Process-lifecycle calls (create, overlay, reap, destroy).
-    ProcLife,
-    /// Signal-machinery calls.
-    Signal,
-}
-
 /// One row of the declarative trap table: everything the kernel entry
 /// path needs to know about a system call besides its handler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -177,69 +157,52 @@ pub struct SyscallMeta {
     pub no: Sysno,
     /// The short name used in traces and statistics.
     pub name: &'static str,
-    /// Dominant cost family of the handler body.
-    pub cost: CostClass,
-    /// Whether the call may park the process and be re-issued on wakeup
-    /// (old-Unix sleep/retry); only these calls can surface `EINTR` from
-    /// a signal delivered while parked, and only these are rewound by
-    /// the `SIGDUMP` restart-pc logic.
-    pub restartable: bool,
 }
 
-const fn row(no: Sysno, name: &'static str, cost: CostClass, restartable: bool) -> SyscallMeta {
-    SyscallMeta {
-        no,
-        name,
-        cost,
-        restartable,
-    }
+const fn row(no: Sysno, name: &'static str) -> SyscallMeta {
+    SyscallMeta { no, name }
 }
 
 /// The trap table, one row per system call, in the kernel's dispatch
 /// order (the order of the `Syscall` enum). The order is stable: tools
 /// index into it and tests pin it.
 pub const SYSCALL_TABLE: &[SyscallMeta] = &[
-    row(Sysno::Exit, "exit", CostClass::ProcLife, false),
-    row(Sysno::Fork, "fork", CostClass::ProcLife, false),
-    row(Sysno::Read, "read", CostClass::Io, true),
-    row(Sysno::Write, "write", CostClass::Io, true),
-    row(Sysno::Open, "open", CostClass::Path, false),
-    row(Sysno::Creat, "creat", CostClass::Path, false),
-    row(Sysno::Close, "close", CostClass::Io, false),
-    row(Sysno::Wait, "wait", CostClass::ProcLife, true),
-    row(Sysno::Link, "link", CostClass::Path, false),
-    row(Sysno::Unlink, "unlink", CostClass::Path, false),
-    row(Sysno::Chdir, "chdir", CostClass::Path, false),
-    row(Sysno::Stat, "stat", CostClass::Path, false),
-    row(Sysno::Lseek, "lseek", CostClass::Quick, false),
-    row(Sysno::Getpid, "getpid", CostClass::Quick, false),
-    row(Sysno::Getuid, "getuid", CostClass::Quick, false),
-    row(Sysno::Kill, "kill", CostClass::Signal, false),
-    row(Sysno::Dup, "dup", CostClass::Quick, false),
-    row(Sysno::Pipe, "pipe", CostClass::Quick, false),
-    row(Sysno::Ioctl, "ioctl", CostClass::Quick, false),
-    row(Sysno::Symlink, "symlink", CostClass::Path, false),
-    row(Sysno::Readlink, "readlink", CostClass::Path, false),
-    row(Sysno::Execve, "execve", CostClass::ProcLife, false),
-    row(Sysno::Gethostname, "gethostname", CostClass::Quick, false),
-    row(Sysno::Socket, "socket", CostClass::Quick, false),
-    row(Sysno::Sigvec, "sigvec", CostClass::Signal, false),
-    row(Sysno::Sigsetmask, "sigsetmask", CostClass::Signal, false),
-    row(Sysno::Alarm, "alarm", CostClass::Quick, false),
-    row(Sysno::Gettimeofday, "gettimeofday", CostClass::Quick, false),
-    row(Sysno::Setreuid, "setreuid", CostClass::Quick, false),
-    row(Sysno::Mkdir, "mkdir", CostClass::Path, false),
-    row(Sysno::Sigreturn, "sigreturn", CostClass::Signal, false),
-    row(Sysno::Sleep, "sleep", CostClass::Quick, true),
-    row(Sysno::RestProc, "rest_proc", CostClass::ProcLife, false),
-    row(Sysno::GetpidReal, "getpid_real", CostClass::Quick, false),
-    row(
-        Sysno::GethostnameReal,
-        "gethostname_real",
-        CostClass::Quick,
-        false,
-    ),
-    row(Sysno::Getwd, "getwd", CostClass::Quick, false),
+    row(Sysno::Exit, "exit"),
+    row(Sysno::Fork, "fork"),
+    row(Sysno::Read, "read"),
+    row(Sysno::Write, "write"),
+    row(Sysno::Open, "open"),
+    row(Sysno::Creat, "creat"),
+    row(Sysno::Close, "close"),
+    row(Sysno::Wait, "wait"),
+    row(Sysno::Link, "link"),
+    row(Sysno::Unlink, "unlink"),
+    row(Sysno::Chdir, "chdir"),
+    row(Sysno::Stat, "stat"),
+    row(Sysno::Lseek, "lseek"),
+    row(Sysno::Getpid, "getpid"),
+    row(Sysno::Getuid, "getuid"),
+    row(Sysno::Kill, "kill"),
+    row(Sysno::Dup, "dup"),
+    row(Sysno::Pipe, "pipe"),
+    row(Sysno::Ioctl, "ioctl"),
+    row(Sysno::Symlink, "symlink"),
+    row(Sysno::Readlink, "readlink"),
+    row(Sysno::Execve, "execve"),
+    row(Sysno::Gethostname, "gethostname"),
+    row(Sysno::Socket, "socket"),
+    row(Sysno::Sigvec, "sigvec"),
+    row(Sysno::Sigsetmask, "sigsetmask"),
+    row(Sysno::Alarm, "alarm"),
+    row(Sysno::Gettimeofday, "gettimeofday"),
+    row(Sysno::Setreuid, "setreuid"),
+    row(Sysno::Mkdir, "mkdir"),
+    row(Sysno::Sigreturn, "sigreturn"),
+    row(Sysno::Sleep, "sleep"),
+    row(Sysno::RestProc, "rest_proc"),
+    row(Sysno::GetpidReal, "getpid_real"),
+    row(Sysno::GethostnameReal, "gethostname_real"),
+    row(Sysno::Getwd, "getwd"),
 ];
 
 /// The highest call number [`Sysno`] names.
@@ -416,13 +379,5 @@ mod tests {
         assert_eq!(SYSCALL_TABLE[4].name, "open");
         assert_eq!(SYSCALL_TABLE[32].name, "rest_proc");
         assert_eq!(SYSCALL_TABLE.len(), 36);
-    }
-
-    #[test]
-    fn restartable_marks_the_parking_calls() {
-        for m in SYSCALL_TABLE {
-            let parks = matches!(m.name, "read" | "write" | "wait" | "sleep");
-            assert_eq!(m.restartable, parks, "{}", m.name);
-        }
     }
 }

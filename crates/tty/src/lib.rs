@@ -69,11 +69,6 @@ impl Terminal {
         }
     }
 
-    /// Is this a degraded (rsh pipe) endpoint?
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
     // ------------------------------------------------------------------
     // Host (keyboard/screen) side.
     // ------------------------------------------------------------------

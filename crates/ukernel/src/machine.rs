@@ -326,11 +326,6 @@ pub struct Machine {
     /// byte queue. Entries are registered when a process blocks and
     /// cleaned lazily when the queue is next poked.
     pub(crate) queue_waiters: BTreeMap<QueueId, BTreeSet<u32>>,
-    /// Pids that may have `SIGDUMP` artifact files in `/usr/tmp`,
-    /// maintained at dump create/unlink time so the reaper sweeps only
-    /// machines (and names) that can actually have work — a superset of
-    /// the truth, self-cleaning, derived entirely from `fs` contents.
-    pub(crate) pending_dumps: BTreeSet<u32>,
     /// Pids the kernel killed because their demand-restored image could
     /// not be completed (three page-fetch strikes, or a vanished or torn
     /// source dump). Only these send the migration engine back to the
@@ -349,7 +344,7 @@ pub struct Machine {
 }
 
 /// The name prefixes a `SIGDUMP` artifact can carry in `/usr/tmp`.
-pub(crate) const DUMP_ARTIFACT_PREFIXES: [&str; 4] = ["a.out", "files", "stack", "delta"];
+const DUMP_ARTIFACT_PREFIXES: [&str; 4] = ["a.out", "files", "stack", "delta"];
 
 /// Parses `a.outXXXXX`/`filesXXXXX`/`stackXXXXX`/`deltaXXXXX` into the
 /// pid the artifact belongs to; anything else is `None`. The suffix must
@@ -422,49 +417,12 @@ impl Machine {
             timers: BinaryHeap::new(),
             wait_pending: BTreeSet::new(),
             queue_waiters: BTreeMap::new(),
-            pending_dumps: BTreeSet::new(),
             residual_kills: BTreeSet::new(),
             namei_cache: Cell::new(None),
             n_dir,
             dev_dir,
             dump_dir,
             next_pid: 2, // 1 is init.
-        }
-    }
-
-    /// The reaper's pending-dump index: pids that may still have
-    /// `SIGDUMP` artifact files in `/usr/tmp` (a superset of the truth;
-    /// tests check it against a fresh directory scan).
-    pub fn pending_dump_pids(&self) -> Vec<u32> {
-        self.pending_dumps.iter().copied().collect()
-    }
-
-    /// Records a file landing in `/usr/tmp`: a dump-artifact name adds
-    /// its pid to the reaper's pending set.
-    pub(crate) fn note_dump_create(&mut self, parent: Ino, name: &str) {
-        if parent == self.dump_dir {
-            if let Some(pid) = dump_artifact_pid(name) {
-                self.pending_dumps.insert(pid);
-            }
-        }
-    }
-
-    /// Records a file leaving `/usr/tmp`: once no artifact of the pid's
-    /// triple remains, its pending entry goes too.
-    pub(crate) fn note_dump_unlink(&mut self, parent: Ino, name: &str) {
-        if parent != self.dump_dir {
-            return;
-        }
-        let Some(pid) = dump_artifact_pid(name) else {
-            return;
-        };
-        let any_left = DUMP_ARTIFACT_PREFIXES.iter().any(|p| {
-            self.fs
-                .lookup(self.dump_dir, &format!("{p}{pid:05}"))
-                .is_ok()
-        });
-        if !any_left {
-            self.pending_dumps.remove(&pid);
         }
     }
 
@@ -700,23 +658,6 @@ impl Machine {
             self.run_queue.push_back(pid);
         }
     }
-
-    /// Number of live (non-zombie) processes, the `ps` view.
-    pub fn live_procs(&self) -> usize {
-        self.procs
-            .values()
-            .filter(|p| !matches!(p.state, crate::proc::ProcState::Zombie { .. }))
-            .count()
-    }
-
-    /// CPU utilisation so far: busy time over elapsed time.
-    pub fn utilization(&self) -> f64 {
-        let elapsed = self.now.as_micros();
-        if elapsed == 0 {
-            return 0.0;
-        }
-        self.busy.as_micros() as f64 / elapsed as f64
-    }
 }
 
 #[cfg(test)]
@@ -755,7 +696,6 @@ mod tests {
         m.charge_sys(None, Cost::cpu_us(100).plus(Cost::wait_us(900)));
         assert_eq!(m.now.as_micros(), 1_000);
         assert_eq!(m.busy.as_micros(), 100);
-        assert!((m.utilization() - 0.1).abs() < 1e-9);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //!   this syntax" — the exact failure `dumpproc`'s `readlink()` loop
 //!   exists to avoid.
 
-use simnet::NfsOp;
 use sysdefs::limits::MAXSYMLINKS;
 use sysdefs::{Credentials, Errno, SysResult};
 use vfs::{path as vpath, WalkOutcome};
@@ -197,11 +196,6 @@ pub fn namei(
             }
         }
     }
-}
-
-/// The NFS operations implied by a resolution, for cost charging.
-pub fn remote_ops_of(res: &Resolved) -> Vec<NfsOp> {
-    (0..res.remote_lookups).map(|_| NfsOp::Lookup).collect()
 }
 
 #[cfg(test)]

@@ -167,6 +167,35 @@ pub struct Proc {
 }
 
 impl Proc {
+    /// A new process-table entry with no signals pending, no CPU time
+    /// used, no call parked and no alarm set.
+    pub(crate) fn new(
+        pid: Pid,
+        ppid: Pid,
+        state: ProcState,
+        body: Body,
+        user: UserArea,
+        start_time: SimTime,
+        comm: String,
+    ) -> Proc {
+        Proc {
+            pid,
+            ppid,
+            state,
+            body,
+            user,
+            sig_pending: 0,
+            utime: SimDuration::ZERO,
+            stime: SimDuration::ZERO,
+            start_time,
+            pending_syscall: None,
+            restart_pc: None,
+            comm,
+            alarm_at: None,
+            dump_delta: false,
+        }
+    }
+
     /// The owning (real) uid, used for kill/dump permission checks.
     pub fn owner(&self) -> Uid {
         self.user.cred.ruid
@@ -234,25 +263,18 @@ mod tests {
     use sysdefs::Signal;
 
     fn proc_fixture() -> Proc {
-        Proc {
-            pid: Pid(2),
-            ppid: Pid(1),
-            state: ProcState::Runnable,
-            body: Body::Idle,
-            user: UserArea::new(
+        Proc::new(
+            Pid(2),
+            Pid(1),
+            ProcState::Runnable,
+            Body::Idle,
+            UserArea::new(
                 sysdefs::Credentials::user(Uid(5), sysdefs::Gid(5)),
                 crate::user::FileRef { machine: 0, ino: 0 },
             ),
-            sig_pending: 0,
-            utime: SimDuration::ZERO,
-            stime: SimDuration::ZERO,
-            start_time: SimTime::BOOT,
-            pending_syscall: None,
-            restart_pc: None,
-            comm: "test".into(),
-            alarm_at: None,
-            dump_delta: false,
-        }
+            SimTime::BOOT,
+            "test".into(),
+        )
     }
 
     #[test]

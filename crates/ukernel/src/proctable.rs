@@ -245,7 +245,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     use simtime::rng::SplitMix64;
-    use simtime::{SimDuration, SimTime};
+    use simtime::SimTime;
     use sysdefs::{Credentials, Pid};
 
     use super::*;
@@ -255,22 +255,17 @@ mod tests {
     /// A process whose `sig_pending` carries `tag`, so a test can tell
     /// which insert a lookup found.
     fn proc_tagged(pid: u32, tag: u32) -> Proc {
-        Proc {
-            pid: Pid(pid),
-            ppid: Pid::INIT,
-            state: ProcState::Runnable,
-            body: Body::Idle,
-            user: UserArea::new(Credentials::root(), FileRef { machine: 0, ino: 0 }),
-            sig_pending: tag,
-            utime: SimDuration::ZERO,
-            stime: SimDuration::ZERO,
-            start_time: SimTime::BOOT,
-            pending_syscall: None,
-            restart_pc: None,
-            comm: "test".into(),
-            alarm_at: None,
-            dump_delta: false,
-        }
+        let mut p = Proc::new(
+            Pid(pid),
+            Pid::INIT,
+            ProcState::Runnable,
+            Body::Idle,
+            UserArea::new(Credentials::root(), FileRef { machine: 0, ino: 0 }),
+            SimTime::BOOT,
+            "test".into(),
+        );
+        p.sig_pending = tag;
+        p
     }
 
     /// Checks the table against the ordered-map oracle (pid to tag)

@@ -189,14 +189,9 @@ fn kernel_create(
     match m.fs.lookup(dir, name) {
         Ok(existing) => {
             m.fs.truncate(existing)?;
-            m.note_dump_create(dir, name);
             Ok(existing)
         }
-        Err(_) => {
-            let ino = m.fs.create_file(dir, name, mode, &owner)?;
-            m.note_dump_create(dir, name);
-            Ok(ino)
-        }
+        Err(_) => m.fs.create_file(dir, name, mode, &owner),
     }
 }
 
@@ -502,10 +497,5 @@ fn kernel_unlink(w: &mut World, mid: MachineId, dir_path: &str, name: &str) {
     let Ok(vfs::WalkOutcome::Done(dir)) = m.fs.walk(m.fs.root(), &comps, None) else {
         return;
     };
-    if m.fs
-        .unlink(dir, name, &sysdefs::Credentials::root())
-        .is_ok()
-    {
-        m.note_dump_unlink(dir, name);
-    }
+    let _ = m.fs.unlink(dir, name, &sysdefs::Credentials::root());
 }

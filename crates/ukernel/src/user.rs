@@ -66,11 +66,6 @@ impl UserArea {
     pub fn lowest_free_fd(&self) -> Option<usize> {
         self.fds.iter().position(|f| f.is_none())
     }
-
-    /// Count of live descriptors.
-    pub fn open_fd_count(&self) -> usize {
-        self.fds.iter().filter(|f| f.is_some()).count()
-    }
 }
 
 #[cfg(test)]
@@ -94,7 +89,6 @@ mod tests {
         assert_eq!(u.lowest_free_fd(), Some(2));
         u.fds[0] = None;
         assert_eq!(u.lowest_free_fd(), Some(0));
-        assert_eq!(u.open_fd_count(), 1);
     }
 
     #[test]

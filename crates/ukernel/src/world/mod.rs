@@ -250,22 +250,15 @@ impl World {
         if self.config.track_names {
             user.cwd_path = Some("/".to_string());
         }
-        let init = Proc {
-            pid: Pid::INIT,
-            ppid: Pid::INIT,
-            state: ProcState::Stopped,
-            body: Body::Idle,
+        let init = Proc::new(
+            Pid::INIT,
+            Pid::INIT,
+            ProcState::Stopped,
+            Body::Idle,
             user,
-            sig_pending: 0,
-            utime: SimDuration::ZERO,
-            stime: SimDuration::ZERO,
-            start_time: SimTime::BOOT,
-            pending_syscall: None,
-            restart_pc: None,
-            comm: "init".into(),
-            alarm_at: None,
-            dump_delta: false,
-        };
+            SimTime::BOOT,
+            "init".into(),
+        );
         m.procs.insert(Pid::INIT.as_u32(), init);
         self.machines.push(m);
         id
@@ -315,39 +308,6 @@ impl World {
     /// separately).
     pub fn fs_mut(&mut self, mid: MachineId) -> &mut Filesystem {
         &mut self.machines[mid].fs
-    }
-
-    /// Creates a file in directory `parent` of `mid`'s filesystem, which
-    /// may be remote to the caller, keeping the reaper's pending-dump
-    /// index in step. The caller charges the RPC.
-    pub(crate) fn fs_create(
-        &mut self,
-        mid: MachineId,
-        parent: vfs::Ino,
-        name: &str,
-        mode: sysdefs::FileMode,
-        cred: &Credentials,
-    ) -> SysResult<vfs::Ino> {
-        let m = &mut self.machines[mid];
-        let ino = m.fs.create_file(parent, name, mode, cred)?;
-        m.note_dump_create(parent, name);
-        Ok(ino)
-    }
-
-    /// Removes `name` from directory `parent` of `mid`'s filesystem,
-    /// which may be remote to the caller, keeping the reaper's
-    /// pending-dump index in step. The caller charges the RPC.
-    pub(crate) fn fs_unlink(
-        &mut self,
-        mid: MachineId,
-        parent: vfs::Ino,
-        name: &str,
-        cred: &Credentials,
-    ) -> SysResult<()> {
-        let m = &mut self.machines[mid];
-        m.fs.unlink(parent, name, cred)?;
-        m.note_dump_unlink(parent, name);
-        Ok(())
     }
 
     /// Creates a terminal attached to `mid` (a `/dev/ttyN` node appears
@@ -505,35 +465,24 @@ impl World {
     /// Sweeps `/usr/tmp` on `mid` for dump files no live migration owns
     /// — the `a.outXXXXX`/`filesXXXXX`/`stackXXXXX` triples (and the
     /// pre-copy `deltaXXXXX` files) a source-machine crash strands — and
-    /// unlinks them. Returns the names removed, sorted, so callers can
-    /// report (and tests assert) exactly what was reaped.
-    ///
-    /// Driven by the machine's incremental [`Machine::pending_dumps`]
-    /// index rather than a directory scan: every dump-artifact create
-    /// (kernel dump writer, local `creat`, NFS cross-call) adds its pid
-    /// to the set and every unlink of a triple's last file removes it,
-    /// so the sweep probes only names that can exist. The index is a
-    /// superset of the truth and the probe evicts entries whose files
-    /// are already gone, keeping it self-cleaning.
+    /// unlinks them. Returns the names removed, sorted (the directory
+    /// lists in name order), so callers can report (and tests assert)
+    /// exactly what was reaped. The directory is the only record: a name
+    /// made by `creat`, `link` or `symlink` is swept alike.
     pub fn host_reap_orphan_dumps(&mut self, mid: MachineId) -> Vec<String> {
         let m = &mut self.machines[mid];
         let dir = m.dump_dir;
         let root = sysdefs::Credentials::root();
-        let mut reaped = Vec::new();
-        for pid in std::mem::take(&mut m.pending_dumps) {
-            for prefix in crate::machine::DUMP_ARTIFACT_PREFIXES {
-                let name = format!("{prefix}{pid:05}");
-                if m.fs.unlink(dir, &name, &root).is_ok() {
-                    reaped.push(name);
-                }
-            }
-        }
-        reaped.sort();
-        reaped
+        let mut names = m.fs.readdir(dir).unwrap_or_default();
+        names.retain(|name| {
+            crate::machine::dump_artifact_pid(name).is_some()
+                && m.fs.unlink(dir, name, &root).is_ok()
+        });
+        names
     }
 
-    /// Charges one NFS RPC to the client; returns the charged cost and
-    /// whether the RPC survived the fault plan. Same contract as
+    /// Charges one NFS RPC to the client; returns whether the RPC
+    /// survived the fault plan. Same contract as
     /// [`World::charge_kernel`]: handlers go through
     /// `SysCtx::charge_rpc`, kernel paths may call this directly.
     ///
@@ -543,12 +492,7 @@ impl World {
     /// anyway — exactly the at-least-once ambiguity a dropped NFS reply
     /// gives a real client — so callers must treat `ETIMEDOUT` as
     /// "unknown", not "not done".
-    pub fn charge_kernel_rpc(
-        &mut self,
-        mid: MachineId,
-        pid: Pid,
-        op: NfsOp,
-    ) -> (Cost, SysResult<()>) {
+    pub fn charge_kernel_rpc(&mut self, mid: MachineId, pid: Pid, op: NfsOp) -> SysResult<()> {
         let cost = op.cost(&self.config.cost, &mut self.ether);
         let m = &mut self.machines[mid];
         m.stats.nfs_rpcs += 1;
@@ -559,9 +503,9 @@ impl World {
         {
             let wait = Cost::wait_us(NFS_SOFT_TIMEOUT_US);
             self.machines[mid].charge_sys(Some(pid), wait);
-            return (cost.plus(wait), Err(Errno::ETIMEDOUT));
+            return Err(Errno::ETIMEDOUT);
         }
-        (cost, Ok(()))
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -607,7 +551,6 @@ impl World {
                 m.fs.create_file(dir, name, sysdefs::FileMode(0o755), &cred)?
             }
         };
-        m.note_dump_create(dir, name);
         m.fs.write(ino, 0, bytes)?;
         Ok(())
     }
@@ -741,7 +684,7 @@ impl World {
             }
             _ => None,
         })?;
-        let (_, rpc) = self.charge_kernel_rpc(mid, pid, NfsOp::Read(len));
+        let rpc = self.charge_kernel_rpc(mid, pid, NfsOp::Read(len));
         let fetched = rpc.and_then(|()| self.fetch_residual_page(mid, pid, page));
         Some(fetched.map(|()| page))
     }
@@ -838,22 +781,15 @@ impl World {
     ) -> Pid {
         let pid = self.machines[mid].alloc_pid();
         let now = self.machines[mid].now;
-        let proc = Proc {
+        let proc = Proc::new(
             pid,
             ppid,
-            state: ProcState::Runnable,
+            ProcState::Runnable,
             body,
             user,
-            sig_pending: 0,
-            utime: SimDuration::ZERO,
-            stime: SimDuration::ZERO,
-            start_time: now,
-            pending_syscall: None,
-            restart_pc: None,
-            comm: comm.to_string(),
-            alarm_at: None,
-            dump_delta: false,
-        };
+            now,
+            comm.to_string(),
+        );
         self.machines[mid].procs.insert(pid.as_u32(), proc);
         self.machines[mid].make_runnable(pid);
         // The machine gained work — enroll it in the ready index even

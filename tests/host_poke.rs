@@ -274,9 +274,8 @@ fn snapshot_sees_the_newly_folded_fields() {
 }
 
 /// A fresh scan of `/usr/tmp` for dump artifacts, returning the pids
-/// they belong to — the ground truth `Machine::pending_dumps` must
-/// stay a superset of. A name's pid is written `{pid:05}`: five digits,
-/// or more without a leading zero.
+/// they belong to. A name's pid is written `{pid:05}`: five digits, or
+/// more without a leading zero.
 fn scan_dump_pids(w: &World, mid: usize) -> Vec<u32> {
     let m = w.machine(mid);
     let names = m.fs.readdir(m.dump_dir).expect("dump dir readable");
@@ -299,19 +298,16 @@ fn scan_dump_pids(w: &World, mid: usize) -> Vec<u32> {
     pids
 }
 
-/// The incremental `pending_dumps` index against the directory truth:
-/// a dump inserts the victim's pid, `host_reap_orphan_dumps` sweeps
-/// exactly the indexed names and clears the index, and a guest that
-/// creats/unlinks an artifact-shaped name through the ordinary
-/// syscall funnel maintains the same index.
+/// A dump leaves the victim's triple in `/usr/tmp`, and
+/// `host_reap_orphan_dumps` sweeps exactly that triple, leaving nothing
+/// for a second sweep.
 #[test]
-fn pending_dumps_index_matches_a_fresh_scan() {
+fn the_reaper_sweeps_exactly_the_dumped_triple() {
     let mut w = world();
     let mid = w.add_machine("host", IsaLevel::Isa1);
     let obj = assemble(SLEEPER_PROGRAM).unwrap();
     w.install_program(mid, "/bin/prog", &obj).unwrap();
     let victim = w.spawn_vm_proc(mid, "/bin/prog", None, alice()).unwrap();
-    assert!(w.machine(mid).pending_dump_pids().is_empty());
     assert!(scan_dump_pids(&w, mid).is_empty());
 
     let dumper = w.spawn_native_proc(mid, "dumpproc", None, alice(), move |sys| async move {
@@ -325,7 +321,6 @@ fn pending_dumps_index_matches_a_fresh_scan() {
         .expect("dumpproc exits");
     assert_eq!(info.status, 0, "dumpproc failed");
     assert_eq!(scan_dump_pids(&w, mid), vec![victim.as_u32()]);
-    assert_eq!(w.machine(mid).pending_dump_pids(), vec![victim.as_u32()]);
 
     let reaped = w.host_reap_orphan_dumps(mid);
     assert_eq!(
@@ -337,13 +332,12 @@ fn pending_dumps_index_matches_a_fresh_scan() {
         ]
     );
     assert!(scan_dump_pids(&w, mid).is_empty());
-    assert!(w.machine(mid).pending_dump_pids().is_empty());
     assert!(w.host_reap_orphan_dumps(mid).is_empty());
 }
 
 /// Dump names widen with the pid (`a.out{pid:05}`), so a machine that
-/// has handed out 100,000 pids writes `a.out100002`. The pending index
-/// must record that triple too, or the reaper never sweeps it.
+/// has handed out 100,000 pids writes `a.out100002`. The reaper must
+/// take that name for an artifact too, or it never sweeps the triple.
 #[test]
 fn the_reaper_sweeps_dumps_of_pids_past_99999() {
     let mut w = world();
@@ -359,21 +353,19 @@ fn the_reaper_sweeps_dumps_of_pids_past_99999() {
     w.run_until_exit(mid, victim, 1_000_000)
         .expect("SIGDUMP ends the victim");
     assert_eq!(scan_dump_pids(&w, mid), vec![100_002]);
-    assert_eq!(w.machine(mid).pending_dump_pids(), vec![100_002]);
     assert_eq!(
         w.host_reap_orphan_dumps(mid),
         vec!["a.out100002", "files100002", "stack100002"]
     );
     assert!(w.host_read_file(mid, "/usr/tmp/a.out100002").is_err());
     assert!(scan_dump_pids(&w, mid).is_empty());
-    assert!(w.machine(mid).pending_dump_pids().is_empty());
 }
 
-/// creat(2)/unlink(2) on artifact-shaped names in `/usr/tmp` flow
-/// through the same cross-call funnel as every other filesystem
-/// mutation, so they maintain the index too.
+/// A guest's creat(2) of an artifact-shaped name in `/usr/tmp` is swept
+/// by the reaper, and once the guest unlink(2)s a second such file the
+/// reaper finds nothing.
 #[test]
-fn guest_creat_and_unlink_maintain_the_pending_index() {
+fn the_reaper_sweeps_a_guest_creat_and_nothing_after_its_unlink() {
     const CREAT_PROGRAM: &str = r#"
 start:  move.l  #8, d0
         move.l  #fname, d1
@@ -405,12 +397,49 @@ fname:  .asciz  "/usr/tmp/stack00042"
     let p = w.spawn_vm_proc(mid, "/bin/c", None, alice()).unwrap();
     let info = w.run_until_exit(mid, p, 1_000_000).expect("creat exits");
     assert_eq!(info.status, 0);
-    assert_eq!(w.machine(mid).pending_dump_pids(), vec![42]);
     assert_eq!(scan_dump_pids(&w, mid), vec![42]);
+    assert_eq!(w.host_reap_orphan_dumps(mid), vec!["stack00042"]);
+    assert!(scan_dump_pids(&w, mid).is_empty());
 
+    let p = w.spawn_vm_proc(mid, "/bin/c", None, alice()).unwrap();
+    let info = w.run_until_exit(mid, p, 1_000_000).expect("creat exits");
+    assert_eq!(info.status, 0);
+    assert_eq!(scan_dump_pids(&w, mid), vec![42]);
     let p = w.spawn_vm_proc(mid, "/bin/u", None, alice()).unwrap();
     let info = w.run_until_exit(mid, p, 1_000_000).expect("unlink exits");
     assert_eq!(info.status, 0);
-    assert!(w.machine(mid).pending_dump_pids().is_empty());
     assert!(scan_dump_pids(&w, mid).is_empty());
+    assert!(w.host_reap_orphan_dumps(mid).is_empty());
+}
+
+/// A name `link(2)` makes in `/usr/tmp` is a directory entry like any
+/// other: the reaper sweeps it, and the file keeps its first name.
+#[test]
+fn the_reaper_sweeps_an_artifact_name_made_by_link() {
+    let mut w = world();
+    let mid = w.add_machine("host", IsaLevel::Isa1);
+    let linker = w.spawn_native_proc(mid, "linker", None, alice(), |sys| async move {
+        let made = async {
+            let fd = sys.creat("/tmp/image", 0o644).await?;
+            sys.write(fd, b"not a dump").await?;
+            sys.close(fd).await?;
+            sys.link("/tmp/image", "/usr/tmp/a.out00042").await
+        };
+        match made.await {
+            Ok(()) => 0,
+            Err(e) => e.as_u16() as u32,
+        }
+    });
+    let info = w
+        .run_until_exit(mid, linker, 1_000_000)
+        .expect("the linker exits");
+    assert_eq!(info.status, 0, "creat, write or link failed");
+    assert_eq!(scan_dump_pids(&w, mid), vec![42]);
+    assert_eq!(w.host_reap_orphan_dumps(mid), vec!["a.out00042"]);
+    assert!(scan_dump_pids(&w, mid).is_empty());
+    assert_eq!(
+        w.host_read_file(mid, "/tmp/image")
+            .expect("first name kept")[..],
+        b"not a dump"[..]
+    );
 }
