@@ -18,7 +18,7 @@
 //!
 //! * **The report.** `simlint --coupling-report` inventories every
 //!   kernel function that indexes a foreign machine or touches a
-//!   world-shared structure (`ether`, `finished`, the waiter maps, …),
+//!   world-shared structure (`ether`, `finished`, the sleepers, …),
 //!   world layer included — there the coupling is *by design*; the
 //!   point is to enumerate it. The report is checked in at
 //!   `simlint.coupling.json` and `ci.sh` fails when it is stale, so
@@ -44,14 +44,13 @@ const INDEXERS: [&str; 5] = [
 
 /// World-owned structures shared across machines: mutating or reading
 /// these from a per-machine step couples that step to every machine.
-const SHARED: [&str; 8] = [
+const SHARED: [&str; 7] = [
     "ether",
     "terminals",
     "finished",
     "overlaid",
     "daemon_waiters",
-    "tty_waiters",
-    "remote_waiters",
+    "sleepers",
     "wake_queue",
 ];
 

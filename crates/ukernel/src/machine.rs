@@ -42,10 +42,11 @@ pub(crate) struct NameiCache {
 /// Index of a machine within the world.
 pub type MachineId = usize;
 
-/// Identity of a byte queue a `PipeWait` process can park on, the key
-/// of the per-machine wait index. Waiters are indexed per *object*, not
-/// per direction: a poke re-evaluates both readers and writers of the
-/// queue, which the wake check then filters precisely.
+/// Identity of a byte queue a `PipeWait` process can park on, within a
+/// machine: the scheduler's `Queue` wait channel names one. Sleepers
+/// are indexed per *object*, not per direction: a wakeup re-evaluates
+/// both readers and writers of the queue, which the wake check then
+/// filters precisely.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum QueueId {
     /// A pipe, by slot in [`Machine::pipes`].
@@ -322,10 +323,6 @@ pub struct Machine {
     /// machine was last serviced. Pid-ordered so the wake pass evaluates
     /// candidates in a fixed order, the process table's.
     pub(crate) wait_pending: BTreeSet<u32>,
-    /// Pipe/socket wait index: which blocked pids are parked on which
-    /// byte queue. Entries are registered when a process blocks and
-    /// cleaned lazily when the queue is next poked.
-    pub(crate) queue_waiters: BTreeMap<QueueId, BTreeSet<u32>>,
     /// Pids the kernel killed because their demand-restored image could
     /// not be completed (three page-fetch strikes, or a vanished or torn
     /// source dump). Only these send the migration engine back to the
@@ -416,7 +413,6 @@ impl Machine {
             last_rest_caller: None,
             timers: BinaryHeap::new(),
             wait_pending: BTreeSet::new(),
-            queue_waiters: BTreeMap::new(),
             residual_kills: BTreeSet::new(),
             namei_cache: Cell::new(None),
             n_dir,
@@ -584,37 +580,6 @@ impl Machine {
                 .timers
                 .peek()
                 .is_some_and(|&Reverse((t, _))| t <= self.now)
-    }
-
-    /// Registers a blocked process as waiting on a byte queue.
-    pub(crate) fn wait_on_queue(&mut self, q: QueueId, pid: Pid) {
-        self.queue_waiters
-            .entry(q)
-            .or_default()
-            .insert(pid.as_u32());
-    }
-
-    /// Moves a queue's waiters into the pending-wake set (the queue's
-    /// state changed), dropping registrations whose process is no
-    /// longer parked on a pipe. Returns whether anything became pending.
-    pub(crate) fn poke_queue(&mut self, q: QueueId) -> bool {
-        let procs = &self.procs;
-        let Some(waiters) = self.queue_waiters.get_mut(&q) else {
-            return false;
-        };
-        waiters.retain(|pid| {
-            matches!(
-                procs.get(pid).map(|p| &p.state),
-                Some(crate::proc::ProcState::PipeWait)
-            )
-        });
-        if waiters.is_empty() {
-            self.queue_waiters.remove(&q);
-            return false;
-        }
-        self.wait_pending
-            .extend(self.queue_waiters[&q].iter().copied());
-        true
     }
 
     /// Run-queue depth — the load metric the policy layer and `simsh

@@ -21,15 +21,10 @@ use vfs::InodeKind;
 use crate::machine::MachineId;
 use crate::namei::{namei, FollowLast};
 use crate::proc::{Body, ProcState, ResidualSource, VmBody};
-use crate::sys::args::{SysRetval, SyscallResult};
+use crate::sys::args::SyscallResult;
 use crate::sys::ctx::SysCtx;
-
-fn done(r: SysResult<SysRetval>) -> SyscallResult {
-    SyscallResult::Done(match r {
-        Ok(v) => v,
-        Err(e) => SysRetval::err(e),
-    })
-}
+use crate::sys::done;
+use crate::world::WaitChan;
 
 /// Resolves `path` through the namespace and shares out the contents of
 /// the regular file it names, charging only the lookup: returns the
@@ -357,7 +352,7 @@ pub fn sys_rest_proc(
     let at = cx.machine().now;
     cx.w.overlaid.insert((cx.mid, cx.pid.as_u32()), (comm, at));
     // An rsh/run_local waiter treats an overlaid command as complete.
-    cx.w.poke_remote_done(cx.mid, cx.pid.as_u32());
+    cx.w.wakeup(WaitChan::Remote(cx.mid, cx.pid.as_u32()));
     // 9. "Returns. At this point, the process running is a copy of the
     //    old process."
     SyscallResult::Gone

@@ -12,18 +12,14 @@ use sysdefs::{Access, Errno, FileMode, OpenFlags, Signal, SysResult};
 use vfs::{path as vpath, DeviceId, InodeKind};
 
 use crate::file::{FileKind, FileStruct};
+use crate::machine::{MachineId, QueueId};
 use crate::namei::{namei, FollowLast, Resolved};
 use crate::proc::ProcState;
 use crate::sys::args::{IoctlReq, SysRetval, SyscallResult, Whence};
 use crate::sys::ctx::SysCtx;
+use crate::sys::done;
 use crate::user::FileRef;
-
-fn done(r: SysResult<SysRetval>) -> SyscallResult {
-    SyscallResult::Done(match r {
-        Ok(v) => v,
-        Err(e) => SysRetval::err(e),
-    })
-}
+use crate::world::WaitChan;
 
 /// Splits a raw path argument into (parent-path, final-name) without
 /// resolving anything, for creation calls.
@@ -278,13 +274,12 @@ fn release_kind(cx: &mut SysCtx<'_>, kind: &FileKind) {
         _ => {}
     }
     // A dropped end flips EOF/EPIPE conditions for the other side.
-    match kind {
-        FileKind::Pipe { id, .. } => cx.w.poke_queue(cx.mid, crate::machine::QueueId::Pipe(*id)),
-        FileKind::Socket { id, .. } => {
-            cx.w.poke_queue(cx.mid, crate::machine::QueueId::Socket(*id))
-        }
-        _ => {}
-    }
+    let q = match kind {
+        FileKind::Pipe { id, .. } => QueueId::Pipe(*id),
+        FileKind::Socket { id, .. } => QueueId::Socket(*id),
+        _ => return,
+    };
+    cx.w.wakeup(WaitChan::Queue(cx.mid, q));
 }
 
 /// `read(2)`, with terminal and pipe blocking.
@@ -314,7 +309,7 @@ pub fn sys_read(cx: &mut SysCtx<'_>, fd: usize, len: usize) -> SyscallResult {
                     if let Some(p) = cx.proc_mut() {
                         p.state = ProcState::TtyWait { tty };
                     }
-                    cx.w.tty_wait_register(tty, cx.mid, cx.pid);
+                    cx.w.sleep_on(WaitChan::Tty(tty), cx.mid, cx.pid);
                     SyscallResult::Blocked
                 }
             }
@@ -367,14 +362,17 @@ enum QueueRef {
 }
 
 impl QueueRef {
-    /// The wait-index key for this queue. Sockets share one key for
-    /// both sides: a poke may over-wake the opposite side, which is
-    /// safe (its condition re-evaluates to no action).
-    fn id(&self) -> crate::machine::QueueId {
-        match self {
-            QueueRef::Pipe(id) => crate::machine::QueueId::Pipe(*id),
-            QueueRef::Socket(id, _) => crate::machine::QueueId::Socket(*id),
-        }
+    /// The wait channel of this queue on `mid`. Sockets share one
+    /// channel for both sides: a wakeup may over-wake the opposite
+    /// side, which is safe (its condition re-evaluates to no action).
+    fn chan(&self, mid: MachineId) -> WaitChan {
+        WaitChan::Queue(
+            mid,
+            match self {
+                QueueRef::Pipe(id) => QueueId::Pipe(*id),
+                QueueRef::Socket(id, _) => QueueId::Socket(*id),
+            },
+        )
     }
 }
 
@@ -398,8 +396,7 @@ fn read_queue(cx: &mut SysCtx<'_>, len: usize, q: QueueRef) -> SyscallResult {
         if let Some(p) = cx.proc_mut() {
             p.state = ProcState::PipeWait;
         }
-        let pid = cx.pid;
-        cx.machine_mut().wait_on_queue(q.id(), pid);
+        cx.w.sleep_on(q.chan(cx.mid), cx.mid, cx.pid);
         return SyscallResult::Blocked;
     }
     let n = len.min(buf.data.len());
@@ -407,7 +404,7 @@ fn read_queue(cx: &mut SysCtx<'_>, len: usize, q: QueueRef) -> SyscallResult {
     let c = cx.cost().copy_bytes(n);
     cx.charge(c);
     // Draining made room: writers blocked on a full buffer can retry.
-    cx.w.poke_queue(cx.mid, q.id());
+    cx.w.wakeup(q.chan(cx.mid));
     done(Ok(SysRetval::with_data(n as u32, bytes)))
 }
 
@@ -510,15 +507,14 @@ fn write_queue(cx: &mut SysCtx<'_>, bytes: &[u8], q: QueueRef) -> SyscallResult 
         if let Some(p) = cx.proc_mut() {
             p.state = ProcState::PipeWait;
         }
-        let pid = cx.pid;
-        cx.machine_mut().wait_on_queue(q.id(), pid);
+        cx.w.sleep_on(q.chan(cx.mid), cx.mid, cx.pid);
         return SyscallResult::Blocked;
     };
     buf.data.extend(bytes[..n].iter().copied());
     let c = cx.cost().copy_bytes(n);
     cx.charge(c);
     // New data: readers blocked on an empty buffer can complete.
-    cx.w.poke_queue(cx.mid, q.id());
+    cx.w.wakeup(q.chan(cx.mid));
     done(Ok(SysRetval::ok(n as u32)))
 }
 
@@ -672,7 +668,7 @@ pub fn sys_ioctl(cx: &mut SysCtx<'_>, fd: usize, req: IoctlReq) -> SyscallResult
                 cx.w.terminal(tty).with(|t| t.stty(flags));
                 // A mode change (raw vs cooked) can make buffered input
                 // readable for blocked readers.
-                cx.w.poke_tty(tty);
+                cx.w.wakeup(WaitChan::Tty(tty));
                 Ok(SysRetval::ok(0))
             }
         }

@@ -25,9 +25,9 @@ use crate::ktrace::{KtraceEvent, KtraceResult};
 use crate::machine::MachineId;
 use crate::proc::Body;
 use crate::world::World;
-use args::{Syscall, SyscallResult};
+use args::{SysRetval, Syscall, SyscallResult};
 use ctx::SysCtx;
-use sysdefs::Pid;
+use sysdefs::{Pid, SysResult};
 
 /// Executes one system call for `pid` on machine `mid`.
 ///
@@ -99,6 +99,14 @@ fn summarize(r: &SyscallResult) -> KtraceResult {
         SyscallResult::Blocked => KtraceResult::Blocked,
         SyscallResult::Gone => KtraceResult::Gone,
     }
+}
+
+/// A handler's result as a finished call: its value, or its errno.
+pub(crate) fn done(r: SysResult<SysRetval>) -> SyscallResult {
+    SyscallResult::Done(match r {
+        Ok(v) => v,
+        Err(e) => SysRetval::err(e),
+    })
 }
 
 /// The routing match: one arm per [`Syscall`] variant, each handing the

@@ -2,18 +2,12 @@
 
 use simtime::cost::Cost;
 use simtime::SimDuration;
-use sysdefs::{Disposition, Errno, Pid, Signal, SysResult};
+use sysdefs::{Disposition, Errno, Pid, Signal};
 
 use crate::proc::{Body, Proc, ProcState};
 use crate::sys::args::{SysRetval, SyscallResult};
 use crate::sys::ctx::SysCtx;
-
-fn done(r: SysResult<SysRetval>) -> SyscallResult {
-    SyscallResult::Done(match r {
-        Ok(v) => v,
-        Err(e) => SysRetval::err(e),
-    })
-}
+use crate::sys::done;
 
 /// `exit(2)`.
 pub fn sys_exit(cx: &mut SysCtx<'_>, status: u32) -> SyscallResult {

@@ -422,6 +422,54 @@ fn alarm_posts_sigalrm_and_interrupts_sleep() {
 }
 
 #[test]
+fn a_zombie_keeps_no_alarm() {
+    let (mut w, m) = world();
+    let (tty, _console) = w.add_terminal(m);
+    // The child arms a 60-second alarm and exits; the parent blocks on
+    // its terminal and never waits, so the child stays a zombie.
+    let obj = assemble(
+        r#"
+        start:  move.l  #2, d0      | fork
+                trap    #0
+                tst.l   d0
+                beq     child
+                move.l  #3, d0      | parent: read the terminal, for good
+                move.l  #0, d1
+                move.l  #buf, d2
+                move.l  #16, d3
+                trap    #0
+                move.l  #1, d0
+                move.l  #0, d1
+                trap    #0
+        child:  move.l  #27, d0     | alarm(60)
+                move.l  #60, d1
+                trap    #0
+                move.l  #1, d0      | exit(0)
+                move.l  #0, d1
+                trap    #0
+                .bss
+        buf:    .space  16
+        "#,
+    )
+    .unwrap();
+    w.install_program(m, "/bin/orphaner", &obj).unwrap();
+    let parent = w
+        .spawn_vm_proc(m, "/bin/orphaner", Some(tty), alice())
+        .unwrap();
+    assert_eq!(w.run_slices(10_000), ukernel::RunOutcome::Idle);
+    let child = Pid(parent.as_u32() + 1);
+    let zombie = w.proc_ref(m, child).expect("the child is not reaped");
+    assert_eq!(zombie.state, ukernel::ProcState::Zombie { status: 0 });
+    assert_eq!(zombie.alarm_at, None, "exit cancels the alarm");
+    assert_eq!(zombie.sig_pending, 0, "no SIGALRM for the dead");
+    assert!(
+        w.clock().since(simtime::SimTime::BOOT) < simtime::SimDuration::secs(1),
+        "no clock jump to the alarm: {}",
+        w.clock()
+    );
+}
+
+#[test]
 fn sigsetmask_defers_delivery() {
     let (mut w, m) = world();
     let obj = assemble(

@@ -103,7 +103,7 @@ fn signal_posted_to_a_pipe_reader_without_a_poke_is_caught() {
 #[should_panic(
     expected = "wake audit: machine 0 (host) pid 3 in PipeWait: pipe or socket readiness holds"
 )]
-fn pipe_bytes_appended_without_poke_queue_are_caught() {
+fn pipe_bytes_appended_without_wakeup_are_caught() {
     let (mut w, mid) = parked_pair();
     let pipe = w.machine_mut(mid).pipes[0].as_mut().unwrap();
     pipe.data.extend(*b"late");
