@@ -16,7 +16,7 @@
 //! * **declared pure-cache** — an allowlist entry in `simlint.toml`
 //!   scoped to this rule names `Struct::field` with a reason. This is
 //!   the Milanés exemption: derived or reconstructible state
-//!   (scheduler wait indexes, host-side perf counters) may be excluded
+//!   (scheduler wait channels, host-side perf counters) may be excluded
 //!   from the snapshot, but the exclusion must be a reviewed,
 //!   documented decision — never an accident of omission. Stale
 //!   entries fail like any other allowlist entry.
